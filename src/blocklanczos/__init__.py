@@ -19,6 +19,7 @@ from .errors import (
     EmptySelection,
     InnerBreakdown,
     NearDependentRitzVectors,
+    NonFiniteOperator,
     NotSymmetric,
     OverlappingIntervals,
     ParseError,
@@ -61,12 +62,18 @@ from .lanczos import (
 from .cg import CgHistory, dr_bcg, hs_bcg, trace_error
 from .continuation import (
     ContinuationResult,
+    ContinuationStep,
     DecompositionReport,
+    PrefixContinuation,
     SelectionReport,
     assemble_tn,
     build_wk,
+    continuation_first_step,
     continuation_run,
+    continue_prefix,
+    monitored_terms,
     perturbation_decomposition,
+    prefix_terms,
     select_ritz_vectors,
 )
 from .analysis import (

@@ -26,13 +26,7 @@ from .analysis import (
     theorem1_certificate,
 )
 from .cg import dr_bcg, hs_bcg
-from .continuation import (
-    assemble_tn,
-    build_wk,
-    continuation_run,
-    perturbation_decomposition,
-    select_ritz_vectors,
-)
+from .continuation import assemble_tn, continue_prefix, prefix_terms
 from .errors import BlockLanczosError, EmptySelection, NearDependentRitzVectors
 from .lanczos import recurrence_diagnostics, ritz_analysis, run_block_lanczos
 from .linalg import densify, householder_qr, stack_panels, sym_eig
@@ -395,28 +389,6 @@ def _resolve_mu(text, k, n, p):
     return float(text)
 
 
-def _continuation_at(problem, run, kk, mu_val, svd_tol):
-    """Selection, continuation, and the perturbation split at prefix kk."""
-    ritz = ritz_analysis(run, kk)
-    selection = select_ritz_vectors(ritz, mu_val, run.a_norm)
-    w_k, r_k, rho = build_wk(ritz.z[:, selection.indices])
-    selection.rho_k = rho
-    fp_deltas = [row.delta_v_norm for row in run.diagnostics[:kk]]
-    cont = continuation_run(
-        problem.a,
-        run.panels[kk - 2] if kk >= 2 else None,
-        run.panels[kk - 1],
-        run.t.alphas[kk - 1],
-        run.t.betas[kk - 2] if kk >= 2 else None,
-        w_k,
-        svd_tol=svd_tol,
-        fp_delta_norms=fp_deltas,
-        a_norm=run.a_norm,
-    )
-    report = perturbation_decomposition(run, kk, ritz, selection, w_k, r_k, cont)
-    return ritz, selection, w_k, cont, report
-
-
 def cmd_continuation(cfg, out):
     rng = np.random.default_rng(cfg["seed"])
     problem = build_problem(cfg, rng)
@@ -426,9 +398,8 @@ def cmd_continuation(cfg, out):
     k = run.n_steps
     mu_val = _resolve_mu(cfg["mu"], k, n, p)
 
-    ritz, selection, w_k, cont, report = _continuation_at(
-        problem, run, k, mu_val, cfg["svd_tol"]
-    )
+    pipeline = continue_prefix(problem.a, run, k, mu_val, cfg["svd_tol"])
+    selection, cont, report = pipeline.selection, pipeline.cont, pipeline.report
     tn = assemble_tn(run.t, None, cont)
     basis = stack_panels(run.panels[:k] + cont.q_panels)
     certificate = theorem1_certificate(tn, basis, problem.a, cont.epsilon2)
@@ -458,17 +429,17 @@ def cmd_continuation(cfg, out):
                    ("j", "width", "h_norm"), rows)
     ]
 
+    # shorter prefixes need only continuation step 1 for their terms
     term_rows = []
-    for kk in range(1, k + 1):
+    for kk in range(1, k):
         try:
-            _, sel_kk, _, cont_kk, rep_kk = _continuation_at(
-                problem, run, kk, mu_val, cfg["svd_tol"]
-            )
-            term_rows.append((kk, sel_kk.m, sel_kk.rho_k,
-                              rep_kk.term21a, rep_kk.term21b, rep_kk.term22))
+            sel_kk, terms = prefix_terms(problem.a, run, kk, mu_val, cfg["svd_tol"])
+            term_rows.append((kk, sel_kk.m, sel_kk.rho_k) + terms)
         except (EmptySelection, NearDependentRitzVectors):
             nan = float("nan")
             term_rows.append((kk, 0, nan, nan, nan, nan))
+    term_rows.append((k, selection.m, selection.rho_k,
+                      report.term21a, report.term21b, report.term22))
     paths.append(
         _write_csv(out / "continuation_terms.csv", cfg,
                    shared + ["guide mu_a_norm=%s ten_mu_a_norm=%s"
@@ -477,12 +448,8 @@ def cmd_continuation(cfg, out):
     )
 
     dense = densify(tn)
-    tn_rows = [
-        (i, j, dense[i, j])
-        for i in range(dense.shape[0])
-        for j in range(dense.shape[1])
-        if dense[i, j] != 0.0
-    ]
+    rows_i, cols_j = np.nonzero(dense)
+    tn_rows = zip(rows_i, cols_j, dense[rows_i, cols_j])
     sizes = ";".join("%d" % s for s in tn.block_sizes)
     paths.append(
         _write_csv(out / "continuation_tn.csv", cfg,

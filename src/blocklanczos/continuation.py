@@ -19,6 +19,11 @@ that statement concrete and measurable:
    control their size (`perturbation_decomposition`), each of which can be
    monitored against the selection threshold.
 
+`continue_prefix` runs steps 1-4 at one prefix of a run. The monitored
+terms need only the first continuation step (`continuation_first_step`,
+`monitored_terms`), so `prefix_terms` gets them without continuing to
+closure.
+
 Every panel the process discards is kept (the h panels) so the model's
 backward error is measured, not estimated.
 """
@@ -31,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CapReached, EmptySelection, NearDependentRitzVectors
-from .lanczos import LanczosRun, RitzSet
+from .lanczos import LanczosRun, RitzSet, ritz_analysis
 from .linalg import (
     BlockTridiagonal,
     householder_qr,
@@ -155,6 +160,65 @@ class ContinuationResult:
         return [q.shape[1] for q in self.q_panels]
 
 
+@dataclass
+class ContinuationStep:
+    """One continuation step: the raw three-term panel, its kept part
+    ``u_t @ b_new`` of the given rank, and the removed difference
+    ``h_panel = raw - u_t @ b_new``."""
+
+    raw: np.ndarray
+    u_t: np.ndarray
+    b_new: np.ndarray
+    rank: int
+    h_panel: np.ndarray
+
+
+def _basis_buffer(w_k: np.ndarray, n: int) -> np.ndarray:
+    """An n x (m + n) array holding w_k in its first m columns, with room
+    for every panel a continuation can add."""
+    m = w_k.shape[1]
+    basis = np.empty((n, m + n))
+    basis[:, :m] = w_k
+    return basis
+
+
+def _split_step(raw: np.ndarray, basis: np.ndarray, svd_tol: float) -> ContinuationStep:
+    """Reorthogonalize a raw panel against ``basis`` and cut its rank."""
+    u_t, b_new, rank = truncated_svd(reorthogonalize(raw, basis), svd_tol)
+    return ContinuationStep(raw, u_t, b_new, rank, raw - u_t @ b_new)
+
+
+def continuation_first_step(
+    a: np.ndarray,
+    v_prev: np.ndarray | None,
+    v_k: np.ndarray,
+    alpha_k: np.ndarray,
+    beta_k: np.ndarray | None,
+    w_k: np.ndarray,
+    svd_tol: float = 1e-12,
+) -> ContinuationStep:
+    """Step 1 of the continuation: step k of the original run replayed
+    from v_{k-1}, v_k, alpha_k and beta_k, with every component along the
+    protected basis w_k removed.
+
+    Its kept coupling ``b_new`` is beta_{k+1} of the model (absent when
+    the kept rank is zero); together with w_k and the next
+    finite-precision panel it fixes the monitored terms, so those need
+    no later step. ``v_prev``/``beta_k`` may be None for k = 1.
+    """
+    if svd_tol <= 0.0:
+        raise ValueError("svd_tol must be > 0")
+    raw = a @ v_k - v_k @ alpha_k
+    if v_prev is not None and beta_k is not None:
+        raw = raw - v_prev @ beta_k.T
+    # w_k is read through the wide buffer continuation_run keeps its basis
+    # in. BLAS rounds against a contiguous single column differently from
+    # a strided one, so the layout fixes the last bits of every output
+    # built on step 1.
+    basis = _basis_buffer(w_k, a.shape[0])[:, : w_k.shape[1]]
+    return _split_step(raw, basis, svd_tol)
+
+
 def continuation_run(
     a: np.ndarray,
     v_prev: np.ndarray | None,
@@ -169,13 +233,13 @@ def continuation_run(
 ) -> ContinuationResult:
     """Run the recurrence past step k against the protected basis w_k.
 
-    Step 1 replays step k of the original run (using the supplied
-    alpha_k, beta_k and the panels v_{k-1}, v_k) but removes every
-    component along w_k; later steps are plain three-term steps on the
-    new panels, each reorthogonalized twice against w_k and all panels
-    generated so far. The kept part of each step comes from an SVD with
-    absolute cutoff ``svd_tol``; the discarded difference is recorded as
-    that step's h panel. The process ends when a step retains rank zero.
+    Step 1 is `continuation_first_step`: it replays step k of the
+    original run but removes every component along w_k. Later steps are
+    plain three-term steps on the new panels, each reorthogonalized twice
+    against w_k and all panels generated so far. The kept part of each
+    step comes from an SVD with absolute cutoff ``svd_tol``; the discarded
+    difference is recorded as that step's h panel. The process ends when a
+    step retains rank zero.
 
     ``v_prev``/``beta_k`` may be None for k = 1 (the recurrence then has
     no trailing term). ``fp_delta_norms`` should carry the measured
@@ -191,53 +255,43 @@ def continuation_run(
         a_norm = sym_norm(a)
     if n_cap is None:
         n_cap = n
-    if svd_tol <= 0.0:
-        raise ValueError("svd_tol must be > 0")
 
-    m = w_k.shape[1]
-    basis = np.empty((n, m + n))
-    basis[:, :m] = w_k
-    cols = m
+    basis = _basis_buffer(w_k, n)
+    cols = w_k.shape[1]
 
     q_panels: list = []
     alphas: list = []
     betas: list = []
     h_panels: list = []
     h_norms: list = []
-    terminated = False
 
     for j in range(1, n_cap + 1):
         if j == 1:
-            wt = a @ v_k - v_k @ alpha_k
-            if v_prev is not None and beta_k is not None:
-                wt = wt - v_prev @ beta_k.T
-        elif j == 2:
-            q1 = q_panels[0]
-            aq = a @ q1
-            trail = v_k @ betas[0].T
-            al = q1.T @ (aq - trail)
-            alphas.append(al)
-            wt = aq - q1 @ al - trail
+            step = continuation_first_step(a, v_prev, v_k, alpha_k, beta_k, w_k, svd_tol)
         else:
-            qc = q_panels[-1]
-            aq = a @ qc
-            al = qc.T @ aq
-            alphas.append(al)
-            wt = aq - qc @ al - q_panels[-2] @ betas[-1].T
-        w2 = reorthogonalize(wt, basis[:, :cols])
-        u_t, b_new, rank = truncated_svd(w2, svd_tol)
-        h_panel = wt - u_t @ b_new
-        h_panels.append(h_panel)
-        h_norms.append(panel_norm(h_panel))
-        if rank == 0:
-            terminated = True
+            if j == 2:
+                q1 = q_panels[0]
+                aq = a @ q1
+                trail = v_k @ betas[0].T
+                al = q1.T @ (aq - trail)
+                alphas.append(al)
+                wt = aq - q1 @ al - trail
+            else:
+                qc = q_panels[-1]
+                aq = a @ qc
+                al = qc.T @ aq
+                alphas.append(al)
+                wt = aq - qc @ al - q_panels[-2] @ betas[-1].T
+            step = _split_step(wt, basis[:, :cols], svd_tol)
+        h_panels.append(step.h_panel)
+        h_norms.append(panel_norm(step.h_panel))
+        if step.rank == 0:
             break
-        q_panels.append(u_t)
-        betas.append(b_new)
-        basis[:, cols : cols + rank] = u_t
-        cols += rank
-
-    if not terminated:
+        q_panels.append(step.u_t)
+        betas.append(step.b_new)
+        basis[:, cols : cols + step.rank] = step.u_t
+        cols += step.rank
+    else:
         raise CapReached("rank did not reach zero within %d steps" % n_cap)
 
     all_norms = list(fp_delta_norms) + h_norms
@@ -297,6 +351,61 @@ class DecompositionReport:
     delta_norms: list = field(default_factory=list)
 
 
+def _closed_form_inputs(run: LanczosRun, k: int, ritz: RitzSet, selection: SelectionReport):
+    """What the closed forms at prefix k read from the run.
+
+    Returns ``(v_k, r_defect, s_m, fp_trail)``: the last prefix panel, its
+    overlap with all earlier panels (padded to k*p rows), the selected
+    eigenvector block of T_k, and the next finite-precision panel times
+    its coupling (None when a terminated run has no next panel).
+    """
+    p = run.width
+    panels = run.panels
+    v_k = panels[k - 1]
+    prefix = stack_panels(panels[: k - 1])
+    if prefix.size:
+        r_defect = np.vstack([prefix.T @ v_k, np.zeros((p, p))])
+    else:
+        r_defect = np.zeros((k * p, p))
+    s_m = ritz.s[:, selection.indices]
+
+    beta_fp = run.t.betas[k - 1] if k < run.n_steps else run.beta_next
+    has_next = k < run.n_steps or not run.terminated
+    fp_trail = panels[k] @ beta_fp if has_next else None
+    return v_k, r_defect, s_m, fp_trail
+
+
+def monitored_terms(
+    run: LanczosRun,
+    k: int,
+    ritz: RitzSet,
+    selection: SelectionReport,
+    w_k: np.ndarray,
+    r_k: np.ndarray,
+    beta_c: np.ndarray | None,
+):
+    """The three monitored terms ``(term21a, term21b, term22)`` at prefix k.
+
+    They come from the closed forms of the first two continuation steps,
+    so besides the run and the protected basis they need only beta_c, the
+    coupling beta_{k+1} kept by continuation step 1; pass None when step 1
+    kept rank zero, which makes term21b and term22 zero.
+    See `DecompositionReport` for what each term measures.
+    """
+    return _terms(_closed_form_inputs(run, k, ritz, selection), w_k, r_k, beta_c)
+
+
+def _terms(inputs, w_k, r_k, beta_c):
+    """`monitored_terms` from already gathered `_closed_form_inputs`."""
+    v_k, r_defect, s_m, fp_trail = inputs
+    term21a = panel_norm(w_k.T @ fp_trail) if fp_trail is not None else 0.0
+    if beta_c is None:
+        return term21a, 0.0, 0.0
+    m_r = scipy.linalg.solve_triangular(r_k.T, (r_defect.T @ s_m).T, lower=True).T
+    vb = v_k @ beta_c.T
+    return term21a, panel_norm(beta_c @ m_r), panel_norm(vb - w_k @ (w_k.T @ vb))
+
+
 def perturbation_decomposition(
     run: LanczosRun,
     k: int,
@@ -315,35 +424,13 @@ def perturbation_decomposition(
     block and the inverse basis factor. Later steps reduce to a rank-one
     style coupling through q_{k+1}. Everything left after subtracting
     those forms is returned in delta_norms; the three monitored scalars
-    are also written back onto ``cont``.
+    (`monitored_terms`) are also written back onto ``cont``.
     """
-    p = run.width
-    panels = run.panels
-    v_k = panels[k - 1]
-    prefix = stack_panels(panels[: k - 1])
-    if prefix.size:
-        r_defect = np.vstack([prefix.T @ v_k, np.zeros((p, p))])
-    else:
-        r_defect = np.zeros((k * p, p))
-    s_m = ritz.s[:, selection.indices]
-
-    beta_fp = run.t.betas[k - 1] if k < run.n_steps else run.beta_next
-    has_next = k < run.n_steps or not run.terminated
-    v_next = panels[k] if has_next else None
-
-    fp_trail = v_next @ beta_fp if v_next is not None else None
-    term21a = panel_norm(w_k.T @ fp_trail) if fp_trail is not None else 0.0
-
-    if cont.betas:
-        beta_c = cont.betas[0]
-        m_r = scipy.linalg.solve_triangular(r_k.T, (r_defect.T @ s_m).T, lower=True).T
-        term21b = panel_norm(beta_c @ m_r)
-        vb = v_k @ beta_c.T
-        term22 = panel_norm(vb - w_k @ (w_k.T @ vb))
-    else:
-        beta_c = None
-        term21b = 0.0
-        term22 = 0.0
+    beta_c = cont.betas[0] if cont.betas else None
+    inputs = _closed_form_inputs(run, k, ritz, selection)
+    terms = _terms(inputs, w_k, r_k, beta_c)
+    cont.term21a, cont.term21b, cont.term22 = terms
+    v_k, r_defect, s_m, fp_trail = inputs
 
     delta_norms = []
     h = cont.h_panels
@@ -360,12 +447,71 @@ def perturbation_decomposition(
         dj = h[j] - cont.q_panels[0] @ (beta_c @ (v_k.T @ cont.q_panels[j - 1]))
         delta_norms.append(panel_norm(dj))
 
-    cont.term21a = float(term21a)
-    cont.term21b = float(term21b)
-    cont.term22 = float(term22)
-    return DecompositionReport(
-        term21a=float(term21a),
-        term21b=float(term21b),
-        term22=float(term22),
-        delta_norms=delta_norms,
+    return DecompositionReport(*terms, delta_norms=delta_norms)
+
+
+@dataclass
+class PrefixContinuation:
+    """The whole pipeline at one prefix k of a run (`continue_prefix`)."""
+
+    ritz: RitzSet
+    selection: SelectionReport
+    w_k: np.ndarray
+    r_k: np.ndarray
+    cont: ContinuationResult
+    report: DecompositionReport
+
+
+def _select_at(run: LanczosRun, k: int, mu: float):
+    """Ritz analysis, selection and protected basis at prefix k.
+
+    Returns ``(ritz, selection, w_k, r_k, replay)`` with
+    ``selection.rho_k`` filled in; ``replay`` is ``(v_{k-1}, v_k, alpha_k,
+    beta_k)``, the run data continuation step 1 starts from.
+    """
+    ritz = ritz_analysis(run, k)
+    selection = select_ritz_vectors(ritz, mu, run.a_norm)
+    w_k, r_k, selection.rho_k = build_wk(ritz.z[:, selection.indices])
+    replay = (
+        run.panels[k - 2] if k >= 2 else None,
+        run.panels[k - 1],
+        run.t.alphas[k - 1],
+        run.t.betas[k - 2] if k >= 2 else None,
     )
+    return ritz, selection, w_k, r_k, replay
+
+
+def continue_prefix(
+    a: np.ndarray, run: LanczosRun, k: int, mu: float, svd_tol: float = 1e-12
+) -> PrefixContinuation:
+    """Select at threshold mu, continue to closure and decompose, at
+    prefix k of a finite-precision run of ``a``.
+
+    Raises EmptySelection, NearDependentRitzVectors or CapReached when the
+    corresponding stage cannot proceed.
+    """
+    ritz, selection, w_k, r_k, replay = _select_at(run, k, mu)
+    cont = continuation_run(
+        a,
+        *replay,
+        w_k,
+        svd_tol=svd_tol,
+        fp_delta_norms=[row.delta_v_norm for row in run.diagnostics[:k]],
+        a_norm=run.a_norm,
+    )
+    report = perturbation_decomposition(run, k, ritz, selection, w_k, r_k, cont)
+    return PrefixContinuation(ritz, selection, w_k, r_k, cont, report)
+
+
+def prefix_terms(a: np.ndarray, run: LanczosRun, k: int, mu: float, svd_tol: float = 1e-12):
+    """The selection and the monitored terms at prefix k, from
+    continuation step 1 alone.
+
+    Returns ``(selection, (term21a, term21b, term22))``, bit for bit the
+    terms `continue_prefix` reports, without continuing to closure.
+    Raises EmptySelection or NearDependentRitzVectors like it.
+    """
+    ritz, selection, w_k, r_k, replay = _select_at(run, k, mu)
+    step = continuation_first_step(a, *replay, w_k, svd_tol)
+    beta_c = step.b_new if step.rank > 0 else None
+    return selection, monitored_terms(run, k, ritz, selection, w_k, r_k, beta_c)

@@ -14,6 +14,10 @@ class ShapeMismatch(BlockLanczosError):
     """Operands have inconsistent dimensions or block structure."""
 
 
+class NonFiniteOperator(BlockLanczosError):
+    """An operator has NaN or infinite entries (or a norm that overflows)."""
+
+
 class NotSymmetric(BlockLanczosError):
     """A matrix required to be symmetric is not, beyond tolerance."""
 

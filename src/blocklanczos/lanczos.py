@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSymmetric, RankDeficient, RankDeficientStart, ShapeMismatch
+from .errors import (
+    NonFiniteOperator,
+    NotSymmetric,
+    RankDeficient,
+    RankDeficientStart,
+    ShapeMismatch,
+)
 from .linalg import (
     BlockTridiagonal,
     densify,
@@ -125,6 +131,10 @@ def _check_symmetric(a: np.ndarray):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatch("operator must be square, got %r" % (a.shape,))
     scale = float(np.linalg.norm(a))
+    if not np.isfinite(scale):
+        raise NonFiniteOperator(
+            "operator norm is %r: NaN or infinite entries, or overflow" % scale
+        )
     if scale > 0.0 and float(np.linalg.norm(a - a.T)) > 1e-12 * scale:
         raise NotSymmetric("operator asymmetry above 1e-12 relative")
 
@@ -152,7 +162,7 @@ def run_block_lanczos(
     ------
     RankDeficientStart
         If the starting block has numerically dependent columns.
-    NotSymmetric, ShapeMismatch, ValueError
+    NonFiniteOperator, NotSymmetric, ShapeMismatch, ValueError
         On contract violations of the inputs.
     """
     _check_symmetric(a)

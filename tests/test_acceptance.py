@@ -18,21 +18,18 @@ from blocklanczos import (
     BlockTridiagonal,
     BlurSpec,
     blurred_problem,
-    build_wk,
-    continuation_run,
     assemble_tn,
     densify,
     dr_bcg,
     hs_bcg,
     interlacing_check,
     conjecture_scan,
+    continue_prefix,
     interval_spread,
     kron_perturbed_problem,
-    perturbation_decomposition,
     read_matrix_market,
     ritz_analysis,
     run_block_lanczos,
-    select_ritz_vectors,
     spectrum_to_matrix,
     stack_panels,
     strakos48,
@@ -48,29 +45,6 @@ BCSSTK03 = os.path.join(DATA, "bcsstk03.mtx")
 
 def _report(num, name, ok, detail=""):
     print("criterion %2d  %-46s %s  %s" % (num, name, "PASS" if ok else "FAIL", detail))
-
-
-def _continue_at(a, run, kk, mu):
-    """Selection, protected basis, continuation, and the perturbation
-    split at prefix kk of a finished run."""
-    ritz = ritz_analysis(run, kk)
-    sel = select_ritz_vectors(ritz, mu, run.a_norm)
-    w_k, r_k, rho = build_wk(ritz.z[:, sel.indices])
-    sel.rho_k = rho
-    fp = [row.delta_v_norm for row in run.diagnostics[:kk]]
-    cont = continuation_run(
-        a,
-        run.panels[kk - 2] if kk >= 2 else None,
-        run.panels[kk - 1],
-        run.t.alphas[kk - 1],
-        run.t.betas[kk - 2] if kk >= 2 else None,
-        w_k,
-        svd_tol=1e-12,
-        fp_delta_norms=fp,
-        a_norm=run.a_norm,
-    )
-    report = perturbation_decomposition(run, kk, ritz, sel, w_k, r_k, cont)
-    return ritz, sel, w_k, cont, report
 
 
 # -- criterion 1 -------------------------------------------------------------
@@ -145,8 +119,8 @@ def _graded_continuations():
             a, _ = spectrum_to_matrix(strakos_spectrum(strakos48(l1, ln)), rng)
             v = rng.standard_normal((48, 2))
             run = run_block_lanczos(a, v, k_max=12)
-            pieces = _continue_at(a, run, run.n_steps, 1e-5)
-            out.append((a, run) + pieces)
+            pc = continue_prefix(a, run, run.n_steps, 1e-5)
+            out.append((a, run, pc.ritz, pc.selection, pc.w_k, pc.cont, pc.report))
     return out
 
 
@@ -192,7 +166,7 @@ def test_criterion_05_monitored_terms_bounded():
         limit = 10.0 * mu * run.a_norm
         worst = 0.0
         for kk in range(1, run.n_steps + 1):
-            _, _, _, _, report = _continue_at(a, run, kk, mu)
+            report = continue_prefix(a, run, kk, mu).report
             worst = max(worst, report.term21a, report.term21b, report.term22)
         ok = ok and worst <= limit
         details.append("(%g,%g) %.2e<=%.0e" % (l1, ln, worst, limit))
@@ -210,7 +184,8 @@ def _flagship_model(l1, ln, mu_text):
     k = run.n_steps
     n = a.shape[0]
     mu = math.sqrt(k * n * 2 * EPS) if mu_text == "auto" else float(mu_text)
-    _, sel, w_k, cont, _ = _continue_at(a, run, k, mu)
+    pc = continue_prefix(a, run, k, mu)
+    sel, cont = pc.selection, pc.cont
     tn = assemble_tn(run.t, None, cont)
     basis = stack_panels(run.panels[:k] + cont.q_panels)
     cert = theorem1_certificate(tn, basis, a, cont.epsilon2)

@@ -11,10 +11,13 @@ from blocklanczos import (
     NearDependentRitzVectors,
     assemble_tn,
     build_wk,
+    continuation_first_step,
     continuation_run,
+    continue_prefix,
     densify,
-    perturbation_decomposition,
-    ritz_analysis,
+    kron_perturbed_problem,
+    monitored_terms,
+    prefix_terms,
     run_block_lanczos,
     select_ritz_vectors,
     spectrum_to_matrix,
@@ -31,26 +34,11 @@ def pipeline():
     v = np.random.default_rng(1).standard_normal((48, 2))
     run = run_block_lanczos(a, v, k_max=12)
     k = run.n_steps
-    ritz = ritz_analysis(run, k)
-    sel = select_ritz_vectors(ritz, 1e-5, run.a_norm)
-    w_k, r_k, rho = build_wk(ritz.z[:, sel.indices])
-    sel.rho_k = rho
+    pc = continue_prefix(a, run, k, 1e-5)
     fp = [row.delta_v_norm for row in run.diagnostics[:k]]
-    cont = continuation_run(
-        a,
-        run.panels[k - 2],
-        run.panels[k - 1],
-        run.t.alphas[k - 1],
-        run.t.betas[k - 2],
-        w_k,
-        svd_tol=1e-12,
-        fp_delta_norms=fp,
-        a_norm=run.a_norm,
-    )
-    report = perturbation_decomposition(run, k, ritz, sel, w_k, r_k, cont)
     return dict(
-        a=a, run=run, k=k, ritz=ritz, sel=sel, w_k=w_k, r_k=r_k,
-        fp=fp, cont=cont, report=report,
+        a=a, run=run, k=k, ritz=pc.ritz, sel=pc.selection, w_k=pc.w_k, r_k=pc.r_k,
+        fp=fp, cont=pc.cont, report=pc.report,
     )
 
 
@@ -181,15 +169,61 @@ def test_first_step_continuation():
     a, _ = spectrum_to_matrix(strakos_spectrum(strakos48(0.1, 100.0)), 2)
     v = np.random.default_rng(2).standard_normal((48, 2))
     run = run_block_lanczos(a, v, k_max=1)
-    ritz = ritz_analysis(run, 1)
-    sel = select_ritz_vectors(ritz, 1e-5, run.a_norm)
-    w_k, r_k, _ = build_wk(ritz.z[:, sel.indices])
-    cont = continuation_run(
-        a, None, run.panels[0], run.t.alphas[0], None, w_k,
-        fp_delta_norms=[run.diagnostics[0].delta_v_norm], a_norm=run.a_norm,
-    )
-    t_n = assemble_tn(run.t, None, cont)
+    pc = continue_prefix(a, run, 1, 1e-5)
+    t_n = assemble_tn(run.t, None, pc.cont)
     t_n.check_structure()
-    report = perturbation_decomposition(run, 1, ritz, sel, w_k, r_k, cont)
-    assert len(report.delta_norms) == len(cont.h_panels)
-    assert t_n.dim == 2 + sum(cont.widths)
+    assert len(pc.report.delta_norms) == len(pc.cont.h_panels)
+    assert t_n.dim == 2 + sum(pc.cont.widths)
+
+
+def _prefix_term_runs():
+    a, _ = spectrum_to_matrix(strakos_spectrum(strakos48(0.1, 100.0)), 1)
+    v = np.random.default_rng(1).standard_normal((48, 2))
+    yield a, run_block_lanczos(a, v, k_max=24)
+    a, v = kron_perturbed_problem(strakos48(0.1, 100.0), 2, 1e-12, 5)
+    yield a, run_block_lanczos(a, v, k_max=24)
+
+
+def test_prefix_terms_equal_full_continuation():
+    # the prefix scan skips continuation past step 1 on the strength of this
+    empty = 0
+    for a, run in _prefix_term_runs():
+        # 1e-2 leaves some prefixes with nothing to select
+        for mu in (1e-5, 1e-2):
+            for kk in range(1, run.n_steps + 1):
+                try:
+                    full = continue_prefix(a, run, kk, mu)
+                except EmptySelection:
+                    empty += 1
+                    with pytest.raises(EmptySelection):
+                        prefix_terms(a, run, kk, mu)
+                    continue
+                sel, terms = prefix_terms(a, run, kk, mu)
+                report = full.report
+                assert terms == (report.term21a, report.term21b, report.term22)
+                assert terms == (full.cont.term21a, full.cont.term21b, full.cont.term22)
+                assert sel.m == full.selection.m
+                assert np.array_equal(sel.indices, full.selection.indices)
+                assert sel.rho_k == full.selection.rho_k
+    assert empty > 0
+
+
+def test_first_step_is_step_one_of_the_run(pipeline):
+    run, k, w_k, cont = pipeline["run"], pipeline["k"], pipeline["w_k"], pipeline["cont"]
+    step = continuation_first_step(
+        pipeline["a"], run.panels[k - 2], run.panels[k - 1],
+        run.t.alphas[k - 1], run.t.betas[k - 2], w_k,
+    )
+    assert step.rank == cont.widths[0]
+    assert np.array_equal(step.u_t, cont.q_panels[0])
+    assert np.array_equal(step.b_new, cont.betas[0])
+    assert np.array_equal(step.h_panel, cont.h_panels[0])
+    assert np.array_equal(step.raw - step.u_t @ step.b_new, step.h_panel)
+
+
+def test_monitored_terms_without_step_one_coupling(pipeline):
+    args = (pipeline["run"], pipeline["k"], pipeline["ritz"], pipeline["sel"],
+            pipeline["w_k"], pipeline["r_k"])
+    term21a, term21b, term22 = monitored_terms(*args, None)
+    assert (term21b, term22) == (0.0, 0.0)
+    assert term21a == pipeline["report"].term21a

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from blocklanczos import (
+    BlockLanczosError,
+    NonFiniteOperator,
     NotSymmetric,
     RankDeficientStart,
     ShapeMismatch,
@@ -96,6 +98,17 @@ def test_input_validation():
     dep = np.hstack([v[:, :1], v[:, :1]])
     with pytest.raises(RankDeficientStart):
         run_block_lanczos(a, dep, k_max=2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_operator_is_a_typed_failure(value):
+    a, _, rng = rand_spd(12, 25)
+    v = rng.standard_normal((12, 2))
+    bad = a.copy()
+    bad[3, 5] = bad[5, 3] = value
+    with pytest.raises(NonFiniteOperator) as info:
+        run_block_lanczos(bad, v, k_max=2)
+    assert isinstance(info.value, BlockLanczosError)
 
 
 def test_diagnostics_match_direct_recomputation():

@@ -20,6 +20,7 @@ from .errors import (
     InnerBreakdown,
     NearDependentRitzVectors,
     NonFiniteOperator,
+    NotPositiveDefinite,
     NotSymmetric,
     OverlappingIntervals,
     ParseError,
@@ -55,7 +56,6 @@ from .lanczos import (
     DiagnosticsRow,
     LanczosRun,
     RitzSet,
-    recurrence_diagnostics,
     ritz_analysis,
     run_block_lanczos,
 )

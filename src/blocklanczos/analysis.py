@@ -214,11 +214,12 @@ def interval_spread(
 
 
 class Theorem1Certificate(NamedTuple):
-    """Eigenvalue-inclusion certificate for an assembled model matrix."""
+    """Eigenvalue-inclusion certificate for a model matrix and its ascending eigenvalues."""
 
     epsilon1: float
     bound: float
     holds: bool
+    thetas: np.ndarray
 
 
 def theorem1_certificate(
@@ -258,4 +259,4 @@ def theorem1_certificate(
     bound = 3.0 * max(np.sqrt(tn.n_blocks) * epsilon2, eps1) * a_norm
     eigs_a = np.linalg.eigvalsh(0.5 * (a + a.T))
     dists = np.array([float(np.min(np.abs(eigs_a - t))) for t in thetas])
-    return Theorem1Certificate(epsilon1=float(eps1), bound=float(bound), holds=bool(np.all(dists <= bound)))
+    return Theorem1Certificate(float(eps1), float(bound), bool(np.all(dists <= bound)), thetas)

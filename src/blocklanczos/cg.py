@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import RankDeficient, SingularInnerSolve
-from .linalg import householder_qr, panel_norm, reorthogonalize, sym_norm
+from .errors import NotPositiveDefinite, RankDeficient, SingularInnerSolve
+from .linalg import check_symmetric, householder_qr, panel_norm, reorthogonalize, sym_norm
 
 
 def trace_error(x: np.ndarray, x_star: np.ndarray, x0: np.ndarray, a: np.ndarray) -> float:
@@ -67,7 +67,10 @@ class CgHistory:
 
 
 def _reference_solution(a, b):
-    factor = scipy.linalg.cho_factor(a, lower=True)
+    try:
+        factor = scipy.linalg.cho_factor(a, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("reference Cholesky failed: %s" % exc) from exc
     x_star = scipy.linalg.cho_solve(factor, b)
     denom = float(np.linalg.norm(b))
     resid = float(np.linalg.norm(b - a @ x_star)) / denom if denom > 0.0 else 0.0
@@ -106,8 +109,11 @@ def hs_bcg(
     p^T A p below 1e-14 * norm(a) * norm(p)^2, or a failed Cholesky of a
     residual Gram matrix) halts the run at the current iterate; the
     history is returned with ``failure`` set. SingularInnerSolve is raised
-    only when not even one iteration could run.
+    only when not even one iteration could run. A non-square, non-finite
+    or asymmetric ``a`` raises ShapeMismatch, NonFiniteOperator or
+    NotSymmetric, and one without a Cholesky factor NotPositiveDefinite.
     """
+    check_symmetric(a)
     n = a.shape[0]
     p = b.shape[1]
     if x0 is None:
@@ -180,6 +186,7 @@ def dr_bcg(
 
     Same halting contract as `hs_bcg`.
     """
+    check_symmetric(a)
     n = a.shape[0]
     p = b.shape[1]
     if x0 is None:

@@ -28,7 +28,7 @@ from .analysis import (
 from .cg import dr_bcg, hs_bcg
 from .continuation import assemble_tn, continue_prefix, prefix_terms
 from .errors import BlockLanczosError, EmptySelection, NearDependentRitzVectors
-from .lanczos import recurrence_diagnostics, ritz_analysis, run_block_lanczos
+from .lanczos import ritz_analysis, run_block_lanczos
 from .linalg import densify, householder_qr, stack_panels, sym_eig
 from .matrices import (
     BlurSpec,
@@ -356,7 +356,7 @@ def cmd_fp_diagnostics(cfg, out):
     ]
     rows = [
         (r.j, r.delta_v_norm, r.normality, r.local_orth, r.beta_norm, r.global_orth)
-        for r in recurrence_diagnostics(run)
+        for r in run.diagnostics
     ]
     paths = [
         _write_csv(out / "fp_diagnostics.csv", cfg, comments,
@@ -401,10 +401,10 @@ def cmd_continuation(cfg, out):
     pipeline = continue_prefix(problem.a, run, k, mu_val, cfg["svd_tol"])
     selection, cont, report = pipeline.selection, pipeline.cont, pipeline.report
     tn = assemble_tn(run.t, None, cont)
-    basis = stack_panels(run.panels[:k] + cont.q_panels)
+    basis = stack_panels([run.basis[:, : k * p]] + cont.q_panels)
     certificate = theorem1_certificate(tn, basis, problem.a, cont.epsilon2)
     base_eigs, _ = _spectral_data(problem)
-    tn_eigs, _ = sym_eig(densify(tn))
+    tn_eigs = certificate.thetas
     spread = interval_spread(
         tn_eigs, base_eigs,
         epsilon1=certificate.epsilon1, epsilon2=cont.epsilon2,

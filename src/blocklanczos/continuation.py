@@ -42,7 +42,6 @@ from .linalg import (
     householder_qr,
     panel_norm,
     reorthogonalize,
-    stack_panels,
     sym_norm,
     truncated_svd,
 )
@@ -362,7 +361,7 @@ def _closed_form_inputs(run: LanczosRun, k: int, ritz: RitzSet, selection: Selec
     p = run.width
     panels = run.panels
     v_k = panels[k - 1]
-    prefix = stack_panels(panels[: k - 1])
+    prefix = run.basis[:, : (k - 1) * p]
     if prefix.size:
         r_defect = np.vstack([prefix.T @ v_k, np.zeros((p, p))])
     else:

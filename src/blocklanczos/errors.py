@@ -22,6 +22,10 @@ class NotSymmetric(BlockLanczosError):
     """A matrix required to be symmetric is not, beyond tolerance."""
 
 
+class NotPositiveDefinite(BlockLanczosError):
+    """A block CG operator has no Cholesky factor (it is not SPD)."""
+
+
 class RankDeficient(BlockLanczosError):
     """QR of a block vector met a diagonal entry too small to trust."""
 

@@ -1,8 +1,9 @@
 """Block Lanczos with switchable orthogonalization, plus run diagnostics.
 
 The driver `run_block_lanczos` produces a LanczosRun: the orthonormal (or
-finite-precision) panels, the symmetric block tridiagonal they generate,
-the trailing coupling block, and per-iteration health measurements. Ritz
+finite-precision) panels, stored side by side in one preallocated array,
+the symmetric block tridiagonal they generate, the trailing coupling
+block, and per-iteration health measurements taken in the same pass. Ritz
 data for any prefix of the run comes from `ritz_analysis`.
 
 Two modes:
@@ -23,21 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    NonFiniteOperator,
-    NotSymmetric,
-    RankDeficient,
-    RankDeficientStart,
-    ShapeMismatch,
-)
+from .errors import RankDeficient, RankDeficientStart, ShapeMismatch
 from .linalg import (
     BlockTridiagonal,
+    check_symmetric,
     densify,
     householder_qr,
     panel_norm,
     qr_unchecked,
     reorthogonalize,
-    stack_panels,
     sym_eig,
     sym_norm,
 )
@@ -74,16 +69,22 @@ class DiagnosticsRow:
 class LanczosRun:
     """Full record of one block Lanczos execution.
 
-    panels      v_1 .. v_K, plus v_{K+1} when the run stopped at k_max
-                rather than by rank collapse
+    basis       the panels side by side, shape (n, n_panels * width): a
+                read-only column slice of the one C-order
+                (n, (k_max + 1) * width) array the run filled in place
+    panels      read-only view of basis as a (n_panels, n, width) stack;
+                panels[j] is v_{j+1}. Holds v_1 .. v_K, plus v_{K+1}
+                when the run stopped at k_max rather than by rank collapse
     t           alphas alpha_1..alpha_K and couplings beta_2..beta_K
     beta_next   beta_{K+1}; on natural termination its norm is at the
                 breakdown tolerance
     terminated  True when the recurrence closed on its own
+    diagnostics one DiagnosticsRow per step, measured as the run went
     """
 
     a: np.ndarray
-    panels: list
+    basis: np.ndarray
+    panels: np.ndarray
     t: BlockTridiagonal
     beta_next: np.ndarray
     mode: str
@@ -98,7 +99,7 @@ class LanczosRun:
 
     @property
     def width(self) -> int:
-        return self.panels[0].shape[1]
+        return self.panels.shape[2]
 
 
 @dataclass
@@ -127,18 +128,6 @@ class RitzSet:
     fp_bounds: np.ndarray
 
 
-def _check_symmetric(a: np.ndarray):
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch("operator must be square, got %r" % (a.shape,))
-    scale = float(np.linalg.norm(a))
-    if not np.isfinite(scale):
-        raise NonFiniteOperator(
-            "operator norm is %r: NaN or infinite entries, or overflow" % scale
-        )
-    if scale > 0.0 and float(np.linalg.norm(a - a.T)) > 1e-12 * scale:
-        raise NotSymmetric("operator asymmetry above 1e-12 relative")
-
-
 def run_block_lanczos(
     a: np.ndarray,
     v: np.ndarray,
@@ -156,7 +145,8 @@ def run_block_lanczos(
     mode : "finite_precision" or "simulated_exact".
     breakdown_tol : relative rank threshold; the run stops (naturally
         terminated) when the smallest singular value of the candidate next
-        panel falls below ``breakdown_tol * norm(a)``.
+        panel falls to ``breakdown_tol * norm(a)`` or below (so the zero
+        operator terminates after one step).
 
     Raises
     ------
@@ -165,7 +155,7 @@ def run_block_lanczos(
     NonFiniteOperator, NotSymmetric, ShapeMismatch, ValueError
         On contract violations of the inputs.
     """
-    _check_symmetric(a)
+    check_symmetric(a)
     if mode not in MODES:
         raise ValueError("mode must be one of %r" % (MODES,))
     if v.ndim != 2:
@@ -184,105 +174,81 @@ def run_block_lanczos(
     except RankDeficient as exc:
         raise RankDeficientStart(str(exc)) from exc
 
-    panels = [v1]
+    basis = np.empty((n, (k_max + 1) * p))
+    basis[:, :p] = v1
+    eye = np.eye(p)
     alphas: list = []
     betas: list = []
-    beta_next = None
+    rows: list = []
     terminated = False
 
-    v_prev = None
-    beta_k = None
+    vk, v_prev, beta_k = v1, None, None
     for k in range(1, k_max + 1):
-        vk = panels[-1]
-        w = a @ vk
-        if v_prev is not None:
-            w = w - v_prev @ beta_k.T
+        av = a @ vk
+        back = None if v_prev is None else v_prev @ beta_k.T
+        w = av if back is None else av - back
         # the projection coefficient is used as computed: subtracting a
         # symmetrized copy instead would leave the antisymmetric part of
         # v_k^T w in the panel, where ill-conditioned couplings amplify
         # it step over step and local orthogonality drifts off the
         # roundoff floor
         alpha = vk.T @ w
-        w = w - vk @ alpha
+        v_alpha = vk @ alpha
+        w = w - v_alpha
         if mode == "simulated_exact":
-            w = reorthogonalize(w, stack_panels(panels))
+            w = reorthogonalize(w, basis[:, : k * p])
         alphas.append(alpha)
         svals = np.linalg.svd(w, compute_uv=False)
-        if float(svals.min()) < breakdown_tol * a_norm:
+        # <= so that the zero operator (a_norm 0) terminates too
+        terminated = float(svals.min()) <= breakdown_tol * a_norm
+        if terminated:
             _, beta_next = qr_unchecked(w)
-            terminated = True
-            break
-        q, r = householder_qr(w)
-        if k == k_max:
-            panels.append(q)
-            beta_next = r
-            break
-        panels.append(q)
-        betas.append(r)
-        v_prev = vk
-        beta_k = r
+            v_next = None
+        else:
+            v_next, beta_next = householder_qr(w)
+            basis[:, k * p : (k + 1) * p] = v_next
 
-    run = LanczosRun(
+        # recurrence health of step k, from the products formed above
+        res = av - v_alpha
+        if back is not None:
+            res = res - back
+        if v_next is None:
+            local = glob = 0.0
+        else:
+            trail = v_next @ beta_next
+            res = res - trail
+            local = panel_norm(vk.T @ trail)
+            glob = panel_norm(basis[:, : k * p].T @ v_next)
+        rows.append(
+            DiagnosticsRow(
+                j=k,
+                delta_v_norm=panel_norm(res),
+                normality=panel_norm(vk.T @ vk - eye),
+                local_orth=local,
+                beta_norm=panel_norm(beta_next),
+                global_orth=glob,
+            )
+        )
+        if terminated or k == k_max:
+            break
+        betas.append(beta_next)
+        v_prev, vk, beta_k = vk, v_next, beta_next
+
+    n_panels = len(alphas) + (0 if terminated else 1)
+    basis = basis[:, : n_panels * p]
+    basis.flags.writeable = False
+    return LanczosRun(
         a=a,
-        panels=panels,
+        basis=basis,
+        panels=basis.reshape(n, n_panels, p).transpose(1, 0, 2),
         t=BlockTridiagonal(alphas, betas),
         beta_next=beta_next,
         mode=mode,
         terminated=terminated,
         a_norm=a_norm,
         breakdown_tol=breakdown_tol,
+        diagnostics=rows,
     )
-    run.diagnostics = _measure_diagnostics(run)
-    return run
-
-
-def _measure_diagnostics(run: LanczosRun):
-    a = run.a
-    panels = run.panels
-    alphas = run.t.alphas
-    betas = run.t.betas
-    big_k = len(alphas)
-    eye = np.eye(run.width)
-    rows = []
-    for j in range(1, big_k + 1):
-        vj = panels[j - 1]
-        res = a @ vj - vj @ alphas[j - 1]
-        if j > 1:
-            res = res - panels[j - 2] @ betas[j - 2].T
-        beta_jp1 = betas[j - 1] if j < big_k else run.beta_next
-        has_next = j < big_k or not run.terminated
-        if has_next:
-            v_next = panels[j]
-            trail = v_next @ beta_jp1
-            res = res - trail
-            local = panel_norm(vj.T @ trail)
-            glob = panel_norm(stack_panels(panels[:j]).T @ v_next)
-        else:
-            local = 0.0
-            glob = 0.0
-        rows.append(
-            DiagnosticsRow(
-                j=j,
-                delta_v_norm=panel_norm(res),
-                normality=panel_norm(vj.T @ vj - eye),
-                local_orth=local,
-                beta_norm=panel_norm(beta_jp1),
-                global_orth=glob,
-            )
-        )
-    return rows
-
-
-def recurrence_diagnostics(run: LanczosRun):
-    """Per-iteration recurrence health of a finished run.
-
-    Returns the rows measured when the run was built (they are a function
-    of the stored panels and blocks only, so remeasuring would reproduce
-    them bit for bit).
-    """
-    if not run.diagnostics:
-        run.diagnostics = _measure_diagnostics(run)
-    return run.diagnostics
 
 
 def ritz_analysis(run: LanczosRun, k: int) -> RitzSet:
@@ -298,8 +264,7 @@ def ritz_analysis(run: LanczosRun, k: int) -> RitzSet:
     p = run.width
     t_k = densify(BlockTridiagonal(run.t.alphas[:k], run.t.betas[: k - 1]))
     thetas, s = sym_eig(t_k)
-    v_k = stack_panels(run.panels[:k])
-    z = v_k @ s
+    z = run.basis[:, : k * p] @ s
     sigma = s[(k - 1) * p : k * p, :]
     beta_kp1 = run.t.betas[k - 1] if k < big_k else run.beta_next
     deltas = np.linalg.norm(beta_kp1 @ sigma, axis=0)

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, RankDeficient, ShapeMismatch
+from .errors import (
+    ConvergenceFailure,
+    NonFiniteOperator,
+    NotSymmetric,
+    RankDeficient,
+    ShapeMismatch,
+)
 
 
 def panel_norm(x: np.ndarray) -> float:
@@ -71,16 +77,17 @@ def householder_qr(m: np.ndarray, rank_tol: float = 1e-12):
     n, width = m.shape
     if width < 1 or width > n:
         raise ShapeMismatch("block of shape (%d, %d) cannot be orthonormalized" % (n, width))
-    q, r = np.linalg.qr(m, mode="reduced")
-    # flip signs so diag(r) >= 0; keeps the factorization deterministic
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    q = q * signs
-    r = r * signs[:, None]
+    q, r = qr_unchecked(m)
+    smallest = float(np.min(np.diag(r)))
+    # norm(m) <= its Frobenius norm, so clearing the Frobenius threshold
+    # (with a margin for the rounding of either norm) accepts without the
+    # SVD; everything else gets the exact spectral test
+    frob = float(np.linalg.norm(m))
+    if frob > 0.0 and smallest >= rank_tol * frob * (1.0 + 1e-12):
+        return q, r
     scale = panel_norm(m)
-    if scale == 0.0 or np.min(np.diag(r)) < rank_tol * scale:
-        raise RankDeficient(
-            "smallest R diagonal %.3e below %.3e" % (float(np.min(np.diag(r))), rank_tol * scale)
-        )
+    if scale == 0.0 or smallest < rank_tol * scale:
+        raise RankDeficient("smallest R diagonal %.3e below %.3e" % (smallest, rank_tol * scale))
     return q, r
 
 
@@ -91,8 +98,23 @@ def qr_unchecked(m: np.ndarray):
     norm reports the size of the block (natural termination).
     """
     q, r = np.linalg.qr(m, mode="reduced")
+    # flip signs so diag(r) >= 0 (deterministic), in place: copying a square q costs n x n
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return q * signs, r * signs[:, None]
+    q *= signs
+    r *= signs[:, None]
+    return q, r
+
+
+def check_symmetric(a: np.ndarray):
+    """Raise ShapeMismatch, NonFiniteOperator or NotSymmetric unless ``a``
+    is square, finite and symmetric to 1e-12 relative."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeMismatch("operator must be square, got %r" % (a.shape,))
+    scale = float(np.linalg.norm(a))
+    if not np.isfinite(scale):
+        raise NonFiniteOperator("operator norm is %r: NaN or infinite entries, or overflow" % scale)
+    if scale > 0.0 and float(np.linalg.norm(a - a.T)) > 1e-12 * scale:
+        raise NotSymmetric("operator asymmetry above 1e-12 relative")
 
 
 def sym_eig(t: np.ndarray):
@@ -138,8 +160,9 @@ def truncated_svd(w: np.ndarray, tol: float):
 
 
 def stack_panels(panels) -> np.ndarray:
-    """Concatenate a list of block vectors into one (n, total) matrix."""
-    return np.hstack(panels) if panels else np.zeros((0, 0))
+    """Concatenate a sequence of block vectors (a list, or a stack such as
+    `LanczosRun.panels`) into one (n, total) matrix."""
+    return np.hstack(panels) if len(panels) else np.zeros((0, 0))
 
 
 def reorthogonalize(w: np.ndarray, basis: np.ndarray, passes: int = 2) -> np.ndarray:

@@ -191,10 +191,6 @@ def kron_perturbed_problem(spec: SpectrumSpec, p: int, omega: float, seed):
     return 0.5 * (a + a.T), v
 
 
-def _mm_tokenize(line: str):
-    return line.split()
-
-
 def read_matrix_market(path: str) -> np.ndarray:
     """Read a real Matrix Market file into a dense ndarray.
 
@@ -229,7 +225,7 @@ def read_matrix_market(path: str) -> np.ndarray:
         idx += 1
     if idx >= len(lines):
         raise ParseError("missing size line", len(lines))
-    toks = _mm_tokenize(lines[idx])
+    toks = lines[idx].split()
     size_line = idx + 1  # 1-based
 
     if layout == "coordinate":

@@ -187,7 +187,7 @@ def _flagship_model(l1, ln, mu_text):
     pc = continue_prefix(a, run, k, mu)
     sel, cont = pc.selection, pc.cont
     tn = assemble_tn(run.t, None, cont)
-    basis = stack_panels(run.panels[:k] + cont.q_panels)
+    basis = stack_panels(list(run.panels[:k]) + cont.q_panels)
     cert = theorem1_certificate(tn, basis, a, cont.epsilon2)
     tn_eigs, _ = sym_eig(densify(tn))
     spread = interval_spread(

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from blocklanczos import RankDeficient, SingularInnerSolve, dr_bcg, hs_bcg, trace_error
+from blocklanczos import (
+    BlockLanczosError,
+    NonFiniteOperator,
+    NotPositiveDefinite,
+    RankDeficient,
+    SingularInnerSolve,
+    dr_bcg,
+    hs_bcg,
+    trace_error,
+)
 from conftest import rand_spd
 
 
@@ -120,3 +129,20 @@ def test_partial_history_is_kept_on_late_failure():
         assert h.errors[-1] < 1e-6
     else:
         assert h.n_iter == 2000
+
+
+@pytest.mark.parametrize("solver", [hs_bcg, dr_bcg])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_operator_is_a_typed_failure(solver, value):
+    a, b = easy_problem(n=10, seed=39)
+    a[2, 7] = a[7, 2] = value
+    with pytest.raises(NonFiniteOperator):
+        solver(a, b)
+
+
+@pytest.mark.parametrize("solver", [hs_bcg, dr_bcg])
+def test_indefinite_operator_is_a_typed_failure(solver):
+    b = np.random.default_rng(40).standard_normal((4, 2))
+    with pytest.raises(NotPositiveDefinite) as info:
+        solver(np.diag([1.0, -1.0, 2.0, 3.0]), b)
+    assert isinstance(info.value, BlockLanczosError)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocklanczos import (
     BlockLanczosError,
@@ -10,7 +12,6 @@ from blocklanczos import (
     RankDeficientStart,
     ShapeMismatch,
     densify,
-    recurrence_diagnostics,
     ritz_analysis,
     run_block_lanczos,
     spectrum_to_matrix,
@@ -18,6 +19,7 @@ from blocklanczos import (
     strakos48,
     strakos_spectrum,
 )
+from blocklanczos.lanczos import MODES
 from conftest import rand_spd
 
 EPS = float(np.finfo(float).eps)
@@ -111,11 +113,81 @@ def test_non_finite_operator_is_a_typed_failure(value):
     assert isinstance(info.value, BlockLanczosError)
 
 
+def test_zero_operator_terminates_after_one_step():
+    v = np.random.default_rng(28).standard_normal((10, 2))
+    run = run_block_lanczos(np.zeros((10, 10)), v, k_max=4)
+    assert run.terminated and run.n_steps == 1 and len(run.panels) == 1
+    assert run.a_norm == 0.0 and np.all(run.beta_next == 0.0)
+    assert np.all(run.t.alphas[0] == 0.0)
+    assert run.diagnostics[0].beta_norm == 0.0
+
+
+def test_panels_are_read_only_views_of_the_basis():
+    a, _, rng = rand_spd(20, 29)
+    run = run_block_lanczos(a, rng.standard_normal((20, 3)), k_max=4)
+    assert run.basis.shape == (20, 15) and run.panels.shape == (5, 20, 3)
+    assert np.shares_memory(run.panels, run.basis)
+    assert np.array_equal(run.panels[2], run.basis[:, 6:9])
+    with pytest.raises(ValueError):
+        run.panels[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        run.basis[0, 0] = 1.0
+
+
+def _restacked_diagnostics(run):
+    """The diagnostics recomputed from the stored panels, one product per
+    step and a re-stacked prefix for the global overlap."""
+    a, panels, eye = run.a, run.panels, np.eye(run.width)
+    alphas, betas, big_k = run.t.alphas, run.t.betas, run.n_steps
+    rows = []
+    for j in range(1, big_k + 1):
+        vj = panels[j - 1]
+        res = a @ vj - vj @ alphas[j - 1]
+        if j > 1:
+            res = res - panels[j - 2] @ betas[j - 2].T
+        beta = betas[j - 1] if j < big_k else run.beta_next
+        local = glob = 0.0
+        if j < big_k or not run.terminated:
+            trail = panels[j] @ beta
+            res = res - trail
+            local = np.linalg.norm(vj.T @ trail, 2)
+            glob = np.linalg.norm(stack_panels(list(panels[:j])).T @ panels[j], 2)
+        rows.append((j, np.linalg.norm(res, 2), np.linalg.norm(vj.T @ vj - eye, 2), local,
+                     np.linalg.norm(beta, 2), glob))
+    return rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.sampled_from([1, 2, 3]),
+    n=st.integers(3, 80),
+    k_frac=st.floats(0.0, 1.0),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(0, 2**16),
+)
+def test_single_pass_diagnostics_match_restacked_oracle(p, n, k_frac, mode, seed):
+    a, _, rng = rand_spd(n, seed, low=0.01, high=10.0)
+    k_max = max(1, int(k_frac * (n // p)))
+    run = run_block_lanczos(a, rng.standard_normal((n, p)), k_max=k_max, mode=mode)
+    # the basis columns are the panels, bit for bit
+    assert np.array_equal(run.basis, np.hstack(list(run.panels)))
+    assert run.basis.shape == (n, len(run.panels) * p)
+    band = 10.0 * n * p * EPS
+    oracle = _restacked_diagnostics(run)
+    assert len(run.diagnostics) == len(oracle) == run.n_steps
+    for row, (j, delta, normality, local, beta, glob) in zip(run.diagnostics, oracle):
+        assert row.j == j and row.beta_norm == beta
+        assert abs(row.delta_v_norm - delta) <= band * run.a_norm
+        assert abs(row.normality - normality) <= band
+        assert abs(row.local_orth - local) <= band
+        assert abs(row.global_orth - glob) <= band
+
+
 def test_diagnostics_match_direct_recomputation():
     a, _, rng = rand_spd(20, 25)
     v = rng.standard_normal((20, 2))
     run = run_block_lanczos(a, v, k_max=6)
-    rows = recurrence_diagnostics(run)
+    rows = run.diagnostics
     assert [r.j for r in rows] == [1, 2, 3, 4, 5, 6]
     r3 = rows[2]
     res = (

@@ -46,6 +46,29 @@ def test_qr_rejects_rank_deficient():
         householder_qr(np.zeros((6, 2)))
 
 
+@pytest.mark.parametrize("rank_tol", [0.0, 1e-12, 1e-6, 0.3, 1.0 - 1e-15, 1.0])
+def test_qr_decision_matches_the_spectral_test(rank_tol):
+    # the Frobenius shortcut may only skip the SVD where the spectral test
+    # accepts; every decision and every factor must be the spectral test's
+    rng = np.random.default_rng(6)
+    for width in (1, 2, 4):
+        for smallest in (0.0, 1e-14, 1e-12, 1e-6, 0.3, 1.0):
+            u, _ = np.linalg.qr(rng.standard_normal((9, width)))
+            vt, _ = np.linalg.qr(rng.standard_normal((width, width)))
+            svals = np.linspace(1.0, smallest, width)
+            m = (u * svals) @ vt
+            q_ref, r_ref = qr_unchecked(m)
+            scale = np.linalg.norm(m, 2)
+            accept = scale > 0.0 and np.min(np.diag(r_ref)) >= rank_tol * scale
+            try:
+                q, r = householder_qr(m, rank_tol)
+            except RankDeficient:
+                assert not accept, (width, smallest)
+            else:
+                assert accept, (width, smallest)
+                assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+
+
 def test_qr_shape_errors():
     with pytest.raises(ShapeMismatch):
         householder_qr(np.ones(5))

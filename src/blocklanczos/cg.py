@@ -7,9 +7,12 @@ the residual block by its orthonormal QR factor every iteration, carrying
 the triangular factor separately, which keeps the inner solves well
 conditioned when residual columns start to align.
 
-Both record the A-norm trace error against a direct reference solution at
-every iteration and halt (with the partial history preserved) when an
-inner solve goes numerically singular.
+Both take the operator either as a dense symmetric (n, n) array or as the
+(n,) diagonal of a diagonal operator (such as the blurred spectrum of
+`matrices.blurred_problem`), which is then applied without ever forming
+the dense matrix. Both record the A-norm trace error against a direct
+reference solution at every iteration and halt (with the partial history
+preserved) when an inner solve goes numerically singular.
 """
 
 from __future__ import annotations
@@ -19,8 +22,26 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NotPositiveDefinite, RankDeficient, SingularInnerSolve
+from .errors import (
+    NonFiniteOperator,
+    NotPositiveDefinite,
+    RankDeficient,
+    ShapeMismatch,
+    SingularInnerSolve,
+)
 from .linalg import check_symmetric, householder_qr, panel_norm, reorthogonalize, sym_norm
+
+
+def _energy(v: np.ndarray, apply_a) -> float:
+    """trace(v^T A v), with tiny negative values from rounding clipped to zero."""
+    return max(float(np.sum(v * apply_a(v))), 0.0)
+
+
+def _error_ratio(err: np.ndarray, apply_a, den: float) -> float:
+    num = _energy(err, apply_a)
+    if den == 0.0:
+        return 0.0 if num == 0.0 else float("inf")
+    return float(np.sqrt(num) / np.sqrt(den))
 
 
 def trace_error(x: np.ndarray, x_star: np.ndarray, x0: np.ndarray, a: np.ndarray) -> float:
@@ -31,13 +52,8 @@ def trace_error(x: np.ndarray, x_star: np.ndarray, x0: np.ndarray, a: np.ndarray
     Returns 1 at the initial guess and 0 at the solution. Tiny negative
     traces from rounding are clipped to zero before the square roots.
     """
-    err = x_star - x
-    err0 = x_star - x0
-    num = max(float(np.sum(err * (a @ err))), 0.0)
-    den = max(float(np.sum(err0 * (a @ err0))), 0.0)
-    if den == 0.0:
-        return 0.0 if num == 0.0 else float("inf")
-    return float(np.sqrt(num) / np.sqrt(den))
+    apply_a = lambda v: a @ v  # noqa: E731
+    return _error_ratio(x_star - x, apply_a, _energy(x_star - x0, apply_a))
 
 
 @dataclass
@@ -66,15 +82,39 @@ class CgHistory:
         return int(hits[0]) if hits.size else None
 
 
-def _reference_solution(a, b):
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("reference Cholesky failed: %s" % exc) from exc
-    x_star = scipy.linalg.cho_solve(factor, b)
+def _operator(a, b):
+    """Matvec, norm(A), reference solution and its relative residual.
+
+    ``a`` is a dense symmetric (n, n) array or the (n,) diagonal of a
+    diagonal operator. The diagonal reference solve multiplies twice by
+    1/sqrt(d), which is what the dense Cholesky solve computes on a
+    diagonal matrix (its triangular solves multiply by the reciprocal
+    pivot), so both forms of one operator give the same bits.
+    """
+    if a.shape[:1] != b.shape[:1]:
+        raise ShapeMismatch("operator of shape %r, right-hand side %r" % (a.shape, b.shape))
+    if a.ndim == 1:
+        if not np.all(np.isfinite(a)):
+            raise NonFiniteOperator("diagonal operator has NaN or infinite entries")
+        if not np.all(a > 0.0):
+            raise NotPositiveDefinite("diagonal operator has an entry <= 0")
+        d = a[:, None]
+        apply_a = lambda v: d * v  # noqa: E731
+        a_norm = float(np.max(a, initial=0.0))  # the entries are positive
+        r = 1.0 / np.sqrt(d)
+        x_star = (b * r) * r
+    else:
+        check_symmetric(a)
+        apply_a = lambda v: a @ v  # noqa: E731
+        a_norm = sym_norm(a)
+        try:
+            factor = scipy.linalg.cho_factor(a, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite("reference Cholesky failed: %s" % exc) from exc
+        x_star = scipy.linalg.cho_solve(factor, b)
     denom = float(np.linalg.norm(b))
-    resid = float(np.linalg.norm(b - a @ x_star)) / denom if denom > 0.0 else 0.0
-    return x_star, resid
+    resid = float(np.linalg.norm(b - apply_a(x_star))) / denom if denom > 0.0 else 0.0
+    return apply_a, a_norm, x_star, resid
 
 
 def _gram_singular(gram, a_norm, block) -> bool:
@@ -84,8 +124,8 @@ def _gram_singular(gram, a_norm, block) -> bool:
     return float(svals.min()) < 1e-14 * a_norm * panel_norm(block) ** 2
 
 
-def _finish(history_kwargs, a, b, x):
-    res = b - a @ x
+def _finish(history_kwargs, apply_a, b, x):
+    res = b - apply_a(x)
     history_kwargs["final_residual_norms"] = np.linalg.norm(res, axis=0)
     history_kwargs["x"] = x
     return CgHistory(**history_kwargs)
@@ -100,6 +140,10 @@ def hs_bcg(
 ) -> CgHistory:
     """Classical block CG for SPD ``a`` and block right-hand side ``b``.
 
+    ``a`` is a dense symmetric (n, n) array or a 1-D (n,) array holding the
+    diagonal of a diagonal operator; both forms of one operator give the
+    same history bit for bit, and the diagonal one costs O(n p) per matvec.
+
     phi_policy, when given, is a callable mapping the iteration index k
     (0-based, 0 for the initial direction block) to an invertible p x p
     scaling applied to the new direction block; None means identity
@@ -110,10 +154,13 @@ def hs_bcg(
     residual Gram matrix) halts the run at the current iterate; the
     history is returned with ``failure`` set. SingularInnerSolve is raised
     only when not even one iteration could run. A non-square, non-finite
-    or asymmetric ``a`` raises ShapeMismatch, NonFiniteOperator or
+    or asymmetric dense ``a`` raises ShapeMismatch, NonFiniteOperator or
     NotSymmetric, and one without a Cholesky factor NotPositiveDefinite.
+    A diagonal ``a`` with a NaN or infinite entry raises NonFiniteOperator,
+    and one with an entry <= 0 NotPositiveDefinite. A ``b`` whose row
+    count differs from the operator's size raises ShapeMismatch.
     """
-    check_symmetric(a)
+    apply_a, a_norm, x_star, ref_residual = _operator(a, b)
     n = a.shape[0]
     p = b.shape[1]
     if x0 is None:
@@ -123,22 +170,21 @@ def hs_bcg(
     if phi_policy is None:
         phi_policy = lambda k: np.eye(p)  # noqa: E731
 
-    a_norm = sym_norm(a)
-    x_star, ref_residual = _reference_solution(a, b)
     base = dict(variant="hs", exact_mode=False, ref_residual=ref_residual)
 
     x = x0.copy()
-    r = b - a @ x
+    r = b - apply_a(x)
     phi_prev = phi_policy(0)
     p_dir = r @ phi_prev
-    errors = [trace_error(x, x_star, x0, a)]
+    den = _energy(x_star - x0, apply_a)
+    errors = [_error_ratio(x_star - x, apply_a, den)]
 
     failure = None
     for k in range(1, maxit + 1):
         if not np.all(np.isfinite(p_dir)) or float(np.max(np.abs(p_dir))) > 1e150:
             failure = "direction block diverged at iteration %d" % k
             break
-        ap = a @ p_dir
+        ap = apply_a(p_dir)
         gram = p_dir.T @ ap
         gram = 0.5 * (gram + gram.T)
         if _gram_singular(gram, a_norm, p_dir):
@@ -153,7 +199,7 @@ def hs_bcg(
             break
         x = x + p_dir @ gamma
         r = r - ap @ gamma
-        errors.append(trace_error(x, x_star, x0, a))
+        errors.append(_error_ratio(x_star - x, apply_a, den))
         try:
             rr_factor = scipy.linalg.cho_factor(0.5 * (rr_prev + rr_prev.T), lower=True)
             delta = np.linalg.solve(phi_prev, scipy.linalg.cho_solve(rr_factor, r.T @ r))
@@ -166,7 +212,7 @@ def hs_bcg(
     if failure is not None and len(errors) == 1:
         raise SingularInnerSolve(failure)
     base.update(errors=np.array(errors), n_iter=len(errors) - 1, failure=failure)
-    return _finish(base, a, b, x)
+    return _finish(base, apply_a, b, x)
 
 
 def dr_bcg(
@@ -184,9 +230,10 @@ def dr_bcg(
     reorthogonalized (two passes) against every previous one before its QR,
     an exact-arithmetic stand-in used to compare against plain runs.
 
-    Same halting contract as `hs_bcg`.
+    Takes ``a`` in the same two forms as `hs_bcg` (dense symmetric, or a
+    1-D diagonal), with the same halting contract and typed failures.
     """
-    check_symmetric(a)
+    apply_a, a_norm, x_star, ref_residual = _operator(a, b)
     n = a.shape[0]
     p = b.shape[1]
     if x0 is None:
@@ -194,12 +241,10 @@ def dr_bcg(
     if maxit is None:
         maxit = n
 
-    a_norm = sym_norm(a)
-    x_star, ref_residual = _reference_solution(a, b)
     base = dict(variant="dr", exact_mode=exact_mode, ref_residual=ref_residual)
 
     x = x0.copy()
-    w, sigma = householder_qr(b - a @ x)
+    w, sigma = householder_qr(b - apply_a(x))
     s = w.copy()
     basis = None
     cols = 0
@@ -207,14 +252,15 @@ def dr_bcg(
         basis = np.empty((n, (maxit + 1) * p))
         basis[:, :p] = w
         cols = p
-    errors = [trace_error(x, x_star, x0, a)]
+    den = _energy(x_star - x0, apply_a)
+    errors = [_error_ratio(x_star - x, apply_a, den)]
 
     failure = None
     for k in range(1, maxit + 1):
         if not np.all(np.isfinite(s)) or float(np.max(np.abs(s))) > 1e150:
             failure = "direction block diverged at iteration %d" % k
             break
-        as_ = a @ s
+        as_ = apply_a(s)
         gram = s.T @ as_
         gram = 0.5 * (gram + gram.T)
         if _gram_singular(gram, a_norm, s):
@@ -227,7 +273,7 @@ def dr_bcg(
             failure = "singular inner solve at iteration %d" % k
             break
         x = x + s @ (xi @ sigma)
-        errors.append(trace_error(x, x_star, x0, a))
+        errors.append(_error_ratio(x_star - x, apply_a, den))
         if exact_mode and cols + p > n:
             # the reorthogonalized basis spans all of R^n; the method has
             # nothing left to search and further steps would be noise
@@ -251,4 +297,4 @@ def dr_bcg(
     if failure is not None and len(errors) == 1:
         raise SingularInnerSolve(failure)
     base.update(errors=np.array(errors), n_iter=len(errors) - 1, failure=failure)
-    return _finish(base, a, b, x)
+    return _finish(base, apply_a, b, x)

@@ -137,6 +137,12 @@ class Problem:
     y: np.ndarray | None
 
 
+def _whole(x, text):
+    if not x.is_integer():
+        raise ValueError("matrix size must be a whole number in %r" % text)
+    return int(x)
+
+
 def _parse_matrix_spec(text, p, omega):
     """Grammar: strakos48(l1,ln[,rho]) | strakos(n,l1,ln[,rho]) | random(n),
     each optionally suffixed  _kron  for the Kronecker-lifted variant."""
@@ -158,11 +164,12 @@ def _parse_matrix_spec(text, p, omega):
     elif head == "strakos":
         if len(nums) not in (3, 4):
             raise ValueError("strakos takes (n, lambda_1, lambda_n[, rho])")
-        sspec = SpectrumSpec(int(nums[0]), nums[1], nums[2], nums[3] if len(nums) == 4 else 0.8)
+        rho = nums[3] if len(nums) == 4 else 0.8
+        sspec = SpectrumSpec(_whole(nums[0], text), nums[1], nums[2], rho)
     elif head == "random":
         if kron or len(nums) != 1:
             raise ValueError("random takes (n) and has no _kron form")
-        return ("random", int(nums[0]))
+        return ("random", _whole(nums[0], text))
     else:
         raise ValueError("unknown matrix generator %r" % head)
     return ("kron", sspec, p, omega) if kron else ("strakos", sspec)
@@ -292,7 +299,7 @@ def cmd_blurred_cg(cfg, out):
         else:
             a_hat, b_hat = blurred_problem(eigs, y, b, BlurSpec(cfg["m"], delta))
         blur_maxit = cfg["maxit"] if cfg["maxit"] > 0 else a_hat.size
-        hist = dr_bcg(np.diag(a_hat), b_hat, maxit=blur_maxit, exact_mode=True)
+        hist = dr_bcg(a_hat, b_hat, maxit=blur_maxit, exact_mode=True)
         series.append(("dr_exact_d%d" % idx, hist))
 
     comments = ["a_norm=%s delta_scale=%s" % (_fmt(a_norm), cfg["delta_scale"])]

@@ -122,10 +122,13 @@ def sym_eig(t: np.ndarray):
 
     The input is symmetrized as ``(t + t.T)/2`` before the solve, so tiny
     asymmetry from accumulated roundoff is harmless. Eigenvalues come back
-    ascending with orthonormal eigenvectors as columns.
+    ascending with orthonormal eigenvectors as columns. A NaN or infinite
+    entry raises NonFiniteOperator (LAPACK would return NaN eigenpairs).
     """
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ShapeMismatch("sym_eig needs a square matrix, got %r" % (t.shape,))
+    if not np.all(np.isfinite(t)):
+        raise NonFiniteOperator("sym_eig input has NaN or infinite entries")
     work = 0.5 * (t + t.T)
     try:
         vals, vecs = np.linalg.eigh(work)

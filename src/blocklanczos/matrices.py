@@ -124,8 +124,9 @@ def blurred_problem(base_eigs: np.ndarray, y: np.ndarray, b: np.ndarray, blur: B
 
     Returns
     -------
-    a_hat : (n*m,) eigenvalues of the blurred operator (it is diagonal in
-        its own coordinates; use ``np.diag(a_hat)`` for a dense version).
+    a_hat : (n*m,) eigenvalues of the blurred operator. It is diagonal in
+        its own coordinates, so pass ``a_hat`` itself to `cg.hs_bcg` or
+        `cg.dr_bcg`, which apply a 1-D operator as a diagonal.
     b_hat : (n*m, p) right-hand side in the blurred coordinates.
 
     Raises

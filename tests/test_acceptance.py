@@ -253,7 +253,7 @@ def _delay_battery(a, eigs, y, b, maxit, blur_m):
     for tag, mult in (("half_eps", 0.5), ("hundred_eps", 100.0)):
         delta = mult * EPS * a_norm
         a_hat, b_hat = blurred_problem(eigs, y, b, BlurSpec(blur_m, delta))
-        hist = dr_bcg(np.diag(a_hat), b_hat, maxit=maxit, exact_mode=True)
+        hist = dr_bcg(a_hat, b_hat, maxit=maxit, exact_mode=True)
         blurred[tag] = hist.first_below(1e-12)
     return it_hs, it_dr, blurred
 

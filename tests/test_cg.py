@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocklanczos import (
     BlockLanczosError,
+    BlurSpec,
     NonFiniteOperator,
     NotPositiveDefinite,
     RankDeficient,
+    ShapeMismatch,
     SingularInnerSolve,
+    blurred_problem,
     dr_bcg,
     hs_bcg,
     trace_error,
@@ -146,3 +151,93 @@ def test_indefinite_operator_is_a_typed_failure(solver):
     with pytest.raises(NotPositiveDefinite) as info:
         solver(np.diag([1.0, -1.0, 2.0, 3.0]), b)
     assert isinstance(info.value, BlockLanczosError)
+
+
+# -- diagonal operators ------------------------------------------------------
+
+DIAGONAL_RUNS = {
+    "hs": hs_bcg,
+    "dr": dr_bcg,
+    "dr_exact": lambda a, b, **kw: dr_bcg(a, b, exact_mode=True, **kw),
+}
+
+
+def assert_same_history(h, ref):
+    assert np.array_equal(h.errors, ref.errors)
+    assert np.array_equal(h.x, ref.x)
+    assert np.array_equal(h.final_residual_norms, ref.final_residual_norms)
+    assert h.ref_residual == ref.ref_residual
+    assert h.n_iter == ref.n_iter
+    assert h.failure == ref.failure
+    assert (h.variant, h.exact_mode) == (ref.variant, ref.exact_mode)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    run=st.sampled_from(sorted(DIAGONAL_RUNS)),
+    p=st.sampled_from([1, 2, 3]),
+    n=st.integers(6, 40),
+    seed=st.integers(0, 2**16),
+    decades=st.floats(0.0, 4.0),
+    nonzero_x0=st.booleans(),
+    maxit=st.one_of(st.none(), st.integers(1, 12)),
+)
+def test_diagonal_operator_matches_its_dense_form(run, p, n, seed, decades, nonzero_x0, maxit):
+    rng = np.random.default_rng(seed)
+    d = np.sort(10.0 ** rng.uniform(-decades, 0.0, n))
+    b = rng.standard_normal((n, p))
+    x0 = rng.standard_normal((n, p)) if nonzero_x0 else None
+    solve = DIAGONAL_RUNS[run]
+    try:
+        ref = solve(np.diag(d), b, x0=x0, maxit=maxit)
+    except SingularInnerSolve:
+        with pytest.raises(SingularInnerSolve):
+            solve(d, b, x0=x0, maxit=maxit)
+        return
+    assert_same_history(solve(d, b, x0=x0, maxit=maxit), ref)
+
+
+@pytest.mark.parametrize("run", sorted(DIAGONAL_RUNS))
+def test_diagonal_blurred_operator_matches_its_dense_form(run):
+    a, eigs, rng = rand_spd(24, 41, low=0.1, high=100.0)
+    y = np.linalg.eigh(a)[1]
+    b = rng.standard_normal((24, 2))
+    a_hat, b_hat = blurred_problem(eigs, y, b, BlurSpec(5, 1e-10))
+    ref = DIAGONAL_RUNS[run](np.diag(a_hat), b_hat)
+    assert_same_history(DIAGONAL_RUNS[run](a_hat, b_hat), ref)
+    assert ref.errors[-1] < 1e-10
+
+
+def test_diagonal_operator_exhausts_the_space_like_the_dense_one():
+    rng = np.random.default_rng(42)
+    d = np.sort(rng.uniform(1.0, 4.0, 8))
+    b = rng.standard_normal((8, 2))
+    h = dr_bcg(d, b, exact_mode=True)
+    assert "exhausted" in h.failure and h.n_iter == 4
+    assert_same_history(h, dr_bcg(np.diag(d), b, exact_mode=True))
+
+
+@pytest.mark.parametrize("solver", [hs_bcg, dr_bcg])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_diagonal_operator_is_a_typed_failure(solver, value):
+    d = np.linspace(1.0, 2.0, 6)
+    d[3] = value
+    with pytest.raises(NonFiniteOperator):
+        solver(d, np.ones((6, 2)))
+
+
+@pytest.mark.parametrize("solver", [hs_bcg, dr_bcg])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_non_positive_diagonal_operator_is_a_typed_failure(solver, value):
+    d = np.linspace(1.0, 2.0, 6)
+    d[2] = value
+    with pytest.raises(NotPositiveDefinite) as info:
+        solver(d, np.ones((6, 2)))
+    assert isinstance(info.value, BlockLanczosError)
+
+
+@pytest.mark.parametrize("solver", [hs_bcg, dr_bcg])
+@pytest.mark.parametrize("operator", [np.ones(1), np.ones(5), np.eye(5), np.float64(2.0)])
+def test_right_hand_side_of_the_wrong_size_is_a_typed_failure(solver, operator):
+    with pytest.raises(ShapeMismatch):
+        solver(operator, np.ones((6, 2)))

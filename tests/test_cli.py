@@ -101,6 +101,15 @@ def test_error_exits(tmp_path, capsys):
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("spec", ["strakos(16.7,0.1,100)", "random(16.7)",
+                                  "strakos(inf,0.1,100)", "random(nan)"])
+def test_non_integer_size_exits(tmp_path, capsys, spec):
+    assert main(["fp-diagnostics", "--matrix", spec, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "whole number" in err
+    assert not os.listdir(tmp_path)
+
+
 def test_blurred_cg_small_problem(tmp_path):
     rc = main([
         "blurred-cg", "--matrix", "strakos(12,0.5,4)", "--p", "2",

@@ -3,6 +3,7 @@ import pytest
 
 from blocklanczos import (
     BlockTridiagonal,
+    NonFiniteOperator,
     RankDeficient,
     ShapeMismatch,
     densify,
@@ -104,6 +105,15 @@ def test_sym_eig_symmetrizes_first():
 def test_sym_eig_rejects_nonsquare():
     with pytest.raises(ShapeMismatch):
         sym_eig(np.ones((3, 4)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_sym_eig_rejects_non_finite_input(value):
+    # LAPACK hands back NaN eigenpairs here without a word
+    t = np.eye(3)
+    t[0, 1] = t[1, 0] = value
+    with pytest.raises(NonFiniteOperator):
+        sym_eig(t)
 
 
 def test_truncated_svd_exact_rank():

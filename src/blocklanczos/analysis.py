@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AssumptionUnsatisfiable, ShapeMismatch
-from .linalg import BlockTridiagonal, densify, sym_eig, sym_norm
+from .linalg import BlockTridiagonal, sym_eig
 
 
 def interlacing_check(thetas_k: np.ndarray, thetas_k1: np.ndarray, p: int):
@@ -228,7 +228,7 @@ def theorem1_certificate(
     """Certify that every model eigenvalue sits near a true eigenvalue.
 
     The model Ritz vectors are ``basis @ s`` with s the eigenvectors of
-    the dense model matrix; columns of norm below one half cannot anchor
+    the model matrix; columns of norm below one half cannot anchor
     the standard residual argument, so each must pair with a nearby
     large-norm Ritz value. epsilon1 is the largest such pairing distance
     relative to norm(A) (zero when every column is large). The certified
@@ -242,8 +242,9 @@ def theorem1_certificate(
     Raises AssumptionUnsatisfiable when small-norm columns exist but no
     large-norm column does (nothing to pair against).
     """
-    a_norm = sym_norm(a)
-    thetas, s = sym_eig(densify(tn))
+    eigs_a = np.linalg.eigvalsh(0.5 * (a + a.T))
+    a_norm = float(np.max(np.abs(eigs_a)))
+    thetas, s = sym_eig(tn)
     z_norms = np.linalg.norm(basis @ s, axis=0)
     small = z_norms < 0.5
     if small.any():
@@ -257,6 +258,5 @@ def theorem1_certificate(
     else:
         eps1 = 0.0
     bound = 3.0 * max(np.sqrt(tn.n_blocks) * epsilon2, eps1) * a_norm
-    eigs_a = np.linalg.eigvalsh(0.5 * (a + a.T))
     dists = np.array([float(np.min(np.abs(eigs_a - t))) for t in thetas])
     return Theorem1Certificate(float(eps1), float(bound), bool(np.all(dists <= bound)), thetas)

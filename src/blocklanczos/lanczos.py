@@ -27,8 +27,8 @@ import numpy as np
 from .errors import RankDeficient, RankDeficientStart, ShapeMismatch
 from .linalg import (
     BlockTridiagonal,
+    _check_rank,
     check_symmetric,
-    densify,
     householder_qr,
     panel_norm,
     qr_unchecked,
@@ -198,14 +198,16 @@ def run_block_lanczos(
         if mode == "simulated_exact":
             w = reorthogonalize(w, basis[:, : k * p])
         alphas.append(alpha)
-        svals = np.linalg.svd(w, compute_uv=False)
-        # <= so that the zero operator (a_norm 0) terminates too
-        terminated = float(svals.min()) <= breakdown_tol * a_norm
+        # one QR serves both tests: sigma_min(w) is sigma_min of its p x p
+        # factor; <= so that the zero operator (a_norm 0) terminates too
+        q, beta_next = qr_unchecked(w)
+        sigma_min = float(np.linalg.svd(beta_next, compute_uv=False).min())
+        terminated = sigma_min <= breakdown_tol * a_norm
         if terminated:
-            _, beta_next = qr_unchecked(w)
             v_next = None
         else:
-            v_next, beta_next = householder_qr(w)
+            _check_rank(w, beta_next)
+            v_next = q
             basis[:, k * p : (k + 1) * p] = v_next
 
         # recurrence health of step k, from the products formed above
@@ -262,8 +264,7 @@ def ritz_analysis(run: LanczosRun, k: int) -> RitzSet:
     if not (1 <= k <= big_k):
         raise ValueError("k must be in [1, %d], got %d" % (big_k, k))
     p = run.width
-    t_k = densify(BlockTridiagonal(run.t.alphas[:k], run.t.betas[: k - 1]))
-    thetas, s = sym_eig(t_k)
+    thetas, s = sym_eig(BlockTridiagonal(run.t.alphas[:k], run.t.betas[: k - 1]))
     z = run.basis[:, : k * p] @ s
     sigma = s[(k - 1) * p : k * p, :]
     beta_kp1 = run.t.betas[k - 1] if k < big_k else run.beta_next

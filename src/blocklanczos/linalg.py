@@ -8,17 +8,20 @@ Conventions used throughout the package:
 * every norm written ``norm(...)`` is the spectral (2-) norm,
 * all computation is float64 and deterministic for fixed inputs.
 
-The kernels wrap LAPACK through numpy and add the conventions the rest of
-the package relies on: QR with a nonnegative triangular diagonal, an
-eigensolver that symmetrizes its input, and an SVD-based truncation with an
-explicit rank rule.
+The kernels wrap LAPACK through numpy and scipy and add the conventions the
+rest of the package relies on: QR with a nonnegative triangular diagonal, an
+eigensolver that symmetrizes its input and takes a `BlockTridiagonal` in its
+block form (solved in band storage, never densified), and an SVD-based
+truncation with an explicit rank rule.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -78,17 +81,24 @@ def householder_qr(m: np.ndarray, rank_tol: float = 1e-12):
     if width < 1 or width > n:
         raise ShapeMismatch("block of shape (%d, %d) cannot be orthonormalized" % (n, width))
     q, r = qr_unchecked(m)
+    _check_rank(m, r, rank_tol)
+    return q, r
+
+
+def _check_rank(m: np.ndarray, r: np.ndarray, rank_tol: float = 1e-12):
+    """The acceptance test of `householder_qr` on ``m`` and its triangular
+    factor ``r``: RankDeficient when the smallest diagonal entry of ``r``
+    falls below ``rank_tol * norm(m)``."""
     smallest = float(np.min(np.diag(r)))
     # norm(m) <= its Frobenius norm, so clearing the Frobenius threshold
     # (with a margin for the rounding of either norm) accepts without the
     # SVD; everything else gets the exact spectral test
     frob = float(np.linalg.norm(m))
     if frob > 0.0 and smallest >= rank_tol * frob * (1.0 + 1e-12):
-        return q, r
+        return
     scale = panel_norm(m)
     if scale == 0.0 or smallest < rank_tol * scale:
         raise RankDeficient("smallest R diagonal %.3e below %.3e" % (smallest, rank_tol * scale))
-    return q, r
 
 
 def qr_unchecked(m: np.ndarray):
@@ -117,24 +127,74 @@ def check_symmetric(a: np.ndarray):
         raise NotSymmetric("operator asymmetry above 1e-12 relative")
 
 
-def sym_eig(t: np.ndarray):
+def sym_eig(t: np.ndarray | BlockTridiagonal):
     """Eigendecomposition of a (nearly) symmetric matrix.
 
-    The input is symmetrized as ``(t + t.T)/2`` before the solve, so tiny
-    asymmetry from accumulated roundoff is harmless. Eigenvalues come back
-    ascending with orthonormal eigenvectors as columns. A NaN or infinite
-    entry raises NonFiniteOperator (LAPACK would return NaN eigenpairs).
+    ``t`` is a square ndarray or a `BlockTridiagonal`. Either way the
+    matrix is symmetrized as ``(t + t.T)/2`` before the solve, so tiny
+    asymmetry from accumulated roundoff is harmless. The block form is
+    solved in LAPACK upper band storage (``scipy.linalg.eig_banded``),
+    filled straight from the blocks with the bandwidth
+    ``max(s_j + s_{j+1}) - 1`` of its block sizes; it never builds the
+    dense matrix. Eigenvalues come back ascending with orthonormal
+    eigenvectors as columns.
+
+    Raises ShapeMismatch on a non-square array or mis-chained blocks,
+    NonFiniteOperator on a NaN or infinite entry (LAPACK would return NaN
+    eigenpairs) and ConvergenceFailure when LAPACK fails.
     """
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+    banded = isinstance(t, BlockTridiagonal)
+    if banded:
+        t.check_structure()
+        work = _upper_band(t)
+    elif t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ShapeMismatch("sym_eig needs a square matrix, got %r" % (t.shape,))
-    if not np.all(np.isfinite(t)):
+    else:
+        work = t
+    if not np.all(np.isfinite(work)):
         raise NonFiniteOperator("sym_eig input has NaN or infinite entries")
-    work = 0.5 * (t + t.T)
     try:
-        vals, vecs = np.linalg.eigh(work)
+        if banded:
+            return scipy.linalg.eig_banded(work)
+        return np.linalg.eigh(0.5 * (work + work.T))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    return vals, vecs
+
+
+def _upper_band(t: BlockTridiagonal) -> np.ndarray:
+    """The symmetrized block form in LAPACK upper band storage.
+
+    Entry (i, j), i <= j, of ``0.5 * (t + t.T)`` lands in
+    ``band[u + i - j, j]``, u the bandwidth. Diagonal block j fills its
+    own columns with its symmetrized upper triangle, and ``betas[j-1].T``
+    sits above it in the same columns. Couplings are generally full (the
+    continuation's come from an SVD), so u is the widest pair of
+    neighbouring blocks less one.
+    """
+    sizes = t.block_sizes
+    u = max([s0 + s1 for s0, s1 in zip(sizes, sizes[1:])] + sizes[:1], default=1) - 1
+    # rows past u take the lower triangles of the diagonal blocks, so each
+    # block is written whole; they are dropped on return
+    band = np.zeros((2 * u + 1, t.dim))
+    starts = np.cumsum([0] + sizes)
+    # sizes never grow, so blocks of one shape come in runs, and each run
+    # is written with one assignment
+    j = 0
+    for s, run in itertools.groupby(sizes):
+        m = len(list(run))
+        alphas = np.stack(t.alphas[j : j + m])
+        r, c = np.indices((s, s)).reshape(2, -1)
+        sym = 0.5 * (alphas + alphas.transpose(0, 2, 1))
+        band[u + r - c, starts[j : j + m, None] + c] = sym.reshape(m, -1)
+        j += m
+    j = 1
+    for (h, s), run in itertools.groupby(zip(sizes, sizes[1:])):
+        m = len(list(run))
+        betas_t = np.stack(t.betas[j - 1 : j - 1 + m]).transpose(0, 2, 1)
+        r, c = np.indices((h, s)).reshape(2, -1)
+        band[u - h + r - c, starts[j : j + m, None] + c] = betas_t.reshape(m, -1)
+        j += m
+    return band[: u + 1]
 
 
 def truncated_svd(w: np.ndarray, tol: float):

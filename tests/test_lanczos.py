@@ -9,6 +9,7 @@ from blocklanczos import (
     BlockLanczosError,
     NonFiniteOperator,
     NotSymmetric,
+    RankDeficient,
     RankDeficientStart,
     ShapeMismatch,
     densify,
@@ -111,6 +112,20 @@ def test_non_finite_operator_is_a_typed_failure(value):
     with pytest.raises(NonFiniteOperator) as info:
         run_block_lanczos(bad, v, k_max=2)
     assert isinstance(info.value, BlockLanczosError)
+
+
+def test_near_dependent_panel_below_breakdown_is_rank_deficient():
+    # the second start column is an eigenvector up to 1e-14, so the next
+    # panel has one direction of size ~2e-14: a breakdown test at 1e-12
+    # ends the run there, one at 1e-16 lets it through to the QR rank test
+    a = np.diag(np.arange(1.0, 7.0))
+    v = np.zeros((6, 2))
+    v[[0, 1], 0] = 1.0
+    v[2, 1], v[4, 1] = 1.0, 1e-14
+    run = run_block_lanczos(a, v, k_max=2)
+    assert run.terminated and run.n_steps == 1
+    with pytest.raises(RankDeficient):
+        run_block_lanczos(a, v, k_max=2, breakdown_tol=1e-16)
 
 
 def test_zero_operator_terminates_after_one_step():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocklanczos import (
     BlockTridiagonal,
@@ -206,14 +208,81 @@ def test_densify_matches_kron_structure():
 
 def test_structure_check_rejects_bad_shapes():
     a1 = np.eye(2)
-    with pytest.raises(ShapeMismatch):
-        BlockTridiagonal([np.ones((2, 3))], []).check_structure()
-    with pytest.raises(ShapeMismatch):
-        BlockTridiagonal([a1, a1], []).check_structure()
-    with pytest.raises(ShapeMismatch):
+    bad = [
+        BlockTridiagonal([np.ones((2, 3))], []),
+        BlockTridiagonal([a1, a1], []),
         # coupling shape must bridge the two diagonal blocks
-        BlockTridiagonal([a1, a1], [np.ones((1, 1))]).check_structure()
-    with pytest.raises(ShapeMismatch):
+        BlockTridiagonal([a1, a1], [np.ones((1, 1))]),
         # widths may only shrink
-        BlockTridiagonal([np.eye(1), a1], [np.ones((2, 1))]).check_structure()
+        BlockTridiagonal([np.eye(1), a1], [np.ones((2, 1))]),
+    ]
+    for t in bad:
+        with pytest.raises(ShapeMismatch):
+            t.check_structure()
+        with pytest.raises(ShapeMismatch):
+            sym_eig(t)
     hand_tridiagonal().check_structure()
+
+
+def random_block_tridiagonal(sizes, seed, scale=1.0, skew=0.0):
+    """Symmetric diagonal blocks (the first one plus a random, asymmetric
+    perturbation of relative size ``skew``) and full, non-triangular
+    couplings."""
+    rng = np.random.default_rng(seed)
+    alphas = []
+    for s in sizes:
+        g = rng.standard_normal((s, s))
+        alphas.append(scale * (g + g.T))
+    alphas[0] = alphas[0] + skew * scale * rng.standard_normal((sizes[0], sizes[0]))
+    betas = [scale * rng.standard_normal((s1, s0)) for s0, s1 in zip(sizes, sizes[1:])]
+    return BlockTridiagonal(alphas, betas)
+
+
+@st.composite
+def shrinking_sizes(draw):
+    # widths never grow down the diagonal; 1x1 blocks and a single block included
+    first = draw(st.integers(1, 4))
+    drops = draw(st.lists(st.integers(0, 1), min_size=0, max_size=9))
+    sizes = [first]
+    for d in drops:
+        if sizes[-1] - d < 1:
+            break
+        sizes.append(sizes[-1] - d)
+    return sizes
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=shrinking_sizes(),
+    seed=st.integers(0, 2**16),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    skew=st.sampled_from([0.0, 1e-13, 0.3]),
+)
+def test_sym_eig_block_form_matches_dense(sizes, seed, scale, skew):
+    # LAPACK's eigensolver test ratios, with c fixed beforehand
+    c = 10.0
+    eps = np.finfo(float).eps
+    t = random_block_tridiagonal(sizes, seed, scale, skew)
+    dense = densify(t)
+    sym = 0.5 * (dense + dense.T)
+    dim = t.dim
+    t_norm = np.linalg.norm(sym, 2)
+    w_ref, _ = sym_eig(dense)
+    w, s = sym_eig(t)
+    assert w.shape == (dim,) and s.shape == (dim, dim)
+    assert np.all(np.diff(w) >= 0)
+    assert np.max(np.abs(w - w_ref)) <= c * dim * eps * t_norm
+    assert np.linalg.norm(sym @ s - s * w, 2) <= c * dim * eps * t_norm
+    assert np.linalg.norm(s.T @ s - np.eye(dim), 2) <= c * dim * eps
+
+
+@pytest.mark.parametrize("where", ["first_alpha", "last_alpha", "beta"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_sym_eig_block_form_rejects_non_finite_blocks(where, value):
+    t = random_block_tridiagonal([3, 2, 2, 1], seed=11)
+    block = {"first_alpha": t.alphas[0], "last_alpha": t.alphas[-1], "beta": t.betas[1]}[where]
+    # a lower-triangle entry of a diagonal block reaches the band only
+    # through the symmetrization
+    block[-1, 0] = value
+    with pytest.raises(NonFiniteOperator):
+        sym_eig(t)

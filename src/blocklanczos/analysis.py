@@ -51,13 +51,15 @@ class ConjectureReport:
     """Outcome of the containment scan.
 
     For every step k in the sequence and every open interval
-    (theta_i, theta_{i+p}) of that step, each LATER step must place at
-    least one Ritz value strictly inside. checks counts (interval, later
-    step) pairs; violations lists the failing triples
-    (k_index, i, j_index) with indices into the supplied sequence
-    (i 1-based within step k).
+    (theta_i, theta_{i+p}) of that step, each LATER step j must place at
+    least one Ritz value strictly inside. rows holds one check per
+    (k, i, j) triple as ``(k, i, j, theta_lo, theta_hi, contains)``, all
+    indices 1-based, ordered by k, then i, then j. checks counts the rows;
+    violations lists the failing triples as (k_index, i, j_index) with
+    k_index and j_index 0-based into the supplied sequence.
     """
 
+    rows: list
     checks: int
     confirmations: int
     violations: list
@@ -74,24 +76,19 @@ def conjecture_scan(theta_sequence, p: int) -> ConjectureReport:
     steps (each entry p values longer than the previous one).
     """
     seq = [np.asarray(t, dtype=float) for t in theta_sequence]
-    checks = 0
-    confirmations = 0
-    violations = []
+    rows = []
     for ki, tk in enumerate(seq):
-        size = tk.size
-        for ji in range(ki + 1, len(seq)):
-            tj = seq[ji]
-            for i0 in range(size - p):
-                lo, hi = tk[i0], tk[i0 + p]
-                checks += 1
+        for i0 in range(tk.size - p):
+            lo, hi = float(tk[i0]), float(tk[i0 + p])
+            for ji in range(ki + 1, len(seq)):
+                tj = seq[ji]
                 inside = np.searchsorted(tj, lo, side="right") < np.searchsorted(
                     tj, hi, side="left"
                 )
-                if inside:
-                    confirmations += 1
-                else:
-                    violations.append((ki, i0 + 1, ji))
-    return ConjectureReport(checks=checks, confirmations=confirmations, violations=violations)
+                rows.append((ki + 1, i0 + 1, ji + 1, lo, hi, bool(inside)))
+    violations = [(k - 1, i, j - 1) for k, i, j, _, _, inside in rows if not inside]
+    return ConjectureReport(rows=rows, checks=len(rows),
+                            confirmations=len(rows) - len(violations), violations=violations)
 
 
 @dataclass
@@ -116,8 +113,11 @@ def classify_clusters(
 
     Two Ritz values belong to the same group when they are connected by a
     chain of pairwise gaps at most psi * a_norm. Every input index appears
-    in exactly one label; members index into ``thetas`` as given.
+    in exactly one label; members index into ``thetas`` as given. A
+    negative or NaN psi or eta raises ValueError.
     """
+    if not (psi >= 0.0 and eta >= 0.0):
+        raise ValueError("psi and eta must be >= 0 (got %r, %r)" % (psi, eta))
     thetas = np.asarray(thetas, dtype=float)
     base = np.sort(np.asarray(base_eigs, dtype=float))
     order = np.argsort(thetas, kind="stable")

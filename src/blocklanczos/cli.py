@@ -14,6 +14,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from pprint import pformat
 
 import numpy as np
 
@@ -61,26 +62,6 @@ DEFAULTS = {
     "out": ".",
 }
 
-_CONVERT = {
-    "p": int,
-    "k": int,
-    "m": int,
-    "seed": int,
-    "maxit": int,
-    "psi": float,
-    "eta": float,
-    "svd_tol": float,
-    "omega": float,
-    "matrix": str,
-    "mtx": str,
-    "name": str,
-    "mu": str,
-    "delta": str,
-    "delta_scale": str,
-    "out": str,
-}
-
-
 def _read_config_file(path):
     """Plain key=value lines; blank lines and '#' comments are skipped."""
     values = {}
@@ -108,7 +89,8 @@ def resolve_config(args):
         if flag is not None:
             cfg[key] = flag
         elif key in from_file:
-            cfg[key] = _CONVERT[key](from_file[key])
+            # a config-file value takes its default's type; None defaults are strings
+            cfg[key] = (str if fallback is None else type(fallback))(from_file[key])
         else:
             cfg[key] = fallback
     if (cfg["matrix"] is None) == (cfg["mtx"] is None):
@@ -143,9 +125,12 @@ def _whole(x, text):
     return int(x)
 
 
-def _parse_matrix_spec(text, p, omega):
+def _parse_matrix_spec(text):
     """Grammar: strakos48(l1,ln[,rho]) | strakos(n,l1,ln[,rho]) | random(n),
-    each optionally suffixed  _kron  for the Kronecker-lifted variant."""
+    each optionally suffixed  _kron  for the Kronecker-lifted variant.
+
+    Returns ("strakos" or "kron", SpectrumSpec) or ("random", n).
+    """
     spec = text.strip()
     kron = spec.endswith("_kron")
     if kron:
@@ -169,28 +154,26 @@ def _parse_matrix_spec(text, p, omega):
     elif head == "random":
         if kron or len(nums) != 1:
             raise ValueError("random takes (n) and has no _kron form")
-        return ("random", _whole(nums[0], text))
+        return "random", _whole(nums[0], text)
     else:
         raise ValueError("unknown matrix generator %r" % head)
-    return ("kron", sspec, p, omega) if kron else ("strakos", sspec)
+    return ("kron" if kron else "strakos"), sspec
 
 
 def build_problem(cfg, rng):
     if cfg["mtx"] is not None:
         a = read_matrix_market(cfg["mtx"])
         return Problem(a=a, v=None, eigs=None, y=None)
-    parsed = _parse_matrix_spec(cfg["matrix"], cfg["p"], cfg["omega"])
-    if parsed[0] == "strakos":
-        eigs = strakos_spectrum(parsed[1])
-        a, y = spectrum_to_matrix(eigs, rng)
-        return Problem(a=a, v=None, eigs=eigs, y=y)
-    if parsed[0] == "random":
-        eigs = np.sort(rng.uniform(0.05, 1.05, parsed[1]))
-        a, y = spectrum_to_matrix(eigs, rng)
-        return Problem(a=a, v=None, eigs=eigs, y=y)
-    _, sspec, p, omega = parsed
-    a, v = kron_perturbed_problem(sspec, p, omega, rng)
-    return Problem(a=a, v=v, eigs=None, y=None)
+    kind, arg = _parse_matrix_spec(cfg["matrix"])
+    if kind == "kron":
+        a, v = kron_perturbed_problem(arg, cfg["p"], cfg["omega"], rng)
+        return Problem(a=a, v=v, eigs=None, y=None)
+    if kind == "strakos":
+        eigs = strakos_spectrum(arg)
+    else:
+        eigs = np.sort(rng.uniform(0.05, 1.05, arg))
+    a, y = spectrum_to_matrix(eigs, rng)
+    return Problem(a=a, v=None, eigs=eigs, y=y)
 
 
 def _start_block(problem, cfg, rng):
@@ -243,26 +226,70 @@ def _write_csv(path, cfg, comments, header, rows):
     return path
 
 
-def _write_script(path, text):
-    Path(path).write_text(text)
+# Every renderer is this body under its own SPEC. Guide lines read their
+# values from the CSV's own key=value header comments, so a script never
+# disagrees with the file it draws.
+_PLOT_SCRIPT = '''\
+#!/usr/bin/env python3
+"""Auto-generated renderer for %s."""
+
+from pathlib import Path
+
+import matplotlib.pyplot as plt
+
+SPEC = %s
+
+lines = (Path(__file__).parent / SPEC["csv"]).read_text().splitlines()
+meta = dict(t.split("=", 1) for line in lines if line.startswith("#")
+            for t in line.split() if "=" in t)
+table = [line.split(",") for line in lines if not line.startswith("#")]
+col = {name: [row[i] for row in table[1:]] for i, name in enumerate(table[0])}
+if SPEC["group"]:
+    curves = {}
+    for label, x, y in zip(col[SPEC["group"]], col[SPEC["x"]], col[SPEC["y"][0]]):
+        curves.setdefault(label, []).append((float(x), float(y)))
+    series = [(label, *zip(*sorted(curves[label]))) for label in sorted(curves)]
+else:
+    xs = [float(v) for v in col[SPEC["x"]]]
+    series = [(name, xs, [float(v) for v in col[name]]) for name in SPEC["y"]]
+fig, ax = plt.subplots(figsize=SPEC["figsize"])
+labelled = len(series) > 1
+for label, xs, ys in series:
+    if SPEC["floor"] is not None:
+        ys = [max(y, SPEC["floor"]) for y in ys]
+    getattr(ax, SPEC["scale"])(xs, ys, SPEC["styles"].get(label, SPEC["fmt"]),
+                               label=label if labelled else None)
+for source, ls, label in SPEC["guides"]:
+    value = meta.get(source, "None") if isinstance(source, str) else source
+    if value != "None":
+        ax.axhline(float(value), ls=ls, color="gray", label=label)
+        labelled = labelled or label is not None
+ax.set_xlabel(SPEC["xlabel"])
+ax.set_ylabel(SPEC["ylabel"])
+if labelled:
+    ax.legend()
+fig.tight_layout()
+fig.savefig(Path(SPEC["csv"]).stem + ".png", dpi=150)
+'''
+
+
+def _write_plot(out, csv_name, x, y, xlabel, ylabel="", group=None, scale="semilogy",
+                fmt="-", styles=None, figsize=(6, 4.5), floor=None, guides=()):
+    """Write the renderer of ``csv_name`` next to it.
+
+    Without ``group`` every column in ``y`` is one series against ``x``;
+    with it, the rows split into one series per value of that column.
+    ``styles`` maps a series to its own fmt string, ``floor`` lifts values
+    below it (zero widths on a log axis), and each guide is a horizontal
+    line ``(header key or constant, linestyle, legend label)``, skipped
+    when the key's value is None.
+    """
+    spec = dict(csv=csv_name, x=x, y=list(y), group=group, scale=scale, xlabel=xlabel,
+                ylabel=ylabel, fmt=fmt, styles=styles or {}, figsize=figsize, floor=floor,
+                guides=list(guides))
+    path = out / csv_name.replace(".csv", "_plot.py")
+    path.write_text(_PLOT_SCRIPT % (csv_name, pformat(spec, sort_dicts=False)))
     return path
-
-
-_PLOT_PREAMBLE = (
-    "#!/usr/bin/env python3\n"
-    '"""Auto-generated renderer for %s."""\n\n'
-    "import csv\n"
-    "from pathlib import Path\n\n"
-    "import matplotlib.pyplot as plt\n\n\n"
-    "def load(name):\n"
-    "    rows = []\n"
-    "    with open(Path(__file__).parent / name) as fh:\n"
-    "        for line in fh:\n"
-    "            if not line.startswith('#'):\n"
-    "                rows.append(line.rstrip('\\n'))\n"
-    "    table = list(csv.reader(rows))\n"
-    "    return table[0], table[1:]\n\n\n"
-)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +304,8 @@ def _resolve_deltas(cfg, a_norm):
     return [r * scale for r in raw], raw
 
 
-def cmd_blurred_cg(cfg, out):
-    rng = np.random.default_rng(cfg["seed"])
-    problem = build_problem(cfg, rng)
+def cmd_blurred_cg(cfg, problem, rng, out):
+    """trace-error curves: FP HS/DR block CG vs exact DR on blurred spectra"""
     eigs, y = _spectral_data(problem)
     n = problem.a.shape[0]
     p = cfg["p"]
@@ -319,39 +345,21 @@ def cmd_blurred_cg(cfg, out):
         for label, hist in series:
             if it < len(hist.errors):
                 rows.append((it, float(hist.errors[it]), label))
-    paths = [
+    return [
         _write_csv(out / "blurred_cg.csv", cfg, comments,
-                   ("iteration", "trace_error", "series"), rows)
+                   ("iteration", "trace_error", "series"), rows),
+        _write_plot(out, "blurred_cg.csv", "iteration", ["trace_error"], "iteration",
+                    "relative A-norm trace error", group="series", figsize=(7, 5),
+                    styles={"dr_exact_d1": "--", "dr_exact_d2": "--"},
+                    guides=[(1e-12, "-", None)]),
     ]
-
-    script = _PLOT_PREAMBLE % "blurred_cg.csv" + (
-        "header, rows = load('blurred_cg.csv')\n"
-        "curves = {}\n"
-        "for it, err, label in rows:\n"
-        "    curves.setdefault(label, []).append((int(it), float(err)))\n"
-        "fig, ax = plt.subplots(figsize=(7, 5))\n"
-        "styles = {'hs_fp': '-', 'dr_fp': '-', 'dr_exact_d1': '--', 'dr_exact_d2': '--'}\n"
-        "for label in sorted(curves):\n"
-        "    pts = sorted(curves[label])\n"
-        "    ax.semilogy([q[0] for q in pts], [q[1] for q in pts],\n"
-        "                styles.get(label, '-'), label=label)\n"
-        "ax.axhline(1e-12, color='gray', lw=0.5)\n"
-        "ax.set_xlabel('iteration')\n"
-        "ax.set_ylabel('relative A-norm trace error')\n"
-        "ax.legend()\n"
-        "fig.tight_layout()\n"
-        "fig.savefig('blurred_cg.png', dpi=150)\n"
-    )
-    paths.append(_write_script(out / "blurred_cg_plot.py", script))
-    return paths
 
 
 # ---------------------------------------------------------------------------
 # fp-diagnostics
 
-def cmd_fp_diagnostics(cfg, out):
-    rng = np.random.default_rng(cfg["seed"])
-    problem = build_problem(cfg, rng)
+def cmd_fp_diagnostics(cfg, problem, rng, out):
+    """recurrence health columns of a finite-precision run"""
     v = _start_block(problem, cfg, rng)
     run = run_block_lanczos(problem.a, v, k_max=cfg["k"], mode="finite_precision")
     n, p = problem.a.shape[0], v.shape[1]
@@ -365,26 +373,12 @@ def cmd_fp_diagnostics(cfg, out):
         (r.j, r.delta_v_norm, r.normality, r.local_orth, r.beta_norm, r.global_orth)
         for r in run.diagnostics
     ]
-    paths = [
-        _write_csv(out / "fp_diagnostics.csv", cfg, comments,
-                   ("j", "delta_v_norm", "normality", "local_orth", "beta_norm", "global_orth"),
-                   rows)
+    header = ("j", "delta_v_norm", "normality", "local_orth", "beta_norm", "global_orth")
+    return [
+        _write_csv(out / "fp_diagnostics.csv", cfg, comments, header, rows),
+        _write_plot(out, "fp_diagnostics.csv", "j", header[1:], "step j", figsize=(7, 5),
+                    guides=[("np_eps", "--", "np_eps"), ("np_eps_a_norm", ":", "np_eps_a_norm")]),
     ]
-    script = _PLOT_PREAMBLE % "fp_diagnostics.csv" + (
-        "header, rows = load('fp_diagnostics.csv')\n"
-        "cols = list(zip(*[[float(x) for x in row] for row in rows]))\n"
-        "fig, ax = plt.subplots(figsize=(7, 5))\n"
-        "for name, values in zip(header[1:], cols[1:]):\n"
-        "    ax.semilogy(cols[0], values, label=name)\n"
-        "ax.axhline(%s, ls='--', color='gray', label='np_eps')\n"
-        "ax.axhline(%s, ls=':', color='gray', label='np_eps_a_norm')\n"
-        "ax.set_xlabel('step j')\n"
-        "ax.legend(fontsize=8)\n"
-        "fig.tight_layout()\n"
-        "fig.savefig('fp_diagnostics.png', dpi=150)\n"
-    ) % (_fmt(level), _fmt(level * run.a_norm))
-    paths.append(_write_script(out / "fp_diagnostics_plot.py", script))
-    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +390,8 @@ def _resolve_mu(text, k, n, p):
     return float(text)
 
 
-def cmd_continuation(cfg, out):
-    rng = np.random.default_rng(cfg["seed"])
-    problem = build_problem(cfg, rng)
+def cmd_continuation(cfg, problem, rng, out):
+    """selection, continuation, model assembly, spread and certificate"""
     v = _start_block(problem, cfg, rng)
     n, p = problem.a.shape[0], v.shape[1]
     run = run_block_lanczos(problem.a, v, k_max=cfg["k"], mode="finite_precision")
@@ -426,14 +419,9 @@ def cmd_continuation(cfg, out):
     ]
 
     # the closing step keeps rank zero, so it has an h entry but no panel
-    rows = [
+    h_rows = [
         (j, cont.widths[j - 1] if j <= len(cont.widths) else 0, cont.h_norms[j - 1])
         for j in range(1, cont.n_steps + 1)
-    ]
-    paths = [
-        _write_csv(out / "continuation_h_norms.csv", cfg,
-                   shared + ["continuation_steps=%d svd_tol=%s" % (cont.n_steps, _fmt(cfg["svd_tol"]))],
-                   ("j", "width", "h_norm"), rows)
     ]
 
     # shorter prefixes need only continuation step 1 for their terms
@@ -447,96 +435,52 @@ def cmd_continuation(cfg, out):
             term_rows.append((kk, 0, nan, nan, nan, nan))
     term_rows.append((k, selection.m, selection.rho_k,
                       report.term21a, report.term21b, report.term22))
-    paths.append(
-        _write_csv(out / "continuation_terms.csv", cfg,
-                   shared + ["guide mu_a_norm=%s ten_mu_a_norm=%s"
-                             % (_fmt(mu_val * run.a_norm), _fmt(10 * mu_val * run.a_norm))],
-                   ("k", "m", "rho", "term21a", "term21b", "term22"), term_rows)
-    )
 
     dense = densify(tn)
     rows_i, cols_j = np.nonzero(dense)
     tn_rows = zip(rows_i, cols_j, dense[rows_i, cols_j])
     sizes = ";".join("%d" % s for s in tn.block_sizes)
-    paths.append(
-        _write_csv(out / "continuation_tn.csv", cfg,
-                   shared + ["dim=%d n_blocks=%d" % (tn.dim, tn.n_blocks),
-                             "block_sizes=%s" % sizes,
-                             "indices are 0-based"],
-                   ("i", "j", "value"), tn_rows)
-    )
-
-    spread_rows = list(zip(spread.base_eigs, spread.widths, spread.counts))
-    paths.append(
-        _write_csv(out / "continuation_spread.csv", cfg,
-                   shared + ["bound=%s holds=%s max_width=%s dim=%d"
-                             % (_fmt(spread.bound), _fmt(certificate.holds),
-                                _fmt(spread.max_width), spread.dim)],
-                   ("lambda", "width", "count"), spread_rows)
-    )
-
+    spread_rows = zip(spread.base_eigs, spread.widths, spread.counts)
     cluster_rows = [
         (c.kind, c.theta_min, c.theta_max, ";".join("%d" % i for i in c.members))
         for c in clusters
     ]
-    paths.append(
+    return [
+        _write_csv(out / "continuation_h_norms.csv", cfg,
+                   shared + ["continuation_steps=%d svd_tol=%s" % (cont.n_steps, _fmt(cfg["svd_tol"]))],
+                   ("j", "width", "h_norm"), h_rows),
+        _write_csv(out / "continuation_terms.csv", cfg,
+                   shared + ["guide mu_a_norm=%s ten_mu_a_norm=%s"
+                             % (_fmt(mu_val * run.a_norm), _fmt(10 * mu_val * run.a_norm))],
+                   ("k", "m", "rho", "term21a", "term21b", "term22"), term_rows),
+        _write_csv(out / "continuation_tn.csv", cfg,
+                   shared + ["dim=%d n_blocks=%d" % (tn.dim, tn.n_blocks),
+                             "block_sizes=%s" % sizes,
+                             "indices are 0-based"],
+                   ("i", "j", "value"), tn_rows),
+        _write_csv(out / "continuation_spread.csv", cfg,
+                   shared + ["bound=%s holds=%s max_width=%s dim=%d"
+                             % (_fmt(spread.bound), _fmt(certificate.holds),
+                                _fmt(spread.max_width), spread.dim)],
+                   ("lambda", "width", "count"), spread_rows),
         _write_csv(out / "continuation_clusters.csv", cfg,
                    shared + ["psi=%s eta=%s" % (_fmt(cfg["psi"]), _fmt(cfg["eta"]))],
-                   ("kind", "theta_min", "theta_max", "members"), cluster_rows)
-    )
-
-    h_script = _PLOT_PREAMBLE % "continuation_h_norms.csv" + (
-        "header, rows = load('continuation_h_norms.csv')\n"
-        "j = [int(r[0]) for r in rows]\n"
-        "h = [float(r[2]) for r in rows]\n"
-        "fig, ax = plt.subplots(figsize=(6, 4.5))\n"
-        "ax.semilogy(j, h, 'o-')\n"
-        "ax.set_xlabel('continuation step')\n"
-        "ax.set_ylabel('discarded component norm')\n"
-        "fig.tight_layout()\n"
-        "fig.savefig('continuation_h_norms.png', dpi=150)\n"
-    )
-    paths.append(_write_script(out / "continuation_h_norms_plot.py", h_script))
-
-    t_script = _PLOT_PREAMBLE % "continuation_terms.csv" + (
-        "header, rows = load('continuation_terms.csv')\n"
-        "k = [int(r[0]) for r in rows]\n"
-        "fig, ax = plt.subplots(figsize=(6, 4.5))\n"
-        "for col, name in ((3, 'term21a'), (4, 'term21b'), (5, 'term22')):\n"
-        "    ax.semilogy(k, [float(r[col]) for r in rows], 'o-', label=name)\n"
-        "ax.axhline(%s, ls='--', color='gray', label='mu*norm(A)')\n"
-        "ax.set_xlabel('prefix length k')\n"
-        "ax.legend()\n"
-        "fig.tight_layout()\n"
-        "fig.savefig('continuation_terms.png', dpi=150)\n"
-    ) % _fmt(mu_val * run.a_norm)
-    paths.append(_write_script(out / "continuation_terms_plot.py", t_script))
-
-    s_script = _PLOT_PREAMBLE % "continuation_spread.csv" + (
-        "header, rows = load('continuation_spread.csv')\n"
-        "lam = [float(r[0]) for r in rows]\n"
-        "width = [float(r[1]) for r in rows]\n"
-        "fig, ax = plt.subplots(figsize=(6, 4.5))\n"
-        "ax.loglog(lam, [max(w, 1e-18) for w in width], '.')\n"
-    )
-    if spread.bound is not None:
-        s_script += "ax.axhline(%s, ls='--', color='gray', label='certificate bound')\nax.legend()\n" % _fmt(spread.bound)
-    s_script += (
-        "ax.set_xlabel('reference eigenvalue')\n"
-        "ax.set_ylabel('interval width')\n"
-        "fig.tight_layout()\n"
-        "fig.savefig('continuation_spread.png', dpi=150)\n"
-    )
-    paths.append(_write_script(out / "continuation_spread_plot.py", s_script))
-    return paths
+                   ("kind", "theta_min", "theta_max", "members"), cluster_rows),
+        _write_plot(out, "continuation_h_norms.csv", "j", ["h_norm"], "continuation step",
+                    "discarded component norm", fmt="o-"),
+        _write_plot(out, "continuation_terms.csv", "k", ["term21a", "term21b", "term22"],
+                    "prefix length k", fmt="o-", guides=[("mu_a_norm", "--", "mu*norm(A)")]),
+        _write_plot(out, "continuation_spread.csv", "lambda", ["width"], "reference eigenvalue",
+                    "interval width", scale="loglog", fmt=".", floor=1e-18,
+                    guides=[("bound", "--", "certificate bound")]),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # interlacing
 
-def cmd_interlacing(cfg, out):
-    rng = np.random.default_rng(cfg["seed"])
-    problem = build_problem(cfg, rng)
+def cmd_interlacing(cfg, problem, rng, out):
+    """exact-run interlacing table and containment scan"""
     v = _start_block(problem, cfg, rng)
     n, p = problem.a.shape[0], v.shape[1]
     k_max = min(cfg["k"], n // p)
@@ -551,17 +495,6 @@ def cmd_interlacing(cfg, out):
         eq6_total += 2 + 2 * (small - p)
         eq6_bad += len(interlacing_check(thetas[kk - 1], thetas[kk], p))
 
-    rows = []
-    for ki in range(len(thetas) - 1):
-        th = thetas[ki]
-        for i0 in range(th.size - p):
-            lo, hi = float(th[i0]), float(th[i0 + p])
-            for ji in range(ki + 1, len(thetas)):
-                later = thetas[ji]
-                inside = int(np.searchsorted(later, hi, side="left")
-                             - np.searchsorted(later, lo, side="right"))
-                rows.append((ki + 1, i0 + 1, ji + 1, lo, hi, 1 if inside > 0 else 0))
-
     scan = conjecture_scan(thetas, p)
     comments = [
         "steps=%d p=%d" % (len(thetas), p),
@@ -571,13 +504,16 @@ def cmd_interlacing(cfg, out):
     ]
     return [
         _write_csv(out / "interlacing.csv", cfg, comments,
-                   ("k", "i", "j", "theta_lo", "theta_hi", "contains"), rows)
+                   ("k", "i", "j", "theta_lo", "theta_hi", "contains"), scan.rows)
     ]
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
+# Each command takes (cfg, problem, rng, out). main builds the problem from
+# the seeded stream first; a command draws its start block or right-hand
+# side from the same stream afterwards.
 _COMMANDS = {
     "blurred-cg": cmd_blurred_cg,
     "fp-diagnostics": cmd_fp_diagnostics,
@@ -593,14 +529,8 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "blurred-cg": "trace-error curves: FP HS/DR block CG vs exact DR on blurred spectra",
-        "fp-diagnostics": "recurrence health columns of a finite-precision run",
-        "continuation": "selection, continuation, model assembly, spread and certificate",
-        "interlacing": "exact-run interlacing table and containment scan",
-    }
-    for name in _COMMANDS:
-        cp = sub.add_parser(name, help=helps[name])
+    for name, command in _COMMANDS.items():
+        cp = sub.add_parser(name, help=command.__doc__)
         cp.add_argument("--config", help="key=value file; flags override it")
         cp.add_argument("--matrix",
                         help="generator spec: strakos48(l1,ln[,rho]), strakos(n,l1,ln[,rho]), "
@@ -631,7 +561,8 @@ def main(argv=None):
         cfg = resolve_config(args)
         out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
-        paths = _COMMANDS[args.command](cfg, out)
+        rng = np.random.default_rng(cfg["seed"])
+        paths = _COMMANDS[args.command](cfg, build_problem(cfg, rng), rng, out)
     except (BlockLanczosError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

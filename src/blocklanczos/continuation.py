@@ -73,7 +73,7 @@ def select_ritz_vectors(ritz: RitzSet, mu: float, a_norm: float) -> SelectionRep
     Raises EmptySelection when nothing clears the threshold (mu too
     large, or every pair converged).
     """
-    if mu <= 0.0:
+    if not mu > 0.0:  # also rejects NaN
         raise ValueError("mu must be > 0")
     threshold = mu * a_norm
     mask = ritz.deltas > threshold
@@ -205,7 +205,7 @@ def continuation_first_step(
     finite-precision panel it fixes the monitored terms, so those need
     no later step. ``v_prev``/``beta_k`` may be None for k = 1.
     """
-    if svd_tol <= 0.0:
+    if not svd_tol > 0.0:  # also rejects NaN
         raise ValueError("svd_tol must be > 0")
     raw = a @ v_k - v_k @ alpha_k
     if v_prev is not None and beta_k is not None:

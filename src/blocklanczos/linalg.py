@@ -212,7 +212,7 @@ def truncated_svd(w: np.ndarray, tol: float):
         The retained part, ``diag(s) @ vt``; generally not triangular.
     rank : int
     """
-    if tol < 0.0:
+    if not tol >= 0.0:  # also rejects NaN
         raise ValueError("tol must be >= 0")
     n, width = w.shape
     if width == 0:

@@ -58,6 +58,13 @@ def test_conjecture_scan_counts():
     rep = conjecture_scan(seq, 1)
     assert rep.checks == 4 and rep.confirmations == 4
     assert rep.violations == [] and rep.percentage == 100.0
+    # 1-based (k, i, j, lo, hi, contains), ordered by k, then i, then j
+    assert rep.rows == [
+        (1, 1, 2, 1.0, 3.0, True),
+        (1, 1, 3, 1.0, 3.0, True),
+        (2, 1, 3, 0.5, 2.0, True),
+        (2, 2, 3, 2.0, 4.0, True),
+    ]
 
 
 def test_conjecture_scan_interval_is_open():
@@ -65,6 +72,7 @@ def test_conjecture_scan_interval_is_open():
     rep = conjecture_scan([np.array([1.0, 3.0]), np.array([1.0, 3.0, 5.0])], 1)
     assert rep.checks == 1 and rep.confirmations == 0
     assert rep.violations == [(0, 1, 1)]
+    assert rep.rows == [(1, 1, 2, 1.0, 3.0, False)]
     assert rep.percentage == 0.0
 
 

@@ -2,6 +2,9 @@
 
 import os
 import py_compile
+import runpy
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -107,6 +110,17 @@ def test_non_integer_size_exits(tmp_path, capsys, spec):
     assert main(["fp-diagnostics", "--matrix", spec, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "whole number" in err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("flag, word", [("--svd-tol", "svd_tol"), ("--psi", "psi"),
+                                        ("--eta", "eta"), ("--mu", "mu must be")])
+def test_nan_threshold_exits(tmp_path, capsys, flag, word):
+    # a NaN compares False both ways, so a "<= 0" guard would let it through
+    assert main(["continuation", "--matrix", "strakos48(0.1,100)", "--p", "2", "--k", "12",
+                 "--mu", "1e-5", flag, "nan", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and word in err
     assert not os.listdir(tmp_path)
 
 
@@ -233,3 +247,99 @@ def test_version_flag(capsys):
     assert info.value.code == 0
     import blocklanczos
     assert blocklanczos.__version__ in capsys.readouterr().out
+
+
+class _Recorder:
+    """Stands in for a matplotlib figure or axes and logs every call."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: self.calls.append((name, args, kwargs))
+
+
+def _line_style(args, kwargs):
+    """(linestyle, marker) the way matplotlib reads a fmt string or ls=."""
+    fmt = args[2] if len(args) > 2 else ""
+    ls = next((s for s in ("--", "-.", ":", "-") if s in fmt), None)
+    marker = fmt.replace(ls, "", 1) if ls else fmt
+    ls = kwargs.get("ls", kwargs.get("linestyle", ls))
+    return (ls or ("None" if marker else "-")), (marker or None)
+
+
+def _comment_values(comments):
+    return dict(t.split("=", 1) for c in comments for t in c.split() if "=" in t)
+
+
+# per script: CSV, x column, y columns, group-by column, floor on y, solid
+# or dashed series, marker, and the header keys (or constants) of its guides
+PLOTS = {
+    "blurred-cg": [
+        ("blurred_cg.csv", "iteration", ["trace_error"], "series", None,
+         {"dr_exact_d1": "--", "dr_exact_d2": "--"}, None, [1e-12]),
+    ],
+    "fp-diagnostics": [
+        ("fp_diagnostics.csv", "j",
+         ["delta_v_norm", "normality", "local_orth", "beta_norm", "global_orth"],
+         None, None, {}, None, ["np_eps", "np_eps_a_norm"]),
+    ],
+    "continuation": [
+        ("continuation_h_norms.csv", "j", ["h_norm"], None, None, {}, "o", []),
+        ("continuation_terms.csv", "k", ["term21a", "term21b", "term22"], None, None,
+         {}, "o", ["mu_a_norm"]),
+        ("continuation_spread.csv", "lambda", ["width"], None, 1e-18,
+         {"width": "None"}, ".", ["bound"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["blurred-cg", "--matrix", "strakos(12,0.5,4)", "--p", "2", "--m", "3",
+     "--delta", "5,0.5", "--seed", "2"],
+    ["fp-diagnostics", "--matrix", "strakos48(0.1,100)", "--k", "8"],
+    ["continuation", "--matrix", "strakos48(0.1,100)", "--p", "2", "--k", "12",
+     "--mu", "1e-5"],
+])
+def test_plot_scripts_draw_the_csv(tmp_path, monkeypatch, argv):
+    # the scripts run against a stub pyplot, so no matplotlib is needed
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for csv_name, x, ys, group, floor, styles, marker, guides in PLOTS[argv[0]]:
+        calls = []
+        plt = types.ModuleType("matplotlib.pyplot")
+        plt.subplots = lambda **kwargs: (_Recorder([]), _Recorder(calls))
+        mpl = types.ModuleType("matplotlib")
+        mpl.pyplot = plt
+        monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
+        runpy.run_path(str(tmp_path / csv_name.replace(".csv", "_plot.py")),
+                       run_name="__main__")
+
+        comments, header, rows = csv_parts(read(tmp_path / csv_name))
+        assert {x, group, *ys} - {None} <= set(header)
+        col = {name: [r.split(",")[i] for r in rows] for i, name in enumerate(header)}
+        want = {}
+        if group:
+            for label in sorted(set(col[group])):
+                pick = [i for i, g in enumerate(col[group]) if g == label]
+                want[label] = ([float(col[x][i]) for i in pick],
+                               [float(col[ys[0]][i]) for i in pick])
+        else:
+            for name in ys:
+                want[name] = ([float(v) for v in col[x]], [float(v) for v in col[name]])
+        if floor is not None:
+            want = {k: (xv, [max(v, floor) for v in yv]) for k, (xv, yv) in want.items()}
+
+        lines = [c for c in calls if c[0] in ("plot", "semilogy", "loglog")]
+        assert len(lines) == len(want)
+        for (_, args, kwargs), (name, (xv, yv)) in zip(lines, want.items()):
+            assert kwargs.get("label") == (name if len(want) > 1 else None)
+            np.testing.assert_array_equal(np.asarray(args[0], dtype=float), xv)
+            np.testing.assert_array_equal(np.asarray(args[1], dtype=float), yv)
+            assert _line_style(args, kwargs) == (styles.get(name, "-"), marker)
+
+        values = _comment_values(comments)
+        drawn = [c[1][0] if c[1] else c[2]["y"] for c in calls if c[0] == "axhline"]
+        expected = [g if not isinstance(g, str) else float(values[g])
+                    for g in guides if isinstance(g, float) or values[g] != "None"]
+        assert drawn == expected

@@ -2,7 +2,8 @@
 
 The package groups:
 
-* linalg     -- QR / eigen / SVD kernels and the block tridiagonal type
+* linalg     -- QR / eigen / SVD kernels, the checked operator type and
+                the block tridiagonal type
 * matrices   -- test problem generators and Matrix Market input
 * lanczos    -- the block Lanczos driver, diagnostics, Ritz analysis
 * cg         -- two block conjugate gradient variants and the trace error
@@ -32,13 +33,14 @@ from .errors import (
 )
 from .linalg import (
     BlockTridiagonal,
+    Operator,
+    as_operator,
     densify,
     householder_qr,
     panel_norm,
     reorthogonalize,
     stack_panels,
     sym_eig,
-    sym_norm,
     truncated_svd,
 )
 from .matrices import (

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AssumptionUnsatisfiable, ShapeMismatch
-from .linalg import BlockTridiagonal, sym_eig
+from .linalg import BlockTridiagonal, Operator, as_operator, sym_eig
 
 
 def interlacing_check(thetas_k: np.ndarray, thetas_k1: np.ndarray, p: int):
@@ -223,7 +223,7 @@ class Theorem1Certificate(NamedTuple):
 
 
 def theorem1_certificate(
-    tn: BlockTridiagonal, basis: np.ndarray, a: np.ndarray, epsilon2: float
+    tn: BlockTridiagonal, basis: np.ndarray, a: np.ndarray | Operator, epsilon2: float
 ) -> Theorem1Certificate:
     """Certify that every model eigenvalue sits near a true eigenvalue.
 
@@ -239,11 +239,14 @@ def theorem1_certificate(
     with N the model block count, and ``holds`` states whether every
     eigenvalue of the model is within that radius of an eigenvalue of A.
 
+    ``a`` is an array or an `Operator`; the run's own (`LanczosRun.a`)
+    brings the eigenvalues its norm came from.
+
     Raises AssumptionUnsatisfiable when small-norm columns exist but no
     large-norm column does (nothing to pair against).
     """
-    eigs_a = np.linalg.eigvalsh(0.5 * (a + a.T))
-    a_norm = float(np.max(np.abs(eigs_a)))
+    a = as_operator(a)
+    eigs_a, a_norm = a.eigvals, a.norm
     thetas, s = sym_eig(tn)
     z_norms = np.linalg.norm(basis @ s, axis=0)
     small = z_norms < 0.5

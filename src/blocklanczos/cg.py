@@ -7,12 +7,14 @@ the residual block by its orthonormal QR factor every iteration, carrying
 the triangular factor separately, which keeps the inner solves well
 conditioned when residual columns start to align.
 
-Both take the operator either as a dense symmetric (n, n) array or as the
-(n,) diagonal of a diagonal operator (such as the blurred spectrum of
+Both take the operator as a dense symmetric (n, n) array, as the (n,)
+diagonal of a diagonal operator (such as the blurred spectrum of
 `matrices.blurred_problem`), which is then applied without ever forming
-the dense matrix. Both record the A-norm trace error against a direct
-reference solution at every iteration and halt (with the partial history
-preserved) when an inner solve goes numerically singular.
+the dense matrix, or as a `linalg.Operator` wrapping either, which lets
+both variants share one check, norm and Cholesky factor. Both record the
+A-norm trace error against a direct reference solution at every
+iteration and halt (with the partial history preserved) when an inner
+solve goes numerically singular.
 """
 
 from __future__ import annotations
@@ -22,23 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    NonFiniteOperator,
-    NotPositiveDefinite,
-    RankDeficient,
-    ShapeMismatch,
-    SingularInnerSolve,
-)
-from .linalg import check_symmetric, householder_qr, panel_norm, reorthogonalize, sym_norm
+from .errors import RankDeficient, ShapeMismatch, SingularInnerSolve
+from .linalg import Operator, as_operator, householder_qr, panel_norm, reorthogonalize
 
 
-def _energy(v: np.ndarray, apply_a) -> float:
+def _energy(v: np.ndarray, a) -> float:
     """trace(v^T A v), with tiny negative values from rounding clipped to zero."""
-    return max(float(np.sum(v * apply_a(v))), 0.0)
+    return max(float(np.sum(v * (a @ v))), 0.0)
 
 
-def _error_ratio(err: np.ndarray, apply_a, den: float) -> float:
-    num = _energy(err, apply_a)
+def _error_ratio(err: np.ndarray, a, den: float) -> float:
+    num = _energy(err, a)
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return float(np.sqrt(num) / np.sqrt(den))
@@ -52,8 +48,7 @@ def trace_error(x: np.ndarray, x_star: np.ndarray, x0: np.ndarray, a: np.ndarray
     Returns 1 at the initial guess and 0 at the solution. Tiny negative
     traces from rounding are clipped to zero before the square roots.
     """
-    apply_a = lambda v: a @ v  # noqa: E731
-    return _error_ratio(x_star - x, apply_a, _energy(x_star - x0, apply_a))
+    return _error_ratio(x_star - x, a, _energy(x_star - x0, a))
 
 
 @dataclass
@@ -82,39 +77,21 @@ class CgHistory:
         return int(hits[0]) if hits.size else None
 
 
-def _operator(a, b):
-    """Matvec, norm(A), reference solution and its relative residual.
-
-    ``a`` is a dense symmetric (n, n) array or the (n,) diagonal of a
-    diagonal operator. The diagonal reference solve multiplies twice by
-    1/sqrt(d), which is what the dense Cholesky solve computes on a
-    diagonal matrix (its triangular solves multiply by the reciprocal
-    pivot), so both forms of one operator give the same bits.
-    """
-    if a.shape[:1] != b.shape[:1]:
-        raise ShapeMismatch("operator of shape %r, right-hand side %r" % (a.shape, b.shape))
-    if a.ndim == 1:
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteOperator("diagonal operator has NaN or infinite entries")
-        if not np.all(a > 0.0):
-            raise NotPositiveDefinite("diagonal operator has an entry <= 0")
-        d = a[:, None]
-        apply_a = lambda v: d * v  # noqa: E731
-        a_norm = float(np.max(a, initial=0.0))  # the entries are positive
-        r = 1.0 / np.sqrt(d)
-        x_star = (b * r) * r
-    else:
-        check_symmetric(a)
-        apply_a = lambda v: a @ v  # noqa: E731
-        a_norm = sym_norm(a)
-        try:
-            factor = scipy.linalg.cho_factor(a, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("reference Cholesky failed: %s" % exc) from exc
-        x_star = scipy.linalg.cho_solve(factor, b)
+def _prologue(a, b, x0, maxit):
+    """What both variants start from: the checked operator, the reference
+    solution and its relative residual, and x0 and maxit with their
+    defaults (zeros, and the dimension) filled in."""
+    op = as_operator(a)
+    if b.ndim != 2 or b.shape[0] != op.shape[0]:
+        raise ShapeMismatch("operator of shape %r, right-hand side %r" % (op.shape, b.shape))
+    if x0 is None:
+        x0 = np.zeros(b.shape)
+    elif x0.shape != b.shape:
+        raise ShapeMismatch("initial guess %r, right-hand side %r" % (x0.shape, b.shape))
+    x_star = op.solve(b)
     denom = float(np.linalg.norm(b))
-    resid = float(np.linalg.norm(b - apply_a(x_star))) / denom if denom > 0.0 else 0.0
-    return apply_a, a_norm, x_star, resid
+    resid = float(np.linalg.norm(b - op @ x_star)) / denom if denom > 0.0 else 0.0
+    return op, x_star, resid, x0, op.shape[0] if maxit is None else maxit
 
 
 def _gram_singular(gram, a_norm, block) -> bool:
@@ -124,15 +101,16 @@ def _gram_singular(gram, a_norm, block) -> bool:
     return float(svals.min()) < 1e-14 * a_norm * panel_norm(block) ** 2
 
 
-def _finish(history_kwargs, apply_a, b, x):
-    res = b - apply_a(x)
-    history_kwargs["final_residual_norms"] = np.linalg.norm(res, axis=0)
-    history_kwargs["x"] = x
-    return CgHistory(**history_kwargs)
+def _finish(a, b, x, errors, failure, **fields):
+    """The history of a stopped run; SingularInnerSolve if it never stepped."""
+    if failure is not None and len(errors) == 1:
+        raise SingularInnerSolve(failure)
+    return CgHistory(errors=np.array(errors), n_iter=len(errors) - 1, failure=failure, x=x,
+                     final_residual_norms=np.linalg.norm(b - a @ x, axis=0), **fields)
 
 
 def hs_bcg(
-    a: np.ndarray,
+    a: np.ndarray | Operator,
     b: np.ndarray,
     x0: np.ndarray | None = None,
     maxit: int | None = None,
@@ -140,9 +118,10 @@ def hs_bcg(
 ) -> CgHistory:
     """Classical block CG for SPD ``a`` and block right-hand side ``b``.
 
-    ``a`` is a dense symmetric (n, n) array or a 1-D (n,) array holding the
-    diagonal of a diagonal operator; both forms of one operator give the
-    same history bit for bit, and the diagonal one costs O(n p) per matvec.
+    ``a`` is a dense symmetric (n, n) array, a 1-D (n,) array holding the
+    diagonal of a diagonal operator, or an `Operator`; both array forms of
+    one operator give the same history bit for bit, and the diagonal one
+    costs O(n p) per matvec.
 
     phi_policy, when given, is a callable mapping the iteration index k
     (0-based, 0 for the initial direction block) to an invertible p x p
@@ -153,41 +132,33 @@ def hs_bcg(
     p^T A p below 1e-14 * norm(a) * norm(p)^2, or a failed Cholesky of a
     residual Gram matrix) halts the run at the current iterate; the
     history is returned with ``failure`` set. SingularInnerSolve is raised
-    only when not even one iteration could run. A non-square, non-finite
-    or asymmetric dense ``a`` raises ShapeMismatch, NonFiniteOperator or
-    NotSymmetric, and one without a Cholesky factor NotPositiveDefinite.
-    A diagonal ``a`` with a NaN or infinite entry raises NonFiniteOperator,
-    and one with an entry <= 0 NotPositiveDefinite. A ``b`` whose row
-    count differs from the operator's size raises ShapeMismatch.
+    only when not even one iteration could run. ``a`` fails as an
+    `Operator` does (ShapeMismatch, NonFiniteOperator, NotSymmetric, and
+    NotPositiveDefinite without a Cholesky factor); a ``b`` whose row
+    count differs from its size, or an ``x0`` of another shape than ``b``,
+    raises ShapeMismatch.
     """
-    apply_a, a_norm, x_star, ref_residual = _operator(a, b)
-    n = a.shape[0]
+    a, x_star, ref_residual, x0, maxit = _prologue(a, b, x0, maxit)
     p = b.shape[1]
-    if x0 is None:
-        x0 = np.zeros((n, p))
-    if maxit is None:
-        maxit = n
     if phi_policy is None:
         phi_policy = lambda k: np.eye(p)  # noqa: E731
 
-    base = dict(variant="hs", exact_mode=False, ref_residual=ref_residual)
-
     x = x0.copy()
-    r = b - apply_a(x)
+    r = b - a @ x
     phi_prev = phi_policy(0)
     p_dir = r @ phi_prev
-    den = _energy(x_star - x0, apply_a)
-    errors = [_error_ratio(x_star - x, apply_a, den)]
+    den = _energy(x_star - x0, a)
+    errors = [_error_ratio(x_star - x, a, den)]
 
     failure = None
     for k in range(1, maxit + 1):
         if not np.all(np.isfinite(p_dir)) or float(np.max(np.abs(p_dir))) > 1e150:
             failure = "direction block diverged at iteration %d" % k
             break
-        ap = apply_a(p_dir)
+        ap = a @ p_dir
         gram = p_dir.T @ ap
         gram = 0.5 * (gram + gram.T)
-        if _gram_singular(gram, a_norm, p_dir):
+        if _gram_singular(gram, a.norm, p_dir):
             failure = "singular direction Gram block at iteration %d" % k
             break
         rr_prev = r.T @ r
@@ -199,7 +170,7 @@ def hs_bcg(
             break
         x = x + p_dir @ gamma
         r = r - ap @ gamma
-        errors.append(_error_ratio(x_star - x, apply_a, den))
+        errors.append(_error_ratio(x_star - x, a, den))
         try:
             rr_factor = scipy.linalg.cho_factor(0.5 * (rr_prev + rr_prev.T), lower=True)
             delta = np.linalg.solve(phi_prev, scipy.linalg.cho_solve(rr_factor, r.T @ r))
@@ -209,14 +180,12 @@ def hs_bcg(
         phi_prev = phi_policy(k)
         p_dir = (r + p_dir @ delta) @ phi_prev
 
-    if failure is not None and len(errors) == 1:
-        raise SingularInnerSolve(failure)
-    base.update(errors=np.array(errors), n_iter=len(errors) - 1, failure=failure)
-    return _finish(base, apply_a, b, x)
+    return _finish(a, b, x, errors, failure, variant="hs", exact_mode=False,
+                   ref_residual=ref_residual)
 
 
 def dr_bcg(
-    a: np.ndarray,
+    a: np.ndarray | Operator,
     b: np.ndarray,
     x0: np.ndarray | None = None,
     maxit: int | None = None,
@@ -230,21 +199,15 @@ def dr_bcg(
     reorthogonalized (two passes) against every previous one before its QR,
     an exact-arithmetic stand-in used to compare against plain runs.
 
-    Takes ``a`` in the same two forms as `hs_bcg` (dense symmetric, or a
-    1-D diagonal), with the same halting contract and typed failures.
+    Takes ``a`` in the same forms as `hs_bcg` (dense symmetric, a 1-D
+    diagonal, or an `Operator`), with the same halting contract and typed
+    failures.
     """
-    apply_a, a_norm, x_star, ref_residual = _operator(a, b)
-    n = a.shape[0]
-    p = b.shape[1]
-    if x0 is None:
-        x0 = np.zeros((n, p))
-    if maxit is None:
-        maxit = n
-
-    base = dict(variant="dr", exact_mode=exact_mode, ref_residual=ref_residual)
+    a, x_star, ref_residual, x0, maxit = _prologue(a, b, x0, maxit)
+    n, p = b.shape
 
     x = x0.copy()
-    w, sigma = householder_qr(b - apply_a(x))
+    w, sigma = householder_qr(b - a @ x)
     s = w.copy()
     basis = None
     cols = 0
@@ -252,18 +215,18 @@ def dr_bcg(
         basis = np.empty((n, (maxit + 1) * p))
         basis[:, :p] = w
         cols = p
-    den = _energy(x_star - x0, apply_a)
-    errors = [_error_ratio(x_star - x, apply_a, den)]
+    den = _energy(x_star - x0, a)
+    errors = [_error_ratio(x_star - x, a, den)]
 
     failure = None
     for k in range(1, maxit + 1):
         if not np.all(np.isfinite(s)) or float(np.max(np.abs(s))) > 1e150:
             failure = "direction block diverged at iteration %d" % k
             break
-        as_ = apply_a(s)
+        as_ = a @ s
         gram = s.T @ as_
         gram = 0.5 * (gram + gram.T)
-        if _gram_singular(gram, a_norm, s):
+        if _gram_singular(gram, a.norm, s):
             failure = "singular direction Gram block at iteration %d" % k
             break
         try:
@@ -273,7 +236,7 @@ def dr_bcg(
             failure = "singular inner solve at iteration %d" % k
             break
         x = x + s @ (xi @ sigma)
-        errors.append(_error_ratio(x_star - x, apply_a, den))
+        errors.append(_error_ratio(x_star - x, a, den))
         if exact_mode and cols + p > n:
             # the reorthogonalized basis spans all of R^n; the method has
             # nothing left to search and further steps would be noise
@@ -294,7 +257,5 @@ def dr_bcg(
             basis[:, cols : cols + p] = w
             cols += p
 
-    if failure is not None and len(errors) == 1:
-        raise SingularInnerSolve(failure)
-    base.update(errors=np.array(errors), n_iter=len(errors) - 1, failure=failure)
-    return _finish(base, apply_a, b, x)
+    return _finish(a, b, x, errors, failure, variant="dr", exact_mode=exact_mode,
+                   ref_residual=ref_residual)

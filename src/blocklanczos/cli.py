@@ -30,7 +30,7 @@ from .cg import dr_bcg, hs_bcg
 from .continuation import assemble_tn, continue_prefix, prefix_terms
 from .errors import BlockLanczosError, EmptySelection, NearDependentRitzVectors
 from .lanczos import run_block_lanczos
-from .linalg import BlockTridiagonal, densify, householder_qr, stack_panels, sym_eig
+from .linalg import BlockTridiagonal, Operator, densify, householder_qr, stack_panels, sym_eig
 from .matrices import (
     BlurSpec,
     SpectrumSpec,
@@ -183,14 +183,6 @@ def _start_block(problem, cfg, rng):
     return q
 
 
-def _spectral_data(problem):
-    """Exact spectrum and eigenvectors, computing them when the generator
-    did not hand them over."""
-    if problem.eigs is not None:
-        return problem.eigs, problem.y
-    return sym_eig(problem.a)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -306,7 +298,7 @@ def _resolve_deltas(cfg, a_norm):
 
 def cmd_blurred_cg(cfg, problem, rng, out):
     """trace-error curves: FP HS/DR block CG vs exact DR on blurred spectra"""
-    eigs, y = _spectral_data(problem)
+    eigs, y = (problem.eigs, problem.y) if problem.eigs is not None else sym_eig(problem.a)
     n = problem.a.shape[0]
     p = cfg["p"]
     b = rng.standard_normal((n, p))
@@ -314,9 +306,10 @@ def cmd_blurred_cg(cfg, problem, rng, out):
     deltas, raw_deltas = _resolve_deltas(cfg, a_norm)
 
     maxit = cfg["maxit"] if cfg["maxit"] > 0 else n
+    a = Operator(problem.a)  # both FP runs share its norm and Cholesky factor
     series = [
-        ("hs_fp", hs_bcg(problem.a, b, maxit=maxit)),
-        ("dr_fp", dr_bcg(problem.a, b, maxit=maxit)),
+        ("hs_fp", hs_bcg(a, b, maxit=maxit)),
+        ("dr_fp", dr_bcg(a, b, maxit=maxit)),
     ]
     for idx, delta in enumerate(deltas, start=1):
         if cfg["m"] == 1 and delta == 0.0:
@@ -398,12 +391,12 @@ def cmd_continuation(cfg, problem, rng, out):
     k = run.n_steps
     mu_val = _resolve_mu(cfg["mu"], k, n, p)
 
-    pipeline = continue_prefix(problem.a, run, k, mu_val, cfg["svd_tol"])
+    pipeline = continue_prefix(run, k, mu_val, cfg["svd_tol"])
     selection, cont, report = pipeline.selection, pipeline.cont, pipeline.report
-    tn = assemble_tn(run.t, None, cont)
+    tn = assemble_tn(run.t, cont)
     basis = stack_panels([run.basis[:, : k * p]] + cont.q_panels)
-    certificate = theorem1_certificate(tn, basis, problem.a, cont.epsilon2)
-    base_eigs, _ = _spectral_data(problem)
+    certificate = theorem1_certificate(tn, basis, run.a, cont.epsilon2)
+    base_eigs = problem.eigs if problem.eigs is not None else sym_eig(problem.a)[0]
     tn_eigs = certificate.thetas
     spread = interval_spread(
         tn_eigs, base_eigs,
@@ -428,7 +421,7 @@ def cmd_continuation(cfg, problem, rng, out):
     term_rows = []
     for kk in range(1, k):
         try:
-            sel_kk, terms = prefix_terms(problem.a, run, kk, mu_val, cfg["svd_tol"])
+            sel_kk, terms = prefix_terms(run, kk, mu_val, cfg["svd_tol"])
             term_rows.append((kk, sel_kk.m, sel_kk.rho_k) + terms)
         except (EmptySelection, NearDependentRitzVectors):
             nan = float("nan")

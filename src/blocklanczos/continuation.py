@@ -39,10 +39,11 @@ from .errors import CapReached, EmptySelection, NearDependentRitzVectors
 from .lanczos import LanczosRun, RitzSet, ritz_analysis
 from .linalg import (
     BlockTridiagonal,
+    Operator,
+    as_operator,
     householder_qr,
     panel_norm,
     reorthogonalize,
-    sym_norm,
     truncated_svd,
 )
 
@@ -134,9 +135,6 @@ class ContinuationResult:
     epsilon2    max of the supplied finite-precision residual norms and
                 all h norms, divided by norm(A): the backward-error level
                 of the assembled model
-    t_n         filled by `assemble_tn`
-    term21a/term21b/term22
-                filled by `perturbation_decomposition`
     """
 
     q_panels: list
@@ -145,10 +143,6 @@ class ContinuationResult:
     h_panels: list
     h_norms: list
     epsilon2: float
-    t_n: BlockTridiagonal | None = None
-    term21a: float | None = None
-    term21b: float | None = None
-    term22: float | None = None
 
     @property
     def n_steps(self) -> int:
@@ -188,7 +182,7 @@ def _split_step(raw: np.ndarray, basis: np.ndarray, svd_tol: float) -> Continuat
 
 
 def continuation_first_step(
-    a: np.ndarray,
+    a: np.ndarray | Operator,
     v_prev: np.ndarray | None,
     v_k: np.ndarray,
     alpha_k: np.ndarray,
@@ -205,6 +199,7 @@ def continuation_first_step(
     finite-precision panel it fixes the monitored terms, so those need
     no later step. ``v_prev``/``beta_k`` may be None for k = 1.
     """
+    a = as_operator(a)
     if not svd_tol > 0.0:  # also rejects NaN
         raise ValueError("svd_tol must be > 0")
     raw = a @ v_k - v_k @ alpha_k
@@ -219,7 +214,7 @@ def continuation_first_step(
 
 
 def continuation_run(
-    a: np.ndarray,
+    a: np.ndarray | Operator,
     v_prev: np.ndarray | None,
     v_k: np.ndarray,
     alpha_k: np.ndarray,
@@ -228,7 +223,6 @@ def continuation_run(
     svd_tol: float = 1e-12,
     n_cap: int | None = None,
     fp_delta_norms=(),
-    a_norm: float | None = None,
 ) -> ContinuationResult:
     """Run the recurrence past step k against the protected basis w_k.
 
@@ -246,12 +240,14 @@ def continuation_run(
     reported epsilon2 covers the whole model; without them it covers the
     continuation phase only.
 
+    ``a`` is an array or an `Operator`, such as the run's own
+    (`LanczosRun.a`), whose norm is then not computed again.
+
     Raises CapReached if the rank has not hit zero after ``n_cap`` steps
     (default: the problem dimension).
     """
+    a = as_operator(a)
     n = a.shape[0]
-    if a_norm is None:
-        a_norm = sym_norm(a)
     if n_cap is None:
         n_cap = n
 
@@ -294,7 +290,7 @@ def continuation_run(
         raise CapReached("rank did not reach zero within %d steps" % n_cap)
 
     all_norms = list(fp_delta_norms) + h_norms
-    epsilon2 = max(all_norms) / a_norm if all_norms else 0.0
+    epsilon2 = max(all_norms) / a.norm if all_norms else 0.0
     return ContinuationResult(
         q_panels=q_panels,
         alphas=alphas,
@@ -305,26 +301,20 @@ def continuation_run(
     )
 
 
-def assemble_tn(
-    t_k: BlockTridiagonal, beta_k1: np.ndarray | None, cont: ContinuationResult
-) -> BlockTridiagonal:
+def assemble_tn(t_k: BlockTridiagonal, cont: ContinuationResult) -> BlockTridiagonal:
     """Append the continuation blocks to T_k, giving the model matrix T_N.
 
-    ``beta_k1`` is the bridging coupling between the last original block
-    and the first continuation block; pass None to take it from the
-    continuation result (they are the same object in a normal pipeline).
-    With no continuation panels the result is just a copy of T_k.
+    The first continuation coupling bridges the last original block and
+    the first continuation block. With no continuation panels the result
+    is just a copy of T_k.
     """
     alphas = [x.copy() for x in t_k.alphas]
     betas = [x.copy() for x in t_k.betas]
     if cont.q_panels:
-        bridge = cont.betas[0] if beta_k1 is None else beta_k1
         alphas.extend(x.copy() for x in cont.alphas)
-        betas.append(bridge.copy())
-        betas.extend(x.copy() for x in cont.betas[1:])
+        betas.extend(x.copy() for x in cont.betas)
     t_n = BlockTridiagonal(alphas, betas)
     t_n.check_structure()
-    cont.t_n = t_n
     return t_n
 
 
@@ -422,13 +412,12 @@ def perturbation_decomposition(
     v_k with the earlier panels pushed through the selected eigenvector
     block and the inverse basis factor. Later steps reduce to a rank-one
     style coupling through q_{k+1}. Everything left after subtracting
-    those forms is returned in delta_norms; the three monitored scalars
-    (`monitored_terms`) are also written back onto ``cont``.
+    those forms is returned in delta_norms, next to the three monitored
+    scalars (`monitored_terms`).
     """
     beta_c = cont.betas[0] if cont.betas else None
     inputs = _closed_form_inputs(run, k, ritz, selection)
     terms = _terms(inputs, w_k, r_k, beta_c)
-    cont.term21a, cont.term21b, cont.term22 = terms
     v_k, r_defect, s_m, fp_trail = inputs
 
     delta_norms = []
@@ -481,28 +470,27 @@ def _select_at(run: LanczosRun, k: int, mu: float):
 
 
 def continue_prefix(
-    a: np.ndarray, run: LanczosRun, k: int, mu: float, svd_tol: float = 1e-12
+    run: LanczosRun, k: int, mu: float, svd_tol: float = 1e-12
 ) -> PrefixContinuation:
     """Select at threshold mu, continue to closure and decompose, at
-    prefix k of a finite-precision run of ``a``.
+    prefix k of a finite-precision run, on the run's own operator.
 
     Raises EmptySelection, NearDependentRitzVectors or CapReached when the
     corresponding stage cannot proceed.
     """
     ritz, selection, w_k, r_k, replay = _select_at(run, k, mu)
     cont = continuation_run(
-        a,
+        run.a,
         *replay,
         w_k,
         svd_tol=svd_tol,
         fp_delta_norms=[row.delta_v_norm for row in run.diagnostics[:k]],
-        a_norm=run.a_norm,
     )
     report = perturbation_decomposition(run, k, ritz, selection, w_k, r_k, cont)
     return PrefixContinuation(ritz, selection, w_k, r_k, cont, report)
 
 
-def prefix_terms(a: np.ndarray, run: LanczosRun, k: int, mu: float, svd_tol: float = 1e-12):
+def prefix_terms(run: LanczosRun, k: int, mu: float, svd_tol: float = 1e-12):
     """The selection and the monitored terms at prefix k, from
     continuation step 1 alone.
 
@@ -511,6 +499,6 @@ def prefix_terms(a: np.ndarray, run: LanczosRun, k: int, mu: float, svd_tol: flo
     Raises EmptySelection or NearDependentRitzVectors like it.
     """
     ritz, selection, w_k, r_k, replay = _select_at(run, k, mu)
-    step = continuation_first_step(a, *replay, w_k, svd_tol)
+    step = continuation_first_step(run.a, *replay, w_k, svd_tol)
     beta_c = step.b_new if step.rank > 0 else None
     return selection, monitored_terms(run, k, ritz, selection, w_k, r_k, beta_c)

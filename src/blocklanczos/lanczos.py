@@ -27,14 +27,14 @@ import numpy as np
 from .errors import RankDeficient, RankDeficientStart, ShapeMismatch
 from .linalg import (
     BlockTridiagonal,
+    Operator,
     _check_rank,
-    check_symmetric,
+    as_operator,
     householder_qr,
     panel_norm,
     qr_unchecked,
     reorthogonalize,
     sym_eig,
-    sym_norm,
 )
 
 MODES = ("finite_precision", "simulated_exact")
@@ -69,6 +69,7 @@ class DiagnosticsRow:
 class LanczosRun:
     """Full record of one block Lanczos execution.
 
+    a           the run's checked `Operator`; a_norm is its norm
     basis       the panels side by side, shape (n, n_panels * width): a
                 read-only column slice of the one C-order
                 (n, (k_max + 1) * width) array the run filled in place
@@ -82,7 +83,7 @@ class LanczosRun:
     diagnostics one DiagnosticsRow per step, measured as the run went
     """
 
-    a: np.ndarray
+    a: Operator
     basis: np.ndarray
     panels: np.ndarray
     t: BlockTridiagonal
@@ -129,7 +130,7 @@ class RitzSet:
 
 
 def run_block_lanczos(
-    a: np.ndarray,
+    a: np.ndarray | Operator,
     v: np.ndarray,
     k_max: int,
     mode: str = "finite_precision",
@@ -139,7 +140,9 @@ def run_block_lanczos(
 
     Parameters
     ----------
-    a : (n, n) symmetric operator.
+    a : (n, n) symmetric array, (n,) diagonal of a diagonal operator, or
+        an `Operator`; both array forms of one operator give the same
+        run bit for bit.
     v : (n, p) starting block, 1 <= p, k_max * p <= n.
     k_max : iteration budget.
     mode : "finite_precision" or "simulated_exact".
@@ -155,7 +158,7 @@ def run_block_lanczos(
     NonFiniteOperator, NotSymmetric, ShapeMismatch, ValueError
         On contract violations of the inputs.
     """
-    check_symmetric(a)
+    a = as_operator(a)
     if mode not in MODES:
         raise ValueError("mode must be one of %r" % (MODES,))
     if v.ndim != 2:
@@ -168,7 +171,7 @@ def run_block_lanczos(
     if k_max < 1 or k_max * p > n:
         raise ValueError("need 1 <= k_max and k_max * p <= n")
 
-    a_norm = sym_norm(a)
+    a_norm = a.norm
     try:
         v1, _ = householder_qr(v)
     except RankDeficient as exc:

@@ -12,11 +12,14 @@ The kernels wrap LAPACK through numpy and scipy and add the conventions the
 rest of the package relies on: QR with a nonnegative triangular diagonal, an
 eigensolver that symmetrizes its input and takes a `BlockTridiagonal` in its
 block form (solved in band storage, never densified), and an SVD-based
-truncation with an explicit rank rule.
+truncation with an explicit rank rule. `Operator` is the one place that
+checks, norms, factors and applies the matrix A a process runs on, dense
+or diagonal.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -26,6 +29,7 @@ import scipy.linalg
 from .errors import (
     ConvergenceFailure,
     NonFiniteOperator,
+    NotPositiveDefinite,
     NotSymmetric,
     RankDeficient,
     ShapeMismatch,
@@ -37,17 +41,6 @@ def panel_norm(x: np.ndarray) -> float:
     if x.size == 0:
         return 0.0
     return float(np.linalg.norm(x, 2))
-
-
-def sym_norm(a: np.ndarray) -> float:
-    """Spectral norm of a symmetric matrix via its eigenvalues.
-
-    Much cheaper than a full SVD for the sizes this package works at, and
-    exact for symmetric input.
-    """
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
 
 
 def householder_qr(m: np.ndarray, rank_tol: float = 1e-12):
@@ -115,16 +108,66 @@ def qr_unchecked(m: np.ndarray):
     return q, r
 
 
-def check_symmetric(a: np.ndarray):
-    """Raise ShapeMismatch, NonFiniteOperator or NotSymmetric unless ``a``
-    is square, finite and symmetric to 1e-12 relative."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch("operator must be square, got %r" % (a.shape,))
-    scale = float(np.linalg.norm(a))
-    if not np.isfinite(scale):
-        raise NonFiniteOperator("operator norm is %r: NaN or infinite entries, or overflow" % scale)
-    if scale > 0.0 and float(np.linalg.norm(a - a.T)) > 1e-12 * scale:
-        raise NotSymmetric("operator asymmetry above 1e-12 relative")
+class Operator:
+    """A symmetric operator A, checked once when built and applied with ``@``.
+
+    Wraps a dense symmetric (n, n) array or the (n,) diagonal of a diagonal
+    operator, which is never densified. Building one raises ShapeMismatch,
+    NonFiniteOperator (NaN or infinite entries, or a norm that overflows)
+    or NotSymmetric (asymmetry above 1e-12 relative). ``eigvals``
+    (ascending), ``norm`` and the Cholesky factor behind `solve` are
+    computed on first use and shared by every consumer from then on.
+
+    Both forms of one operator give the same bits: a dense product with a
+    diagonal matrix only adds exact zeros, LAPACK returns the sorted
+    entries of a diagonal matrix as its eigenvalues, and the dense
+    Cholesky solve multiplies twice by the reciprocal of the pivot
+    sqrt(d), as the diagonal solve does.
+    """
+
+    def __init__(self, a: np.ndarray):
+        a = np.asarray(a)
+        self._diag = a[:, None] if a.ndim == 1 else None
+        if a.ndim not in (1, 2) or a.shape[0] != a.shape[-1]:
+            raise ShapeMismatch("operator must be square or 1-D, got %r" % (a.shape,))
+        scale = float(np.linalg.norm(a))
+        if not np.isfinite(scale):
+            raise NonFiniteOperator("operator norm is %r: NaN, inf or overflow" % scale)
+        if a.ndim == 2 and scale > 0.0 and float(np.linalg.norm(a - a.T)) > 1e-12 * scale:
+            raise NotSymmetric("operator asymmetry above 1e-12 relative")
+        self.array, self.shape, self._factor = a, (a.shape[0], a.shape[0]), None
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.array @ v if self._diag is None else self._diag * v
+
+    @functools.cached_property
+    def eigvals(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.array) if self._diag is None else np.sort(self.array)
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """Spectral norm, the largest eigenvalue magnitude (0.0 when n = 0)."""
+        return float(np.max(np.abs(self.eigvals), initial=0.0))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^{-1} b; NotPositiveDefinite when A has no Cholesky factor."""
+        if self._diag is not None:
+            if self._factor is None:
+                if not np.all(self._diag > 0.0):
+                    raise NotPositiveDefinite("diagonal operator has an entry <= 0")
+                self._factor = 1.0 / np.sqrt(self._diag)
+            return (b * self._factor) * self._factor
+        if self._factor is None:
+            try:
+                self._factor = scipy.linalg.cho_factor(self.array, lower=True)
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefinite("reference Cholesky failed: %s" % exc) from exc
+        return scipy.linalg.cho_solve(self._factor, b)
+
+
+def as_operator(a) -> Operator:
+    """``a`` itself when it is an Operator, else a new checked one."""
+    return a if isinstance(a, Operator) else Operator(a)
 
 
 def sym_eig(t: np.ndarray | BlockTridiagonal):

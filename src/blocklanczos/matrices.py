@@ -101,7 +101,7 @@ class BlurSpec:
     def __post_init__(self):
         if self.m < 3 or self.m % 2 == 0:
             raise ValueError("m must be odd and >= 3")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:  # also rejects NaN
             raise ValueError("delta must be > 0")
 
 
@@ -228,14 +228,17 @@ def read_matrix_market(path: str) -> np.ndarray:
         raise ParseError("missing size line", len(lines))
     toks = lines[idx].split()
     size_line = idx + 1  # 1-based
+    fields = "'rows cols nnz'" if layout == "coordinate" else "'rows cols'"
+    if len(toks) != len(fields.split()):
+        raise ParseError("%s size line needs %s" % (layout, fields), size_line)
+    try:
+        nrows, ncols, *nnz = (int(t) for t in toks)
+    except ValueError:
+        raise ParseError("bad integer in size line", size_line) from None
+    if nrows < 0 or ncols < 0:
+        raise ParseError("negative dimension %d x %d" % (nrows, ncols), size_line)
 
     if layout == "coordinate":
-        if len(toks) != 3:
-            raise ParseError("coordinate size line needs 'rows cols nnz'", size_line)
-        try:
-            nrows, ncols, nnz = (int(t) for t in toks)
-        except ValueError:
-            raise ParseError("bad integer in size line", size_line) from None
         out = np.zeros((nrows, ncols))
         count = 0
         for off, raw in enumerate(lines[idx + 1 :]):
@@ -257,17 +260,13 @@ def read_matrix_market(path: str) -> np.ndarray:
             if symmetry == "symmetric" and i != j2:
                 out[j2 - 1, i - 1] = val
             count += 1
-        if count != nnz:
-            raise ParseError("declared %d entries, found %d" % (nnz, count), len(lines))
+        if count != nnz[0]:
+            raise ParseError("declared %d entries, found %d" % (nnz[0], count), len(lines))
         return out
 
     # array layout: column-major dense values
-    if len(toks) != 2:
-        raise ParseError("array size line needs 'rows cols'", size_line)
-    try:
-        nrows, ncols = (int(t) for t in toks)
-    except ValueError:
-        raise ParseError("bad integer in size line", size_line) from None
+    if symmetry == "symmetric" and nrows != ncols:
+        raise ParseError("symmetric array is not square: %d x %d" % (nrows, ncols), size_line)
     values = []
     for off, raw in enumerate(lines[idx + 1 :]):
         lineno = size_line + 1 + off
@@ -280,7 +279,7 @@ def read_matrix_market(path: str) -> np.ndarray:
             raise ParseError("bad number %r" % raw, lineno) from None
     if symmetry == "symmetric":
         expected = nrows * (nrows + 1) // 2
-        if nrows != ncols or len(values) != expected:
+        if len(values) != expected:
             raise ParseError(
                 "symmetric array needs %d values, found %d" % (expected, len(values)),
                 len(lines),

@@ -119,7 +119,7 @@ def _graded_continuations():
             a, _ = spectrum_to_matrix(strakos_spectrum(strakos48(l1, ln)), rng)
             v = rng.standard_normal((48, 2))
             run = run_block_lanczos(a, v, k_max=12)
-            pc = continue_prefix(a, run, run.n_steps, 1e-5)
+            pc = continue_prefix(run, run.n_steps, 1e-5)
             out.append((a, run, pc.ritz, pc.selection, pc.w_k, pc.cont, pc.report))
     return out
 
@@ -166,7 +166,7 @@ def test_criterion_05_monitored_terms_bounded():
         limit = 10.0 * mu * run.a_norm
         worst = 0.0
         for kk in range(1, run.n_steps + 1):
-            report = continue_prefix(a, run, kk, mu).report
+            report = continue_prefix(run, kk, mu).report
             worst = max(worst, report.term21a, report.term21b, report.term22)
         ok = ok and worst <= limit
         details.append("(%g,%g) %.2e<=%.0e" % (l1, ln, worst, limit))
@@ -184,9 +184,9 @@ def _flagship_model(l1, ln, mu_text):
     k = run.n_steps
     n = a.shape[0]
     mu = math.sqrt(k * n * 2 * EPS) if mu_text == "auto" else float(mu_text)
-    pc = continue_prefix(a, run, k, mu)
+    pc = continue_prefix(run, k, mu)
     sel, cont = pc.selection, pc.cont
-    tn = assemble_tn(run.t, None, cont)
+    tn = assemble_tn(run.t, cont)
     basis = stack_panels(list(run.panels[:k]) + cont.q_panels)
     cert = theorem1_certificate(tn, basis, a, cont.epsilon2)
     tn_eigs, _ = sym_eig(densify(tn))

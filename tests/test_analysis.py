@@ -5,6 +5,7 @@ import pytest
 
 from blocklanczos import (
     AssumptionUnsatisfiable,
+    NonFiniteOperator,
     ShapeMismatch,
     classify_clusters,
     conjecture_scan,
@@ -181,3 +182,10 @@ def test_certificate_needs_an_anchor():
     a, run = full_depth_run(seed=57)
     with pytest.raises(AssumptionUnsatisfiable):
         theorem1_certificate(run.t, np.zeros((12, 12)), a, epsilon2=1e-14)
+
+
+def test_certificate_rejects_a_non_finite_operator():
+    a, run = full_depth_run(seed=58)
+    a[3, 4] = a[4, 3] = np.nan
+    with pytest.raises(NonFiniteOperator):
+        theorem1_certificate(run.t, stack_panels(run.panels[: run.n_steps]), a, epsilon2=1e-14)

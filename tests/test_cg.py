@@ -241,3 +241,5 @@ def test_non_positive_diagonal_operator_is_a_typed_failure(solver, value):
 def test_right_hand_side_of_the_wrong_size_is_a_typed_failure(solver, operator):
     with pytest.raises(ShapeMismatch):
         solver(operator, np.ones((6, 2)))
+    with pytest.raises(ShapeMismatch):
+        solver(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones((4, 2)), x0=np.zeros((5, 2)))

@@ -5,10 +5,13 @@ import py_compile
 import runpy
 import sys
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from blocklanczos import spectrum_to_matrix
 from blocklanczos.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -122,6 +125,46 @@ def test_nan_threshold_exits(tmp_path, capsys, flag, word):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and word in err
     assert not os.listdir(tmp_path)
+
+
+def test_nan_blur_width_exits(tmp_path, capsys):
+    assert main(["blurred-cg", "--matrix", "strakos(12,0.5,4)", "--m", "3", "--delta", "nan",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "delta" in err
+    assert not os.listdir(tmp_path)
+
+
+def test_each_command_factors_its_operator_once(tmp_path, monkeypatch):
+    # counts the dense eigen and Cholesky work on the n x n operator
+    n = 30
+    a, _ = spectrum_to_matrix(np.linspace(1.0, 10.0, n), 7)
+    mtx = tmp_path / "operator.mtx"
+    lines = ["%%MatrixMarket matrix array real symmetric", "%d %d" % (n, n)]
+    lines.extend("%.17g" % a[i, j] for j in range(n) for i in range(j, n))
+    mtx.write_text("\n".join(lines) + "\n")
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(x, *args, **kwargs):
+            calls[name] += np.shape(x) == (n, n)
+            return fn(x, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np.linalg, "eigvalsh")
+    counted(np.linalg, "eigh")
+    counted(scipy.linalg, "cho_factor")
+    assert main(["blurred-cg", "--mtx", str(mtx), "--p", "2", "--m", "3",
+                 "--out", str(tmp_path / "cg")]) == 0
+    assert calls["eigh"] == 1  # the eigenvectors the blur needs
+    assert calls["eigvalsh"] <= 1 and calls["cho_factor"] <= 1
+    calls.clear()
+    assert main(["continuation", "--matrix", "strakos(%d,0.1,100)" % n, "--k", "10",
+                 "--mu", "1e-5", "--out", str(tmp_path / "cont")]) == 0
+    assert calls["eigvalsh"] <= 1
 
 
 def test_blurred_cg_small_problem(tmp_path):

@@ -273,3 +273,28 @@ def test_ritz_analysis_k_range():
     # at the full run length the trailing stored coupling is used
     want = np.linalg.norm(run.beta_next @ rs.sigma, axis=0)
     assert np.allclose(rs.deltas, want, rtol=1e-13)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.sampled_from([1, 2, 3]),
+    n=st.integers(3, 60),
+    k_frac=st.floats(0.0, 1.0),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(0, 2**16),
+)
+def test_diagonal_operator_matches_its_dense_form(p, n, k_frac, mode, seed):
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-10.0, 10.0, n)  # indefinite, with some zero eigenvalues
+    d[rng.random(n) < 0.1] = 0.0
+    v = rng.standard_normal((n, p))
+    k_max = max(1, int(k_frac * (n // p)))
+    ref = run_block_lanczos(np.diag(d), v, k_max=k_max, mode=mode)
+    run = run_block_lanczos(d, v, k_max=k_max, mode=mode)
+    assert np.array_equal(run.basis, ref.basis)
+    for got, want in zip(run.t.alphas + run.t.betas + [run.beta_next],
+                         ref.t.alphas + ref.t.betas + [ref.beta_next]):
+        assert np.array_equal(got, want)
+    assert (run.t.n_blocks, len(run.t.betas)) == (ref.t.n_blocks, len(ref.t.betas))
+    assert run.a_norm == ref.a_norm and run.terminated == ref.terminated
+    assert run.diagnostics == ref.diagnostics

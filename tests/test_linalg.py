@@ -6,15 +6,18 @@ from hypothesis import strategies as st
 from blocklanczos import (
     BlockTridiagonal,
     NonFiniteOperator,
+    NotPositiveDefinite,
+    NotSymmetric,
+    Operator,
     RankDeficient,
     ShapeMismatch,
+    as_operator,
     densify,
     householder_qr,
     panel_norm,
     reorthogonalize,
     stack_panels,
     sym_eig,
-    sym_norm,
     truncated_svd,
 )
 from blocklanczos.linalg import qr_unchecked
@@ -153,7 +156,7 @@ def test_norm_helpers_match_numpy():
     assert panel_norm(np.zeros((4, 0))) == 0.0
     g = rng.standard_normal((5, 5))
     s = g + g.T
-    assert np.isclose(sym_norm(s), np.linalg.norm(s, 2), rtol=1e-12)
+    assert np.isclose(Operator(s).norm, np.linalg.norm(s, 2), rtol=1e-12)
 
 
 def test_stack_panels():
@@ -286,3 +289,24 @@ def test_sym_eig_block_form_rejects_non_finite_blocks(where, value):
     block[-1, 0] = value
     with pytest.raises(NonFiniteOperator):
         sym_eig(t)
+
+
+def test_operator_is_checked_when_built_and_factored_at_first_solve():
+    for bad, error in [(np.ones((3, 4)), ShapeMismatch), (np.float64(2.0), ShapeMismatch),
+                       (np.ones((2, 2, 2)), ShapeMismatch),
+                       (np.array([1.0, np.nan]), NonFiniteOperator),
+                       (np.array([[1.0, np.inf], [np.inf, 1.0]]), NonFiniteOperator),
+                       (np.array([[1.0, 2.0], [0.0, 1.0]]), NotSymmetric)]:
+        with pytest.raises(error):
+            Operator(bad)
+    for not_spd in (np.diag([1.0, -2.0]), np.array([1.0, -2.0]), np.array([1.0, 0.0])):
+        op = Operator(not_spd)  # building needs no definiteness
+        with pytest.raises(NotPositiveDefinite):
+            op.solve(np.ones((2, 1)))
+    d = np.array([3.0, 0.5, 2.0, 7.0])
+    b = np.random.default_rng(10).standard_normal((4, 2))
+    dense, diag = Operator(np.diag(d)), Operator(d)
+    assert as_operator(dense) is dense and as_operator(d).shape == (4, 4)
+    assert np.array_equal(dense.eigvals, diag.eigvals) and dense.norm == diag.norm == 7.0
+    assert np.array_equal(dense @ b, diag @ b)
+    assert np.array_equal(dense.solve(b), diag.solve(b))

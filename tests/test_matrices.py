@@ -134,6 +134,8 @@ def test_blur_spec_validation():
         BlurSpec(1, 0.1)
     with pytest.raises(ValueError):
         BlurSpec(3, 0.0)
+    with pytest.raises(ValueError):
+        BlurSpec(3, float("nan"))
 
 
 # -- width-p test operator ---------------------------------------------------
@@ -221,6 +223,12 @@ def test_reader_reports_line_numbers():
         read_matrix_market(fixture("coord_short_entry.mtx"))
     assert info.value.line_number == 4
     assert "line 4" in str(info.value)
+    with pytest.raises(ParseError) as info:
+        read_matrix_market(fixture("coord_negative_size.mtx"))
+    assert info.value.line_number == 2 and "negative" in str(info.value)
+    with pytest.raises(ParseError) as info:
+        read_matrix_market(fixture("array_sym_nonsquare.mtx"))
+    assert info.value.line_number == 2 and "not square" in str(info.value)
 
 
 def test_reader_checks_entry_count():

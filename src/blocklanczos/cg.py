@@ -40,14 +40,17 @@ def _error_ratio(err: np.ndarray, a, den: float) -> float:
     return float(np.sqrt(num) / np.sqrt(den))
 
 
-def trace_error(x: np.ndarray, x_star: np.ndarray, x0: np.ndarray, a: np.ndarray) -> float:
+def trace_error(x: np.ndarray, x_star: np.ndarray, x0: np.ndarray, a) -> float:
     """Relative A-norm error aggregated over the block by traces.
 
     sqrt(trace((x*-x)^T A (x*-x))) / sqrt(trace((x*-x0)^T A (x*-x0)))
 
-    Returns 1 at the initial guess and 0 at the solution. Tiny negative
-    traces from rounding are clipped to zero before the square roots.
+    ``a`` is an Operator, a dense symmetric array or the 1-D diagonal of a
+    diagonal operator, as for `hs_bcg`. Returns 1 at the initial guess and
+    0 at the solution. Tiny negative traces from rounding are clipped to
+    zero before the square roots.
     """
+    a = as_operator(a)
     return _error_ratio(x_star - x, a, _energy(x_star - x0, a))
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapReached, EmptySelection, NearDependentRitzVectors
 from .lanczos import LanczosRun, RitzSet, ritz_analysis
@@ -390,7 +389,7 @@ def _terms(inputs, w_k, r_k, beta_c):
     term21a = panel_norm(w_k.T @ fp_trail) if fp_trail is not None else 0.0
     if beta_c is None:
         return term21a, 0.0, 0.0
-    m_r = scipy.linalg.solve_triangular(r_k.T, (r_defect.T @ s_m).T, lower=True).T
+    m_r = np.linalg.solve(r_k.T, (r_defect.T @ s_m).T).T
     vb = v_k @ beta_c.T
     return term21a, panel_norm(beta_c @ m_r), panel_norm(vb - w_k @ (w_k.T @ vb))
 
@@ -428,7 +427,7 @@ def perturbation_decomposition(
             d0 = d0 - w_k @ (w_k.T @ fp_trail)
         delta_norms.append(panel_norm(d0))
     if len(h) >= 2:
-        g = scipy.linalg.solve_triangular(r_k.T, s_m.T @ r_defect, lower=True)
+        g = np.linalg.solve(r_k.T, s_m.T @ r_defect)
         d1 = h[1] + w_k @ (g @ beta_c.T)
         delta_norms.append(panel_norm(d1))
     for j in range(2, len(h)):

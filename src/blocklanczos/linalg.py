@@ -8,19 +8,20 @@ Conventions used throughout the package:
 * every norm written ``norm(...)`` is the spectral (2-) norm,
 * all computation is float64 and deterministic for fixed inputs.
 
-The kernels wrap LAPACK through numpy and scipy and add the conventions the
-rest of the package relies on: QR with a nonnegative triangular diagonal, an
-eigensolver that symmetrizes its input and takes a `BlockTridiagonal` in its
-block form (solved in band storage, never densified), and an SVD-based
-truncation with an explicit rank rule. `Operator` is the one place that
-checks, norms, factors and applies the matrix A a process runs on, dense
-or diagonal.
+The kernels wrap numpy's LAPACK and add the conventions the rest of the
+package relies on: QR with a nonnegative triangular diagonal, an
+eigensolver that symmetrizes its input and also takes a `BlockTridiagonal`,
+and an SVD-based truncation with an explicit rank rule. numpy and scipy
+each ship their own OpenBLAS with its own thread pool, and a loop that
+alternates between the two keeps both pools' spinning threads awake, so
+only `Operator`'s Cholesky factor, computed once per problem, comes from
+scipy. `Operator` is the one place that checks, norms, factors and
+applies the matrix A a process runs on, dense or diagonal.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,71 +174,26 @@ def as_operator(a) -> Operator:
 def sym_eig(t: np.ndarray | BlockTridiagonal):
     """Eigendecomposition of a (nearly) symmetric matrix.
 
-    ``t`` is a square ndarray or a `BlockTridiagonal`. Either way the
-    matrix is symmetrized as ``(t + t.T)/2`` before the solve, so tiny
-    asymmetry from accumulated roundoff is harmless. The block form is
-    solved in LAPACK upper band storage (``scipy.linalg.eig_banded``),
-    filled straight from the blocks with the bandwidth
-    ``max(s_j + s_{j+1}) - 1`` of its block sizes; it never builds the
-    dense matrix. Eigenvalues come back ascending with orthonormal
-    eigenvectors as columns.
+    ``t`` is a square ndarray or a `BlockTridiagonal`, whose block form is
+    expanded with `densify` first. Either way the matrix is symmetrized as
+    ``(t + t.T)/2`` and solved by numpy's ``eigh``, so tiny asymmetry from
+    accumulated roundoff is harmless. Eigenvalues come back ascending with
+    orthonormal eigenvectors as columns.
 
     Raises ShapeMismatch on a non-square array or mis-chained blocks,
     NonFiniteOperator on a NaN or infinite entry (LAPACK would return NaN
     eigenpairs) and ConvergenceFailure when LAPACK fails.
     """
-    banded = isinstance(t, BlockTridiagonal)
-    if banded:
-        t.check_structure()
-        work = _upper_band(t)
+    if isinstance(t, BlockTridiagonal):
+        t = densify(t)
     elif t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ShapeMismatch("sym_eig needs a square matrix, got %r" % (t.shape,))
-    else:
-        work = t
-    if not np.all(np.isfinite(work)):
+    if not np.all(np.isfinite(t)):
         raise NonFiniteOperator("sym_eig input has NaN or infinite entries")
     try:
-        if banded:
-            return scipy.linalg.eig_banded(work)
-        return np.linalg.eigh(0.5 * (work + work.T))
+        return np.linalg.eigh(0.5 * (t + t.T))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-
-
-def _upper_band(t: BlockTridiagonal) -> np.ndarray:
-    """The symmetrized block form in LAPACK upper band storage.
-
-    Entry (i, j), i <= j, of ``0.5 * (t + t.T)`` lands in
-    ``band[u + i - j, j]``, u the bandwidth. Diagonal block j fills its
-    own columns with its symmetrized upper triangle, and ``betas[j-1].T``
-    sits above it in the same columns. Couplings are generally full (the
-    continuation's come from an SVD), so u is the widest pair of
-    neighbouring blocks less one.
-    """
-    sizes = t.block_sizes
-    u = max([s0 + s1 for s0, s1 in zip(sizes, sizes[1:])] + sizes[:1], default=1) - 1
-    # rows past u take the lower triangles of the diagonal blocks, so each
-    # block is written whole; they are dropped on return
-    band = np.zeros((2 * u + 1, t.dim))
-    starts = np.cumsum([0] + sizes)
-    # sizes never grow, so blocks of one shape come in runs, and each run
-    # is written with one assignment
-    j = 0
-    for s, run in itertools.groupby(sizes):
-        m = len(list(run))
-        alphas = np.stack(t.alphas[j : j + m])
-        r, c = np.indices((s, s)).reshape(2, -1)
-        sym = 0.5 * (alphas + alphas.transpose(0, 2, 1))
-        band[u + r - c, starts[j : j + m, None] + c] = sym.reshape(m, -1)
-        j += m
-    j = 1
-    for (h, s), run in itertools.groupby(zip(sizes, sizes[1:])):
-        m = len(list(run))
-        betas_t = np.stack(t.betas[j - 1 : j - 1 + m]).transpose(0, 2, 1)
-        r, c = np.indices((h, s)).reshape(2, -1)
-        band[u - h + r - c, starts[j : j + m, None] + c] = betas_t.reshape(m, -1)
-        j += m
-    return band[: u + 1]
 
 
 def truncated_svd(w: np.ndarray, tol: float):

@@ -10,6 +10,7 @@ from blocklanczos import (
     BlurSpec,
     NonFiniteOperator,
     NotPositiveDefinite,
+    Operator,
     RankDeficient,
     ShapeMismatch,
     SingularInnerSolve,
@@ -44,6 +45,16 @@ def test_trace_error_formula():
     # degenerate reference: starting at the solution
     assert trace_error(x_star, x_star, x_star, a) == 0.0
     assert trace_error(x, x_star, x_star, a) == float("inf")
+
+
+def test_trace_error_diagonal_form_matches_dense():
+    # the 1-D diagonal is the operator diag(d), not an elementwise weight
+    rng = np.random.default_rng(4)
+    d = rng.uniform(1.0, 10.0, 6)
+    x, x_star, x0 = rng.standard_normal((3, 6, 2))
+    dense = trace_error(x, x_star, x0, np.diag(d))
+    assert trace_error(x, x_star, x0, d) == dense
+    assert trace_error(x, x_star, x0, Operator(d)) == dense
 
 
 @pytest.mark.parametrize("solver", [hs_bcg, dr_bcg])

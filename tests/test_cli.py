@@ -167,6 +167,31 @@ def test_each_command_factors_its_operator_once(tmp_path, monkeypatch):
     assert calls["eigvalsh"] <= 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["continuation", "--matrix", "strakos48(0.1,100)", "--p", "2", "--k", "12", "--mu", "1e-5"],
+    ["interlacing", "--matrix", "strakos48(0.1,100)", "--p", "2", "--k", "12"],
+    ["fp-diagnostics", "--matrix", "strakos48(0.1,100)", "--k", "8"],
+])
+def test_lanczos_commands_stay_on_numpy_lapack(argv, tmp_path, monkeypatch):
+    # numpy and scipy bundle separate OpenBLAS builds with separate thread
+    # pools; the per-prefix loops call only numpy's, so scipy's stays idle
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(scipy.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, wrapper)
+
+    for name in ("eig_banded", "solve_triangular", "cho_factor"):
+        counted(name)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert sum(calls.values()) == 0, dict(calls)
+
+
 def test_blurred_cg_small_problem(tmp_path):
     rc = main([
         "blurred-cg", "--matrix", "strakos(12,0.5,4)", "--p", "2",

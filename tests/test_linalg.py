@@ -279,6 +279,20 @@ def test_sym_eig_block_form_matches_dense(sizes, seed, scale, skew):
     assert np.linalg.norm(s.T @ s - np.eye(dim), 2) <= c * dim * eps
 
 
+@pytest.mark.parametrize("sizes", [[1], [3, 3, 2, 2, 1], [4, 4, 4]])
+@pytest.mark.parametrize("skew", [0.0, 0.3])
+def test_sym_eig_block_form_is_the_dense_solve(sizes, skew):
+    t = random_block_tridiagonal(sizes, seed=5, skew=skew)
+    w, s = sym_eig(t)
+    w_ref, s_ref = sym_eig(densify(t))
+    assert np.array_equal(w, w_ref) and np.array_equal(s, s_ref)
+
+
+def test_sym_eig_empty_block_form():
+    w, s = sym_eig(BlockTridiagonal())
+    assert w.shape == (0,) and s.shape == (0, 0)
+
+
 @pytest.mark.parametrize("where", ["first_alpha", "last_alpha", "beta"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_sym_eig_block_form_rejects_non_finite_blocks(where, value):

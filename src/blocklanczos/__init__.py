@@ -39,7 +39,6 @@ from .linalg import (
     householder_qr,
     panel_norm,
     reorthogonalize,
-    stack_panels,
     sym_eig,
     truncated_svd,
 )

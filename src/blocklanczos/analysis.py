@@ -154,37 +154,25 @@ class SpreadReport:
     Every model eigenvalue is assigned to its nearest reference
     eigenvalue (ties to the lower index); widths[i] is the largest
     distance among the values assigned to reference i, counts[i] how many
-    landed there. bound carries 3 * max(sqrt(N) * epsilon2, epsilon1) *
-    a_norm when the caller supplied the certificate data, else None.
+    landed there. The radius they are held against is the certificate's
+    (`theorem1_certificate`).
     """
 
     base_eigs: np.ndarray
     widths: np.ndarray
     counts: np.ndarray
     dim: int
-    epsilon1: float | None = None
-    epsilon2: float | None = None
-    bound: float | None = None
 
     @property
     def max_width(self) -> float:
         return float(self.widths.max()) if self.widths.size else 0.0
 
 
-def interval_spread(
-    tn_eigs: np.ndarray,
-    base_eigs: np.ndarray,
-    epsilon1: float | None = None,
-    epsilon2: float | None = None,
-    a_norm: float | None = None,
-    n_blocks: int | None = None,
-) -> SpreadReport:
+def interval_spread(tn_eigs: np.ndarray, base_eigs: np.ndarray) -> SpreadReport:
     """Assign model eigenvalues to reference ones and measure the scatter.
 
     The assignment sorts the reference values internally, so the report is
-    invariant under permutations of either input. Supplying epsilon1,
-    epsilon2, a_norm, and the model block count N adds the certificate
-    ceiling 3 * max(sqrt(N) * epsilon2, epsilon1) * a_norm.
+    invariant under permutations of either input.
     """
     tn_eigs = np.asarray(tn_eigs, dtype=float)
     base = np.sort(np.asarray(base_eigs, dtype=float))
@@ -199,18 +187,7 @@ def interval_spread(
         idx = lo if abs(t - base[lo]) <= abs(t - base[hi]) else hi
         counts[idx] += 1
         widths[idx] = max(widths[idx], abs(t - base[idx]))
-    bound = None
-    if epsilon1 is not None and epsilon2 is not None and a_norm is not None and n_blocks:
-        bound = 3.0 * max(np.sqrt(n_blocks) * epsilon2, epsilon1) * a_norm
-    return SpreadReport(
-        base_eigs=base,
-        widths=widths,
-        counts=counts,
-        dim=int(tn_eigs.size),
-        epsilon1=epsilon1,
-        epsilon2=epsilon2,
-        bound=bound,
-    )
+    return SpreadReport(base_eigs=base, widths=widths, counts=counts, dim=int(tn_eigs.size))
 
 
 class Theorem1Certificate(NamedTuple):

@@ -1,8 +1,7 @@
 """Two block conjugate gradient variants and the trace error metric.
 
 `hs_bcg` is the classical block CG: coupled two-term recurrences with
-p x p Gram solves for the step and direction updates, plus an optional
-per-iteration scaling policy for the direction block. `dr_bcg` replaces
+p x p Gram solves for the step and direction updates. `dr_bcg` replaces
 the residual block by its orthonormal QR factor every iteration, carrying
 the triangular factor separately, which keeps the inner solves well
 conditioned when residual columns start to align.
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import RankDeficient, ShapeMismatch, SingularInnerSolve
+from .errors import NonFiniteOperator, RankDeficient, ShapeMismatch, SingularInnerSolve
 from .linalg import Operator, as_operator, householder_qr, panel_norm, reorthogonalize
 
 
@@ -87,10 +86,15 @@ def _prologue(a, b, x0, maxit):
     op = as_operator(a)
     if b.ndim != 2 or b.shape[0] != op.shape[0]:
         raise ShapeMismatch("operator of shape %r, right-hand side %r" % (op.shape, b.shape))
+    if b.shape[1] == 0:
+        raise ShapeMismatch("right-hand side %r has no columns" % (b.shape,))
     if x0 is None:
         x0 = np.zeros(b.shape)
     elif x0.shape != b.shape:
         raise ShapeMismatch("initial guess %r, right-hand side %r" % (x0.shape, b.shape))
+    for name, block in (("right-hand side", b), ("initial guess", x0)):
+        if not np.all(np.isfinite(block)):
+            raise NonFiniteOperator("%s has NaN or infinite entries" % name)
     x_star = op.solve(b)
     denom = float(np.linalg.norm(b))
     resid = float(np.linalg.norm(b - op @ x_star)) / denom if denom > 0.0 else 0.0
@@ -117,7 +121,6 @@ def hs_bcg(
     b: np.ndarray,
     x0: np.ndarray | None = None,
     maxit: int | None = None,
-    phi_policy=None,
 ) -> CgHistory:
     """Classical block CG for SPD ``a`` and block right-hand side ``b``.
 
@@ -126,11 +129,6 @@ def hs_bcg(
     one operator give the same history bit for bit, and the diagonal one
     costs O(n p) per matvec.
 
-    phi_policy, when given, is a callable mapping the iteration index k
-    (0-based, 0 for the initial direction block) to an invertible p x p
-    scaling applied to the new direction block; None means identity
-    throughout.
-
     A numerically singular inner Gram system (smallest singular value of
     p^T A p below 1e-14 * norm(a) * norm(p)^2, or a failed Cholesky of a
     residual Gram matrix) halts the run at the current iterate; the
@@ -138,18 +136,15 @@ def hs_bcg(
     only when not even one iteration could run. ``a`` fails as an
     `Operator` does (ShapeMismatch, NonFiniteOperator, NotSymmetric, and
     NotPositiveDefinite without a Cholesky factor); a ``b`` whose row
-    count differs from its size, or an ``x0`` of another shape than ``b``,
-    raises ShapeMismatch.
+    count differs from its size or that has no columns, or an ``x0`` of
+    another shape than ``b``, raises ShapeMismatch, and a NaN or infinite
+    entry in ``b`` or ``x0`` raises NonFiniteOperator.
     """
     a, x_star, ref_residual, x0, maxit = _prologue(a, b, x0, maxit)
-    p = b.shape[1]
-    if phi_policy is None:
-        phi_policy = lambda k: np.eye(p)  # noqa: E731
 
     x = x0.copy()
     r = b - a @ x
-    phi_prev = phi_policy(0)
-    p_dir = r @ phi_prev
+    p_dir = r
     den = _energy(x_star - x0, a)
     errors = [_error_ratio(x_star - x, a, den)]
 
@@ -167,7 +162,7 @@ def hs_bcg(
         rr_prev = r.T @ r
         try:
             gram_factor = scipy.linalg.cho_factor(gram, lower=True)
-            gamma = scipy.linalg.cho_solve(gram_factor, phi_prev.T @ rr_prev)
+            gamma = scipy.linalg.cho_solve(gram_factor, rr_prev)
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
             failure = "singular inner solve at iteration %d" % k
             break
@@ -176,12 +171,11 @@ def hs_bcg(
         errors.append(_error_ratio(x_star - x, a, den))
         try:
             rr_factor = scipy.linalg.cho_factor(0.5 * (rr_prev + rr_prev.T), lower=True)
-            delta = np.linalg.solve(phi_prev, scipy.linalg.cho_solve(rr_factor, r.T @ r))
+            delta = scipy.linalg.cho_solve(rr_factor, r.T @ r)
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
             failure = "singular residual Gram block at iteration %d" % k
             break
-        phi_prev = phi_policy(k)
-        p_dir = (r + p_dir @ delta) @ phi_prev
+        p_dir = r + p_dir @ delta
 
     return _finish(a, b, x, errors, failure, variant="hs", exact_mode=False,
                    ref_residual=ref_residual)

@@ -30,7 +30,7 @@ from .cg import dr_bcg, hs_bcg
 from .continuation import assemble_tn, continue_prefix, prefix_terms
 from .errors import BlockLanczosError, EmptySelection, NearDependentRitzVectors
 from .lanczos import run_block_lanczos
-from .linalg import BlockTridiagonal, Operator, densify, householder_qr, stack_panels, sym_eig
+from .linalg import BlockTridiagonal, Operator, densify, householder_qr, sym_eig
 from .matrices import (
     BlurSpec,
     SpectrumSpec,
@@ -43,27 +43,33 @@ from .matrices import (
 
 EPS = float(np.finfo(float).eps)
 
-DEFAULTS = {
-    "matrix": None,
-    "mtx": None,
-    "name": None,
-    "p": 2,
-    "k": 24,
-    "mu": "auto",
-    "psi": EPS ** 0.5,
-    "eta": EPS ** 0.5,
-    "svd_tol": 1e-12,
-    "delta": "100,0.5",
-    "delta_scale": "eps_norm",
-    "m": 11,
-    "seed": 1,
-    "maxit": 0,
-    "omega": 1e-12,
-    "out": ".",
+# key: (default, type of its flag and config-file value, flag help)
+OPTIONS = {
+    "matrix": (None, str, "generator spec: strakos48(l1,ln[,rho]), strakos(n,l1,ln[,rho]), "
+                          "random(n); append _kron for the Kronecker-lifted form"),
+    "mtx": (None, str, "path to a Matrix Market file instead of --matrix"),
+    "name": (None, str, "experiment name recorded in headers (default: subcommand)"),
+    "p": (2, int, "block width"),
+    "k": (24, int, "number of recurrence steps"),
+    "mu": ("auto", str, "selection threshold, a float or 'auto' for sqrt(k n p eps)"),
+    "psi": (EPS ** 0.5, float, "cluster chaining distance, units of norm(A)"),
+    "eta": (EPS ** 0.5, float, "cluster properness margin, units of norm(A)"),
+    "svd_tol": (1e-12, float, "absolute singular value cutoff in the continuation"),
+    "delta": ("100,0.5", str, "one or two blur widths, comma separated"),
+    "delta_scale": ("eps_norm", str,
+                    "delta units: eps_norm (multiples of eps*norm(A)) or abs (absolute)"),
+    "m": (11, int, "blur multiplicity per eigenvalue"),
+    "seed": (1, int, "seed for every random draw"),
+    "maxit": (0, int, "CG iteration cap, 0 for the dimension"),
+    "omega": (1e-12, float, "Kronecker perturbation size"),
+    "out": (".", str, "output directory"),
 }
+DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
+
 
 def _read_config_file(path):
-    """Plain key=value lines; blank lines and '#' comments are skipped."""
+    """Plain key=value lines; blank lines and '#' comments are skipped.
+    Each value is converted to its key's type."""
     values = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -74,9 +80,14 @@ def _read_config_file(path):
             raise ValueError("config line %d is not key=value: %r" % (lineno, raw))
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in DEFAULTS:
+        if key not in OPTIONS:
             raise ValueError("config line %d: unknown key %r" % (lineno, key))
-        values[key] = val.strip()
+        kind = OPTIONS[key][1]
+        try:
+            values[key] = kind(val.strip())
+        except ValueError:
+            raise ValueError("config line %d: %s = %r is not a valid %s"
+                             % (lineno, key, val.strip(), kind.__name__)) from None
     return values
 
 
@@ -84,15 +95,9 @@ def resolve_config(args):
     """Merge flags over config-file entries over built-in defaults."""
     from_file = _read_config_file(args.config) if args.config else {}
     cfg = {}
-    for key, fallback in DEFAULTS.items():
+    for key, default in DEFAULTS.items():
         flag = getattr(args, key)
-        if flag is not None:
-            cfg[key] = flag
-        elif key in from_file:
-            # a config-file value takes its default's type; None defaults are strings
-            cfg[key] = (str if fallback is None else type(fallback))(from_file[key])
-        else:
-            cfg[key] = fallback
+        cfg[key] = flag if flag is not None else from_file.get(key, default)
     if (cfg["matrix"] is None) == (cfg["mtx"] is None):
         raise ValueError("need exactly one of --matrix or --mtx")
     if cfg["delta_scale"] not in ("eps_norm", "abs"):
@@ -394,15 +399,11 @@ def cmd_continuation(cfg, problem, rng, out):
     pipeline = continue_prefix(run, k, mu_val, cfg["svd_tol"])
     selection, cont, report = pipeline.selection, pipeline.cont, pipeline.report
     tn = assemble_tn(run.t, cont)
-    basis = stack_panels([run.basis[:, : k * p]] + cont.q_panels)
+    basis = np.hstack([run.basis[:, : k * p]] + cont.q_panels)
     certificate = theorem1_certificate(tn, basis, run.a, cont.epsilon2)
     base_eigs = problem.eigs if problem.eigs is not None else sym_eig(problem.a)[0]
     tn_eigs = certificate.thetas
-    spread = interval_spread(
-        tn_eigs, base_eigs,
-        epsilon1=certificate.epsilon1, epsilon2=cont.epsilon2,
-        a_norm=run.a_norm, n_blocks=tn.n_blocks,
-    )
+    spread = interval_spread(tn_eigs, base_eigs)
     clusters = classify_clusters(tn_eigs, base_eigs, run.a_norm, cfg["psi"], cfg["eta"])
 
     shared = [
@@ -453,7 +454,7 @@ def cmd_continuation(cfg, problem, rng, out):
                    ("i", "j", "value"), tn_rows),
         _write_csv(out / "continuation_spread.csv", cfg,
                    shared + ["bound=%s holds=%s max_width=%s dim=%d"
-                             % (_fmt(spread.bound), _fmt(certificate.holds),
+                             % (_fmt(certificate.bound), _fmt(certificate.holds),
                                 _fmt(spread.max_width), spread.dim)],
                    ("lambda", "width", "count"), spread_rows),
         _write_csv(out / "continuation_clusters.csv", cfg,
@@ -525,26 +526,8 @@ def build_parser():
     for name, command in _COMMANDS.items():
         cp = sub.add_parser(name, help=command.__doc__)
         cp.add_argument("--config", help="key=value file; flags override it")
-        cp.add_argument("--matrix",
-                        help="generator spec: strakos48(l1,ln[,rho]), strakos(n,l1,ln[,rho]), "
-                             "random(n); append _kron for the Kronecker-lifted form")
-        cp.add_argument("--mtx", help="path to a Matrix Market file instead of --matrix")
-        cp.add_argument("--name", help="experiment name recorded in headers (default: subcommand)")
-        cp.add_argument("--p", type=int, help="block width")
-        cp.add_argument("--k", type=int, help="number of recurrence steps")
-        cp.add_argument("--mu", help="selection threshold, a float or 'auto' for sqrt(k n p eps)")
-        cp.add_argument("--psi", type=float, help="cluster chaining distance, units of norm(A)")
-        cp.add_argument("--eta", type=float, help="cluster properness margin, units of norm(A)")
-        cp.add_argument("--svd-tol", dest="svd_tol", type=float,
-                        help="absolute singular value cutoff in the continuation")
-        cp.add_argument("--delta", help="one or two blur widths, comma separated")
-        cp.add_argument("--delta-scale", dest="delta_scale", choices=("eps_norm", "abs"),
-                        help="delta units: multiples of eps*norm(A), or absolute")
-        cp.add_argument("--m", type=int, help="blur multiplicity per eigenvalue")
-        cp.add_argument("--seed", type=int, help="seed for every random draw")
-        cp.add_argument("--maxit", type=int, help="CG iteration cap, 0 for the dimension")
-        cp.add_argument("--omega", type=float, help="Kronecker perturbation size")
-        cp.add_argument("--out", help="output directory")
+        for key, (_, kind, text) in OPTIONS.items():
+            cp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text)
     return parser
 
 

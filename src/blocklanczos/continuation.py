@@ -7,11 +7,12 @@ that statement concrete and measurable:
 
 1. pick the Ritz vectors of T_k that have not converged yet
    (`select_ritz_vectors`) and orthonormalize them (`build_wk`),
-2. continue the three-term recurrence from the last two finite-precision
-   panels, but orthogonalizing every new panel against the selected basis
-   and everything generated since (`continuation_run`); rank lost along
-   the way is removed by an SVD cutoff, and the recurrence closes in
-   finitely many steps with a zero trailing coupling,
+2. continue the three-term recurrence of the run from its panels v_{k-1}
+   and v_k, but orthogonalizing every new panel against the selected
+   basis and everything generated since (`continuation_run`, which takes
+   the operator, panels, blocks and residual norms from the run); rank
+   lost along the way is removed by an SVD cutoff, and the recurrence
+   closes in finitely many steps with a zero trailing coupling,
 3. append the new blocks to T_k (`assemble_tn`), giving a model matrix
    T_N that an EXACT run on A would produce under column perturbations no
    larger than the recorded epsilon2 * norm(A),
@@ -36,15 +37,7 @@ import numpy as np
 
 from .errors import CapReached, EmptySelection, NearDependentRitzVectors
 from .lanczos import LanczosRun, RitzSet, ritz_analysis
-from .linalg import (
-    BlockTridiagonal,
-    Operator,
-    as_operator,
-    householder_qr,
-    panel_norm,
-    reorthogonalize,
-    truncated_svd,
-)
+from .linalg import BlockTridiagonal, householder_qr, panel_norm, reorthogonalize, truncated_svd
 
 
 @dataclass
@@ -131,9 +124,9 @@ class ContinuationResult:
                 rank part; the LAST entry belongs to the closing step
                 whose kept rank is zero
     h_norms     spectral norms of h_panels
-    epsilon2    max of the supplied finite-precision residual norms and
-                all h norms, divided by norm(A): the backward-error level
-                of the assembled model
+    epsilon2    max of the run's residual norms of steps 1..k and all h
+                norms, divided by norm(A): the backward-error level of the
+                assembled model
     """
 
     q_panels: list
@@ -181,71 +174,57 @@ def _split_step(raw: np.ndarray, basis: np.ndarray, svd_tol: float) -> Continuat
 
 
 def continuation_first_step(
-    a: np.ndarray | Operator,
-    v_prev: np.ndarray | None,
-    v_k: np.ndarray,
-    alpha_k: np.ndarray,
-    beta_k: np.ndarray | None,
-    w_k: np.ndarray,
-    svd_tol: float = 1e-12,
+    run: LanczosRun, k: int, w_k: np.ndarray, svd_tol: float = 1e-12
 ) -> ContinuationStep:
-    """Step 1 of the continuation: step k of the original run replayed
-    from v_{k-1}, v_k, alpha_k and beta_k, with every component along the
+    """Step 1 of the continuation at prefix k of ``run``: step k of the
+    run replayed on its own operator from v_{k-1}, v_k, alpha_k and
+    beta_k (no trailing term for k = 1), with every component along the
     protected basis w_k removed.
 
     Its kept coupling ``b_new`` is beta_{k+1} of the model (absent when
     the kept rank is zero); together with w_k and the next
     finite-precision panel it fixes the monitored terms, so those need
-    no later step. ``v_prev``/``beta_k`` may be None for k = 1.
+    no later step.
     """
-    a = as_operator(a)
+    if not 1 <= k <= run.n_steps:
+        raise ValueError("k must be in [1, %d], got %d" % (run.n_steps, k))
     if not svd_tol > 0.0:  # also rejects NaN
         raise ValueError("svd_tol must be > 0")
-    raw = a @ v_k - v_k @ alpha_k
-    if v_prev is not None and beta_k is not None:
-        raw = raw - v_prev @ beta_k.T
+    v_k = run.panels[k - 1]
+    raw = run.a @ v_k - v_k @ run.t.alphas[k - 1]
+    if k >= 2:
+        raw = raw - run.panels[k - 2] @ run.t.betas[k - 2].T
     # w_k is read through the wide buffer continuation_run keeps its basis
     # in. BLAS rounds against a contiguous single column differently from
     # a strided one, so the layout fixes the last bits of every output
     # built on step 1.
-    basis = _basis_buffer(w_k, a.shape[0])[:, : w_k.shape[1]]
+    basis = _basis_buffer(w_k, run.a.shape[0])[:, : w_k.shape[1]]
     return _split_step(raw, basis, svd_tol)
 
 
 def continuation_run(
-    a: np.ndarray | Operator,
-    v_prev: np.ndarray | None,
-    v_k: np.ndarray,
-    alpha_k: np.ndarray,
-    beta_k: np.ndarray | None,
+    run: LanczosRun,
+    k: int,
     w_k: np.ndarray,
     svd_tol: float = 1e-12,
     n_cap: int | None = None,
-    fp_delta_norms=(),
 ) -> ContinuationResult:
-    """Run the recurrence past step k against the protected basis w_k.
+    """Run the recurrence of ``run`` past step k against the protected
+    basis w_k.
 
-    Step 1 is `continuation_first_step`: it replays step k of the
-    original run but removes every component along w_k. Later steps are
-    plain three-term steps on the new panels, each reorthogonalized twice
-    against w_k and all panels generated so far. The kept part of each
-    step comes from an SVD with absolute cutoff ``svd_tol``; the discarded
-    difference is recorded as that step's h panel. The process ends when a
-    step retains rank zero.
-
-    ``v_prev``/``beta_k`` may be None for k = 1 (the recurrence then has
-    no trailing term). ``fp_delta_norms`` should carry the measured
-    residual norms of the finite-precision phase (steps 1..k-1) so the
-    reported epsilon2 covers the whole model; without them it covers the
-    continuation phase only.
-
-    ``a`` is an array or an `Operator`, such as the run's own
-    (`LanczosRun.a`), whose norm is then not computed again.
+    Step 1 is `continuation_first_step`: it replays step k of the run but
+    removes every component along w_k. Later steps are plain three-term
+    steps on the new panels, each reorthogonalized twice against w_k and
+    all panels generated so far. The kept part of each step comes from an
+    SVD with absolute cutoff ``svd_tol``; the discarded difference is
+    recorded as that step's h panel. The process ends when a step retains
+    rank zero. The reported epsilon2 covers the whole model: the run's
+    residual norms of steps 1..k and every h norm.
 
     Raises CapReached if the rank has not hit zero after ``n_cap`` steps
     (default: the problem dimension).
     """
-    a = as_operator(a)
+    a = run.a
     n = a.shape[0]
     if n_cap is None:
         n_cap = n
@@ -261,12 +240,12 @@ def continuation_run(
 
     for j in range(1, n_cap + 1):
         if j == 1:
-            step = continuation_first_step(a, v_prev, v_k, alpha_k, beta_k, w_k, svd_tol)
+            step = continuation_first_step(run, k, w_k, svd_tol)
         else:
             if j == 2:
                 q1 = q_panels[0]
                 aq = a @ q1
-                trail = v_k @ betas[0].T
+                trail = run.panels[k - 1] @ betas[0].T
                 al = q1.T @ (aq - trail)
                 alphas.append(al)
                 wt = aq - q1 @ al - trail
@@ -288,15 +267,14 @@ def continuation_run(
     else:
         raise CapReached("rank did not reach zero within %d steps" % n_cap)
 
-    all_norms = list(fp_delta_norms) + h_norms
-    epsilon2 = max(all_norms) / a.norm if all_norms else 0.0
+    fp_norms = [row.delta_v_norm for row in run.diagnostics[:k]]
     return ContinuationResult(
         q_panels=q_panels,
         alphas=alphas,
         betas=betas,
         h_panels=h_panels,
         h_norms=h_norms,
-        epsilon2=float(epsilon2),
+        epsilon2=float(max(fp_norms + h_norms) / a.norm),
     )
 
 
@@ -452,20 +430,13 @@ class PrefixContinuation:
 def _select_at(run: LanczosRun, k: int, mu: float):
     """Ritz analysis, selection and protected basis at prefix k.
 
-    Returns ``(ritz, selection, w_k, r_k, replay)`` with
-    ``selection.rho_k`` filled in; ``replay`` is ``(v_{k-1}, v_k, alpha_k,
-    beta_k)``, the run data continuation step 1 starts from.
+    Returns ``(ritz, selection, w_k, r_k)`` with ``selection.rho_k``
+    filled in.
     """
     ritz = ritz_analysis(run, k)
     selection = select_ritz_vectors(ritz, mu, run.a_norm)
     w_k, r_k, selection.rho_k = build_wk(ritz.z[:, selection.indices])
-    replay = (
-        run.panels[k - 2] if k >= 2 else None,
-        run.panels[k - 1],
-        run.t.alphas[k - 1],
-        run.t.betas[k - 2] if k >= 2 else None,
-    )
-    return ritz, selection, w_k, r_k, replay
+    return ritz, selection, w_k, r_k
 
 
 def continue_prefix(
@@ -477,14 +448,8 @@ def continue_prefix(
     Raises EmptySelection, NearDependentRitzVectors or CapReached when the
     corresponding stage cannot proceed.
     """
-    ritz, selection, w_k, r_k, replay = _select_at(run, k, mu)
-    cont = continuation_run(
-        run.a,
-        *replay,
-        w_k,
-        svd_tol=svd_tol,
-        fp_delta_norms=[row.delta_v_norm for row in run.diagnostics[:k]],
-    )
+    ritz, selection, w_k, r_k = _select_at(run, k, mu)
+    cont = continuation_run(run, k, w_k, svd_tol)
     report = perturbation_decomposition(run, k, ritz, selection, w_k, r_k, cont)
     return PrefixContinuation(ritz, selection, w_k, r_k, cont, report)
 
@@ -497,7 +462,7 @@ def prefix_terms(run: LanczosRun, k: int, mu: float, svd_tol: float = 1e-12):
     terms `continue_prefix` reports, without continuing to closure.
     Raises EmptySelection or NearDependentRitzVectors like it.
     """
-    ritz, selection, w_k, r_k, replay = _select_at(run, k, mu)
-    step = continuation_first_step(run.a, *replay, w_k, svd_tol)
+    ritz, selection, w_k, r_k = _select_at(run, k, mu)
+    step = continuation_first_step(run, k, w_k, svd_tol)
     beta_c = step.b_new if step.rank > 0 else None
     return selection, monitored_terms(run, k, ritz, selection, w_k, r_k, beta_c)

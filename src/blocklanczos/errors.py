@@ -15,7 +15,8 @@ class ShapeMismatch(BlockLanczosError):
 
 
 class NonFiniteOperator(BlockLanczosError):
-    """An operator has NaN or infinite entries (or a norm that overflows)."""
+    """An operator or an input block has NaN or infinite entries (or a
+    norm that overflows)."""
 
 
 class NotSymmetric(BlockLanczosError):

@@ -68,6 +68,8 @@ def householder_qr(m: np.ndarray, rank_tol: float = 1e-12):
     RankDeficient
         If ``m`` is numerically rank deficient under ``rank_tol``. Callers
         that expect deflation catch this and switch to `truncated_svd`.
+    NonFiniteOperator
+        If ``m`` has a NaN or infinite entry.
     """
     if m.ndim != 2:
         raise ShapeMismatch("expected a 2-d block, got ndim=%d" % m.ndim)
@@ -82,14 +84,18 @@ def householder_qr(m: np.ndarray, rank_tol: float = 1e-12):
 def _check_rank(m: np.ndarray, r: np.ndarray, rank_tol: float = 1e-12):
     """The acceptance test of `householder_qr` on ``m`` and its triangular
     factor ``r``: RankDeficient when the smallest diagonal entry of ``r``
-    falls below ``rank_tol * norm(m)``."""
+    falls below ``rank_tol * norm(m)``, NonFiniteOperator when ``m`` has a
+    NaN or infinite entry."""
     smallest = float(np.min(np.diag(r)))
     # norm(m) <= its Frobenius norm, so clearing the Frobenius threshold
     # (with a margin for the rounding of either norm) accepts without the
-    # SVD; everything else gets the exact spectral test
+    # SVD; everything else gets the exact spectral test. A NaN or infinite
+    # entry makes the Frobenius norm NaN or infinite and fails here too.
     frob = float(np.linalg.norm(m))
-    if frob > 0.0 and smallest >= rank_tol * frob * (1.0 + 1e-12):
+    if 0.0 < frob < np.inf and smallest >= rank_tol * frob * (1.0 + 1e-12):
         return
+    if not np.all(np.isfinite(m)):  # the SVD below would not converge
+        raise NonFiniteOperator("block to orthonormalize has NaN or infinite entries")
     scale = panel_norm(m)
     if scale == 0.0 or smallest < rank_tol * scale:
         raise RankDeficient("smallest R diagonal %.3e below %.3e" % (smallest, rank_tol * scale))
@@ -221,23 +227,15 @@ def truncated_svd(w: np.ndarray, tol: float):
     return u[:, :rank], s[:rank, None] * vt[:rank], rank
 
 
-def stack_panels(panels) -> np.ndarray:
-    """Concatenate a sequence of block vectors (a list, or a stack such as
-    `LanczosRun.panels`) into one (n, total) matrix."""
-    return np.hstack(panels) if len(panels) else np.zeros((0, 0))
-
-
-def reorthogonalize(w: np.ndarray, basis: np.ndarray, passes: int = 2) -> np.ndarray:
+def reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Remove the components of ``w`` along an orthonormal ``basis``.
 
     Two passes of classical block Gram-Schmidt; the second pass mops up the
     first-pass rounding so the result is orthogonal to the basis to working
     precision even when ``w`` nearly lies inside it.
     """
-    out = w
-    for _ in range(passes):
-        out = out - basis @ (basis.T @ out)
-    return out
+    w = w - basis @ (basis.T @ w)
+    return w - basis @ (basis.T @ w)
 
 
 @dataclass

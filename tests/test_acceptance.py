@@ -31,7 +31,6 @@ from blocklanczos import (
     ritz_analysis,
     run_block_lanczos,
     spectrum_to_matrix,
-    stack_panels,
     strakos48,
     strakos_spectrum,
     sym_eig,
@@ -62,7 +61,7 @@ def test_criterion_01_exact_mode_equivalence():
         a, _ = spectrum_to_matrix(eigs, rng)
         v = rng.standard_normal((n, p))
         run = run_block_lanczos(a, v, k_max=n_blocks, mode="simulated_exact")
-        basis = stack_panels(run.panels[: run.n_steps])
+        basis = np.hstack(run.panels[: run.n_steps])
         worst_orth = max(
             worst_orth,
             float(np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1]))),
@@ -128,7 +127,7 @@ def test_criterion_03_continuation_basis_and_couplings():
     worst_orth = 0.0
     worst_beta = 0.0
     for a, run, ritz, sel, w_k, cont, report in _graded_continuations():
-        guard = stack_panels([w_k] + cont.q_panels)
+        guard = np.hstack([w_k] + cont.q_panels)
         worst_orth = max(
             worst_orth,
             float(np.linalg.norm(guard.T @ guard - np.eye(guard.shape[1]))),
@@ -187,17 +186,10 @@ def _flagship_model(l1, ln, mu_text):
     pc = continue_prefix(run, k, mu)
     sel, cont = pc.selection, pc.cont
     tn = assemble_tn(run.t, cont)
-    basis = stack_panels(list(run.panels[:k]) + cont.q_panels)
+    basis = np.hstack(list(run.panels[:k]) + cont.q_panels)
     cert = theorem1_certificate(tn, basis, a, cont.epsilon2)
     tn_eigs, _ = sym_eig(densify(tn))
-    spread = interval_spread(
-        tn_eigs,
-        np.linalg.eigvalsh(a),
-        epsilon1=cert.epsilon1,
-        epsilon2=cont.epsilon2,
-        a_norm=run.a_norm,
-        n_blocks=tn.n_blocks,
-    )
+    spread = interval_spread(tn_eigs, np.linalg.eigvalsh(a))
     elapsed = time.perf_counter() - t0
     return run, sel, cont, tn, cert, spread, elapsed
 

@@ -99,17 +99,6 @@ def test_nonzero_initial_guess():
     assert np.linalg.norm(h.x - np.linalg.solve(a, b)) < 1e-7
 
 
-def test_direction_scaling_policy_is_invariant():
-    # any invertible per-iteration scaling of the direction block leaves
-    # the iterates unchanged in principle; check the curves stay together
-    a, b = easy_problem(seed=35)
-    plain = hs_bcg(a, b, maxit=20)
-    scaled = hs_bcg(a, b, maxit=20, phi_policy=lambda k: 3.0 * np.eye(2))
-    assert plain.n_iter == scaled.n_iter
-    gap = np.max(np.abs(plain.errors - scaled.errors))
-    assert gap < 1e-8
-
-
 def test_degenerate_right_hand_sides():
     a, _, rng = rand_spd(10, 36)
     col = rng.standard_normal((10, 1))
@@ -254,3 +243,21 @@ def test_right_hand_side_of_the_wrong_size_is_a_typed_failure(solver, operator):
         solver(operator, np.ones((6, 2)))
     with pytest.raises(ShapeMismatch):
         solver(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones((4, 2)), x0=np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("solver", [hs_bcg, dr_bcg])
+def test_right_hand_side_without_columns_is_a_typed_failure(solver):
+    with pytest.raises(ShapeMismatch, match="no columns"):
+        solver(np.diag([1.0, 2.0, 3.0]), np.zeros((3, 0)))
+
+
+@pytest.mark.parametrize("solver", [hs_bcg, dr_bcg])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", ["right-hand side", "initial guess"])
+def test_non_finite_input_block_is_a_typed_failure(solver, value, block):
+    a, b = easy_problem(n=10, seed=43)
+    x0 = np.zeros(b.shape)
+    (b if block == "right-hand side" else x0)[4, 1] = value
+    with pytest.raises(NonFiniteOperator, match=block) as info:
+        solver(a, b, x0=x0)
+    assert isinstance(info.value, BlockLanczosError)

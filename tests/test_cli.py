@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 from blocklanczos import spectrum_to_matrix
-from blocklanczos.cli import main
+from blocklanczos.cli import OPTIONS, build_parser, main, resolve_config
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -105,6 +105,55 @@ def test_error_exits(tmp_path, capsys):
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+
+
+# a non-default value for every option, as it is written on the command line;
+# an option missing here fails its case below with a KeyError
+OPTION_VALUES = {
+    "matrix": "random(10)", "mtx": "operator.mtx", "name": "study", "p": "3", "k": "7",
+    "mu": "1e-5", "psi": "1e-3", "eta": "2e-3", "svd_tol": "1e-10", "delta": "5,1",
+    "delta_scale": "abs", "m": "4", "seed": "9", "maxit": "12", "omega": "1e-9",
+    "out": "elsewhere",
+}
+
+
+@pytest.mark.parametrize("key", sorted(OPTIONS))
+def test_flag_and_config_line_resolve_alike(tmp_path, key):
+    default, kind, _ = OPTIONS[key]
+    text = OPTION_VALUES[key]
+    # exactly one of --matrix and --mtx is required
+    base = [] if key in ("matrix", "mtx") else ["--matrix", "random(10)"]
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("%s = %s\n" % (key.replace("_", "-"), text))
+    flag = "--" + key.replace("_", "-")
+    from_flag = resolve_config(build_parser().parse_args(["continuation", flag, text] + base))
+    from_file = resolve_config(build_parser().parse_args(
+        ["continuation", "--config", str(cfgfile)] + base))
+    assert from_flag == from_file
+    assert type(from_flag[key]) is kind
+    assert from_flag[key] == kind(text) != default
+
+
+def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("matrix = random(10)\np = two\n")
+    out = tmp_path / "out"
+    assert main(["fp-diagnostics", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config line 2: p = 'two'")
+    assert not out.exists()
+
+
+def test_delta_scale_is_checked_alike_as_flag_and_file_line(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("delta-scale = bogus\n")
+    base = ["blurred-cg", "--matrix", "random(10)", "--out", str(tmp_path / "out")]
+    errors = []
+    for extra in (["--delta-scale", "bogus"], ["--config", str(cfgfile)]):
+        assert main(base + extra) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: --delta-scale must be eps_norm or abs\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("spec", ["strakos(16.7,0.1,100)", "random(16.7)",

@@ -21,7 +21,6 @@ from blocklanczos import (
     run_block_lanczos,
     select_ritz_vectors,
     spectrum_to_matrix,
-    stack_panels,
     strakos48,
     strakos_spectrum,
 )
@@ -80,7 +79,7 @@ def test_build_wk_refuses_near_dependence():
 
 def test_continuation_basis_is_orthonormal(pipeline):
     w_k, cont = pipeline["w_k"], pipeline["cont"]
-    guard = stack_panels([w_k] + cont.q_panels)
+    guard = np.hstack([w_k] + cont.q_panels)
     defect = np.linalg.norm(guard.T @ guard - np.eye(guard.shape[1]))
     assert defect < 1e-11
 
@@ -115,19 +114,14 @@ def test_epsilon2_formula(pipeline):
 
 
 def test_continuation_cap_and_tol_validation(pipeline):
-    a, run, k, w_k = pipeline["a"], pipeline["run"], pipeline["k"], pipeline["w_k"]
-    args = (
-        a,
-        run.panels[k - 2],
-        run.panels[k - 1],
-        run.t.alphas[k - 1],
-        run.t.betas[k - 2],
-        w_k,
-    )
+    run, k, w_k = pipeline["run"], pipeline["k"], pipeline["w_k"]
     with pytest.raises(CapReached):
-        continuation_run(*args, n_cap=1)
+        continuation_run(run, k, w_k, n_cap=1)
     with pytest.raises(ValueError):
-        continuation_run(*args, svd_tol=0.0)
+        continuation_run(run, k, w_k, svd_tol=0.0)
+    for bad_k in (0, run.n_steps + 1):
+        with pytest.raises(ValueError):
+            continuation_first_step(run, bad_k, w_k)
 
 
 def test_assemble_tn_structure(pipeline):
@@ -205,10 +199,7 @@ def test_prefix_terms_equal_full_continuation():
 
 def test_first_step_is_step_one_of_the_run(pipeline):
     run, k, w_k, cont = pipeline["run"], pipeline["k"], pipeline["w_k"], pipeline["cont"]
-    step = continuation_first_step(
-        pipeline["a"], run.panels[k - 2], run.panels[k - 1],
-        run.t.alphas[k - 1], run.t.betas[k - 2], w_k,
-    )
+    step = continuation_first_step(run, k, w_k)
     assert step.rank == cont.widths[0]
     assert np.array_equal(step.u_t, cont.q_panels[0])
     assert np.array_equal(step.b_new, cont.betas[0])

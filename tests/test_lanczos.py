@@ -16,7 +16,6 @@ from blocklanczos import (
     ritz_analysis,
     run_block_lanczos,
     spectrum_to_matrix,
-    stack_panels,
     strakos48,
     strakos_spectrum,
 )
@@ -31,7 +30,7 @@ def test_exact_mode_reproduces_the_operator():
     v = rng.standard_normal((24, 3))
     run = run_block_lanczos(a, v, k_max=8, mode="simulated_exact")
     assert run.n_steps == 8 and run.width == 3
-    basis = stack_panels(run.panels[:8])
+    basis = np.hstack(run.panels[:8])
     assert np.linalg.norm(basis.T @ basis - np.eye(24)) < 1e-13
     t = densify(run.t)
     assert np.linalg.norm(t - basis.T @ a @ basis) < 1e-12 * run.a_norm
@@ -114,6 +113,15 @@ def test_non_finite_operator_is_a_typed_failure(value):
     assert isinstance(info.value, BlockLanczosError)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_start_block_is_a_typed_failure(value):
+    a, _, rng = rand_spd(12, 26)
+    v = rng.standard_normal((12, 2))
+    v[7, 0] = value
+    with pytest.raises(NonFiniteOperator, match="block"):
+        run_block_lanczos(a, v, k_max=2)
+
+
 def test_near_dependent_panel_below_breakdown_is_rank_deficient():
     # the second start column is an eigenvector up to 1e-14, so the next
     # panel has one direction of size ~2e-14: a breakdown test at 1e-12
@@ -166,7 +174,7 @@ def _restacked_diagnostics(run):
             trail = panels[j] @ beta
             res = res - trail
             local = np.linalg.norm(vj.T @ trail, 2)
-            glob = np.linalg.norm(stack_panels(list(panels[:j])).T @ panels[j], 2)
+            glob = np.linalg.norm(np.hstack(list(panels[:j])).T @ panels[j], 2)
         rows.append((j, np.linalg.norm(res, 2), np.linalg.norm(vj.T @ vj - eye, 2), local,
                      np.linalg.norm(beta, 2), glob))
     return rows

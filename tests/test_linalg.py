@@ -16,7 +16,6 @@ from blocklanczos import (
     householder_qr,
     panel_norm,
     reorthogonalize,
-    stack_panels,
     sym_eig,
     truncated_svd,
 )
@@ -73,6 +72,15 @@ def test_qr_decision_matches_the_spectral_test(rank_tol):
             else:
                 assert accept, (width, smallest)
                 assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(8, 3), (5, 1)])
+def test_qr_rejects_a_non_finite_block(value, shape):
+    m = np.random.default_rng(11).standard_normal(shape)
+    m[2, -1] = value
+    with pytest.raises(NonFiniteOperator, match="block"):
+        householder_qr(m)
 
 
 def test_qr_shape_errors():
@@ -157,15 +165,6 @@ def test_norm_helpers_match_numpy():
     g = rng.standard_normal((5, 5))
     s = g + g.T
     assert np.isclose(Operator(s).norm, np.linalg.norm(s, 2), rtol=1e-12)
-
-
-def test_stack_panels():
-    a = np.ones((4, 2))
-    b = np.zeros((4, 1))
-    out = stack_panels([a, b])
-    assert out.shape == (4, 3)
-    assert np.array_equal(out[:, :2], a)
-    assert stack_panels([]).shape == (0, 0)
 
 
 def test_reorthogonalize_cleans_overlap():

@@ -8,11 +8,12 @@ conditioned when residual columns start to align.
 
 Both take the operator as a dense symmetric (n, n) array, as the (n,)
 diagonal of a diagonal operator (such as the blurred spectrum of
-`matrices.blurred_problem`), which is then applied without ever forming
-the dense matrix, or as a `linalg.Operator` wrapping either, which lets
-both variants share one check, norm and Cholesky factor. Both record the
-A-norm trace error against a direct reference solution at every
-iteration and halt (with the partial history preserved) when an inner
+`matrices.blurred_problem`), applied without ever forming the dense
+matrix, or as a `linalg.Operator` wrapping either, whose check, norm
+and factor both then share. Every solve, with A for the reference
+solution and with each p x p Gram block, multiplies by an inverse
+Cholesky factor from `linalg.inverse_cholesky`. Both record the A-norm
+trace error and halt (with the partial history preserved) when an inner
 solve goes numerically singular.
 """
 
@@ -21,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonFiniteOperator, RankDeficient, ShapeMismatch, SingularInnerSolve
-from .linalg import Operator, as_operator, householder_qr, panel_norm, reorthogonalize
+from .linalg import (Operator, as_operator, householder_qr, inverse_cholesky, panel_norm,
+                     reorthogonalize)
 
 
 def _energy(v: np.ndarray, a) -> float:
@@ -161,21 +162,20 @@ def hs_bcg(
             break
         rr_prev = r.T @ r
         try:
-            gram_factor = scipy.linalg.cho_factor(gram, lower=True)
-            gamma = scipy.linalg.cho_solve(gram_factor, rr_prev)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+            f = inverse_cholesky(gram)
+        except np.linalg.LinAlgError:
             failure = "singular inner solve at iteration %d" % k
             break
+        gamma = f.T @ (f @ rr_prev)
         x = x + p_dir @ gamma
         r = r - ap @ gamma
         errors.append(_error_ratio(x_star - x, a, den))
         try:
-            rr_factor = scipy.linalg.cho_factor(0.5 * (rr_prev + rr_prev.T), lower=True)
-            delta = scipy.linalg.cho_solve(rr_factor, r.T @ r)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+            f = inverse_cholesky(0.5 * (rr_prev + rr_prev.T))
+        except np.linalg.LinAlgError:
             failure = "singular residual Gram block at iteration %d" % k
             break
-        p_dir = r + p_dir @ delta
+        p_dir = r + p_dir @ (f.T @ (f @ (r.T @ r)))
 
     return _finish(a, b, x, errors, failure, variant="hs", exact_mode=False,
                    ref_residual=ref_residual)
@@ -206,12 +206,11 @@ def dr_bcg(
     x = x0.copy()
     w, sigma = householder_qr(b - a @ x)
     s = w.copy()
-    basis = None
-    cols = 0
+    cols = p
     if exact_mode:
-        basis = np.empty((n, (maxit + 1) * p))
+        # the run stops before the basis outgrows R^n, whatever maxit is
+        basis = np.empty((n, min(maxit + 1, n // p) * p))
         basis[:, :p] = w
-        cols = p
     den = _energy(x_star - x0, a)
     errors = [_error_ratio(x_star - x, a, den)]
 
@@ -227,11 +226,11 @@ def dr_bcg(
             failure = "singular direction Gram block at iteration %d" % k
             break
         try:
-            gram_factor = scipy.linalg.cho_factor(gram, lower=True)
-            xi = scipy.linalg.cho_solve(gram_factor, np.eye(p))
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+            f = inverse_cholesky(gram)
+        except np.linalg.LinAlgError:
             failure = "singular inner solve at iteration %d" % k
             break
+        xi = f.T @ f
         x = x + s @ (xi @ sigma)
         errors.append(_error_ratio(x_star - x, a, den))
         if exact_mode and cols + p > n:

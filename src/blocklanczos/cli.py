@@ -100,6 +100,9 @@ def resolve_config(args):
         cfg[key] = flag if flag is not None else from_file.get(key, default)
     if (cfg["matrix"] is None) == (cfg["mtx"] is None):
         raise ValueError("need exactly one of --matrix or --mtx")
+    for key, low in (("p", 1), ("k", 1), ("m", 1), ("maxit", 0), ("seed", 0)):
+        if cfg[key] < low:
+            raise ValueError("--%s must be >= %d, got %d" % (key, low, cfg[key]))
     if cfg["delta_scale"] not in ("eps_norm", "abs"):
         raise ValueError("--delta-scale must be eps_norm or abs")
     if cfg["name"] is None:
@@ -201,19 +204,11 @@ def _fmt(value):
     return str(value)
 
 
-def _config_echo(cfg):
-    parts = []
-    for key in sorted(cfg):
-        if cfg[key] is None:
-            continue
-        parts.append("%s=%s" % (key, _fmt(cfg[key])))
-    return " ".join(parts)
-
-
 def _write_csv(path, cfg, comments, header, rows):
+    echo = " ".join("%s=%s" % (key, _fmt(val)) for key, val in sorted(cfg.items()) if val is not None)
     lines = [
         "# experiment=%s version=%s seed=%d" % (cfg["name"], __version__, cfg["seed"]),
-        "# config: %s" % _config_echo(cfg),
+        "# config: %s" % echo,
     ]
     lines.extend("# %s" % c for c in comments)
     lines.append(",".join(header))

@@ -8,15 +8,13 @@ Conventions used throughout the package:
 * every norm written ``norm(...)`` is the spectral (2-) norm,
 * all computation is float64 and deterministic for fixed inputs.
 
-The kernels wrap numpy's LAPACK and add the conventions the rest of the
-package relies on: QR with a nonnegative triangular diagonal, an
-eigensolver that symmetrizes its input and also takes a `BlockTridiagonal`,
-and an SVD-based truncation with an explicit rank rule. numpy and scipy
-each ship their own OpenBLAS with its own thread pool, and a loop that
-alternates between the two keeps both pools' spinning threads awake, so
-only `Operator`'s Cholesky factor, computed once per problem, comes from
-scipy. `Operator` is the one place that checks, norms, factors and
-applies the matrix A a process runs on, dense or diagonal.
+The kernels wrap numpy's LAPACK, the package's one linear-algebra
+library, and add the conventions the rest of the package relies on: QR
+with a nonnegative triangular diagonal, an eigensolver that symmetrizes
+its input and also takes a `BlockTridiagonal`, an SVD-based truncation
+with an explicit rank rule, and the inverse Cholesky factor behind every
+positive definite solve. `Operator` is the one place that checks, norms,
+factors and applies the matrix A a process runs on, dense or diagonal.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -122,14 +119,14 @@ class Operator:
     operator, which is never densified. Building one raises ShapeMismatch,
     NonFiniteOperator (NaN or infinite entries, or a norm that overflows)
     or NotSymmetric (asymmetry above 1e-12 relative). ``eigvals``
-    (ascending), ``norm`` and the Cholesky factor behind `solve` are
-    computed on first use and shared by every consumer from then on.
+    (ascending), ``norm`` and the inverse Cholesky factor behind `solve`
+    are computed on first use and shared by every consumer from then on.
 
     Both forms of one operator give the same bits: a dense product with a
     diagonal matrix only adds exact zeros, LAPACK returns the sorted
-    entries of a diagonal matrix as its eigenvalues, and the dense
-    Cholesky solve multiplies twice by the reciprocal of the pivot
-    sqrt(d), as the diagonal solve does.
+    entries of a diagonal matrix as its eigenvalues, and the inverse
+    Cholesky factor of a diagonal matrix is the diagonal matrix of
+    1/sqrt(d), by which the diagonal solve multiplies twice.
     """
 
     def __init__(self, a: np.ndarray):
@@ -142,7 +139,7 @@ class Operator:
             raise NonFiniteOperator("operator norm is %r: NaN, inf or overflow" % scale)
         if a.ndim == 2 and scale > 0.0 and float(np.linalg.norm(a - a.T)) > 1e-12 * scale:
             raise NotSymmetric("operator asymmetry above 1e-12 relative")
-        self.array, self.shape, self._factor = a, (a.shape[0], a.shape[0]), None
+        self.array, self.shape = a, (a.shape[0], a.shape[0])
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.array @ v if self._diag is None else self._diag * v
@@ -156,20 +153,28 @@ class Operator:
         """Spectral norm, the largest eigenvalue magnitude (0.0 when n = 0)."""
         return float(np.max(np.abs(self.eigvals), initial=0.0))
 
+    @functools.cached_property
+    def _inverse_factor(self) -> np.ndarray:
+        if self._diag is not None:
+            if not np.all(self._diag > 0.0):
+                raise NotPositiveDefinite("diagonal operator has an entry <= 0")
+            return 1.0 / np.sqrt(self._diag)
+        try:
+            return inverse_cholesky(self.array)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite("reference Cholesky failed: %s" % exc) from exc
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^{-1} b; NotPositiveDefinite when A has no Cholesky factor."""
-        if self._diag is not None:
-            if self._factor is None:
-                if not np.all(self._diag > 0.0):
-                    raise NotPositiveDefinite("diagonal operator has an entry <= 0")
-                self._factor = 1.0 / np.sqrt(self._diag)
-            return (b * self._factor) * self._factor
-        if self._factor is None:
-            try:
-                self._factor = scipy.linalg.cho_factor(self.array, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite("reference Cholesky failed: %s" % exc) from exc
-        return scipy.linalg.cho_solve(self._factor, b)
+        f = self._inverse_factor
+        return (b * f) * f if self._diag is not None else f.T @ (f @ b)
+
+
+def inverse_cholesky(a: np.ndarray) -> np.ndarray:
+    """The inverse ``f`` of the lower Cholesky factor of ``a``, ``a^{-1} = f.T @ f``;
+    np.linalg.LinAlgError unless ``a`` is positive definite. A NaN or
+    infinite entry gives a NaN factor, so callers screen for those first."""
+    return np.linalg.inv(np.linalg.cholesky(a))
 
 
 def as_operator(a) -> Operator:

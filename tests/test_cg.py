@@ -1,5 +1,7 @@
 """Block CG variants: convergence, history semantics, failure paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,22 @@ def test_exact_mode_halts_when_space_is_exhausted():
     assert h.failure is not None and "exhausted" in h.failure
     assert h.n_iter == 4  # n/p steps span everything
     assert h.errors[-1] < 1e-10
+
+
+def test_exact_mode_basis_is_capped_at_the_dimension():
+    # the run stops once its basis spans R^n, so a huge maxit costs no memory
+    d = np.linspace(1.0, 10.0, 10)
+    b = np.random.default_rng(41).standard_normal((10, 2))
+    small = dr_bcg(d, b, maxit=10, exact_mode=True)
+    tracemalloc.start()
+    try:
+        large = dr_bcg(d, b, maxit=10**5, exact_mode=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_history(large, small)
+    assert small.n_iter == 5 and "exhausted" in small.failure
+    assert peak < 2**20
 
 
 def test_partial_history_is_kept_on_late_failure():

@@ -3,18 +3,19 @@
 import os
 import py_compile
 import runpy
+import subprocess
 import sys
 import types
 from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from blocklanczos import spectrum_to_matrix
 from blocklanczos.cli import OPTIONS, build_parser, main, resolve_config
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def read(path):
@@ -156,6 +157,21 @@ def test_delta_scale_is_checked_alike_as_flag_and_file_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, low", [("p", 0, 1), ("p", -1, 1), ("k", 0, 1),
+                                             ("m", 0, 1), ("maxit", -3, 0), ("seed", -2, 0)])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_integer_option_below_its_minimum_exits(tmp_path, capsys, key, value, low, source):
+    extra = ["--" + key, str(value)]
+    if source == "config":
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("%s = %d\n" % (key, value))
+        extra = ["--config", str(cfgfile)]
+    out = tmp_path / "out"
+    assert main(["blurred-cg", "--matrix", "random(10)", "--out", str(out)] + extra) == 2
+    assert capsys.readouterr().err == "error: --%s must be >= %d, got %d\n" % (key, low, value)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["strakos(16.7,0.1,100)", "random(16.7)",
                                   "strakos(inf,0.1,100)", "random(nan)"])
 def test_non_integer_size_exits(tmp_path, capsys, spec):
@@ -205,40 +221,34 @@ def test_each_command_factors_its_operator_once(tmp_path, monkeypatch):
 
     counted(np.linalg, "eigvalsh")
     counted(np.linalg, "eigh")
-    counted(scipy.linalg, "cho_factor")
+    counted(np.linalg, "cholesky")
     assert main(["blurred-cg", "--mtx", str(mtx), "--p", "2", "--m", "3",
                  "--out", str(tmp_path / "cg")]) == 0
     assert calls["eigh"] == 1  # the eigenvectors the blur needs
-    assert calls["eigvalsh"] <= 1 and calls["cho_factor"] <= 1
+    assert calls["eigvalsh"] <= 1 and calls["cholesky"] == 1
     calls.clear()
     assert main(["continuation", "--matrix", "strakos(%d,0.1,100)" % n, "--k", "10",
                  "--mu", "1e-5", "--out", str(tmp_path / "cont")]) == 0
-    assert calls["eigvalsh"] <= 1
+    assert calls["eigvalsh"] <= 1 and calls["cholesky"] == 0
 
 
 @pytest.mark.parametrize("argv", [
     ["continuation", "--matrix", "strakos48(0.1,100)", "--p", "2", "--k", "12", "--mu", "1e-5"],
     ["interlacing", "--matrix", "strakos48(0.1,100)", "--p", "2", "--k", "12"],
     ["fp-diagnostics", "--matrix", "strakos48(0.1,100)", "--k", "8"],
+    ["blurred-cg", "--matrix", "strakos(12,0.5,4)", "--p", "2", "--m", "3"],
 ])
-def test_lanczos_commands_stay_on_numpy_lapack(argv, tmp_path, monkeypatch):
-    # numpy and scipy bundle separate OpenBLAS builds with separate thread
-    # pools; the per-prefix loops call only numpy's, so scipy's stays idle
-    calls = Counter()
-
-    def counted(name):
-        fn = getattr(scipy.linalg, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, name, wrapper)
-
-    for name in ("eig_banded", "solve_triangular", "cho_factor"):
-        counted(name)
-    assert main(argv + ["--out", str(tmp_path)]) == 0
-    assert sum(calls.values()) == 0, dict(calls)
+def test_lanczos_commands_stay_on_numpy_lapack(argv, tmp_path):
+    # every factorization is numpy's: a fresh interpreter that runs the
+    # command end to end never loads a scipy module
+    script = ("import sys\nfrom blocklanczos.cli import main\nassert main(sys.argv[1:]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script] + argv + ["--out", str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_blurred_cg_small_problem(tmp_path):

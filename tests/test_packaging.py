@@ -1,0 +1,27 @@
+"""The package's third-party imports are exactly its declared dependencies."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in project["dependencies"]}
+    imported = set()
+    for path in sorted((ROOT / "src" / "blocklanczos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"blocklanczos"}
+    assert third_party == declared

@@ -66,7 +66,7 @@ from .continuation import (
     ContinuationStep,
     DecompositionReport,
     PrefixContinuation,
-    SelectionReport,
+    Selection,
     assemble_tn,
     build_wk,
     continuation_first_step,

@@ -219,9 +219,13 @@ def theorem1_certificate(
     ``a`` is an array or an `Operator`; the run's own (`LanczosRun.a`)
     brings the eigenvalues its norm came from.
 
-    Raises AssumptionUnsatisfiable when small-norm columns exist but no
-    large-norm column does (nothing to pair against).
+    Raises ShapeMismatch when ``basis`` does not have one column per row
+    of the model, AssumptionUnsatisfiable when small-norm columns exist
+    but no large-norm column does (nothing to pair against).
     """
+    if basis.shape[1] != tn.dim:
+        raise ShapeMismatch("basis has %d columns, model has dimension %d"
+                            % (basis.shape[1], tn.dim))
     a = as_operator(a)
     eigs_a, a_norm = a.eigvals, a.norm
     thetas, s = sym_eig(tn)

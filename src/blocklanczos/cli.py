@@ -105,6 +105,8 @@ def resolve_config(args):
             raise ValueError("--%s must be >= %d, got %d" % (key, low, cfg[key]))
     if cfg["delta_scale"] not in ("eps_norm", "abs"):
         raise ValueError("--delta-scale must be eps_norm or abs")
+    _parse_mu(cfg["mu"])
+    _parse_delta(cfg["delta"])
     if cfg["name"] is None:
         cfg["name"] = args.command
     return cfg
@@ -287,13 +289,14 @@ def _write_plot(out, csv_name, x, y, xlabel, ylabel="", group=None, scale="semil
 # ---------------------------------------------------------------------------
 # blurred-cg
 
-def _resolve_deltas(cfg, a_norm):
-    parts = [x.strip() for x in str(cfg["delta"]).split(",") if x.strip()]
+def _parse_delta(text):
+    parts = [x.strip() for x in str(text).split(",") if x.strip()]
     if not 1 <= len(parts) <= 2:
         raise ValueError("--delta takes one or two comma-separated values")
-    raw = [float(x) for x in parts]
-    scale = EPS * a_norm if cfg["delta_scale"] == "eps_norm" else 1.0
-    return [r * scale for r in raw], raw
+    try:
+        return [float(x) for x in parts]
+    except ValueError:
+        raise ValueError("--delta takes numbers, got %r" % text) from None
 
 
 def cmd_blurred_cg(cfg, problem, rng, out):
@@ -303,7 +306,9 @@ def cmd_blurred_cg(cfg, problem, rng, out):
     p = cfg["p"]
     b = rng.standard_normal((n, p))
     a_norm = float(np.max(np.abs(eigs)))
-    deltas, raw_deltas = _resolve_deltas(cfg, a_norm)
+    raw_deltas = _parse_delta(cfg["delta"])
+    scale = EPS * a_norm if cfg["delta_scale"] == "eps_norm" else 1.0
+    deltas = [r * scale for r in raw_deltas]
 
     maxit = cfg["maxit"] if cfg["maxit"] > 0 else n
     a = Operator(problem.a)  # both FP runs share its norm and Cholesky factor
@@ -377,10 +382,17 @@ def cmd_fp_diagnostics(cfg, problem, rng, out):
 # ---------------------------------------------------------------------------
 # continuation
 
-def _resolve_mu(text, k, n, p):
+def _parse_mu(text):
+    """mu as a float, or None for 'auto'."""
     if str(text).strip() == "auto":
-        return float(np.sqrt(k * n * p * EPS))
-    return float(text)
+        return None
+    try:
+        mu = float(text)
+    except ValueError:
+        raise ValueError("--mu takes a number or 'auto', got %r" % text) from None
+    if not mu > 0.0:  # also rejects NaN
+        raise ValueError("--mu: mu must be > 0, got %r" % text)
+    return mu
 
 
 def cmd_continuation(cfg, problem, rng, out):
@@ -389,11 +401,13 @@ def cmd_continuation(cfg, problem, rng, out):
     n, p = problem.a.shape[0], v.shape[1]
     run = run_block_lanczos(problem.a, v, k_max=cfg["k"], mode="finite_precision")
     k = run.n_steps
-    mu_val = _resolve_mu(cfg["mu"], k, n, p)
+    mu_val = _parse_mu(cfg["mu"])
+    if mu_val is None:
+        mu_val = float(np.sqrt(k * n * p * EPS))
 
     pipeline = continue_prefix(run, k, mu_val, cfg["svd_tol"])
     selection, cont, report = pipeline.selection, pipeline.cont, pipeline.report
-    tn = assemble_tn(run.t, cont)
+    tn = assemble_tn(run, k, cont)
     basis = np.hstack([run.basis[:, : k * p]] + cont.q_panels)
     certificate = theorem1_certificate(tn, basis, run.a, cont.epsilon2)
     base_eigs = problem.eigs if problem.eigs is not None else sym_eig(problem.a)[0]

@@ -5,25 +5,26 @@ away from orthogonality, yet its computed block tridiagonal T_k still
 behaves like an exact run on a nearby problem. The machinery here makes
 that statement concrete and measurable:
 
-1. pick the Ritz vectors of T_k that have not converged yet
-   (`select_ritz_vectors`) and orthonormalize them (`build_wk`),
+1. pick the Ritz vectors of T_k that have not converged yet and
+   orthonormalize them (`select_ritz_vectors`, through `build_wk`); the
+   resulting `Selection` is all that the later stages read of this step,
 2. continue the three-term recurrence of the run from its panels v_{k-1}
    and v_k, but orthogonalizing every new panel against the selected
    basis and everything generated since (`continuation_run`, which takes
    the operator, panels, blocks and residual norms from the run); rank
    lost along the way is removed by an SVD cutoff, and the recurrence
    closes in finitely many steps with a zero trailing coupling,
-3. append the new blocks to T_k (`assemble_tn`), giving a model matrix
-   T_N that an EXACT run on A would produce under column perturbations no
-   larger than the recorded epsilon2 * norm(A),
+3. append the new blocks to T_k of the run (`assemble_tn`), giving a
+   model matrix T_N that an EXACT run on A would produce under column
+   perturbations no larger than the recorded epsilon2 * norm(A),
 4. split the recorded perturbations into the few structural terms that
    control their size (`perturbation_decomposition`), each of which can be
    monitored against the selection threshold.
 
-`continue_prefix` runs steps 1-4 at one prefix of a run. The monitored
-terms need only the first continuation step (`continuation_first_step`,
-`monitored_terms`), so `prefix_terms` gets them without continuing to
-closure.
+`continue_prefix` runs steps 1, 2 and 4 at one prefix of a run. The
+monitored terms need only the first continuation step
+(`continuation_first_step`, `monitored_terms`), so `prefix_terms` gets
+them without continuing to closure.
 
 Every panel the process discards is kept (the h panels) so the model's
 backward error is measured, not estimated.
@@ -31,59 +32,63 @@ backward error is measured, not estimated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapReached, EmptySelection, NearDependentRitzVectors
-from .lanczos import LanczosRun, RitzSet, ritz_analysis
+from .lanczos import LanczosRun, ritz_analysis
 from .linalg import BlockTridiagonal, householder_qr, panel_norm, reorthogonalize, truncated_svd
 
 
 @dataclass
-class SelectionReport:
-    """Which Ritz pairs stay in the model basis and why.
+class Selection:
+    """The protected basis at one prefix k of a run.
 
-    indices are positions into the ascending Ritz values of the analyzed
-    prefix; a pair is kept when its residual bound delta exceeds
-    mu * norm(A), i.e. it has not converged to an eigenvalue yet.
-    rho_k (the inverse smallest singular value of the basis R factor) is
-    filled in once `build_wk` has run.
+    threshold   mu * norm(A): a Ritz pair is kept when its residual bound
+                delta exceeds it, i.e. it has not converged to an
+                eigenvalue yet
+    indices     positions of the kept pairs among the ascending Ritz
+                values of T_k
+    s_m         the kept eigenvector columns of T_k
+    w_k, r_k    orthonormal basis and triangular factor of the kept Ritz
+                vectors, V_k s_m = w_k r_k (`build_wk`)
+    rho_k       norm(inv(r_k)); large when the kept Ritz vectors were
+                close to dependent
     """
 
-    mu: float
     threshold: float
     indices: np.ndarray
-    m: int
-    deltas_selected: np.ndarray
-    deltas_unselected: np.ndarray
-    rho_k: float | None = None
+    s_m: np.ndarray
+    w_k: np.ndarray
+    r_k: np.ndarray
+    rho_k: float
+
+    @property
+    def m(self) -> int:
+        return int(self.indices.size)
 
 
-def select_ritz_vectors(ritz: RitzSet, mu: float, a_norm: float) -> SelectionReport:
-    """Keep the Ritz pairs whose residual bound exceeds mu * a_norm.
+def select_ritz_vectors(run: LanczosRun, k: int, mu: float) -> Selection:
+    """Keep the Ritz pairs of T_k whose residual bound exceeds
+    mu * norm(A) and orthonormalize their Ritz vectors.
 
     Raises EmptySelection when nothing clears the threshold (mu too
-    large, or every pair converged).
+    large, or every pair converged), NearDependentRitzVectors from
+    `build_wk`.
     """
     if not mu > 0.0:  # also rejects NaN
         raise ValueError("mu must be > 0")
-    threshold = mu * a_norm
-    mask = ritz.deltas > threshold
-    indices = np.nonzero(mask)[0]
+    ritz = ritz_analysis(run, k)
+    threshold = mu * run.a_norm
+    indices = np.nonzero(ritz.deltas > threshold)[0]
     if indices.size == 0:
-        raise EmptySelection(
-            "no Ritz pair has delta > %.3e (max delta %.3e)"
-            % (threshold, float(ritz.deltas.max()) if ritz.deltas.size else 0.0)
-        )
-    return SelectionReport(
-        mu=mu,
-        threshold=threshold,
-        indices=indices,
-        m=int(indices.size),
-        deltas_selected=ritz.deltas[mask].copy(),
-        deltas_unselected=ritz.deltas[~mask].copy(),
-    )
+        raise EmptySelection("no Ritz pair has delta > %.3e (max delta %.3e)"
+                             % (threshold, ritz.deltas.max()))
+    # all Ritz vectors first, then the kept columns: the product of the
+    # kept columns alone rounds differently
+    z = (run.basis[:, : k * run.width] @ ritz.s)[:, indices]
+    return Selection(threshold, indices, ritz.s[:, indices], *build_wk(z))
 
 
 def build_wk(z_selected: np.ndarray):
@@ -222,7 +227,8 @@ def continuation_run(
     residual norms of steps 1..k and every h norm.
 
     Raises CapReached if the rank has not hit zero after ``n_cap`` steps
-    (default: the problem dimension).
+    (default: the problem dimension), or if the basis would outgrow the
+    dimension n.
     """
     a = run.a
     n = a.shape[0]
@@ -232,11 +238,7 @@ def continuation_run(
     basis = _basis_buffer(w_k, n)
     cols = w_k.shape[1]
 
-    q_panels: list = []
-    alphas: list = []
-    betas: list = []
-    h_panels: list = []
-    h_norms: list = []
+    q_panels, alphas, betas, h_panels, h_norms = [], [], [], [], []
 
     for j in range(1, n_cap + 1):
         if j == 1:
@@ -260,6 +262,11 @@ def continuation_run(
         h_norms.append(panel_norm(step.h_panel))
         if step.rank == 0:
             break
+        if cols + step.rank > n:
+            raise CapReached(
+                "continuation basis would reach %d columns in dimension n = %d"
+                % (cols + step.rank, n)
+            )
         q_panels.append(step.u_t)
         betas.append(step.b_new)
         basis[:, cols : cols + step.rank] = step.u_t
@@ -268,28 +275,22 @@ def continuation_run(
         raise CapReached("rank did not reach zero within %d steps" % n_cap)
 
     fp_norms = [row.delta_v_norm for row in run.diagnostics[:k]]
-    return ContinuationResult(
-        q_panels=q_panels,
-        alphas=alphas,
-        betas=betas,
-        h_panels=h_panels,
-        h_norms=h_norms,
-        epsilon2=float(max(fp_norms + h_norms) / a.norm),
-    )
+    epsilon2 = float(max(fp_norms + h_norms) / a.norm)
+    return ContinuationResult(q_panels, alphas, betas, h_panels, h_norms, epsilon2)
 
 
-def assemble_tn(t_k: BlockTridiagonal, cont: ContinuationResult) -> BlockTridiagonal:
-    """Append the continuation blocks to T_k, giving the model matrix T_N.
+def assemble_tn(run: LanczosRun, k: int, cont: ContinuationResult) -> BlockTridiagonal:
+    """Append the continuation at prefix k to T_k of ``run``, giving the
+    model matrix T_N.
 
-    The first continuation coupling bridges the last original block and
-    the first continuation block. With no continuation panels the result
-    is just a copy of T_k.
+    The first continuation coupling bridges block k and the first
+    continuation block. With no continuation panels the result is just a
+    copy of T_k.
     """
-    alphas = [x.copy() for x in t_k.alphas]
-    betas = [x.copy() for x in t_k.betas]
-    if cont.q_panels:
-        alphas.extend(x.copy() for x in cont.alphas)
-        betas.extend(x.copy() for x in cont.betas)
+    if not 1 <= k <= run.n_steps:
+        raise ValueError("k must be in [1, %d], got %d" % (run.n_steps, k))
+    alphas = [x.copy() for x in run.t.alphas[:k] + cont.alphas]
+    betas = [x.copy() for x in run.t.betas[: k - 1] + cont.betas]
     t_n = BlockTridiagonal(alphas, betas)
     t_n.check_structure()
     return t_n
@@ -314,72 +315,52 @@ class DecompositionReport:
     term21a: float
     term21b: float
     term22: float
-    delta_norms: list = field(default_factory=list)
+    delta_norms: list
 
 
-def _closed_form_inputs(run: LanczosRun, k: int, ritz: RitzSet, selection: SelectionReport):
+def _closed_form_inputs(run: LanczosRun, k: int):
     """What the closed forms at prefix k read from the run.
 
-    Returns ``(v_k, r_defect, s_m, fp_trail)``: the last prefix panel, its
-    overlap with all earlier panels (padded to k*p rows), the selected
-    eigenvector block of T_k, and the next finite-precision panel times
-    its coupling (None when a terminated run has no next panel).
+    Returns ``(v_k, r_defect, fp_trail)``: the last prefix panel, its
+    overlap with all earlier panels (padded to k*p rows), and the next
+    finite-precision panel times its coupling (None when a terminated run
+    has no next panel).
     """
     p = run.width
-    panels = run.panels
-    v_k = panels[k - 1]
-    prefix = run.basis[:, : (k - 1) * p]
-    if prefix.size:
-        r_defect = np.vstack([prefix.T @ v_k, np.zeros((p, p))])
-    else:
-        r_defect = np.zeros((k * p, p))
-    s_m = ritz.s[:, selection.indices]
-
+    v_k = run.panels[k - 1]
+    r_defect = np.vstack([run.basis[:, : (k - 1) * p].T @ v_k, np.zeros((p, p))])
     beta_fp = run.t.betas[k - 1] if k < run.n_steps else run.beta_next
     has_next = k < run.n_steps or not run.terminated
-    fp_trail = panels[k] @ beta_fp if has_next else None
-    return v_k, r_defect, s_m, fp_trail
+    fp_trail = run.panels[k] @ beta_fp if has_next else None
+    return v_k, r_defect, fp_trail
 
 
-def monitored_terms(
-    run: LanczosRun,
-    k: int,
-    ritz: RitzSet,
-    selection: SelectionReport,
-    w_k: np.ndarray,
-    r_k: np.ndarray,
-    beta_c: np.ndarray | None,
-):
+def monitored_terms(run: LanczosRun, k: int, selection: Selection, beta_c: np.ndarray | None):
     """The three monitored terms ``(term21a, term21b, term22)`` at prefix k.
 
     They come from the closed forms of the first two continuation steps,
-    so besides the run and the protected basis they need only beta_c, the
+    so besides the run and the selection they need only beta_c, the
     coupling beta_{k+1} kept by continuation step 1; pass None when step 1
     kept rank zero, which makes term21b and term22 zero.
     See `DecompositionReport` for what each term measures.
     """
-    return _terms(_closed_form_inputs(run, k, ritz, selection), w_k, r_k, beta_c)
+    return _terms(_closed_form_inputs(run, k), selection, beta_c)
 
 
-def _terms(inputs, w_k, r_k, beta_c):
+def _terms(inputs, selection, beta_c):
     """`monitored_terms` from already gathered `_closed_form_inputs`."""
-    v_k, r_defect, s_m, fp_trail = inputs
+    v_k, r_defect, fp_trail = inputs
+    w_k = selection.w_k
     term21a = panel_norm(w_k.T @ fp_trail) if fp_trail is not None else 0.0
     if beta_c is None:
         return term21a, 0.0, 0.0
-    m_r = np.linalg.solve(r_k.T, (r_defect.T @ s_m).T).T
+    m_r = np.linalg.solve(selection.r_k.T, (r_defect.T @ selection.s_m).T).T
     vb = v_k @ beta_c.T
     return term21a, panel_norm(beta_c @ m_r), panel_norm(vb - w_k @ (w_k.T @ vb))
 
 
 def perturbation_decomposition(
-    run: LanczosRun,
-    k: int,
-    ritz: RitzSet,
-    selection: SelectionReport,
-    w_k: np.ndarray,
-    r_k: np.ndarray,
-    cont: ContinuationResult,
+    run: LanczosRun, k: int, selection: Selection, cont: ContinuationResult
 ) -> DecompositionReport:
     """Measure the structural terms behind the recorded h panels.
 
@@ -393,50 +374,32 @@ def perturbation_decomposition(
     scalars (`monitored_terms`).
     """
     beta_c = cont.betas[0] if cont.betas else None
-    inputs = _closed_form_inputs(run, k, ritz, selection)
-    terms = _terms(inputs, w_k, r_k, beta_c)
-    v_k, r_defect, s_m, fp_trail = inputs
+    inputs = _closed_form_inputs(run, k)
+    terms = _terms(inputs, selection, beta_c)
+    v_k, r_defect, fp_trail = inputs
+    w_k = selection.w_k
 
-    delta_norms = []
     h = cont.h_panels
-    if h:
-        d0 = h[0].copy()
-        if fp_trail is not None:
-            d0 = d0 - w_k @ (w_k.T @ fp_trail)
-        delta_norms.append(panel_norm(d0))
+    d0 = h[0] if fp_trail is None else h[0] - w_k @ (w_k.T @ fp_trail)
+    delta_norms = [panel_norm(d0)]
     if len(h) >= 2:
-        g = np.linalg.solve(r_k.T, s_m.T @ r_defect)
+        g = np.linalg.solve(selection.r_k.T, selection.s_m.T @ r_defect)
         d1 = h[1] + w_k @ (g @ beta_c.T)
         delta_norms.append(panel_norm(d1))
     for j in range(2, len(h)):
         dj = h[j] - cont.q_panels[0] @ (beta_c @ (v_k.T @ cont.q_panels[j - 1]))
         delta_norms.append(panel_norm(dj))
 
-    return DecompositionReport(*terms, delta_norms=delta_norms)
+    return DecompositionReport(*terms, delta_norms)
 
 
 @dataclass
 class PrefixContinuation:
     """The whole pipeline at one prefix k of a run (`continue_prefix`)."""
 
-    ritz: RitzSet
-    selection: SelectionReport
-    w_k: np.ndarray
-    r_k: np.ndarray
+    selection: Selection
     cont: ContinuationResult
     report: DecompositionReport
-
-
-def _select_at(run: LanczosRun, k: int, mu: float):
-    """Ritz analysis, selection and protected basis at prefix k.
-
-    Returns ``(ritz, selection, w_k, r_k)`` with ``selection.rho_k``
-    filled in.
-    """
-    ritz = ritz_analysis(run, k)
-    selection = select_ritz_vectors(ritz, mu, run.a_norm)
-    w_k, r_k, selection.rho_k = build_wk(ritz.z[:, selection.indices])
-    return ritz, selection, w_k, r_k
 
 
 def continue_prefix(
@@ -448,10 +411,10 @@ def continue_prefix(
     Raises EmptySelection, NearDependentRitzVectors or CapReached when the
     corresponding stage cannot proceed.
     """
-    ritz, selection, w_k, r_k = _select_at(run, k, mu)
-    cont = continuation_run(run, k, w_k, svd_tol)
-    report = perturbation_decomposition(run, k, ritz, selection, w_k, r_k, cont)
-    return PrefixContinuation(ritz, selection, w_k, r_k, cont, report)
+    selection = select_ritz_vectors(run, k, mu)
+    cont = continuation_run(run, k, selection.w_k, svd_tol)
+    report = perturbation_decomposition(run, k, selection, cont)
+    return PrefixContinuation(selection, cont, report)
 
 
 def prefix_terms(run: LanczosRun, k: int, mu: float, svd_tol: float = 1e-12):
@@ -462,7 +425,7 @@ def prefix_terms(run: LanczosRun, k: int, mu: float, svd_tol: float = 1e-12):
     terms `continue_prefix` reports, without continuing to closure.
     Raises EmptySelection or NearDependentRitzVectors like it.
     """
-    ritz, selection, w_k, r_k = _select_at(run, k, mu)
-    step = continuation_first_step(run, k, w_k, svd_tol)
+    selection = select_ritz_vectors(run, k, mu)
+    step = continuation_first_step(run, k, selection.w_k, svd_tol)
     beta_c = step.b_new if step.rank > 0 else None
-    return selection, monitored_terms(run, k, ritz, selection, w_k, r_k, beta_c)
+    return selection, monitored_terms(run, k, selection, beta_c)

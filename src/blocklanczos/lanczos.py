@@ -3,8 +3,9 @@
 The driver `run_block_lanczos` produces a LanczosRun: the orthonormal (or
 finite-precision) panels, stored side by side in one preallocated array,
 the symmetric block tridiagonal they generate, the trailing coupling
-block, and per-iteration health measurements taken in the same pass. Ritz
-data for any prefix of the run comes from `ritz_analysis`.
+block, and per-iteration health measurements taken in the same pass. The
+Ritz values, T_k eigenvectors and residual bounds of any prefix of the
+run come from `ritz_analysis`.
 
 Two modes:
 
@@ -108,25 +109,17 @@ class RitzSet:
     """Ritz data of the order-k prefix of a run.
 
     thetas      ascending Ritz values of T_k
-    s           eigenvectors of T_k, columns matching thetas
-    z           Ritz vectors V_k s (columns not unit in finite precision)
-    sigma       bottom block rows of s (the last width rows)
-    deltas      norm of beta_{k+1} sigma_i per Ritz pair: the classical
-                residual bound on the distance to an eigenvalue
-    z_norms     column norms of z
-    fp_bounds   measured finite-precision version of the residual bound,
-                (deltas * norm(v_{k+1}) + sqrt(k) * max_j norm(Delta v_j))
-                / z_norms, valid without any orthogonality assumption
+    s           eigenvectors of T_k, columns matching thetas; the Ritz
+                vectors are V_k s (columns not unit in finite precision)
+    deltas      norm of beta_{k+1} times the bottom block row of s, per
+                Ritz pair: the classical residual bound on the distance
+                to an eigenvalue
     """
 
     k: int
     thetas: np.ndarray
     s: np.ndarray
-    z: np.ndarray
-    sigma: np.ndarray
     deltas: np.ndarray
-    z_norms: np.ndarray
-    fp_bounds: np.ndarray
 
 
 def run_block_lanczos(
@@ -257,7 +250,8 @@ def run_block_lanczos(
 
 
 def ritz_analysis(run: LanczosRun, k: int) -> RitzSet:
-    """Ritz values, vectors, and residual bounds of the order-k prefix.
+    """Ritz values, eigenvectors of T_k and residual bounds of the
+    order-k prefix.
 
     Valid for any 1 <= k <= run.n_steps. The trailing coupling used for
     the residual bounds is beta_{k+1}: an interior coupling for k below the
@@ -266,26 +260,7 @@ def ritz_analysis(run: LanczosRun, k: int) -> RitzSet:
     big_k = run.n_steps
     if not (1 <= k <= big_k):
         raise ValueError("k must be in [1, %d], got %d" % (big_k, k))
-    p = run.width
     thetas, s = sym_eig(BlockTridiagonal(run.t.alphas[:k], run.t.betas[: k - 1]))
-    z = run.basis[:, : k * p] @ s
-    sigma = s[(k - 1) * p : k * p, :]
     beta_kp1 = run.t.betas[k - 1] if k < big_k else run.beta_next
-    deltas = np.linalg.norm(beta_kp1 @ sigma, axis=0)
-    z_norms = np.linalg.norm(z, axis=0)
-    if k < big_k or not run.terminated:
-        v_next_norm = panel_norm(run.panels[k])
-    else:
-        v_next_norm = 1.0
-    max_delta = max(row.delta_v_norm for row in run.diagnostics[:k])
-    fp_bounds = (deltas * v_next_norm + np.sqrt(k) * max_delta) / z_norms
-    return RitzSet(
-        k=k,
-        thetas=thetas,
-        s=s,
-        z=z,
-        sigma=sigma,
-        deltas=deltas,
-        z_norms=z_norms,
-        fp_bounds=fp_bounds,
-    )
+    deltas = np.linalg.norm(beta_kp1 @ s[(k - 1) * run.width :, :], axis=0)
+    return RitzSet(k=k, thetas=thetas, s=s, deltas=deltas)

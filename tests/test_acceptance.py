@@ -119,15 +119,15 @@ def _graded_continuations():
             v = rng.standard_normal((48, 2))
             run = run_block_lanczos(a, v, k_max=12)
             pc = continue_prefix(run, run.n_steps, 1e-5)
-            out.append((a, run, pc.ritz, pc.selection, pc.w_k, pc.cont, pc.report))
+            out.append((a, run, pc.selection, pc.cont, pc.report))
     return out
 
 
 def test_criterion_03_continuation_basis_and_couplings():
     worst_orth = 0.0
     worst_beta = 0.0
-    for a, run, ritz, sel, w_k, cont, report in _graded_continuations():
-        guard = np.hstack([w_k] + cont.q_panels)
+    for a, run, sel, cont, report in _graded_continuations():
+        guard = np.hstack([sel.w_k] + cont.q_panels)
         worst_orth = max(
             worst_orth,
             float(np.linalg.norm(guard.T @ guard - np.eye(guard.shape[1]))),
@@ -145,7 +145,7 @@ def test_criterion_03_continuation_basis_and_couplings():
 
 def test_criterion_04_perturbation_closed_forms():
     worst = 0.0
-    for a, run, ritz, sel, w_k, cont, report in _graded_continuations():
+    for a, run, sel, cont, report in _graded_continuations():
         worst = max(worst, max(report.delta_norms) / run.a_norm)
     ok = worst <= 1e-10
     _report(4, "recorded perturbations match closed forms", ok,
@@ -185,7 +185,7 @@ def _flagship_model(l1, ln, mu_text):
     mu = math.sqrt(k * n * 2 * EPS) if mu_text == "auto" else float(mu_text)
     pc = continue_prefix(run, k, mu)
     sel, cont = pc.selection, pc.cont
-    tn = assemble_tn(run.t, cont)
+    tn = assemble_tn(run, k, cont)
     basis = np.hstack(list(run.panels[:k]) + cont.q_panels)
     cert = theorem1_certificate(tn, basis, a, cont.epsilon2)
     tn_eigs, _ = sym_eig(densify(tn))

@@ -172,6 +172,31 @@ def test_integer_option_below_its_minimum_exits(tmp_path, capsys, key, value, lo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("continuation", "mu", "abc", "--mu takes a number or 'auto', got 'abc'"),
+    ("continuation", "mu", "1e-5x", "--mu takes a number or 'auto', got '1e-5x'"),
+    ("continuation", "mu", "-1", "--mu: mu must be > 0, got '-1'"),
+    ("continuation", "mu", "0", "--mu: mu must be > 0, got '0'"),
+    ("continuation", "mu", "nan", "--mu: mu must be > 0, got 'nan'"),
+    ("blurred-cg", "delta", "abc", "--delta takes numbers, got 'abc'"),
+    ("blurred-cg", "delta", "100,abc", "--delta takes numbers, got '100,abc'"),
+    ("blurred-cg", "delta", "1,2,3", "--delta takes one or two comma-separated values"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_number_option_that_is_not_a_number_exits(tmp_path, capsys, command, key, value,
+                                                  message, source):
+    # checked with the config, before any problem is built or run
+    extra = ["--" + key, value]
+    if source == "config":
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("%s = %s\n" % (key, value))
+        extra = ["--config", str(cfgfile)]
+    out = tmp_path / "out"
+    assert main([command, "--matrix", "random(10)", "--out", str(out)] + extra) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["strakos(16.7,0.1,100)", "random(16.7)",
                                   "strakos(inf,0.1,100)", "random(nan)"])
 def test_non_integer_size_exits(tmp_path, capsys, spec):

@@ -63,13 +63,11 @@ from .lanczos import (
 from .cg import CgHistory, dr_bcg, hs_bcg, trace_error
 from .continuation import (
     ContinuationResult,
-    ContinuationStep,
     DecompositionReport,
     PrefixContinuation,
     Selection,
     assemble_tn,
     build_wk,
-    continuation_first_step,
     continuation_run,
     continue_prefix,
     monitored_terms,

@@ -102,11 +102,26 @@ def _prologue(a, b, x0, maxit):
     return op, x_star, resid, x0, op.shape[0] if maxit is None else maxit
 
 
-def _gram_singular(gram, a_norm, block) -> bool:
-    if not np.all(np.isfinite(gram)):
-        return True
-    svals = np.linalg.svd(gram, compute_uv=False)
-    return float(svals.min()) < 1e-14 * a_norm * panel_norm(block) ** 2
+def _direction_gram(a, s, k):
+    """Apply ``a`` to the direction block s and factor its Gram block.
+
+    Returns ``(a @ s, f, None)`` with inv(s^T A s) = f^T f, or
+    ``(None, None, reason)`` when iteration k must halt: s diverged, the
+    symmetrized s^T A s is not finite or its smallest singular value is
+    below 1e-14 * norm(a) * norm(s)^2, or its Cholesky factorization fails.
+    """
+    if not np.all(np.isfinite(s)) or float(np.max(np.abs(s))) > 1e150:
+        return None, None, "direction block diverged at iteration %d" % k
+    as_ = a @ s
+    gram = s.T @ as_
+    gram = 0.5 * (gram + gram.T)
+    if (not np.all(np.isfinite(gram)) or float(np.linalg.svd(gram, compute_uv=False).min())
+            < 1e-14 * a.norm * panel_norm(s) ** 2):
+        return None, None, "singular direction Gram block at iteration %d" % k
+    try:
+        return as_, inverse_cholesky(gram), None
+    except np.linalg.LinAlgError:
+        return None, None, "singular inner solve at iteration %d" % k
 
 
 def _finish(a, b, x, errors, failure, **fields):
@@ -151,21 +166,10 @@ def hs_bcg(
 
     failure = None
     for k in range(1, maxit + 1):
-        if not np.all(np.isfinite(p_dir)) or float(np.max(np.abs(p_dir))) > 1e150:
-            failure = "direction block diverged at iteration %d" % k
-            break
-        ap = a @ p_dir
-        gram = p_dir.T @ ap
-        gram = 0.5 * (gram + gram.T)
-        if _gram_singular(gram, a.norm, p_dir):
-            failure = "singular direction Gram block at iteration %d" % k
+        ap, f, failure = _direction_gram(a, p_dir, k)
+        if failure is not None:
             break
         rr_prev = r.T @ r
-        try:
-            f = inverse_cholesky(gram)
-        except np.linalg.LinAlgError:
-            failure = "singular inner solve at iteration %d" % k
-            break
         gamma = f.T @ (f @ rr_prev)
         x = x + p_dir @ gamma
         r = r - ap @ gamma
@@ -216,19 +220,8 @@ def dr_bcg(
 
     failure = None
     for k in range(1, maxit + 1):
-        if not np.all(np.isfinite(s)) or float(np.max(np.abs(s))) > 1e150:
-            failure = "direction block diverged at iteration %d" % k
-            break
-        as_ = a @ s
-        gram = s.T @ as_
-        gram = 0.5 * (gram + gram.T)
-        if _gram_singular(gram, a.norm, s):
-            failure = "singular direction Gram block at iteration %d" % k
-            break
-        try:
-            f = inverse_cholesky(gram)
-        except np.linalg.LinAlgError:
-            failure = "singular inner solve at iteration %d" % k
+        as_, f, failure = _direction_gram(a, s, k)
+        if failure is not None:
             break
         xi = f.T @ f
         x = x + s @ (xi @ sigma)

@@ -29,8 +29,8 @@ from .analysis import (
 from .cg import dr_bcg, hs_bcg
 from .continuation import assemble_tn, continue_prefix, prefix_terms
 from .errors import BlockLanczosError, EmptySelection, NearDependentRitzVectors
-from .lanczos import run_block_lanczos
-from .linalg import BlockTridiagonal, Operator, densify, householder_qr, sym_eig
+from .lanczos import ritz_analysis, run_block_lanczos
+from .linalg import Operator, densify, householder_qr, sym_eig
 from .matrices import (
     BlurSpec,
     SpectrumSpec,
@@ -488,8 +488,7 @@ def cmd_interlacing(cfg, problem, rng, out):
     n, p = problem.a.shape[0], v.shape[1]
     k_max = min(cfg["k"], n // p)
     run = run_block_lanczos(problem.a, v, k_max=k_max, mode="simulated_exact")
-    thetas = [sym_eig(BlockTridiagonal(run.t.alphas[:kk], run.t.betas[: kk - 1]))[0]
-              for kk in range(1, run.n_steps + 1)]
+    thetas = [ritz_analysis(run, kk).thetas for kk in range(1, run.n_steps + 1)]
 
     eq6_total = 0
     eq6_bad = 0

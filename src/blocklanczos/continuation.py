@@ -13,7 +13,8 @@ that statement concrete and measurable:
    basis and everything generated since (`continuation_run`, which takes
    the operator, panels, blocks and residual norms from the run); rank
    lost along the way is removed by an SVD cutoff, and the recurrence
-   closes in finitely many steps with a zero trailing coupling,
+   closes with a zero trailing coupling after finitely many steps, since
+   each step either adds an orthonormal column or closes,
 3. append the new blocks to T_k of the run (`assemble_tn`), giving a
    model matrix T_N that an EXACT run on A would produce under column
    perturbations no larger than the recorded epsilon2 * norm(A),
@@ -21,10 +22,10 @@ that statement concrete and measurable:
    control their size (`perturbation_decomposition`), each of which can be
    monitored against the selection threshold.
 
-`continue_prefix` runs steps 1, 2 and 4 at one prefix of a run. The
-monitored terms need only the first continuation step
-(`continuation_first_step`, `monitored_terms`), so `prefix_terms` gets
-them without continuing to closure.
+`continue_prefix` runs steps 1, 2 and 4 at one prefix of a run. Every
+continuation step comes from one lazy loop, which `continuation_run`
+drains. The monitored terms need only its first step (`monitored_terms`),
+so `prefix_terms` takes that step alone and does not continue to closure.
 
 Every panel the process discards is kept (the h panels) so the model's
 backward error is measured, not estimated.
@@ -32,6 +33,7 @@ backward error is measured, not estimated.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,133 +152,76 @@ class ContinuationResult:
         return [q.shape[1] for q in self.q_panels]
 
 
-@dataclass
-class ContinuationStep:
-    """One continuation step: the raw three-term panel, its kept part
-    ``u_t @ b_new`` of the given rank, and the removed difference
-    ``h_panel = raw - u_t @ b_new``."""
+def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray, svd_tol: float):
+    """The steps of the continuation at prefix k, one per ``next``.
 
-    raw: np.ndarray
-    u_t: np.ndarray
-    b_new: np.ndarray
-    rank: int
-    h_panel: np.ndarray
+    Step 1 replays step k of the run from v_{k-1}, v_k, alpha_k and
+    beta_k (no trailing term for k = 1); every later step is a three-term
+    step on the new panels. Each raw panel is reorthogonalized twice
+    against w_k and all panels kept so far, its kept part comes from an
+    SVD with absolute cutoff ``svd_tol``, and the step yields
+    ``(alpha, u_t, b_new, h_panel)``: its diagonal block (None at step 1,
+    whose block is alpha_k of the run), the new panel, its coupling and
+    the removed difference ``raw - u_t @ b_new``. The steps end after the
+    first one that keeps rank zero.
 
-
-def _basis_buffer(w_k: np.ndarray, n: int) -> np.ndarray:
-    """An n x (m + n) array holding w_k in its first m columns, with room
-    for every panel a continuation can add."""
-    m = w_k.shape[1]
-    basis = np.empty((n, m + n))
-    basis[:, :m] = w_k
-    return basis
-
-
-def _split_step(raw: np.ndarray, basis: np.ndarray, svd_tol: float) -> ContinuationStep:
-    """Reorthogonalize a raw panel against ``basis`` and cut its rank."""
-    u_t, b_new, rank = truncated_svd(reorthogonalize(raw, basis), svd_tol)
-    return ContinuationStep(raw, u_t, b_new, rank, raw - u_t @ b_new)
-
-
-def continuation_first_step(
-    run: LanczosRun, k: int, w_k: np.ndarray, svd_tol: float = 1e-12
-) -> ContinuationStep:
-    """Step 1 of the continuation at prefix k of ``run``: step k of the
-    run replayed on its own operator from v_{k-1}, v_k, alpha_k and
-    beta_k (no trailing term for k = 1), with every component along the
-    protected basis w_k removed.
-
-    Its kept coupling ``b_new`` is beta_{k+1} of the model (absent when
-    the kept rank is zero); together with w_k and the next
-    finite-precision panel it fixes the monitored terms, so those need
-    no later step.
+    Raises CapReached before the basis would pass n columns.
     """
     if not 1 <= k <= run.n_steps:
         raise ValueError("k must be in [1, %d], got %d" % (run.n_steps, k))
     if not svd_tol > 0.0:  # also rejects NaN
         raise ValueError("svd_tol must be > 0")
-    v_k = run.panels[k - 1]
-    raw = run.a @ v_k - v_k @ run.t.alphas[k - 1]
-    if k >= 2:
-        raw = raw - run.panels[k - 2] @ run.t.betas[k - 2].T
-    # w_k is read through the wide buffer continuation_run keeps its basis
-    # in. BLAS rounds against a contiguous single column differently from
-    # a strided one, so the layout fixes the last bits of every output
-    # built on step 1.
-    basis = _basis_buffer(w_k, run.a.shape[0])[:, : w_k.shape[1]]
-    return _split_step(raw, basis, svd_tol)
+    a = run.a
+    n, cols = a.shape[0], w_k.shape[1]
+    # room for every panel the basis can take; BLAS rounds against a
+    # strided view of w_k differently from a contiguous one, so this
+    # layout fixes the last bits of every output built on step 1
+    basis = np.empty((n, cols + n))
+    basis[:, :cols] = w_k
+    q, alpha = run.panels[k - 1], run.t.alphas[k - 1]
+    trail = run.panels[k - 2] @ run.t.betas[k - 2].T if k >= 2 else 0.0
+    for j in itertools.count(1):
+        aq = a @ q
+        if j == 2:
+            # the trailing panel v_k of step 2 is not orthogonal to
+            # q_{k+1}, so its share is taken out of alpha first
+            alpha = q.T @ (aq - trail)
+        elif j > 2:
+            alpha = q.T @ aq
+        raw = aq - q @ alpha - trail
+        u_t, b_new, rank = truncated_svd(reorthogonalize(raw, basis[:, :cols]), svd_tol)
+        yield alpha if j > 1 else None, u_t, b_new, raw - u_t @ b_new
+        if rank == 0:
+            return
+        if cols + rank > n:
+            raise CapReached("continuation basis would reach %d columns in dimension n = %d"
+                             % (cols + rank, n))
+        basis[:, cols : cols + rank] = u_t
+        cols += rank
+        q, trail = u_t, q @ b_new.T
 
 
 def continuation_run(
-    run: LanczosRun,
-    k: int,
-    w_k: np.ndarray,
-    svd_tol: float = 1e-12,
-    n_cap: int | None = None,
+    run: LanczosRun, k: int, w_k: np.ndarray, svd_tol: float = 1e-12
 ) -> ContinuationResult:
     """Run the recurrence of ``run`` past step k against the protected
-    basis w_k.
+    basis w_k until a step keeps rank zero.
 
-    Step 1 is `continuation_first_step`: it replays step k of the run but
-    removes every component along w_k. Later steps are plain three-term
-    steps on the new panels, each reorthogonalized twice against w_k and
-    all panels generated so far. The kept part of each step comes from an
-    SVD with absolute cutoff ``svd_tol``; the discarded difference is
-    recorded as that step's h panel. The process ends when a step retains
-    rank zero. The reported epsilon2 covers the whole model: the run's
-    residual norms of steps 1..k and every h norm.
+    Step 1 replays step k of the run but removes every component along
+    w_k; later steps are plain three-term steps on the new panels (see
+    `_continuation_steps`). The discarded difference of each step is
+    recorded as its h panel. The reported epsilon2 covers the whole
+    model: the run's residual norms of steps 1..k and every h norm.
 
-    Raises CapReached if the rank has not hit zero after ``n_cap`` steps
-    (default: the problem dimension), or if the basis would outgrow the
-    dimension n.
+    Raises ValueError for k outside [1, run.n_steps] or svd_tol <= 0, and
+    CapReached if the basis would outgrow the dimension n.
     """
-    a = run.a
-    n = a.shape[0]
-    if n_cap is None:
-        n_cap = n
-
-    basis = _basis_buffer(w_k, n)
-    cols = w_k.shape[1]
-
-    q_panels, alphas, betas, h_panels, h_norms = [], [], [], [], []
-
-    for j in range(1, n_cap + 1):
-        if j == 1:
-            step = continuation_first_step(run, k, w_k, svd_tol)
-        else:
-            if j == 2:
-                q1 = q_panels[0]
-                aq = a @ q1
-                trail = run.panels[k - 1] @ betas[0].T
-                al = q1.T @ (aq - trail)
-                alphas.append(al)
-                wt = aq - q1 @ al - trail
-            else:
-                qc = q_panels[-1]
-                aq = a @ qc
-                al = qc.T @ aq
-                alphas.append(al)
-                wt = aq - qc @ al - q_panels[-2] @ betas[-1].T
-            step = _split_step(wt, basis[:, :cols], svd_tol)
-        h_panels.append(step.h_panel)
-        h_norms.append(panel_norm(step.h_panel))
-        if step.rank == 0:
-            break
-        if cols + step.rank > n:
-            raise CapReached(
-                "continuation basis would reach %d columns in dimension n = %d"
-                % (cols + step.rank, n)
-            )
-        q_panels.append(step.u_t)
-        betas.append(step.b_new)
-        basis[:, cols : cols + step.rank] = step.u_t
-        cols += step.rank
-    else:
-        raise CapReached("rank did not reach zero within %d steps" % n_cap)
-
+    alphas, q_panels, betas, h_panels = map(list, zip(*_continuation_steps(run, k, w_k, svd_tol)))
+    h_norms = [panel_norm(h) for h in h_panels]
     fp_norms = [row.delta_v_norm for row in run.diagnostics[:k]]
-    epsilon2 = float(max(fp_norms + h_norms) / a.norm)
-    return ContinuationResult(q_panels, alphas, betas, h_panels, h_norms, epsilon2)
+    epsilon2 = float(max(fp_norms + h_norms) / run.a.norm)
+    # the closing step adds no panel, and step 1 no diagonal block
+    return ContinuationResult(q_panels[:-1], alphas[1:], betas[:-1], h_panels, h_norms, epsilon2)
 
 
 def assemble_tn(run: LanczosRun, k: int, cont: ContinuationResult) -> BlockTridiagonal:
@@ -426,6 +371,5 @@ def prefix_terms(run: LanczosRun, k: int, mu: float, svd_tol: float = 1e-12):
     Raises EmptySelection or NearDependentRitzVectors like it.
     """
     selection = select_ritz_vectors(run, k, mu)
-    step = continuation_first_step(run, k, selection.w_k, svd_tol)
-    beta_c = step.b_new if step.rank > 0 else None
-    return selection, monitored_terms(run, k, selection, beta_c)
+    _, _, beta_c, _ = next(_continuation_steps(run, k, selection.w_k, svd_tol))
+    return selection, monitored_terms(run, k, selection, beta_c if beta_c.size else None)

@@ -237,6 +237,8 @@ def read_matrix_market(path: str) -> np.ndarray:
         raise ParseError("bad integer in size line", size_line) from None
     if nrows < 0 or ncols < 0:
         raise ParseError("negative dimension %d x %d" % (nrows, ncols), size_line)
+    if symmetry == "symmetric" and nrows != ncols:
+        raise ParseError("symmetric matrix is not square: %d x %d" % (nrows, ncols), size_line)
 
     if layout == "coordinate":
         out = np.zeros((nrows, ncols))
@@ -265,8 +267,6 @@ def read_matrix_market(path: str) -> np.ndarray:
         return out
 
     # array layout: column-major dense values
-    if symmetry == "symmetric" and nrows != ncols:
-        raise ParseError("symmetric array is not square: %d x %d" % (nrows, ncols), size_line)
     values = []
     for off, raw in enumerate(lines[idx + 1 :]):
         lineno = size_line + 1 + off

@@ -97,6 +97,8 @@ def test_error_exits(tmp_path, capsys):
          "--out", str(tmp_path)],
         ["fp-diagnostics", "--mtx", str(tmp_path / "missing.mtx"),
          "--out", str(tmp_path)],
+        ["fp-diagnostics", "--mtx", os.path.join(DATA, "coord_sym_nonsquare.mtx"),
+         "--out", str(tmp_path)],
     ]
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("verbosity = 3\n")

@@ -15,13 +15,13 @@ from blocklanczos import (
     SpectrumSpec,
     assemble_tn,
     build_wk,
-    continuation_first_step,
     continuation_run,
     continue_prefix,
     densify,
     interval_spread,
     kron_perturbed_problem,
     monitored_terms,
+    panel_norm,
     prefix_terms,
     ritz_analysis,
     run_block_lanczos,
@@ -30,6 +30,7 @@ from blocklanczos import (
     strakos48,
     strakos_spectrum,
     theorem1_certificate,
+    truncated_svd,
 )
 
 
@@ -124,14 +125,14 @@ def test_epsilon2_formula(pipeline):
 
 
 def test_continuation_cap_and_tol_validation(pipeline):
+    # the column cap: test_continuation_basis_cannot_outgrow_the_dimension
     run, k, w_k = pipeline["run"], pipeline["k"], pipeline["w_k"]
-    with pytest.raises(CapReached):
-        continuation_run(run, k, w_k, n_cap=1)
-    with pytest.raises(ValueError):
-        continuation_run(run, k, w_k, svd_tol=0.0)
+    for bad_tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="svd_tol"):
+            continuation_run(run, k, w_k, svd_tol=bad_tol)
     for bad_k in (0, run.n_steps + 1):
-        with pytest.raises(ValueError):
-            continuation_first_step(run, bad_k, w_k)
+        with pytest.raises(ValueError, match="k must be"):
+            continuation_run(run, bad_k, w_k)
         with pytest.raises(ValueError):
             assemble_tn(run, bad_k, pipeline["cont"])
 
@@ -304,13 +305,36 @@ def test_block_term_above_ten_mu_while_the_model_holds(n, l1, rho, seed, p, k_ma
 
 
 def test_first_step_is_step_one_of_the_run(pipeline):
-    run, k, w_k, cont = pipeline["run"], pipeline["k"], pipeline["w_k"], pipeline["cont"]
-    step = continuation_first_step(run, k, w_k)
-    assert step.rank == cont.widths[0]
-    assert np.array_equal(step.u_t, cont.q_panels[0])
-    assert np.array_equal(step.b_new, cont.betas[0])
-    assert np.array_equal(step.h_panel, cont.h_panels[0])
-    assert np.array_equal(step.raw - step.u_t @ step.b_new, step.h_panel)
+    # step 1 replays step k of the run and removes what lies along w_k;
+    # its coupling alone fixes the monitored terms
+    run, k, sel, cont = pipeline["run"], pipeline["k"], pipeline["sel"], pipeline["cont"]
+    w_k, v_k = sel.w_k, run.panels[k - 1]
+    raw = run.a @ v_k - v_k @ run.t.alphas[k - 1] - run.panels[k - 2] @ run.t.betas[k - 2].T
+    h, q1, beta_c = cont.h_panels[0], cont.q_panels[0], cont.betas[0]
+    assert np.array_equal(raw - q1 @ beta_c, h)
+    # full rank is kept here, so h is just the part of raw along w_k
+    assert panel_norm(h - w_k @ (w_k.T @ raw)) < 1e-3 * panel_norm(h)
+    terms = monitored_terms(run, k, sel, beta_c)
+    report = pipeline["report"]
+    assert terms == (report.term21a, report.term21b, report.term22)
+    assert prefix_terms(run, k, 1e-5)[1] == terms
+
+
+def test_prefix_terms_stop_after_step_one(pipeline, monkeypatch):
+    # one truncated SVD per continuation step
+    calls = []
+
+    def counted(w, tol):
+        calls.append(tol)
+        return truncated_svd(w, tol)
+
+    monkeypatch.setattr("blocklanczos.continuation.truncated_svd", counted)
+    run, k = pipeline["run"], pipeline["k"]
+    prefix_terms(run, k, 1e-5)
+    assert len(calls) == 1
+    calls.clear()
+    cont = continue_prefix(run, k, 1e-5).cont
+    assert len(calls) == cont.n_steps > 1
 
 
 def test_monitored_terms_without_step_one_coupling(pipeline):

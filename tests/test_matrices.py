@@ -229,6 +229,10 @@ def test_reader_reports_line_numbers():
     with pytest.raises(ParseError) as info:
         read_matrix_market(fixture("array_sym_nonsquare.mtx"))
     assert info.value.line_number == 2 and "not square" in str(info.value)
+    # the mirrored entry (3, 1) of a 2 x 3 symmetric file has no row 3
+    with pytest.raises(ParseError) as info:
+        read_matrix_market(fixture("coord_sym_nonsquare.mtx"))
+    assert info.value.line_number == 2 and "not square" in str(info.value)
 
 
 def test_reader_checks_entry_count():

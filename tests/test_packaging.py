@@ -25,3 +25,19 @@ def test_third_party_imports_are_the_declared_dependencies():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"blocklanczos"}
     assert third_party == declared
+
+
+def test_every_imported_name_is_used():
+    # a deleted function must not leave its imports behind
+    for path in sorted((ROOT / "src" / "blocklanczos").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(imported - used) == [], path.name

@@ -11,58 +11,67 @@ from .errors import AssumptionUnsatisfiable, ShapeMismatch
 from .linalg import BlockTridiagonal, Operator, as_operator, sym_eig
 
 
+def _check_growth(steps, p):
+    """ValueError for p < 1, ShapeMismatch unless each step is p values longer than the last."""
+    if not p >= 1:
+        raise ValueError("p must be >= 1, got %r" % (p,))
+    for prev, nxt in zip(steps, steps[1:]):
+        if nxt.size != prev.size + p:
+            raise ShapeMismatch("%d values follow %d, not p=%d more" % (nxt.size, prev.size, p))
+
+
 def interlacing_check(thetas_k: np.ndarray, thetas_k1: np.ndarray, p: int):
     """Strict block interlacing between consecutive Ritz value sets.
 
-    With K values at the smaller step, the K + p values of the next step
-    must satisfy (1-based indexing)
+    With K >= 1 values at the smaller step, the K + p values of the next
+    step must satisfy (1-based indexing, primes mark the larger step)
 
         theta_1'      < theta_1
         theta_i       < theta_{i+p}'  < theta_{i+p}    for i = 1 .. K-p
         theta_K       < theta_{K+p}'
 
-    where primes mark the larger step. Returns a list of violations, each
-    a tuple ``(kind, i, left, right)`` with kind in {"bottom", "lower",
-    "upper", "top"} and i the 1-based index of the failing inequality;
-    empty list means strict interlacing holds everywhere.
+    Returns the violations in the order written above, as tuples
+    ``(kind, i, left, right)``: kind is "bottom", "lower", "upper" or
+    "top" and i the 1-based index of the failing inequality. ValueError
+    for p < 1, ShapeMismatch for an empty smaller step or a wrong length.
     """
     tk = np.asarray(thetas_k, dtype=float)
     tk1 = np.asarray(thetas_k1, dtype=float)
-    big_k = tk.size
-    if tk1.size != big_k + p:
-        raise ShapeMismatch(
-            "next step must have exactly p=%d more values (%d vs %d)" % (p, big_k, tk1.size)
-        )
-    bad = []
-    if not tk1[0] < tk[0]:
-        bad.append(("bottom", 1, float(tk1[0]), float(tk[0])))
-    for i0 in range(big_k - p):
-        if not tk[i0] < tk1[i0 + p]:
-            bad.append(("lower", i0 + 1, float(tk[i0]), float(tk1[i0 + p])))
-        if not tk1[i0 + p] < tk[i0 + p]:
-            bad.append(("upper", i0 + 1, float(tk1[i0 + p]), float(tk[i0 + p])))
-    if not tk[big_k - 1] < tk1[big_k + p - 1]:
-        bad.append(("top", big_k, float(tk[big_k - 1]), float(tk1[big_k + p - 1])))
-    return bad
+    _check_growth([tk, tk1], p)
+    if not tk.size:
+        raise ShapeMismatch("the smaller step has no values to interlace")
+    inner = tk1[p : tk.size]  # theta_{i+p}' for i = 1 .. K-p
+    # one (left, right) row per inequality, in the order above
+    pairs = np.vstack([[tk1[0], tk[0]],
+                       np.column_stack([tk[: inner.size], inner, inner, tk[p:]]).reshape(-1, 2),
+                       [tk[-1], tk1[-1]]])
+    kinds = ["bottom"] + ["lower", "upper"] * inner.size + ["top"]
+    index = np.r_[1, np.repeat(np.arange(1, inner.size + 1), 2), tk.size]
+    return [(kinds[c], int(index[c]), float(pairs[c, 0]), float(pairs[c, 1]))
+            for c in np.flatnonzero(~(pairs[:, 0] < pairs[:, 1]))]
 
 
 @dataclass
 class ConjectureReport:
     """Outcome of the containment scan.
 
-    For every step k in the sequence and every open interval
-    (theta_i, theta_{i+p}) of that step, each LATER step j must place at
-    least one Ritz value strictly inside. rows holds one check per
-    (k, i, j) triple as ``(k, i, j, theta_lo, theta_hi, contains)``, all
-    indices 1-based, ordered by k, then i, then j. checks counts the rows;
-    violations lists the failing triples as (k_index, i, j_index) with
-    k_index and j_index 0-based into the supplied sequence.
+    For every step k and every open interval (theta_i, theta_{i+p}) of
+    it, each LATER step j must place a Ritz value strictly inside. rows
+    holds one check per (k, i, j) as ``(k, i, j, theta_lo, theta_hi,
+    contains)``, 1-based and ordered by k, then i, then j; violations
+    lists the failing ones as (k - 1, i, j - 1).
     """
 
     rows: list
-    checks: int
-    confirmations: int
     violations: list
+
+    @property
+    def checks(self) -> int:
+        return len(self.rows)
+
+    @property
+    def confirmations(self) -> int:
+        return self.checks - len(self.violations)
 
     @property
     def percentage(self) -> float:
@@ -70,25 +79,26 @@ class ConjectureReport:
 
 
 def conjecture_scan(theta_sequence, p: int) -> ConjectureReport:
-    """Scan successive Ritz value sets for interval containment.
+    """Scan the ascending Ritz values of successive steps for interval containment.
 
-    ``theta_sequence`` holds the ascending Ritz values of consecutive
-    steps (each entry p values longer than the previous one).
+    Each step must hold exactly p values more than the one before it
+    (ShapeMismatch otherwise; ValueError for p < 1).
     """
     seq = [np.asarray(t, dtype=float) for t in theta_sequence]
-    rows = []
-    for ki, tk in enumerate(seq):
-        for i0 in range(tk.size - p):
-            lo, hi = float(tk[i0]), float(tk[i0 + p])
-            for ji in range(ki + 1, len(seq)):
-                tj = seq[ji]
-                inside = np.searchsorted(tj, lo, side="right") < np.searchsorted(
-                    tj, hi, side="left"
-                )
-                rows.append((ki + 1, i0 + 1, ji + 1, lo, hi, bool(inside)))
-    violations = [(k - 1, i, j - 1) for k, i, j, _, _, inside in rows if not inside]
-    return ConjectureReport(rows=rows, checks=len(rows),
-                            confirmations=len(rows) - len(violations), violations=violations)
+    _check_growth(seq, p)
+    rows, violations = [], []
+    for ki, tk in enumerate(seq[:-1]):
+        lo, hi = tk[:-p], tk[p:]
+        later = np.arange(ki + 1, len(seq))
+        # inside[i, j]: step later[j] has a value strictly inside (lo[i], hi[i])
+        inside = np.array([np.searchsorted(seq[j], lo, side="right")
+                           < np.searchsorted(seq[j], hi, side="left") for j in later]).T
+        i, j = np.indices(inside.shape).reshape(2, -1)
+        rows += zip([ki + 1] * i.size, (i + 1).tolist(), (later[j] + 1).tolist(),
+                    lo[i].tolist(), hi[i].tolist(), inside.ravel().tolist())
+        bad_i, bad_j = np.nonzero(~inside)
+        violations += zip([ki] * bad_i.size, (bad_i + 1).tolist(), later[bad_j].tolist())
+    return ConjectureReport(rows=rows, violations=violations)
 
 
 @dataclass
@@ -113,38 +123,39 @@ def classify_clusters(
 
     Two Ritz values belong to the same group when they are connected by a
     chain of pairwise gaps at most psi * a_norm. Every input index appears
-    in exactly one label; members index into ``thetas`` as given. A
-    negative or NaN psi or eta raises ValueError.
+    in exactly one label; members index into ``thetas`` as given, in
+    ascending order of value. A negative or NaN psi or eta raises
+    ValueError.
     """
     if not (psi >= 0.0 and eta >= 0.0):
         raise ValueError("psi and eta must be >= 0 (got %r, %r)" % (psi, eta))
     thetas = np.asarray(thetas, dtype=float)
+    if not thetas.size:
+        return []
     base = np.sort(np.asarray(base_eigs, dtype=float))
     order = np.argsort(thetas, kind="stable")
-    labels = []
-    group = [int(order[0])] if order.size else []
-    for pos in range(1, order.size):
-        idx = int(order[pos])
-        prev = int(order[pos - 1])
-        if thetas[idx] - thetas[prev] <= psi * a_norm:
-            group.append(idx)
-        else:
-            labels.append(_label_group(group, thetas, base, a_norm, eta))
-            group = [idx]
-    if group:
-        labels.append(_label_group(group, thetas, base, a_norm, eta))
-    return labels
+    cuts = np.flatnonzero(~(np.diff(thetas[order]) <= psi * a_norm)) + 1
+    lo, hi = (f.reduceat(thetas[order], np.r_[0, cuts]) for f in (np.minimum, np.maximum))
+    # a group is touched when some reference value lies in [lo - eta*a_norm, hi + eta*a_norm]
+    touched = (np.searchsorted(base, hi + eta * a_norm, side="right")
+               > np.searchsorted(base, lo - eta * a_norm, side="left"))
+    return [ClusterLabel(kind="separated" if group.size == 1 else "proper" if hit else "improper",
+                         members=group.tolist(), theta_min=float(g_lo), theta_max=float(g_hi))
+            for group, hit, g_lo, g_hi in zip(np.split(order, cuts), touched, lo, hi)]
 
 
-def _label_group(group, thetas, base, a_norm, eta):
-    lo = float(np.min(thetas[group]))
-    hi = float(np.max(thetas[group]))
-    if len(group) == 1:
-        kind = "separated"
-    else:
-        touched = np.any((base >= lo - eta * a_norm) & (base <= hi + eta * a_norm))
-        kind = "proper" if touched else "improper"
-    return ClusterLabel(kind=kind, members=list(group), theta_min=lo, theta_max=hi)
+def _nearest(sorted_ref: np.ndarray, values: np.ndarray):
+    """Index of the entry of ascending ``sorted_ref`` nearest each value, and its distance.
+
+    The nearest entry is one of the two that bracket the value, since the
+    rounded |t - e| never shrinks as e moves away from t; a tie goes to
+    the lower index.
+    """
+    pos = np.searchsorted(sorted_ref, values)
+    lo, hi = np.maximum(pos - 1, 0), np.minimum(pos, sorted_ref.size - 1)
+    d_lo, d_hi = np.abs(values - sorted_ref[lo]), np.abs(values - sorted_ref[hi])
+    take_lo = d_lo <= d_hi
+    return np.where(take_lo, lo, hi), np.where(take_lo, d_lo, d_hi)
 
 
 @dataclass
@@ -161,7 +172,10 @@ class SpreadReport:
     base_eigs: np.ndarray
     widths: np.ndarray
     counts: np.ndarray
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def max_width(self) -> float:
@@ -172,22 +186,16 @@ def interval_spread(tn_eigs: np.ndarray, base_eigs: np.ndarray) -> SpreadReport:
     """Assign model eigenvalues to reference ones and measure the scatter.
 
     The assignment sorts the reference values internally, so the report is
-    invariant under permutations of either input.
+    invariant under permutations of either input. An empty reference set
+    raises ShapeMismatch.
     """
-    tn_eigs = np.asarray(tn_eigs, dtype=float)
     base = np.sort(np.asarray(base_eigs, dtype=float))
-    nb = base.size
-    widths = np.zeros(nb)
-    counts = np.zeros(nb, dtype=int)
-    for t in tn_eigs:
-        pos = int(np.searchsorted(base, t))
-        lo = max(pos - 1, 0)
-        hi = min(pos, nb - 1)
-        # nearest of the two bracketing values, ties to the lower index
-        idx = lo if abs(t - base[lo]) <= abs(t - base[hi]) else hi
-        counts[idx] += 1
-        widths[idx] = max(widths[idx], abs(t - base[idx]))
-    return SpreadReport(base_eigs=base, widths=widths, counts=counts, dim=int(tn_eigs.size))
+    if not base.size:
+        raise ShapeMismatch("no reference eigenvalues to assign model eigenvalues to")
+    idx, dist = _nearest(base, np.asarray(tn_eigs, dtype=float))
+    widths = np.zeros(base.size)
+    np.fmax.at(widths, idx, dist)  # a NaN distance leaves the width as it is
+    return SpreadReport(base_eigs=base, widths=widths, counts=np.bincount(idx, minlength=base.size))
 
 
 class Theorem1Certificate(NamedTuple):
@@ -205,42 +213,32 @@ def theorem1_certificate(
     """Certify that every model eigenvalue sits near a true eigenvalue.
 
     The model Ritz vectors are ``basis @ s`` with s the eigenvectors of
-    the model matrix; columns of norm below one half cannot anchor
-    the standard residual argument, so each must pair with a nearby
-    large-norm Ritz value. epsilon1 is the largest such pairing distance
-    relative to norm(A) (zero when every column is large). The certified
-    radius is then
+    the model matrix. A column of norm below one half cannot anchor the
+    standard residual argument, so its Ritz value pairs with the nearest
+    large-norm one; epsilon1 is the largest such distance over norm(A)
+    (zero when every column is large). The certified radius is
 
         bound = 3 * max(sqrt(N) * epsilon2, epsilon1) * norm(A)
 
     with N the model block count, and ``holds`` states whether every
-    eigenvalue of the model is within that radius of an eigenvalue of A.
-
-    ``a`` is an array or an `Operator`; the run's own (`LanczosRun.a`)
-    brings the eigenvalues its norm came from.
+    model eigenvalue is within it of an eigenvalue of ``a``, an array or
+    an `Operator` (the run's own, `LanczosRun.a`, brings the eigenvalues
+    its norm came from).
 
     Raises ShapeMismatch when ``basis`` does not have one column per row
-    of the model, AssumptionUnsatisfiable when small-norm columns exist
-    but no large-norm column does (nothing to pair against).
+    of the model, AssumptionUnsatisfiable when every column is small.
     """
     if basis.shape[1] != tn.dim:
         raise ShapeMismatch("basis has %d columns, model has dimension %d"
                             % (basis.shape[1], tn.dim))
     a = as_operator(a)
-    eigs_a, a_norm = a.eigvals, a.norm
     thetas, s = sym_eig(tn)
-    z_norms = np.linalg.norm(basis @ s, axis=0)
-    small = z_norms < 0.5
+    small = np.linalg.norm(basis @ s, axis=0) < 0.5
+    eps1 = 0.0
     if small.any():
-        large = ~small
-        if not large.any():
+        if small.all():
             raise AssumptionUnsatisfiable("every model Ritz vector has norm below 0.5")
-        large_thetas = thetas[large]
-        eps1 = 0.0
-        for theta in thetas[small]:
-            eps1 = max(eps1, float(np.min(np.abs(large_thetas - theta))) / a_norm)
-    else:
-        eps1 = 0.0
-    bound = 3.0 * max(np.sqrt(tn.n_blocks) * epsilon2, eps1) * a_norm
-    dists = np.array([float(np.min(np.abs(eigs_a - t))) for t in thetas])
-    return Theorem1Certificate(float(eps1), float(bound), bool(np.all(dists <= bound)), thetas)
+        eps1 = float(_nearest(thetas[~small], thetas[small])[1].max()) / a.norm
+    bound = 3.0 * max(np.sqrt(tn.n_blocks) * epsilon2, eps1) * a.norm
+    holds = bool(np.all(_nearest(a.eigvals, thetas)[1] <= bound))
+    return Theorem1Certificate(eps1, float(bound), holds, thetas)

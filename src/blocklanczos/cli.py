@@ -337,12 +337,9 @@ def cmd_blurred_cg(cfg, problem, rng, out):
             comments.append("halt %s: %s" % (label, hist.failure))
     comments.append("first_below_1e-12: %s" % " ".join(reach))
 
-    rows = []
-    longest = max(len(hist.errors) for _, hist in series)
-    for it in range(longest):
-        for label, hist in series:
-            if it < len(hist.errors):
-                rows.append((it, float(hist.errors[it]), label))
+    # by iteration, then in series order (the sort is stable)
+    rows = sorted(((it, float(err), label) for label, hist in series
+                   for it, err in enumerate(hist.errors)), key=lambda row: row[0])
     return [
         _write_csv(out / "blurred_cg.csv", cfg, comments,
                    ("iteration", "trace_error", "series"), rows),
@@ -422,10 +419,7 @@ def cmd_continuation(cfg, problem, rng, out):
     ]
 
     # the closing step keeps rank zero, so it has an h entry but no panel
-    h_rows = [
-        (j, cont.widths[j - 1] if j <= len(cont.widths) else 0, cont.h_norms[j - 1])
-        for j in range(1, cont.n_steps + 1)
-    ]
+    h_rows = zip(range(1, cont.n_steps + 1), cont.widths + [0], cont.h_norms)
 
     # shorter prefixes need only continuation step 1 for their terms
     term_rows = []
@@ -490,12 +484,8 @@ def cmd_interlacing(cfg, problem, rng, out):
     run = run_block_lanczos(problem.a, v, k_max=k_max, mode="simulated_exact")
     thetas = [ritz_analysis(run, kk).thetas for kk in range(1, run.n_steps + 1)]
 
-    eq6_total = 0
-    eq6_bad = 0
-    for kk in range(1, len(thetas)):
-        small = thetas[kk - 1].size
-        eq6_total += 2 + 2 * (small - p)
-        eq6_bad += len(interlacing_check(thetas[kk - 1], thetas[kk], p))
+    eq6_total = sum(2 + 2 * (prev.size - p) for prev in thetas[:-1])
+    eq6_bad = sum(len(interlacing_check(prev, nxt, p)) for prev, nxt in zip(thetas, thetas[1:]))
 
     scan = conjecture_scan(thetas, p)
     comments = [

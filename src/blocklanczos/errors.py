@@ -77,7 +77,7 @@ class NearDependentRitzVectors(BlockLanczosError):
 
 
 class CapReached(BlockLanczosError):
-    """The continuation process did not close within the step cap."""
+    """The continuation basis would pass n columns before a step kept rank zero."""
 
 
 class AssumptionUnsatisfiable(BlockLanczosError):

@@ -240,14 +240,13 @@ def read_matrix_market(path: str) -> np.ndarray:
     if symmetry == "symmetric" and nrows != ncols:
         raise ParseError("symmetric matrix is not square: %d x %d" % (nrows, ncols), size_line)
 
+    # the data lines, as (1-based line number, stripped text), read once
+    entries = ((size_line + 1 + off, raw.strip()) for off, raw in enumerate(lines[idx + 1 :])
+               if raw.strip() and not raw.strip().startswith("%"))
     if layout == "coordinate":
         out = np.zeros((nrows, ncols))
         count = 0
-        for off, raw in enumerate(lines[idx + 1 :]):
-            lineno = size_line + 1 + off
-            raw = raw.strip()
-            if not raw or raw.startswith("%"):
-                continue
+        for count, (lineno, raw) in enumerate(entries, start=1):
             toks = raw.split()
             if len(toks) != 3:
                 raise ParseError("entry needs 'i j value'", lineno)
@@ -261,18 +260,13 @@ def read_matrix_market(path: str) -> np.ndarray:
             out[i - 1, j2 - 1] = val
             if symmetry == "symmetric" and i != j2:
                 out[j2 - 1, i - 1] = val
-            count += 1
         if count != nnz[0]:
             raise ParseError("declared %d entries, found %d" % (nnz[0], count), len(lines))
         return out
 
     # array layout: column-major dense values
     values = []
-    for off, raw in enumerate(lines[idx + 1 :]):
-        lineno = size_line + 1 + off
-        raw = raw.strip()
-        if not raw or raw.startswith("%"):
-            continue
+    for lineno, raw in entries:
         try:
             values.append(float(raw.split()[0]))
         except ValueError:
@@ -285,12 +279,10 @@ def read_matrix_market(path: str) -> np.ndarray:
                 len(lines),
             )
         out = np.zeros((nrows, ncols))
-        pos = 0
-        for j2 in range(ncols):
-            for i in range(j2, nrows):
-                out[i, j2] = values[pos]
-                out[j2, i] = values[pos]
-                pos += 1
+        # the lower triangle, column by column
+        j2, i = np.triu_indices(nrows)
+        out[i, j2] = values
+        out[j2, i] = values
         return out
     if len(values) != nrows * ncols:
         raise ParseError(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blocklanczos import (
     AssumptionUnsatisfiable,
@@ -15,6 +17,8 @@ from blocklanczos import (
     run_block_lanczos,
     theorem1_certificate,
 )
+from blocklanczos.analysis import _nearest
+from blocklanczos.linalg import BlockTridiagonal, as_operator, sym_eig
 from conftest import rand_spd
 
 
@@ -38,6 +42,21 @@ def test_interlacing_each_violation_kind():
 def test_interlacing_shape_guard():
     with pytest.raises(ShapeMismatch):
         interlacing_check([1.0, 2.0], [0.5, 1.5, 2.5], 2)
+
+
+def test_interlacing_rejects_an_empty_step():
+    with pytest.raises(ShapeMismatch):
+        interlacing_check([], [1.0], 1)
+
+
+def test_p_below_one_is_a_value_error():
+    # lengths that agree with p, so only p itself is wrong
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        interlacing_check([1.0, 2.0], [0.5, 1.5], 0)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        interlacing_check([1.0, 2.0, 3.0], [1.5, 2.5], -1)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        conjecture_scan([[1.0, 2.0], [0.5, 2.5]], 0)
 
 
 def test_interlacing_on_exact_ritz_values():
@@ -81,6 +100,13 @@ def test_conjecture_scan_degenerate():
     assert rep.checks == 0 and rep.percentage == 100.0
 
 
+def test_conjecture_scan_rejects_a_step_of_the_wrong_length():
+    with pytest.raises(ShapeMismatch):
+        conjecture_scan([[1.0, 2.0, 3.0], [1.0, 2.0]], 1)
+    with pytest.raises(ShapeMismatch):
+        conjecture_scan([[1.0], [0.0, 2.0], [0.0, 1.0, 2.0, 3.0]], 1)
+
+
 def test_clusters_kinds_and_member_indexing():
     thetas = np.array([3.0, 1.0, 1.0005])
     base_near = np.array([1.0002, 3.0])
@@ -116,6 +142,11 @@ def test_spread_assignment_and_ties():
     # the midpoint ties to the lower reference value
     assert np.allclose(rep.widths, [5.0, 0.3], atol=1e-14)
     assert rep.max_width == 5.0 and rep.dim == 4
+
+
+def test_spread_needs_a_reference_value():
+    with pytest.raises(ShapeMismatch):
+        interval_spread(np.array([1.0, 2.0]), [])
 
 
 def test_spread_is_permutation_invariant():
@@ -179,3 +210,172 @@ def test_certificate_rejects_a_non_finite_operator():
     a[3, 4] = a[4, 3] = np.nan
     with pytest.raises(NonFiniteOperator):
         theorem1_certificate(run.t, np.hstack(run.panels[: run.n_steps]), a, epsilon2=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# brute-force references: the same bookkeeping one value at a time, compared
+# bit for bit with the array code
+
+
+def ref_interlacing(tk, tk1, p):
+    big_k = tk.size
+    bad = []
+    if not tk1[0] < tk[0]:
+        bad.append(("bottom", 1, float(tk1[0]), float(tk[0])))
+    for i0 in range(big_k - p):
+        if not tk[i0] < tk1[i0 + p]:
+            bad.append(("lower", i0 + 1, float(tk[i0]), float(tk1[i0 + p])))
+        if not tk1[i0 + p] < tk[i0 + p]:
+            bad.append(("upper", i0 + 1, float(tk1[i0 + p]), float(tk[i0 + p])))
+    if not tk[big_k - 1] < tk1[big_k + p - 1]:
+        bad.append(("top", big_k, float(tk[big_k - 1]), float(tk1[big_k + p - 1])))
+    return bad
+
+
+def ref_scan(seq, p):
+    rows = []
+    for ki, tk in enumerate(seq):
+        for i0 in range(tk.size - p):
+            lo, hi = float(tk[i0]), float(tk[i0 + p])
+            for ji in range(ki + 1, len(seq)):
+                tj = seq[ji]
+                inside = np.searchsorted(tj, lo, side="right") < np.searchsorted(
+                    tj, hi, side="left"
+                )
+                rows.append((ki + 1, i0 + 1, ji + 1, lo, hi, bool(inside)))
+    violations = [(k - 1, i, j - 1) for k, i, j, _, _, inside in rows if not inside]
+    return rows, violations
+
+
+def ref_clusters(thetas, base_eigs, a_norm, psi, eta):
+    thetas = np.asarray(thetas, dtype=float)
+    base = np.sort(np.asarray(base_eigs, dtype=float))
+
+    def label(group):
+        lo = float(np.min(thetas[group]))
+        hi = float(np.max(thetas[group]))
+        if len(group) == 1:
+            kind = "separated"
+        else:
+            touched = np.any((base >= lo - eta * a_norm) & (base <= hi + eta * a_norm))
+            kind = "proper" if touched else "improper"
+        return (kind, list(group), lo, hi)
+
+    order = np.argsort(thetas, kind="stable")
+    labels = []
+    group = [int(order[0])] if order.size else []
+    for pos in range(1, order.size):
+        idx = int(order[pos])
+        prev = int(order[pos - 1])
+        if thetas[idx] - thetas[prev] <= psi * a_norm:
+            group.append(idx)
+        else:
+            labels.append(label(group))
+            group = [idx]
+    if group:
+        labels.append(label(group))
+    return labels
+
+
+def ref_spread(tn_eigs, base_eigs):
+    tn_eigs = np.asarray(tn_eigs, dtype=float)
+    base = np.sort(np.asarray(base_eigs, dtype=float))
+    nb = base.size
+    widths = np.zeros(nb)
+    counts = np.zeros(nb, dtype=int)
+    for t in tn_eigs:
+        pos = int(np.searchsorted(base, t))
+        lo = max(pos - 1, 0)
+        hi = min(pos, nb - 1)
+        idx = lo if abs(t - base[lo]) <= abs(t - base[hi]) else hi
+        counts[idx] += 1
+        widths[idx] = max(widths[idx], abs(t - base[idx]))
+    return base, widths, counts
+
+
+def ref_certificate(tn, basis, a, epsilon2):
+    a = as_operator(a)
+    eigs_a, a_norm = a.eigvals, a.norm
+    thetas, s = sym_eig(tn)
+    z_norms = np.linalg.norm(basis @ s, axis=0)
+    small = z_norms < 0.5
+    eps1 = 0.0
+    if small.any():
+        large = ~small
+        if not large.any():
+            raise AssumptionUnsatisfiable("every model Ritz vector has norm below 0.5")
+        for theta in thetas[small]:
+            eps1 = max(eps1, float(np.min(np.abs(thetas[large] - theta))) / a_norm)
+    bound = 3.0 * max(np.sqrt(tn.n_blocks) * epsilon2, eps1) * a_norm
+    dists = np.array([float(np.min(np.abs(eigs_a - t))) for t in thetas])
+    return float(eps1), float(bound), bool(np.all(dists <= bound)), thetas
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# a coarse grid, so that draws tie, land on interval endpoints and hold both zeros
+GRID = st.sampled_from([-0.0] + [i / 4 for i in range(-8, 9)])
+
+
+def ascending(size):
+    return st.lists(GRID, min_size=size, max_size=size).map(lambda v: np.sort(np.array(v)))
+
+
+@st.composite
+def ritz_sequences(draw):
+    p = draw(st.integers(1, 3))
+    first = draw(st.integers(1, 4))
+    return p, [draw(ascending(first + s * p)) for s in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ritz_sequences(), st.lists(GRID | st.just(float("nan")), max_size=9),
+       st.lists(GRID, min_size=1, max_size=6),
+       st.sampled_from([0.0, 0.125, 0.25, 1.0]), st.sampled_from([0.0, 0.125, 0.5]))
+# a cluster of both zeros: its ends are the min and max, not the first and last
+@example(ritz=(1, [np.array([1.0])]), values=[0.0, -0.0], base=[0.0], psi=0.0, eta=0.0)
+def test_array_forms_equal_the_loops(ritz, values, base, psi, eta):
+    p, seq = ritz
+    for small, large in zip(seq, seq[1:]):
+        assert repr(interlacing_check(small, large, p)) == repr(ref_interlacing(small, large, p))
+    scan = conjecture_scan(seq, p)
+    assert repr((scan.rows, scan.violations)) == repr(ref_scan(seq, p))
+    assert scan.checks == len(scan.rows)
+    labels = classify_clusters(values, base, 2.0, psi, eta)
+    assert repr([(c.kind, c.members, c.theta_min, c.theta_max) for c in labels]) == repr(
+        ref_clusters(values, base, 2.0, psi, eta))
+    spread = interval_spread(values, base)
+    for got, want in zip((spread.base_eigs, spread.widths, spread.counts), ref_spread(values, base)):
+        assert same_bits(got, want)
+    assert spread.dim == len(values)
+    # the certificate's distance: the nearest of all reference values
+    ref = np.sort(np.array(base))
+    idx, dist = _nearest(ref, np.array(values))
+    want = np.array([float(np.min(np.abs(ref - t))) for t in values])
+    assert same_bits(dist, want)
+    assert np.array_equal(np.abs(np.array(values) - ref[idx]), dist, equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_certificate_equals_the_loops(data):
+    dim = data.draw(st.integers(1, 6))
+    alphas = data.draw(st.lists(GRID, min_size=dim, max_size=dim))
+    betas = data.draw(st.lists(GRID, min_size=dim - 1, max_size=dim - 1))
+    tn = BlockTridiagonal([np.array([[x]]) for x in alphas], [np.array([[x]]) for x in betas])
+    # column scales around the 0.5 cut, so some model Ritz vectors are small
+    basis = np.diag(data.draw(st.lists(st.sampled_from([0.2, 0.45, 0.7, 1.0]),
+                                       min_size=dim, max_size=dim)))
+    a = np.diag(data.draw(st.lists(GRID, min_size=dim, max_size=dim)))
+    epsilon2 = data.draw(st.sampled_from([0.0, 1e-3, 0.1]))
+    try:
+        want = ref_certificate(tn, basis, a, epsilon2)
+    except Exception as exc:  # the same failure, whatever it is
+        with pytest.raises(type(exc)):
+            theorem1_certificate(tn, basis, a, epsilon2)
+        return
+    got = theorem1_certificate(tn, basis, a, epsilon2)
+    assert repr(got[:3]) == repr(want[:3])
+    assert same_bits(got.thetas, want[3])

@@ -8,6 +8,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocklanczos import (
     BlurSpec,
@@ -238,3 +240,51 @@ def test_reader_reports_line_numbers():
 def test_reader_checks_entry_count():
     with pytest.raises(ParseError):
         read_matrix_market(fixture("coord_count.mtx"))
+
+
+# Drawn files: raw bytes (one in four), or a well-formed file of at most 3 x 3 (the
+# coordinate branch allocates rows x cols as soon as it has read the size
+# line) with one line inserted at random half of the time.
+_NUMBER = st.sampled_from(["0", "1", "2", "3", "4", "-1", "1.5", "-2e1"])
+_TOKENS = st.sampled_from(["0", "1", "-1", "1.5", "nan", "x", "%", "%c", "", "1 2", "a b c"])
+
+
+@st.composite
+def _mtx_files(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=40))
+    layout = draw(st.sampled_from(["coordinate", "array"]))
+    field = draw(st.sampled_from(["real", "integer", "real", "complex", "pattern"]))
+    symmetry = draw(st.sampled_from(["general", "symmetric", "symmetric", "skew-symmetric"]))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if symmetry == "symmetric" and draw(st.booleans()):
+        cols = rows
+    if layout == "coordinate":
+        count = draw(st.integers(0, 4))
+        size = "%d %d %d" % (rows, cols, count)
+        entries = [" ".join(draw(st.tuples(_NUMBER, _NUMBER, _NUMBER))) for _ in range(count)]
+    else:
+        count = rows * (rows + 1) // 2 if symmetry == "symmetric" else rows * cols
+        size = "%d %d" % (rows, cols)
+        entries = [draw(_NUMBER) for _ in range(count)]
+    lines = ["%%%%MatrixMarket matrix %s %s %s" % (layout, field, symmetry), "% comment", size]
+    lines += entries
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_TOKENS))
+    return "\n".join(lines).encode()
+
+
+@pytest.fixture(scope="module")
+def mtx_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "drawn.mtx"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(content=_mtx_files())
+def test_reader_returns_an_array_or_a_typed_error(mtx_path, content):
+    mtx_path.write_bytes(content)
+    try:
+        out = read_matrix_market(str(mtx_path))
+    except (ParseError, UnsupportedField):
+        return
+    assert isinstance(out, np.ndarray) and out.ndim == 2 and out.dtype == float

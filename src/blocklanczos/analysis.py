@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AssumptionUnsatisfiable, ShapeMismatch
+from .errors import AssumptionUnsatisfiable, NonFiniteOperator, ShapeMismatch
 from .linalg import BlockTridiagonal, Operator, as_operator, sym_eig
 
 
@@ -187,14 +187,16 @@ def interval_spread(tn_eigs: np.ndarray, base_eigs: np.ndarray) -> SpreadReport:
 
     The assignment sorts the reference values internally, so the report is
     invariant under permutations of either input. An empty reference set
-    raises ShapeMismatch.
+    raises ShapeMismatch, a NaN or infinite model eigenvalue NonFiniteOperator.
     """
     base = np.sort(np.asarray(base_eigs, dtype=float))
     if not base.size:
         raise ShapeMismatch("no reference eigenvalues to assign model eigenvalues to")
+    if not np.all(np.isfinite(tn_eigs)):
+        raise NonFiniteOperator("model eigenvalues have NaN or infinite entries")
     idx, dist = _nearest(base, np.asarray(tn_eigs, dtype=float))
     widths = np.zeros(base.size)
-    np.fmax.at(widths, idx, dist)  # a NaN distance leaves the width as it is
+    np.maximum.at(widths, idx, dist)
     return SpreadReport(base_eigs=base, widths=widths, counts=np.bincount(idx, minlength=base.size))
 
 
@@ -226,7 +228,8 @@ def theorem1_certificate(
     its norm came from).
 
     Raises ShapeMismatch when ``basis`` does not have one column per row
-    of the model, AssumptionUnsatisfiable when every column is small.
+    of the model, AssumptionUnsatisfiable when every column is small or
+    when some is and norm(A) = 0, which leaves epsilon1 without a scale.
     """
     if basis.shape[1] != tn.dim:
         raise ShapeMismatch("basis has %d columns, model has dimension %d"
@@ -238,6 +241,8 @@ def theorem1_certificate(
     if small.any():
         if small.all():
             raise AssumptionUnsatisfiable("every model Ritz vector has norm below 0.5")
+        if a.norm == 0.0:
+            raise AssumptionUnsatisfiable("small model Ritz vector and norm(A) = 0")
         eps1 = float(_nearest(thetas[~small], thetas[small])[1].max()) / a.norm
     bound = 3.0 * max(np.sqrt(tn.n_blocks) * epsilon2, eps1) * a.norm
     holds = bool(np.all(_nearest(a.eigvals, thetas)[1] <= bound))

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteOperator, RankDeficient, ShapeMismatch, SingularInnerSolve
-from .linalg import (Operator, as_operator, householder_qr, inverse_cholesky, panel_norm,
-                     reorthogonalize)
+from .linalg import Operator, as_operator, householder_qr, inverse_cholesky, reorthogonalize
 
 
 def _energy(v: np.ndarray, a) -> float:
@@ -115,8 +114,9 @@ def _direction_gram(a, s, k):
     as_ = a @ s
     gram = s.T @ as_
     gram = 0.5 * (gram + gram.T)
-    if (not np.all(np.isfinite(gram)) or float(np.linalg.svd(gram, compute_uv=False).min())
-            < 1e-14 * a.norm * panel_norm(s) ** 2):
+    # norm(s)^2 from the p x p s^T s, not an n x p SVD; a NaN threshold halts too
+    if not (np.all(np.isfinite(gram)) and float(np.linalg.svd(gram, compute_uv=False).min())
+            >= 1e-14 * a.norm * np.linalg.eigvalsh(s.T @ s)[-1]):
         return None, None, "singular direction Gram block at iteration %d" % k
     try:
         return as_, inverse_cholesky(gram), None

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapReached, EmptySelection, NearDependentRitzVectors
+from .errors import CapReached, EmptySelection, NearDependentRitzVectors, ShapeMismatch
 from .lanczos import LanczosRun, ritz_analysis
-from .linalg import BlockTridiagonal, householder_qr, panel_norm, reorthogonalize, truncated_svd
+from .linalg import BlockTridiagonal, panel_norm, qr_unchecked, reorthogonalize, truncated_svd
 
 
 @dataclass
@@ -101,18 +101,19 @@ def build_wk(z_selected: np.ndarray):
     from the singular values of r_k. A large rho_k warns that the
     selection was close to dependent and downstream bounds degrade.
 
-    Raises NearDependentRitzVectors when the smallest singular value of
-    z_selected is below 1e-10 times its norm.
+    One QR, then one SVD of r_k, whose singular values are those of
+    z_selected: NearDependentRitzVectors unless the smallest is above 1e-10
+    times the largest (a zero block too); ShapeMismatch unless its (n, m)
+    shape has 1 <= m <= n.
     """
-    svals = np.linalg.svd(z_selected, compute_uv=False)
-    if float(svals[-1]) < 1e-10 * float(svals[0]):
-        raise NearDependentRitzVectors(
-            "singular value ratio %.3e below 1e-10" % (float(svals[-1] / svals[0]))
-        )
-    w_k, r_k = householder_qr(z_selected)
+    if not 1 <= z_selected.shape[1] <= z_selected.shape[0]:
+        raise ShapeMismatch("cannot orthonormalize a Ritz block of shape %r" % (z_selected.shape,))
+    w_k, r_k = qr_unchecked(z_selected)
     r_svals = np.linalg.svd(r_k, compute_uv=False)
-    rho_k = 1.0 / float(r_svals[-1])
-    return w_k, r_k, rho_k
+    if not r_svals[-1] > 1e-10 * r_svals[0]:
+        raise NearDependentRitzVectors("smallest singular value %.3e not above 1e-10 times "
+                                       "the largest, %.3e" % (r_svals[-1], r_svals[0]))
+    return w_k, r_k, 1.0 / float(r_svals[-1])
 
 
 @dataclass

@@ -29,7 +29,6 @@ from .errors import RankDeficient, RankDeficientStart, ShapeMismatch
 from .linalg import (
     BlockTridiagonal,
     Operator,
-    _check_rank,
     as_operator,
     householder_qr,
     panel_norm,
@@ -39,6 +38,7 @@ from .linalg import (
 )
 
 MODES = ("finite_precision", "simulated_exact")
+BREAKDOWN_TOL = 1e-12  # relative to norm(A); see run_block_lanczos
 
 
 @dataclass
@@ -92,7 +92,6 @@ class LanczosRun:
     mode: str
     terminated: bool
     a_norm: float
-    breakdown_tol: float
     diagnostics: list = field(default_factory=list)
 
     @property
@@ -127,7 +126,6 @@ def run_block_lanczos(
     v: np.ndarray,
     k_max: int,
     mode: str = "finite_precision",
-    breakdown_tol: float = 1e-12,
 ) -> LanczosRun:
     """Run block Lanczos for up to ``k_max`` steps.
 
@@ -139,10 +137,11 @@ def run_block_lanczos(
     v : (n, p) starting block, 1 <= p, k_max * p <= n.
     k_max : iteration budget.
     mode : "finite_precision" or "simulated_exact".
-    breakdown_tol : relative rank threshold; the run stops (naturally
-        terminated) when the smallest singular value of the candidate next
-        panel falls to ``breakdown_tol * norm(a)`` or below (so the zero
-        operator terminates after one step).
+
+    Each step's only rank test is the breakdown test sigma_min(beta_{k+1})
+    <= BREAKDOWN_TOL * norm(a), BREAKDOWN_TOL = 1e-12, on the p x p QR
+    factor of the candidate next panel (whose sigma_min is the panel's). It
+    ends the run, naturally terminated; the zero operator stops after one step.
 
     Raises
     ------
@@ -194,15 +193,14 @@ def run_block_lanczos(
         if mode == "simulated_exact":
             w = reorthogonalize(w, basis[:, : k * p])
         alphas.append(alpha)
-        # one QR serves both tests: sigma_min(w) is sigma_min of its p x p
+        # the step's one rank test: sigma_min(w) is sigma_min of its p x p
         # factor; <= so that the zero operator (a_norm 0) terminates too
         q, beta_next = qr_unchecked(w)
         sigma_min = float(np.linalg.svd(beta_next, compute_uv=False).min())
-        terminated = sigma_min <= breakdown_tol * a_norm
+        terminated = sigma_min <= BREAKDOWN_TOL * a_norm
         if terminated:
             v_next = None
         else:
-            _check_rank(w, beta_next)
             v_next = q
             basis[:, k * p : (k + 1) * p] = v_next
 
@@ -244,7 +242,6 @@ def run_block_lanczos(
         mode=mode,
         terminated=terminated,
         a_norm=a_norm,
-        breakdown_tol=breakdown_tol,
         diagnostics=rows,
     )
 

@@ -74,15 +74,6 @@ def householder_qr(m: np.ndarray, rank_tol: float = 1e-12):
     if width < 1 or width > n:
         raise ShapeMismatch("block of shape (%d, %d) cannot be orthonormalized" % (n, width))
     q, r = qr_unchecked(m)
-    _check_rank(m, r, rank_tol)
-    return q, r
-
-
-def _check_rank(m: np.ndarray, r: np.ndarray, rank_tol: float = 1e-12):
-    """The acceptance test of `householder_qr` on ``m`` and its triangular
-    factor ``r``: RankDeficient when the smallest diagonal entry of ``r``
-    falls below ``rank_tol * norm(m)``, NonFiniteOperator when ``m`` has a
-    NaN or infinite entry."""
     smallest = float(np.min(np.diag(r)))
     # norm(m) <= its Frobenius norm, so clearing the Frobenius threshold
     # (with a margin for the rounding of either norm) accepts without the
@@ -90,12 +81,13 @@ def _check_rank(m: np.ndarray, r: np.ndarray, rank_tol: float = 1e-12):
     # entry makes the Frobenius norm NaN or infinite and fails here too.
     frob = float(np.linalg.norm(m))
     if 0.0 < frob < np.inf and smallest >= rank_tol * frob * (1.0 + 1e-12):
-        return
+        return q, r
     if not np.all(np.isfinite(m)):  # the SVD below would not converge
         raise NonFiniteOperator("block to orthonormalize has NaN or infinite entries")
     scale = panel_norm(m)
     if scale == 0.0 or smallest < rank_tol * scale:
         raise RankDeficient("smallest R diagonal %.3e below %.3e" % (smallest, rank_tol * scale))
+    return q, r
 
 
 def qr_unchecked(m: np.ndarray):

@@ -59,17 +59,9 @@ def strakos_spectrum(spec: SpectrumSpec) -> np.ndarray:
     return lam
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_orthonormal(n: int, seed) -> np.ndarray:
     """Orthonormal n x n matrix from QR of a standard normal draw."""
-    rng = _as_rng(seed)
-    g = rng.standard_normal((n, n))
-    q, _ = householder_qr(g)
+    q, _ = householder_qr(np.random.default_rng(seed).standard_normal((n, n)))
     return q
 
 
@@ -175,7 +167,7 @@ def kron_perturbed_problem(spec: SpectrumSpec, p: int, omega: float, seed):
 
     if p < 1:
         raise ValueError("p must be >= 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     eigs = strakos_spectrum(spec)
     b_mat, _ = spectrum_to_matrix(eigs, rng)
     y = rng.standard_normal((spec.n, 1))

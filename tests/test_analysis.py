@@ -149,6 +149,13 @@ def test_spread_needs_a_reference_value():
         interval_spread(np.array([1.0, 2.0]), [])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spread_rejects_a_non_finite_model_eigenvalue(bad):
+    # unchecked, a NaN lands at the top reference value and leaves its width at 0
+    with pytest.raises(NonFiniteOperator):
+        interval_spread([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+
+
 def test_spread_is_permutation_invariant():
     rng = np.random.default_rng(53)
     tn = rng.uniform(0, 10, 12)
@@ -203,6 +210,13 @@ def test_certificate_needs_an_anchor():
     a, run = full_depth_run(seed=57)
     with pytest.raises(AssumptionUnsatisfiable):
         theorem1_certificate(run.t, np.zeros((12, 12)), a, epsilon2=1e-14)
+
+
+def test_certificate_with_a_small_column_needs_a_nonzero_operator():
+    # epsilon1 is a distance over norm(A); at A = 0 it has no scale
+    tn = BlockTridiagonal([np.array([[1.0]]), np.array([[2.0]])], [np.array([[0.5]])])
+    with pytest.raises(AssumptionUnsatisfiable, match="norm"):
+        theorem1_certificate(tn, np.diag([0.2, 1.0]), np.zeros((2, 2)), epsilon2=1e-3)
 
 
 def test_certificate_rejects_a_non_finite_operator():
@@ -346,10 +360,15 @@ def test_array_forms_equal_the_loops(ritz, values, base, psi, eta):
     labels = classify_clusters(values, base, 2.0, psi, eta)
     assert repr([(c.kind, c.members, c.theta_min, c.theta_max) for c in labels]) == repr(
         ref_clusters(values, base, 2.0, psi, eta))
-    spread = interval_spread(values, base)
-    for got, want in zip((spread.base_eigs, spread.widths, spread.counts), ref_spread(values, base)):
-        assert same_bits(got, want)
-    assert spread.dim == len(values)
+    if np.isnan(values).any():
+        with pytest.raises(NonFiniteOperator):
+            interval_spread(values, base)
+    else:
+        spread = interval_spread(values, base)
+        for got, want in zip((spread.base_eigs, spread.widths, spread.counts),
+                             ref_spread(values, base)):
+            assert same_bits(got, want)
+        assert spread.dim == len(values)
     # the certificate's distance: the nearest of all reference values
     ref = np.sort(np.array(base))
     idx, dist = _nearest(ref, np.array(values))
@@ -372,8 +391,9 @@ def test_certificate_equals_the_loops(data):
     epsilon2 = data.draw(st.sampled_from([0.0, 1e-3, 0.1]))
     try:
         want = ref_certificate(tn, basis, a, epsilon2)
-    except Exception as exc:  # the same failure, whatever it is
-        with pytest.raises(type(exc)):
+    except Exception as exc:  # the same failure, typed where the loops divide by norm(A) = 0
+        with pytest.raises(AssumptionUnsatisfiable if isinstance(exc, ZeroDivisionError)
+                           else type(exc)):
             theorem1_certificate(tn, basis, a, epsilon2)
         return
     got = theorem1_certificate(tn, basis, a, epsilon2)

@@ -88,6 +88,18 @@ def test_build_wk_refuses_near_dependence():
         build_wk(z)
 
 
+def test_build_wk_refuses_a_zero_block():
+    # every singular value is 0: refused as dependent, never 1 / sigma_min
+    with pytest.raises(NearDependentRitzVectors):
+        build_wk(np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("shape", [(5, 0), (2, 3)])
+def test_build_wk_needs_between_one_and_n_columns(shape):
+    with pytest.raises(ShapeMismatch):
+        build_wk(np.ones(shape))
+
+
 def test_continuation_basis_is_orthonormal(pipeline):
     w_k, cont = pipeline["w_k"], pipeline["cont"]
     guard = np.hstack([w_k] + cont.q_panels)

@@ -41,3 +41,14 @@ def test_every_imported_name_is_used():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert sorted(imported - used) == [], path.name
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name with a leading underscore (not a dunder such as __version__)
+    # belongs to its own module; a caller elsewhere means it wants a public
+    # home or to be folded into its one caller
+    for path in sorted((ROOT / "src" / "blocklanczos").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        private = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   for a in node.names if a.name.startswith("_") and not a.name.startswith("__")]
+        assert private == [], path.name

@@ -406,8 +406,9 @@ def cmd_continuation(cfg, problem, rng, out):
     selection, cont, report = pipeline.selection, pipeline.cont, pipeline.report
     tn = assemble_tn(run, k, cont)
     basis = np.hstack([run.basis[:, : k * p]] + cont.q_panels)
-    certificate = theorem1_certificate(tn, basis, run.a, cont.epsilon2)
-    base_eigs = problem.eigs if problem.eigs is not None else sym_eig(problem.a)[0]
+    # one reference spectrum for the certificate and the spread
+    base_eigs = problem.eigs if problem.eigs is not None else run.a.eigvals
+    certificate = theorem1_certificate(tn, basis, run.a, cont.epsilon2, base_eigs)
     tn_eigs = certificate.thetas
     spread = interval_spread(tn_eigs, base_eigs)
     clusters = classify_clusters(tn_eigs, base_eigs, run.a_norm, cfg["psi"], cfg["eta"])

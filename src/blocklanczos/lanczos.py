@@ -3,7 +3,7 @@
 The driver `run_block_lanczos` produces a LanczosRun: the orthonormal (or
 finite-precision) panels, stored side by side in one preallocated array,
 the symmetric block tridiagonal they generate, the trailing coupling
-block, and per-iteration health measurements taken in the same pass. The
+block, and per-iteration health measurements of the recurrence. The
 Ritz values, T_k eigenvectors and residual bounds of any prefix of the
 run come from `ritz_analysis`.
 
@@ -31,7 +31,6 @@ from .linalg import (
     Operator,
     as_operator,
     householder_qr,
-    panel_norm,
     qr_unchecked,
     reorthogonalize,
     sym_eig,
@@ -39,6 +38,7 @@ from .linalg import (
 
 MODES = ("finite_precision", "simulated_exact")
 BREAKDOWN_TOL = 1e-12  # relative to norm(A); see run_block_lanczos
+GRAM_CHUNK = 16  # panels per Gram product of the global_orth column
 
 
 @dataclass
@@ -53,9 +53,12 @@ class DiagnosticsRow:
     global_orth     norm of V_j^T v_{j+1}, the panel's worst overlap with
                     everything before it
 
-    On a naturally terminated run the last row has no trailing panel; its
-    residual keeps the leftover block (at the breakdown tolerance) and the
-    two orthogonality columns that need v_{j+1} report 0.
+    The first four are norms taken per step; global_orth is taken after the
+    run from chunked Gram products of the basis, so its last bits differ
+    from an SVD of V_j^T v_{j+1}. On a naturally terminated run the last
+    row has no trailing panel; its residual keeps the leftover block (at
+    the breakdown tolerance) and the two orthogonality columns that need
+    v_{j+1} report 0.
     """
 
     j: int
@@ -81,7 +84,8 @@ class LanczosRun:
     beta_next   beta_{K+1}; on natural termination its norm is at the
                 breakdown tolerance
     terminated  True when the recurrence closed on its own
-    diagnostics one DiagnosticsRow per step, measured as the run went
+    diagnostics one DiagnosticsRow per step: four norms taken per step,
+                global_orth from chunked Gram products after the run
     """
 
     a: Operator
@@ -142,6 +146,8 @@ def run_block_lanczos(
     <= BREAKDOWN_TOL * norm(a), BREAKDOWN_TOL = 1e-12, on the p x p QR
     factor of the candidate next panel (whose sigma_min is the panel's). It
     ends the run, naturally terminated; the zero operator stops after one step.
+    Four diagnostics columns are norms taken per step; global_orth comes after
+    the run from chunked Gram products, its last bits apart from an SVD's.
 
     Raises
     ------
@@ -172,9 +178,8 @@ def run_block_lanczos(
     basis = np.empty((n, (k_max + 1) * p))
     basis[:, :p] = v1
     eye = np.eye(p)
-    alphas: list = []
-    betas: list = []
-    rows: list = []
+    health = np.zeros((k_max, 3, p, p))  # v_k^T v_k - I, v_k^T v_{k+1} beta_{k+1}, beta_{k+1}
+    alphas, betas, res_norms = [], [], []
     terminated = False
 
     vk, v_prev, beta_k = v1, None, None
@@ -208,31 +213,32 @@ def run_block_lanczos(
         res = av - v_alpha
         if back is not None:
             res = res - back
-        if v_next is None:
-            local = glob = 0.0
-        else:
+        health[k - 1, 0] = vk.T @ vk - eye
+        health[k - 1, 2] = beta_next
+        if v_next is not None:
             trail = v_next @ beta_next
             res = res - trail
-            local = panel_norm(vk.T @ trail)
-            glob = panel_norm(basis[:, : k * p].T @ v_next)
-        rows.append(
-            DiagnosticsRow(
-                j=k,
-                delta_v_norm=panel_norm(res),
-                normality=panel_norm(vk.T @ vk - eye),
-                local_orth=local,
-                beta_norm=panel_norm(beta_next),
-                global_orth=glob,
-            )
-        )
+            health[k - 1, 1] = vk.T @ trail
+        res_norms.append(float(np.linalg.svd(res, compute_uv=False)[0]))
         if terminated or k == k_max:
             break
         betas.append(beta_next)
         v_prev, vk, beta_k = vk, v_next, beta_next
 
-    n_panels = len(alphas) + (0 if terminated else 1)
+    n_steps, n_panels = len(alphas), len(alphas) + (0 if terminated else 1)
     basis = basis[:, : n_panels * p]
     basis.flags.writeable = False
+    # a stacked SVD runs norm(., 2)'s LAPACK routine on each block: same bits
+    norms = np.linalg.svd(health[:n_steps], compute_uv=False)[..., 0].T.tolist()
+    # global_orth: per GRAM_CHUNK panels one product v^T V, masked to (V_j^T v_{j+1})^T,
+    # whose norm is the root of the top eigenvalue of its p x p Gram
+    glob = np.zeros(n_steps)  # 0 where v_{j+1} is not stored
+    for j0 in range(1, n_panels, GRAM_CHUNK):
+        j1 = min(j0 + GRAM_CHUNK, n_panels)
+        c = (basis[:, j0 * p : j1 * p].T @ basis[:, : j1 * p]).reshape(j1 - j0, p, j1 * p)
+        for i in range(j1 - j0):  # zero from v_{j+1} on (a broadcast mask let the RSS creep)
+            c[i, :, (j0 + i) * p :] = 0.0
+        glob[j0 - 1 : j1 - 1] = np.sqrt(np.linalg.eigvalsh(c @ c.transpose(0, 2, 1))[:, -1])
     return LanczosRun(
         a=a,
         basis=basis,
@@ -242,7 +248,8 @@ def run_block_lanczos(
         mode=mode,
         terminated=terminated,
         a_norm=a_norm,
-        diagnostics=rows,
+        diagnostics=list(map(DiagnosticsRow, range(1, n_steps + 1), res_norms, *norms,
+                             glob.tolist())),
     )
 
 

@@ -363,6 +363,37 @@ def test_continuation_artifacts(tmp_path):
     assert sorted(members) == list(range(dim))
 
 
+def test_kron_spread_uses_the_certificate_spectrum(tmp_path, monkeypatch):
+    # a _kron problem has no generator spectrum: the certificate and the
+    # written spread both use the run's eigenvalues, and the operator gets
+    # no eigh of its own
+    import blocklanczos.cli as cli
+    from blocklanczos import interval_spread
+
+    real_certificate, real_eigh = cli.theorem1_certificate, np.linalg.eigh
+    seen, eigh_shapes = [], []
+
+    def certificate(tn, basis, a, epsilon2, *args):
+        seen.append((a, real_certificate(tn, basis, a, epsilon2, *args)))
+        return seen[-1][1]
+
+    def eigh(x, *args, **kwargs):
+        eigh_shapes.append(np.shape(x))
+        return real_eigh(x, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "theorem1_certificate", certificate)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert main(["continuation", "--matrix", "strakos48(0.1,100)_kron", "--k", "24",
+                 "--mu", "auto", "--out", str(tmp_path)]) == 0
+    (op, cert), = seen
+    assert op.shape not in eigh_shapes
+    comments, _, _ = csv_parts(read(tmp_path / "continuation_spread.csv"))
+    info = next(c for c in comments if "max_width=" in c)
+    written = float(info.split("max_width=")[1].split()[0])
+    assert written == interval_spread(cert.thetas, op.eigvals).max_width
+    assert ("holds=%d" % cert.holds) in info
+
+
 def test_interlacing_artifact(tmp_path):
     rc = main([
         "interlacing", "--matrix", "strakos(16,0.5,4)", "--p", "2",

@@ -18,7 +18,7 @@ from blocklanczos import (
     strakos48,
     strakos_spectrum,
 )
-from blocklanczos.lanczos import BREAKDOWN_TOL, MODES
+from blocklanczos.lanczos import BREAKDOWN_TOL, GRAM_CHUNK, MODES
 from conftest import rand_spd
 
 EPS = float(np.finfo(float).eps)
@@ -201,6 +201,71 @@ def test_single_pass_diagnostics_match_restacked_oracle(p, n, k_frac, mode, seed
         assert abs(row.normality - normality) <= band
         assert abs(row.local_orth - local) <= band
         assert abs(row.global_orth - glob) <= band
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.integers(1, 4),
+    n=st.integers(1, 80),
+    count=st.integers(1, 6),
+    zero=st.integers(0, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_svd_is_the_per_block_spectral_norm(p, n, count, zero, seed):
+    # the diagnostics norm their p x p blocks in one stacked SVD and each
+    # n x p residual through svd(...)[0]: both are norm(block, 2) bit for bit
+    rng = np.random.default_rng(seed)
+    for shape in ((count, 3, p, p), (count, max(n, p), p)):
+        scales = 10.0 ** rng.uniform(-16.0, 3.0, shape[:-2] + (1, 1))
+        stack = rng.standard_normal(shape) * scales
+        stack[zero : zero + 1] = 0.0  # one zero block (group), unless zero >= count
+        got = np.linalg.svd(stack, compute_uv=False)[..., 0]
+        want = np.reshape([np.linalg.norm(b, 2) for b in stack.reshape((-1,) + shape[-2:])],
+                          shape[:-2])
+        assert np.array_equal(got, want)
+
+
+def _check_global_orth(run):
+    """global_orth is within 10 n p eps of norm(V_k^T v_{k+1}, 2) per step,
+    and nonzero exactly where v_{k+1} is stored."""
+    n, p = run.basis.shape[0], run.width
+    got = np.array([r.global_orth for r in run.diagnostics])
+    want = [np.linalg.norm(run.basis[:, : k * p].T @ run.panels[k], 2)
+            if k < len(run.panels) else 0.0 for k in range(1, run.n_steps + 1)]
+    assert np.max(np.abs(got - want)) <= 10.0 * n * p * EPS
+    assert np.array_equal(got > 0.0, np.arange(1, run.n_steps + 1) < len(run.panels))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("k_max", [1, GRAM_CHUNK - 1, GRAM_CHUNK, GRAM_CHUNK + 1,
+                                   2 * GRAM_CHUNK, 2 * GRAM_CHUNK + 1])
+def test_global_orth_chunks_match_the_per_step_norm(k_max, mode):
+    # one Gram product per GRAM_CHUNK panels; k_max straddles the chunk edges
+    n, p = 80, 2
+    a, _, rng = rand_spd(n, 40 + k_max, low=0.01, high=10.0)
+    run = run_block_lanczos(a, rng.standard_normal((n, p)), k_max=k_max, mode=mode)
+    assert not run.terminated and len(run.diagnostics) == k_max
+    _check_global_orth(run)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("steps", [GRAM_CHUNK, GRAM_CHUNK + 1, GRAM_CHUNK + 2,
+                                   2 * GRAM_CHUNK + 1])
+def test_terminated_run_ends_mid_chunk_or_on_a_chunk_edge(steps, p):
+    # the start block spans an invariant subspace of steps * p coordinates,
+    # so the run closes at that step; panels 1 .. steps - 1 have a global_orth
+    # entry, which fills the last chunk exactly at steps - 1 = GRAM_CHUNK or
+    # 2 GRAM_CHUNK
+    n = 80
+    v = np.zeros((n, p))
+    v[: steps * p] = np.random.default_rng(steps).standard_normal((steps * p, p))
+    run = run_block_lanczos(np.linspace(1.0, 10.0, n), v, k_max=n // p,
+                            mode="simulated_exact")
+    assert run.terminated and run.n_steps == len(run.panels) == steps
+    assert [r.j for r in run.diagnostics] == list(range(1, steps + 1))
+    last = run.diagnostics[-1]
+    assert last.local_orth == 0.0 and last.global_orth == 0.0
+    _check_global_orth(run)
 
 
 def test_diagnostics_match_direct_recomputation():

@@ -53,10 +53,11 @@ class DiagnosticsRow:
     global_orth     norm of V_j^T v_{j+1}, the panel's worst overlap with
                     everything before it
 
-    The first four are norms taken per step; global_orth is taken after the
-    run from chunked Gram products of the basis, so its last bits differ
-    from an SVD of V_j^T v_{j+1}. On a naturally terminated run the last
-    row has no trailing panel; its residual keeps the leftover block (at
+    The first four are norms of blocks formed in step j (the p x p ones are
+    normed together after the run, with the same bits); global_orth is taken
+    after the run from chunked Gram products of the basis, so its last bits
+    differ from an SVD of V_j^T v_{j+1}. On a naturally terminated run the
+    last row has no trailing panel; its residual keeps the leftover block (at
     the breakdown tolerance) and the two orthogonality columns that need
     v_{j+1} report 0.
     """
@@ -84,7 +85,7 @@ class LanczosRun:
     beta_next   beta_{K+1}; on natural termination its norm is at the
                 breakdown tolerance
     terminated  True when the recurrence closed on its own
-    diagnostics one DiagnosticsRow per step: four norms taken per step,
+    diagnostics one DiagnosticsRow per step: four norms of per-step blocks,
                 global_orth from chunked Gram products after the run
     """
 
@@ -146,8 +147,8 @@ def run_block_lanczos(
     <= BREAKDOWN_TOL * norm(a), BREAKDOWN_TOL = 1e-12, on the p x p QR
     factor of the candidate next panel (whose sigma_min is the panel's). It
     ends the run, naturally terminated; the zero operator stops after one step.
-    Four diagnostics columns are norms taken per step; global_orth comes after
-    the run from chunked Gram products, its last bits apart from an SVD's.
+    Four diagnostics columns are norms of per-step blocks; global_orth comes
+    after the run from chunked Gram products, its last bits apart from an SVD's.
 
     Raises
     ------

@@ -211,7 +211,6 @@ class Theorem1Certificate(NamedTuple):
 
 def theorem1_certificate(
     tn: BlockTridiagonal, basis: np.ndarray, a: np.ndarray | Operator, epsilon2: float,
-    eigvals: np.ndarray | None = None,
 ) -> Theorem1Certificate:
     """Certify that every model eigenvalue sits near a true eigenvalue.
 
@@ -225,8 +224,8 @@ def theorem1_certificate(
 
     with N the model block count, and ``holds`` states whether every
     model eigenvalue is within it of an eigenvalue of ``a``, an array or
-    an `Operator` (the run's own, `LanczosRun.a`, brings the eigenvalues
-    its norm came from), or of ``eigvals`` when given (an exact spectrum).
+    an `Operator`. norm(A) = max|a.eigvals| and this check read one
+    spectrum: the one the Operator was seeded with, else its ``eigvalsh``.
 
     Raises ShapeMismatch when ``basis`` does not have one column per row
     of the model, AssumptionUnsatisfiable when every column is small or
@@ -246,5 +245,5 @@ def theorem1_certificate(
             raise AssumptionUnsatisfiable("small model Ritz vector and norm(A) = 0")
         eps1 = float(_nearest(thetas[~small], thetas[small])[1].max()) / a.norm
     bound = 3.0 * max(np.sqrt(tn.n_blocks) * epsilon2, eps1) * a.norm
-    holds = bool(np.all(_nearest(a.eigvals if eigvals is None else eigvals, thetas)[1] <= bound))
+    holds = bool(np.all(_nearest(a.eigvals, thetas)[1] <= bound))
     return Theorem1Certificate(eps1, float(bound), holds, thetas)

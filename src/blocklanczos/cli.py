@@ -117,10 +117,10 @@ class Problem:
     """A built test problem: the operator plus whatever came with it.
 
     eigs and y are the exact spectrum and eigenvectors when the generator
-    provides them directly, None otherwise (they can always be recovered
-    with sym_eig). v is the construction's own start block when it has
-    one; commands that need a start block and find None here draw a
-    random one from the configured stream.
+    provides them directly, None otherwise. Each command seeds its one
+    `Operator` with eigs (or with eigenvalues it computes), so norm(A) is
+    max|eigs|. v is the construction's own start block when it has one;
+    commands that find None here draw one from the configured stream.
     """
 
     a: np.ndarray
@@ -302,16 +302,15 @@ def _parse_delta(text):
 def cmd_blurred_cg(cfg, problem, rng, out):
     """trace-error curves: FP HS/DR block CG vs exact DR on blurred spectra"""
     eigs, y = (problem.eigs, problem.y) if problem.eigs is not None else sym_eig(problem.a)
-    n = problem.a.shape[0]
-    p = cfg["p"]
+    # both FP runs and the header share its norm and Cholesky factor
+    a = Operator(problem.a, eigs)
+    n, p = a.shape[0], cfg["p"]
     b = rng.standard_normal((n, p))
-    a_norm = float(np.max(np.abs(eigs)))
     raw_deltas = _parse_delta(cfg["delta"])
-    scale = EPS * a_norm if cfg["delta_scale"] == "eps_norm" else 1.0
+    scale = EPS * a.norm if cfg["delta_scale"] == "eps_norm" else 1.0
     deltas = [r * scale for r in raw_deltas]
 
     maxit = cfg["maxit"] if cfg["maxit"] > 0 else n
-    a = Operator(problem.a)  # both FP runs share its norm and Cholesky factor
     series = [
         ("hs_fp", hs_bcg(a, b, maxit=maxit)),
         ("dr_fp", dr_bcg(a, b, maxit=maxit)),
@@ -326,7 +325,7 @@ def cmd_blurred_cg(cfg, problem, rng, out):
         hist = dr_bcg(a_hat, b_hat, maxit=blur_maxit, exact_mode=True)
         series.append(("dr_exact_d%d" % idx, hist))
 
-    comments = ["a_norm=%s delta_scale=%s" % (_fmt(a_norm), cfg["delta_scale"])]
+    comments = ["a_norm=%s delta_scale=%s" % (_fmt(a.norm), cfg["delta_scale"])]
     for (label, _), delta, raw in zip(series[2:], deltas, raw_deltas):
         comments.append("%s: delta_raw=%s delta_abs=%s" % (label, _fmt(raw), _fmt(delta)))
     reach = []
@@ -356,7 +355,7 @@ def cmd_blurred_cg(cfg, problem, rng, out):
 def cmd_fp_diagnostics(cfg, problem, rng, out):
     """recurrence health columns of a finite-precision run"""
     v = _start_block(problem, cfg, rng)
-    run = run_block_lanczos(problem.a, v, k_max=cfg["k"], mode="finite_precision")
+    run = run_block_lanczos(Operator(problem.a, problem.eigs), v, k_max=cfg["k"])
     n, p = problem.a.shape[0], v.shape[1]
     level = n * p * EPS
     comments = [
@@ -396,7 +395,7 @@ def cmd_continuation(cfg, problem, rng, out):
     """selection, continuation, model assembly, spread and certificate"""
     v = _start_block(problem, cfg, rng)
     n, p = problem.a.shape[0], v.shape[1]
-    run = run_block_lanczos(problem.a, v, k_max=cfg["k"], mode="finite_precision")
+    run = run_block_lanczos(Operator(problem.a, problem.eigs), v, k_max=cfg["k"])
     k = run.n_steps
     mu_val = _parse_mu(cfg["mu"])
     if mu_val is None:
@@ -406,12 +405,10 @@ def cmd_continuation(cfg, problem, rng, out):
     selection, cont, report = pipeline.selection, pipeline.cont, pipeline.report
     tn = assemble_tn(run, k, cont)
     basis = np.hstack([run.basis[:, : k * p]] + cont.q_panels)
-    # one reference spectrum for the certificate and the spread
-    base_eigs = problem.eigs if problem.eigs is not None else run.a.eigvals
-    certificate = theorem1_certificate(tn, basis, run.a, cont.epsilon2, base_eigs)
+    certificate = theorem1_certificate(tn, basis, run.a, cont.epsilon2)
     tn_eigs = certificate.thetas
-    spread = interval_spread(tn_eigs, base_eigs)
-    clusters = classify_clusters(tn_eigs, base_eigs, run.a_norm, cfg["psi"], cfg["eta"])
+    spread = interval_spread(tn_eigs, run.a.eigvals)
+    clusters = classify_clusters(tn_eigs, run.a.eigvals, run.a_norm, cfg["psi"], cfg["eta"])
 
     shared = [
         "k=%d mu=%s threshold=%s" % (k, _fmt(mu_val), _fmt(selection.threshold)),
@@ -482,7 +479,7 @@ def cmd_interlacing(cfg, problem, rng, out):
     v = _start_block(problem, cfg, rng)
     n, p = problem.a.shape[0], v.shape[1]
     k_max = min(cfg["k"], n // p)
-    run = run_block_lanczos(problem.a, v, k_max=k_max, mode="simulated_exact")
+    run = run_block_lanczos(Operator(problem.a, problem.eigs), v, k_max, mode="simulated_exact")
     thetas = [ritz_analysis(run, kk).thetas for kk in range(1, run.n_steps + 1)]
 
     eq6_total = sum(2 + 2 * (prev.size - p) for prev in thetas[:-1])

@@ -138,7 +138,8 @@ def run_block_lanczos(
     ----------
     a : (n, n) symmetric array, (n,) diagonal of a diagonal operator, or
         an `Operator`; both array forms of one operator give the same
-        run bit for bit.
+        run bit for bit. norm(a) is ``a.norm``: max|eigvals| of the
+        spectrum an Operator was seeded with, else of its ``eigvalsh``.
     v : (n, p) starting block, 1 <= p, k_max * p <= n.
     k_max : iteration budget.
     mode : "finite_precision" or "simulated_exact".

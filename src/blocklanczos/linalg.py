@@ -111,8 +111,11 @@ class Operator:
     operator, which is never densified. Building one raises ShapeMismatch,
     NonFiniteOperator (NaN or infinite entries, or a norm that overflows)
     or NotSymmetric (asymmetry above 1e-12 relative). ``eigvals``
-    (ascending), ``norm`` and the inverse Cholesky factor behind `solve`
-    are computed on first use and shared by every consumer from then on.
+    (ascending), ``norm`` = max|eigvals| and the inverse Cholesky factor
+    behind `solve` are computed on first use and shared from then on. A
+    builder that knows the spectrum passes it as ``eigvals`` (shape (n,),
+    finite, ascending, else ShapeMismatch, NonFiniteOperator or
+    ValueError); it is kept read-only and A is never eigensolved.
 
     Both forms of one operator give the same bits: a dense product with a
     diagonal matrix only adds exact zeros, LAPACK returns the sorted
@@ -121,7 +124,7 @@ class Operator:
     1/sqrt(d), by which the diagonal solve multiplies twice.
     """
 
-    def __init__(self, a: np.ndarray):
+    def __init__(self, a: np.ndarray, eigvals: np.ndarray | None = None):
         a = np.asarray(a)
         self._diag = a[:, None] if a.ndim == 1 else None
         if a.ndim not in (1, 2) or a.shape[0] != a.shape[-1]:
@@ -132,6 +135,16 @@ class Operator:
         if a.ndim == 2 and scale > 0.0 and float(np.linalg.norm(a - a.T)) > 1e-12 * scale:
             raise NotSymmetric("operator asymmetry above 1e-12 relative")
         self.array, self.shape = a, (a.shape[0], a.shape[0])
+        if eigvals is not None:
+            eigvals = np.array(eigvals, dtype=float)
+            if eigvals.shape != (a.shape[0],):
+                raise ShapeMismatch("spectrum %r for size %d" % (eigvals.shape, a.shape[0]))
+            if not np.all(np.isfinite(eigvals)):
+                raise NonFiniteOperator("spectrum has NaN or infinite entries")
+            if np.any(eigvals[1:] < eigvals[:-1]):
+                raise ValueError("spectrum must be ascending")
+            eigvals.flags.writeable = False
+            self.__dict__["eigvals"] = eigvals  # the cached property's value
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.array @ v if self._diag is None else self._diag * v

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InnerBreakdown, OverlappingIntervals, ParseError, UnsupportedField
-from .linalg import densify, householder_qr
+from .linalg import Operator, densify, householder_qr
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def kron_perturbed_problem(spec: SpectrumSpec, p: int, omega: float, seed):
     eigs = strakos_spectrum(spec)
     b_mat, _ = spectrum_to_matrix(eigs, rng)
     y = rng.standard_normal((spec.n, 1))
-    inner = run_block_lanczos(b_mat, y, k_max=spec.n, mode="simulated_exact")
+    inner = run_block_lanczos(Operator(b_mat, eigs), y, k_max=spec.n, mode="simulated_exact")
     s = inner.t.n_blocks
     if s < 3:
         raise InnerBreakdown("inner run closed after %d steps; need at least 3" % s)
@@ -232,9 +232,9 @@ def read_matrix_market(path: str) -> np.ndarray:
     if symmetry == "symmetric" and nrows != ncols:
         raise ParseError("symmetric matrix is not square: %d x %d" % (nrows, ncols), size_line)
 
-    # the data lines, as (1-based line number, stripped text), read once
-    entries = ((size_line + 1 + off, raw.strip()) for off, raw in enumerate(lines[idx + 1 :])
-               if raw.strip() and not raw.strip().startswith("%"))
+    # the data lines, as (1-based line number, stripped text)
+    entries = ((lineno, text) for lineno, raw in enumerate(lines[idx + 1 :], size_line + 1)
+               if (text := raw.strip()) and not text.startswith("%"))
     if layout == "coordinate":
         out = np.zeros((nrows, ncols))
         count = 0
@@ -256,28 +256,27 @@ def read_matrix_market(path: str) -> np.ndarray:
             raise ParseError("declared %d entries, found %d" % (nnz[0], count), len(lines))
         return out
 
-    # array layout: column-major dense values
-    values = []
-    for lineno, raw in entries:
-        try:
-            values.append(float(raw.split()[0]))
-        except ValueError:
-            raise ParseError("bad number %r" % raw, lineno) from None
-    if symmetry == "symmetric":
-        expected = nrows * (nrows + 1) // 2
-        if len(values) != expected:
-            raise ParseError(
-                "symmetric array needs %d values, found %d" % (expected, len(values)),
-                len(lines),
-            )
-        out = np.zeros((nrows, ncols))
-        # the lower triangle, column by column
-        j2, i = np.triu_indices(nrows)
-        out[i, j2] = values
-        out[j2, i] = values
-        return out
-    if len(values) != nrows * ncols:
-        raise ParseError(
-            "array needs %d values, found %d" % (nrows * ncols, len(values)), len(lines)
-        )
-    return np.array(values).reshape((ncols, nrows)).T
+    # array layout: column-major dense values, one per line as the format has them
+    try:
+        values = [float(text) for raw in lines[idx + 1 :]
+                  if (text := raw.strip()) and not text.startswith("%")]
+    except ValueError:  # a bad number or extra tokens: read each line's first token
+        values = []
+        for lineno, raw in entries:
+            try:
+                values.append(float(raw.split()[0]))
+            except ValueError:
+                raise ParseError("bad number %r" % raw, lineno) from None
+    symmetric = symmetry == "symmetric"
+    expected = nrows * (nrows + 1) // 2 if symmetric else nrows * ncols
+    if len(values) != expected:
+        raise ParseError("%sarray needs %d values, found %d"
+                         % ("symmetric " * symmetric, expected, len(values)), len(lines))
+    if not symmetric:
+        return np.array(values).reshape((ncols, nrows)).T
+    out = np.zeros((nrows, ncols))
+    # the lower triangle, column by column
+    j2, i = np.triu_indices(nrows)
+    out[i, j2] = values
+    out[j2, i] = values
+    return out

@@ -228,7 +228,8 @@ def test_nan_blur_width_exits(tmp_path, capsys):
 
 
 def test_each_command_factors_its_operator_once(tmp_path, monkeypatch):
-    # counts the dense eigen and Cholesky work on the n x n operator
+    # counts the dense eigen and Cholesky work on the n x n operator: a
+    # generator problem brings its spectrum, so no command eigensolves A
     n = 30
     a, _ = spectrum_to_matrix(np.linspace(1.0, 10.0, n), 7)
     mtx = tmp_path / "operator.mtx"
@@ -250,13 +251,37 @@ def test_each_command_factors_its_operator_once(tmp_path, monkeypatch):
     counted(np.linalg, "eigh")
     counted(np.linalg, "cholesky")
     assert main(["blurred-cg", "--mtx", str(mtx), "--p", "2", "--m", "3",
-                 "--out", str(tmp_path / "cg")]) == 0
-    assert calls["eigh"] == 1  # the eigenvectors the blur needs
-    assert calls["eigvalsh"] <= 1 and calls["cholesky"] == 1
-    calls.clear()
-    assert main(["continuation", "--matrix", "strakos(%d,0.1,100)" % n, "--k", "10",
-                 "--mu", "1e-5", "--out", str(tmp_path / "cont")]) == 0
-    assert calls["eigvalsh"] <= 1 and calls["cholesky"] == 0
+                 "--out", str(tmp_path / "cg_mtx")]) == 0
+    # the eigenpairs the blur needs also give the norm
+    assert calls == Counter(eigh=1, eigvalsh=0, cholesky=1)
+    generator = "strakos(%d,0.1,100)" % n
+    for argv, cholesky in [
+        (["blurred-cg", "--matrix", generator, "--p", "2", "--m", "3"], 1),
+        (["fp-diagnostics", "--matrix", generator, "--k", "10"], 0),
+        (["continuation", "--matrix", generator, "--k", "10", "--mu", "1e-5"], 0),
+        (["interlacing", "--matrix", generator, "--p", "2", "--k", "10"], 0),
+    ]:
+        calls.clear()
+        assert main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+        assert calls["eigvalsh"] == 0 and calls["cholesky"] == cholesky, argv
+        assert calls["eigh"] == 0, argv  # T_k and T_N stay below n x n here
+
+
+def test_generator_spectrum_scales_every_bound(tmp_path):
+    # norm(A) is the generator's lambda_n exactly, not the largest
+    # eigenvalue an eigensolver finds for the formed matrix (which differs
+    # from 100 in its last bits for this seed)
+    matrix = "strakos(120,0.1,100)"
+    assert main(["fp-diagnostics", "--matrix", matrix, "--k", "10",
+                 "--out", str(tmp_path / "fp")]) == 0
+    comments, _, _ = csv_parts(read(tmp_path / "fp" / "fp_diagnostics.csv"))
+    assert any(c.split()[-1] == "a_norm=100" for c in comments)
+    assert main(["continuation", "--matrix", matrix, "--k", "30", "--mu", "1e-5",
+                 "--out", str(tmp_path / "cont")]) == 0
+    for name in ("continuation_terms.csv", "continuation_spread.csv"):
+        comments, _, _ = csv_parts(read(tmp_path / "cont" / name))
+        info = next(c for c in comments if "threshold=" in c)
+        assert float(info.split("threshold=")[1].split()[0]) == 1e-5 * 100
 
 
 @pytest.mark.parametrize("argv", [

@@ -323,3 +323,30 @@ def test_operator_is_checked_when_built_and_factored_at_first_solve():
     assert np.array_equal(dense.eigvals, diag.eigvals) and dense.norm == diag.norm == 7.0
     assert np.array_equal(dense @ b, diag @ b)
     assert np.array_equal(dense.solve(b), diag.solve(b))
+
+
+def test_operator_seeded_with_its_spectrum_is_not_eigensolved(monkeypatch):
+    eigs = np.array([0.5, 1.0, 1.0, 4.0])  # ascending, with a tie
+    a = np.diag(eigs[::-1])
+    for bad, error in [(eigs[:3], ShapeMismatch), (eigs[:, None], ShapeMismatch),
+                       (np.array([0.5, np.nan, 1.0, 4.0]), NonFiniteOperator),
+                       (np.array([0.5, 1.0, 1.0, np.inf]), NonFiniteOperator),
+                       (eigs[::-1], ValueError)]:
+        with pytest.raises(error):
+            Operator(a, bad)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a seeded Operator called an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unexpected)
+    monkeypatch.setattr(np.linalg, "eigh", unexpected)
+    spectrum = np.array([-7.5, 0.25, 3.0, 6.0])
+    op = Operator(np.diag(spectrum), spectrum)
+    assert np.array_equal(op.eigvals, spectrum) and op.eigvals is not spectrum
+    assert op.norm == float(np.max(np.abs(spectrum))) == 7.5
+    assert not op.eigvals.flags.writeable and spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        op.eigvals[0] = 1.0
+    rng = np.random.default_rng(12)
+    drawn = np.sort(rng.uniform(-3.0, 2.0, 50))
+    assert Operator(np.diag(drawn), drawn).norm == float(np.max(np.abs(drawn)))

@@ -205,6 +205,27 @@ def test_read_array_symmetric_packed():
     assert np.array_equal(out, want)
 
 
+def test_read_array_with_comments_blanks_and_extra_tokens(tmp_path):
+    # one number per line is the usual form; a line with more tokens keeps
+    # its first one, as it always has, and a bad number names its line
+    text = ["%%MatrixMarket matrix array real general", "% size next", "2 3",
+            "1.5", "", "% a comment between values", "-2", "  3e1  ", "4 extra tokens",
+            "5", "", "6"]
+    path = tmp_path / "messy.mtx"
+    path.write_text("\n".join(text) + "\n")
+    want = np.array([[1.5, 30.0, 5.0], [-2.0, 4.0, 6.0]])
+    assert np.array_equal(read_matrix_market(str(path)), want)
+    path.write_text("\n".join(text[:9] + ["1.0 x"]) + "\n")  # fallback, then too few values
+    with pytest.raises(ParseError) as info:
+        read_matrix_market(str(path))
+    assert info.value.line_number == 10 and "array needs 6 values, found 5" in str(info.value)
+    for bad_line in ("x", "x 1.0"):
+        path.write_text("\n".join(text[:5] + [bad_line] + text[5:]) + "\n")
+        with pytest.raises(ParseError) as info:
+            read_matrix_market(str(path))
+        assert info.value.line_number == 6 and "bad number" in str(info.value)
+
+
 def test_read_integer_field():
     out = read_matrix_market(fixture("coord_int.mtx"))
     assert np.array_equal(out, np.diag([3.0, 7.0]))

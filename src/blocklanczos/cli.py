@@ -304,7 +304,8 @@ def cmd_blurred_cg(cfg, problem, rng, out):
     eigs, y = (problem.eigs, problem.y) if problem.eigs is not None else sym_eig(problem.a)
     # both FP runs and the header share its norm and Cholesky factor
     a = Operator(problem.a, eigs)
-    n, p = a.shape[0], cfg["p"]
+    n = a.shape[0]
+    p = cfg["p"]
     b = rng.standard_normal((n, p))
     raw_deltas = _parse_delta(cfg["delta"])
     scale = EPS * a.norm if cfg["delta_scale"] == "eps_norm" else 1.0
@@ -355,7 +356,8 @@ def cmd_blurred_cg(cfg, problem, rng, out):
 def cmd_fp_diagnostics(cfg, problem, rng, out):
     """recurrence health columns of a finite-precision run"""
     v = _start_block(problem, cfg, rng)
-    run = run_block_lanczos(Operator(problem.a, problem.eigs), v, k_max=cfg["k"])
+    a = Operator(problem.a, problem.eigs)
+    run = run_block_lanczos(a, v, k_max=cfg["k"], mode="finite_precision")
     n, p = problem.a.shape[0], v.shape[1]
     level = n * p * EPS
     comments = [
@@ -395,7 +397,8 @@ def cmd_continuation(cfg, problem, rng, out):
     """selection, continuation, model assembly, spread and certificate"""
     v = _start_block(problem, cfg, rng)
     n, p = problem.a.shape[0], v.shape[1]
-    run = run_block_lanczos(Operator(problem.a, problem.eigs), v, k_max=cfg["k"])
+    a = Operator(problem.a, problem.eigs)
+    run = run_block_lanczos(a, v, k_max=cfg["k"], mode="finite_precision")
     k = run.n_steps
     mu_val = _parse_mu(cfg["mu"])
     if mu_val is None:
@@ -479,7 +482,8 @@ def cmd_interlacing(cfg, problem, rng, out):
     v = _start_block(problem, cfg, rng)
     n, p = problem.a.shape[0], v.shape[1]
     k_max = min(cfg["k"], n // p)
-    run = run_block_lanczos(Operator(problem.a, problem.eigs), v, k_max, mode="simulated_exact")
+    a = Operator(problem.a, problem.eigs)
+    run = run_block_lanczos(a, v, k_max=k_max, mode="simulated_exact")
     thetas = [ritz_analysis(run, kk).thetas for kk in range(1, run.n_steps + 1)]
 
     eq6_total = sum(2 + 2 * (prev.size - p) for prev in thetas[:-1])

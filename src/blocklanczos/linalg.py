@@ -114,7 +114,8 @@ class Operator:
     (ascending), ``norm`` = max|eigvals| and the inverse Cholesky factor
     behind `solve` are computed on first use and shared from then on. A
     builder that knows the spectrum passes it as ``eigvals`` (shape (n,),
-    finite, ascending, else ShapeMismatch, NonFiniteOperator or
+    finite, ascending, with 2-norm equal to A's Frobenius norm to
+    10 n eps relative, else ShapeMismatch, NonFiniteOperator or
     ValueError); it is kept read-only and A is never eigensolved.
 
     Both forms of one operator give the same bits: a dense product with a
@@ -143,6 +144,10 @@ class Operator:
                 raise NonFiniteOperator("spectrum has NaN or infinite entries")
             if np.any(eigvals[1:] < eigvals[:-1]):
                 raise ValueError("spectrum must be ascending")
+            # an O(n) guard against a wrong or stale spectrum: sum(eigvals**2) = ||A||_F**2
+            mismatch = abs(float(np.linalg.norm(eigvals)) - scale)
+            if mismatch > 10 * a.shape[0] * np.finfo(float).eps * scale:
+                raise ValueError("spectrum does not match the operator's Frobenius norm")
             eigvals.flags.writeable = False
             self.__dict__["eigvals"] = eigvals  # the cached property's value
 

@@ -232,7 +232,7 @@ def read_matrix_market(path: str) -> np.ndarray:
     if symmetry == "symmetric" and nrows != ncols:
         raise ParseError("symmetric matrix is not square: %d x %d" % (nrows, ncols), size_line)
 
-    # the data lines, as (1-based line number, stripped text)
+    # the data lines, as (1-based line number, stripped text), read once
     entries = ((lineno, text) for lineno, raw in enumerate(lines[idx + 1 :], size_line + 1)
                if (text := raw.strip()) and not text.startswith("%"))
     if layout == "coordinate":
@@ -256,27 +256,28 @@ def read_matrix_market(path: str) -> np.ndarray:
             raise ParseError("declared %d entries, found %d" % (nnz[0], count), len(lines))
         return out
 
-    # array layout: column-major dense values, one per line as the format has them
-    try:
-        values = [float(text) for raw in lines[idx + 1 :]
-                  if (text := raw.strip()) and not text.startswith("%")]
-    except ValueError:  # a bad number or extra tokens: read each line's first token
-        values = []
-        for lineno, raw in entries:
-            try:
-                values.append(float(raw.split()[0]))
-            except ValueError:
-                raise ParseError("bad number %r" % raw, lineno) from None
-    symmetric = symmetry == "symmetric"
-    expected = nrows * (nrows + 1) // 2 if symmetric else nrows * ncols
-    if len(values) != expected:
-        raise ParseError("%sarray needs %d values, found %d"
-                         % ("symmetric " * symmetric, expected, len(values)), len(lines))
-    if not symmetric:
-        return np.array(values).reshape((ncols, nrows)).T
-    out = np.zeros((nrows, ncols))
-    # the lower triangle, column by column
-    j2, i = np.triu_indices(nrows)
-    out[i, j2] = values
-    out[j2, i] = values
-    return out
+    # array layout: column-major dense values
+    values = []
+    for lineno, raw in entries:
+        try:
+            values.append(float(raw.split()[0]))
+        except ValueError:
+            raise ParseError("bad number %r" % raw, lineno) from None
+    if symmetry == "symmetric":
+        expected = nrows * (nrows + 1) // 2
+        if len(values) != expected:
+            raise ParseError(
+                "symmetric array needs %d values, found %d" % (expected, len(values)),
+                len(lines),
+            )
+        out = np.zeros((nrows, ncols))
+        # the lower triangle, column by column
+        j2, i = np.triu_indices(nrows)
+        out[i, j2] = values
+        out[j2, i] = values
+        return out
+    if len(values) != nrows * ncols:
+        raise ParseError(
+            "array needs %d values, found %d" % (nrows * ncols, len(values)), len(lines)
+        )
+    return np.array(values).reshape((ncols, nrows)).T

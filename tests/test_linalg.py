@@ -331,7 +331,9 @@ def test_operator_seeded_with_its_spectrum_is_not_eigensolved(monkeypatch):
     for bad, error in [(eigs[:3], ShapeMismatch), (eigs[:, None], ShapeMismatch),
                        (np.array([0.5, np.nan, 1.0, 4.0]), NonFiniteOperator),
                        (np.array([0.5, 1.0, 1.0, np.inf]), NonFiniteOperator),
-                       (eigs[::-1], ValueError)]:
+                       (eigs[::-1], ValueError),
+                       # right length and order, but not A's spectrum: scaled or one value stale
+                       (2.0 * eigs, ValueError), (np.array([0.5, 1.0, 1.0, 4.001]), ValueError)]:
         with pytest.raises(error):
             Operator(a, bad)
 
@@ -350,3 +352,5 @@ def test_operator_seeded_with_its_spectrum_is_not_eigensolved(monkeypatch):
     rng = np.random.default_rng(12)
     drawn = np.sort(rng.uniform(-3.0, 2.0, 50))
     assert Operator(np.diag(drawn), drawn).norm == float(np.max(np.abs(drawn)))
+    q, _ = np.linalg.qr(rng.standard_normal((50, 50)))  # a rotated A passes the Frobenius check
+    assert Operator((q * drawn) @ q.T, drawn).norm == float(np.max(np.abs(drawn)))

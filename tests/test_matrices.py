@@ -215,7 +215,7 @@ def test_read_array_with_comments_blanks_and_extra_tokens(tmp_path):
     path.write_text("\n".join(text) + "\n")
     want = np.array([[1.5, 30.0, 5.0], [-2.0, 4.0, 6.0]])
     assert np.array_equal(read_matrix_market(str(path)), want)
-    path.write_text("\n".join(text[:9] + ["1.0 x"]) + "\n")  # fallback, then too few values
+    path.write_text("\n".join(text[:9] + ["1.0 x"]) + "\n")  # extra tokens, then too few values
     with pytest.raises(ParseError) as info:
         read_matrix_market(str(path))
     assert info.value.line_number == 10 and "array needs 6 values, found 5" in str(info.value)

@@ -29,7 +29,7 @@ from .analysis import (
 from .cg import dr_bcg, hs_bcg
 from .continuation import assemble_tn, continue_prefix, prefix_terms
 from .errors import BlockLanczosError, EmptySelection, NearDependentRitzVectors
-from .lanczos import ritz_analysis, run_block_lanczos
+from .lanczos import BREAKDOWN_TOL, ritz_analysis, run_block_lanczos
 from .linalg import Operator, densify, householder_qr, sym_eig
 from .matrices import (
     BlurSpec,
@@ -54,7 +54,6 @@ OPTIONS = {
     "mu": ("auto", str, "selection threshold, a float or 'auto' for sqrt(k n p eps)"),
     "psi": (EPS ** 0.5, float, "cluster chaining distance, units of norm(A)"),
     "eta": (EPS ** 0.5, float, "cluster properness margin, units of norm(A)"),
-    "svd_tol": (1e-12, float, "absolute singular value cutoff in the continuation"),
     "delta": ("100,0.5", str, "one or two blur widths, comma separated"),
     "delta_scale": ("eps_norm", str,
                     "delta units: eps_norm (multiples of eps*norm(A)) or abs (absolute)"),
@@ -311,19 +310,16 @@ def cmd_blurred_cg(cfg, problem, rng, out):
     scale = EPS * a.norm if cfg["delta_scale"] == "eps_norm" else 1.0
     deltas = [r * scale for r in raw_deltas]
 
-    maxit = cfg["maxit"] if cfg["maxit"] > 0 else n
+    # every blur before any CG work, so a delta wider than a gap fails first
+    blurred = [(eigs, y.T @ b) if cfg["m"] == 1 and delta == 0.0  # no blur: A diagonalized
+               else blurred_problem(eigs, y, b, BlurSpec(cfg["m"], delta)) for delta in deltas]
+    maxit = cfg["maxit"] or n  # 0 for the dimension
     series = [
         ("hs_fp", hs_bcg(a, b, maxit=maxit)),
         ("dr_fp", dr_bcg(a, b, maxit=maxit)),
     ]
-    for idx, delta in enumerate(deltas, start=1):
-        if cfg["m"] == 1 and delta == 0.0:
-            # degenerate blur: the diagonalized original problem
-            a_hat, b_hat = eigs, y.T @ b
-        else:
-            a_hat, b_hat = blurred_problem(eigs, y, b, BlurSpec(cfg["m"], delta))
-        blur_maxit = cfg["maxit"] if cfg["maxit"] > 0 else a_hat.size
-        hist = dr_bcg(a_hat, b_hat, maxit=blur_maxit, exact_mode=True)
+    for idx, (a_hat, b_hat) in enumerate(blurred, start=1):
+        hist = dr_bcg(a_hat, b_hat, maxit=cfg["maxit"] or a_hat.size, exact_mode=True)
         series.append(("dr_exact_d%d" % idx, hist))
 
     comments = ["a_norm=%s delta_scale=%s" % (_fmt(a.norm), cfg["delta_scale"])]
@@ -404,7 +400,7 @@ def cmd_continuation(cfg, problem, rng, out):
     if mu_val is None:
         mu_val = float(np.sqrt(k * n * p * EPS))
 
-    pipeline = continue_prefix(run, k, mu_val, cfg["svd_tol"])
+    pipeline = continue_prefix(run, k, mu_val)
     selection, cont, report = pipeline.selection, pipeline.cont, pipeline.report
     tn = assemble_tn(run, k, cont)
     basis = np.hstack([run.basis[:, : k * p]] + cont.q_panels)
@@ -426,7 +422,7 @@ def cmd_continuation(cfg, problem, rng, out):
     term_rows = []
     for kk in range(1, k):
         try:
-            sel_kk, terms = prefix_terms(run, kk, mu_val, cfg["svd_tol"])
+            sel_kk, terms = prefix_terms(run, kk, mu_val)
             term_rows.append((kk, sel_kk.m, sel_kk.rho_k) + terms)
         except (EmptySelection, NearDependentRitzVectors):
             nan = float("nan")
@@ -445,7 +441,8 @@ def cmd_continuation(cfg, problem, rng, out):
     ]
     return [
         _write_csv(out / "continuation_h_norms.csv", cfg,
-                   shared + ["continuation_steps=%d svd_tol=%s" % (cont.n_steps, _fmt(cfg["svd_tol"]))],
+                   shared + ["continuation_steps=%d rank_cut=%s"
+                             % (cont.n_steps, _fmt(BREAKDOWN_TOL * run.a_norm))],
                    ("j", "width", "h_norm"), h_rows),
         _write_csv(out / "continuation_terms.csv", cfg,
                    shared + ["guide mu_a_norm=%s ten_mu_a_norm=%s"

@@ -38,8 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapReached, EmptySelection, NearDependentRitzVectors, ShapeMismatch
-from .lanczos import LanczosRun, ritz_analysis
+from .errors import (AssumptionUnsatisfiable, CapReached, EmptySelection,
+                     NearDependentRitzVectors, ShapeMismatch)
+from .lanczos import BREAKDOWN_TOL, LanczosRun, ritz_analysis
 from .linalg import BlockTridiagonal, panel_norm, qr_unchecked, reorthogonalize, truncated_svd
 
 
@@ -153,27 +154,28 @@ class ContinuationResult:
         return [q.shape[1] for q in self.q_panels]
 
 
-def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray, svd_tol: float):
+def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray):
     """The steps of the continuation at prefix k, one per ``next``.
 
     Step 1 replays step k of the run from v_{k-1}, v_k, alpha_k and
     beta_k (no trailing term for k = 1); every later step is a three-term
     step on the new panels. Each raw panel is reorthogonalized twice
-    against w_k and all panels kept so far, its kept part comes from an
-    SVD with absolute cutoff ``svd_tol``, and the step yields
-    ``(alpha, u_t, b_new, h_panel)``: its diagonal block (None at step 1,
-    whose block is alpha_k of the run), the new panel, its coupling and
-    the removed difference ``raw - u_t @ b_new``. The steps end after the
-    first one that keeps rank zero.
+    against w_k and all panels kept so far, and its kept part comes from
+    an SVD cut at BREAKDOWN_TOL * norm(A), the run's breakdown level. The
+    step yields ``(alpha, u_t, b_new, h_panel)``: its diagonal block (None
+    at step 1, whose block is alpha_k of the run), the new panel, its
+    coupling and the removed difference ``raw - u_t @ b_new``. The steps
+    end after the first one that keeps rank zero.
 
-    Raises CapReached before the basis would pass n columns.
+    Raises AssumptionUnsatisfiable for norm(A) = 0, which leaves the cut
+    without a scale, and CapReached before the basis would pass n columns.
     """
     if not 1 <= k <= run.n_steps:
         raise ValueError("k must be in [1, %d], got %d" % (run.n_steps, k))
-    if not svd_tol > 0.0:  # also rejects NaN
-        raise ValueError("svd_tol must be > 0")
     a = run.a
-    n, cols = a.shape[0], w_k.shape[1]
+    if a.norm == 0.0:
+        raise AssumptionUnsatisfiable("norm(A) = 0 leaves the rank cut without a scale")
+    n, cols, cut = a.shape[0], w_k.shape[1], BREAKDOWN_TOL * a.norm
     # room for every panel the basis can take; BLAS rounds against a
     # strided view of w_k differently from a contiguous one, so this
     # layout fixes the last bits of every output built on step 1
@@ -190,7 +192,7 @@ def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray, svd_tol: float
         elif j > 2:
             alpha = q.T @ aq
         raw = aq - q @ alpha - trail
-        u_t, b_new, rank = truncated_svd(reorthogonalize(raw, basis[:, :cols]), svd_tol)
+        u_t, b_new, rank = truncated_svd(reorthogonalize(raw, basis[:, :cols]), cut)
         yield alpha if j > 1 else None, u_t, b_new, raw - u_t @ b_new
         if rank == 0:
             return
@@ -202,22 +204,22 @@ def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray, svd_tol: float
         q, trail = u_t, q @ b_new.T
 
 
-def continuation_run(
-    run: LanczosRun, k: int, w_k: np.ndarray, svd_tol: float = 1e-12
-) -> ContinuationResult:
+def continuation_run(run: LanczosRun, k: int, w_k: np.ndarray) -> ContinuationResult:
     """Run the recurrence of ``run`` past step k against the protected
     basis w_k until a step keeps rank zero.
 
     Step 1 replays step k of the run but removes every component along
     w_k; later steps are plain three-term steps on the new panels (see
-    `_continuation_steps`). The discarded difference of each step is
+    `_continuation_steps`), each cut at the run's breakdown level
+    BREAKDOWN_TOL * norm(A). The discarded difference of each step is
     recorded as its h panel. The reported epsilon2 covers the whole
     model: the run's residual norms of steps 1..k and every h norm.
 
-    Raises ValueError for k outside [1, run.n_steps] or svd_tol <= 0, and
-    CapReached if the basis would outgrow the dimension n.
+    Raises ValueError for k outside [1, run.n_steps],
+    AssumptionUnsatisfiable for norm(A) = 0, and CapReached if the basis
+    would outgrow the dimension n.
     """
-    alphas, q_panels, betas, h_panels = map(list, zip(*_continuation_steps(run, k, w_k, svd_tol)))
+    alphas, q_panels, betas, h_panels = map(list, zip(*_continuation_steps(run, k, w_k)))
     h_norms = [panel_norm(h) for h in h_panels]
     fp_norms = [row.delta_v_norm for row in run.diagnostics[:k]]
     epsilon2 = float(max(fp_norms + h_norms) / run.a.norm)
@@ -348,9 +350,7 @@ class PrefixContinuation:
     report: DecompositionReport
 
 
-def continue_prefix(
-    run: LanczosRun, k: int, mu: float, svd_tol: float = 1e-12
-) -> PrefixContinuation:
+def continue_prefix(run: LanczosRun, k: int, mu: float) -> PrefixContinuation:
     """Select at threshold mu, continue to closure and decompose, at
     prefix k of a finite-precision run, on the run's own operator.
 
@@ -358,12 +358,12 @@ def continue_prefix(
     corresponding stage cannot proceed.
     """
     selection = select_ritz_vectors(run, k, mu)
-    cont = continuation_run(run, k, selection.w_k, svd_tol)
+    cont = continuation_run(run, k, selection.w_k)
     report = perturbation_decomposition(run, k, selection, cont)
     return PrefixContinuation(selection, cont, report)
 
 
-def prefix_terms(run: LanczosRun, k: int, mu: float, svd_tol: float = 1e-12):
+def prefix_terms(run: LanczosRun, k: int, mu: float):
     """The selection and the monitored terms at prefix k, from
     continuation step 1 alone.
 
@@ -372,5 +372,5 @@ def prefix_terms(run: LanczosRun, k: int, mu: float, svd_tol: float = 1e-12):
     Raises EmptySelection or NearDependentRitzVectors like it.
     """
     selection = select_ritz_vectors(run, k, mu)
-    _, _, beta_c, _ = next(_continuation_steps(run, k, selection.w_k, svd_tol))
+    _, _, beta_c, _ = next(_continuation_steps(run, k, selection.w_k))
     return selection, monitored_terms(run, k, selection, beta_c if beta_c.size else None)

@@ -44,10 +44,12 @@ def strakos48(lambda_1: float, lambda_n: float, rho: float = 0.8) -> SpectrumSpe
 
 
 def strakos_spectrum(spec: SpectrumSpec) -> np.ndarray:
-    """Strictly increasing eigenvalues for a SpectrumSpec.
+    """Nondecreasing eigenvalues for a SpectrumSpec.
 
     lambda_i = lambda_1 + ((i-1)/(n-1)) * (lambda_n - lambda_1) * rho**(n-i)
-    with both endpoints assigned exactly.
+    with both endpoints assigned exactly. For large n and small rho the
+    added term is lost against lambda_1 in floating point, so values tie:
+    n = 600, rho = 0.8 gives 404 values equal to lambda_1 and 408 zero gaps.
     """
     n = spec.n
     i = np.arange(1, n + 1, dtype=float)

@@ -69,7 +69,7 @@ def test_config_file_precedence(tmp_path):
         "# comment line\n"
         "k = 5\n"
         "seed = 9\n"
-        "svd-tol = 1e-10\n"
+        "psi = 1e-3\n"
     )
     rc = main([
         "fp-diagnostics", "--config", str(cfgfile),
@@ -80,7 +80,7 @@ def test_config_file_precedence(tmp_path):
     # the flag wins over the file, the file over the default
     assert "seed=9" in comments[0]
     assert "k=7" in comments[1]
-    assert "svd_tol=1e-10" in comments[1]
+    assert "psi=0.001" in comments[1]
     assert len(rows) == 7
 
 
@@ -114,7 +114,7 @@ def test_error_exits(tmp_path, capsys):
 # an option missing here fails its case below with a KeyError
 OPTION_VALUES = {
     "matrix": "random(10)", "mtx": "operator.mtx", "name": "study", "p": "3", "k": "7",
-    "mu": "1e-5", "psi": "1e-3", "eta": "2e-3", "svd_tol": "1e-10", "delta": "5,1",
+    "mu": "1e-5", "psi": "1e-3", "eta": "2e-3", "delta": "5,1",
     "delta_scale": "abs", "m": "4", "seed": "9", "maxit": "12", "omega": "1e-9",
     "out": "elsewhere",
 }
@@ -208,8 +208,8 @@ def test_non_integer_size_exits(tmp_path, capsys, spec):
     assert not os.listdir(tmp_path)
 
 
-@pytest.mark.parametrize("flag, word", [("--svd-tol", "svd_tol"), ("--psi", "psi"),
-                                        ("--eta", "eta"), ("--mu", "mu must be")])
+@pytest.mark.parametrize("flag, word", [("--psi", "psi"), ("--eta", "eta"),
+                                        ("--mu", "mu must be")])
 def test_nan_threshold_exits(tmp_path, capsys, flag, word):
     # a NaN compares False both ways, so a "<= 0" guard would let it through
     assert main(["continuation", "--matrix", "strakos48(0.1,100)", "--p", "2", "--k", "12",
@@ -224,6 +224,18 @@ def test_nan_blur_width_exits(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "delta" in err
+    assert not os.listdir(tmp_path)
+
+
+def test_blur_wider_than_a_gap_exits_before_any_cg(tmp_path, capsys, monkeypatch):
+    # strakos(600,...) ties its lowest eigenvalues, so any blur overlaps;
+    # the blurred problems are built before the FP solves and none runs
+    calls = []
+    monkeypatch.setattr("blocklanczos.cli.hs_bcg", lambda *args, **kw: calls.append(args))
+    assert main(["blurred-cg", "--matrix", "strakos(600,0.1,100)", "--p", "2", "--m", "3",
+                 "--out", str(tmp_path)]) == 2
+    assert "smallest spectral gap 0.000e+00" in capsys.readouterr().err
+    assert calls == []
     assert not os.listdir(tmp_path)
 
 
@@ -358,6 +370,8 @@ def test_continuation_artifacts(tmp_path):
     steps = next(c for c in comments if "continuation_steps=" in c)
     n_steps = int(steps.split("continuation_steps=")[1].split()[0])
     assert len(rows) == n_steps
+    # the cut applied is the breakdown level, 1e-12 norm(A) with norm(A) = 100
+    assert float(steps.split("rank_cut=")[1]) == 1e-12 * 100.0
     assert rows[-1].split(",")[1] == "0"  # closing step keeps no panel
 
     comments, header, rows = csv_parts(read(tmp_path / "continuation_terms.csv"))

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocklanczos import (
+    AssumptionUnsatisfiable,
     BlockTridiagonal,
     CapReached,
     ContinuationResult,
@@ -139,9 +140,6 @@ def test_epsilon2_formula(pipeline):
 def test_continuation_cap_and_tol_validation(pipeline):
     # the column cap: test_continuation_basis_cannot_outgrow_the_dimension
     run, k, w_k = pipeline["run"], pipeline["k"], pipeline["w_k"]
-    for bad_tol in (0.0, float("nan")):
-        with pytest.raises(ValueError, match="svd_tol"):
-            continuation_run(run, k, w_k, svd_tol=bad_tol)
     for bad_k in (0, run.n_steps + 1):
         with pytest.raises(ValueError, match="k must be"):
             continuation_run(run, bad_k, w_k)
@@ -149,13 +147,23 @@ def test_continuation_cap_and_tol_validation(pipeline):
             assemble_tn(run, bad_k, pipeline["cont"])
 
 
-def test_continuation_basis_cannot_outgrow_the_dimension():
-    # roundoff-level panels keep the rank above zero past n columns
-    a, _ = spectrum_to_matrix(
-        strakos_spectrum(SpectrumSpec(32, 0.09403341099463514, 100.0, 0.7098279207308458)), 5178)
-    run = run_block_lanczos(a, np.random.default_rng(5179).standard_normal((32, 3)), k_max=6)
-    with pytest.raises(CapReached, match="n = 32"):
-        continue_prefix(run, 5, 0.0017252627729809967)
+def test_continuation_basis_cannot_outgrow_the_dimension(pipeline, monkeypatch):
+    # a cut that keeps every column never closes; the guard stops the
+    # basis before it passes n columns
+    monkeypatch.setattr("blocklanczos.continuation.truncated_svd",
+                        lambda w, tol: truncated_svd(w, 0.0))
+    with pytest.raises(CapReached, match="would reach 50 columns in dimension n = 48"):
+        continue_prefix(pipeline["run"], pipeline["k"], 1e-5)
+
+
+def test_continuation_refuses_the_zero_operator():
+    # a cut relative to norm(A) = 0 has no scale: refused before step 1
+    v = np.random.default_rng(0).standard_normal((10, 2))
+    run = run_block_lanczos(np.zeros((10, 10)), v, k_max=4)
+    with pytest.raises(AssumptionUnsatisfiable, match="norm"):
+        continuation_run(run, 1, run.basis[:, :1].copy())
+    with pytest.raises(EmptySelection):
+        prefix_terms(run, 1, 1e-5)
 
 
 def test_assemble_tn_structure(pipeline):
@@ -276,27 +284,24 @@ def test_prefix_terms_equal_full_continuation(n, l1, rho, seed, p, k_max, mu, kr
     a, v = _start(n, l1, rho, seed, p, kron)
     run = run_block_lanczos(a, v, k_max=min(k_max, a.shape[0] // p))
     seen = _compare_prefixes(run, mu)
+    assert "CapReached" not in seen
     if not drawn:
-        assert "CapReached" not in seen
         assert ("EmptySelection" in seen) == (mu == 1e-2)
-    # A drawn problem may fail to close past step 1, which prefix_terms
-    # never takes: the absolute svd_tol cut sits at the roundoff level of
-    # small problems (test_small_problem_closes_past_step_one).
 
 
-@pytest.mark.xfail(raises=CapReached, strict=True, reason=(
-    "known fault: the absolute svd_tol = 1e-12 cut sits at the roundoff level of panels "
-    "when norm(A) = 100, so the continuation keeps roundoff-level panels until it would "
-    "pass n columns"))
 def test_small_problem_closes_past_step_one():
-    # a draw of test_prefix_terms_equal_full_continuation: prefix_terms
-    # reports terms at k = 7, continue_prefix cannot close there
+    # a draw of test_prefix_terms_equal_full_continuation that an absolute
+    # cut of 1e-12 at norm(A) = 100 cannot close: roundoff-level panels
+    # would be kept until the basis passed n = 43 columns
     a, v = _start(43, 0.5994155762046618, 0.8404979825391405, 1761, 3, False)
     run = run_block_lanczos(a, v, k_max=14)
     mu = 0.009999769744141627
     _, terms = prefix_terms(run, 7, mu)
-    report = continue_prefix(run, 7, mu).report
-    assert terms == (report.term21a, report.term21b, report.term22)
+    pc = continue_prefix(run, 7, mu)
+    assert terms == (pc.report.term21a, pc.report.term21b, pc.report.term22)
+    assert pc.cont.widths == [3] * 11 + [2, 1, 1, 1]
+    assert pc.selection.m + sum(pc.cont.widths) <= 43
+    assert 1.2e-2 < pc.cont.epsilon2 < 1.22e-2
 
 
 @pytest.mark.parametrize("n, l1, rho, seed, p, k_max, k, mu", [

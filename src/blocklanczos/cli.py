@@ -11,6 +11,7 @@ the files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,9 +100,11 @@ def resolve_config(args):
         cfg[key] = flag if flag is not None else from_file.get(key, default)
     if (cfg["matrix"] is None) == (cfg["mtx"] is None):
         raise ValueError("need exactly one of --matrix or --mtx")
-    for key, low in (("p", 1), ("k", 1), ("m", 1), ("maxit", 0), ("seed", 0)):
-        if cfg[key] < low:
-            raise ValueError("--%s must be >= %d, got %d" % (key, low, cfg[key]))
+    if cfg["matrix"] is not None:  # a bad spec fails before the output directory is made
+        _parse_matrix_spec(cfg["matrix"])
+    for key, low in (("p", 1), ("k", 1), ("m", 1), ("maxit", 0), ("seed", 0), ("psi", 0), ("eta", 0)):
+        if not cfg[key] >= low:  # also rejects a NaN psi or eta
+            raise ValueError("--%s must be >= %d, got %s" % (key, low, cfg[key]))
     if cfg["delta_scale"] not in ("eps_norm", "abs"):
         raise ValueError("--delta-scale must be eps_norm or abs")
     _parse_mu(cfg["mu"])
@@ -129,8 +132,8 @@ class Problem:
 
 
 def _whole(x, text):
-    if not x.is_integer():
-        raise ValueError("matrix size must be a whole number in %r" % text)
+    if not (x.is_integer() and x >= 1):
+        raise ValueError("matrix size must be a whole number >= 1 in %r" % text)
     return int(x)
 
 
@@ -195,14 +198,15 @@ def _start_block(problem, cfg, rng):
 # ---------------------------------------------------------------------------
 # serialization
 
+@functools.lru_cache(maxsize=None)
+def _form(kinds):
+    """printf format of one CSV row whose cells have the types ``kinds``."""
+    return ",".join("%d" if issubclass(kind, (int, np.integer, np.bool_)) else
+                    "%.17g" if issubclass(kind, (float, np.floating)) else "%s" for kind in kinds)
+
+
 def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return "%d" % value
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % value
-    return str(value)
+    return _form((type(value),)) % (value,)
 
 
 def _write_csv(path, cfg, comments, header, rows):
@@ -213,8 +217,7 @@ def _write_csv(path, cfg, comments, header, rows):
     ]
     lines.extend("# %s" % c for c in comments)
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines.extend(_form(tuple(map(type, row))) % tuple(row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
     return path
 

@@ -21,6 +21,7 @@ Two modes:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ from .linalg import (
     BlockTridiagonal,
     Operator,
     as_operator,
+    densify,
     householder_qr,
     qr_unchecked,
     reorthogonalize,
@@ -82,6 +84,7 @@ class LanczosRun:
                 panels[j] is v_{j+1}. Holds v_1 .. v_K, plus v_{K+1}
                 when the run stopped at k_max rather than by rank collapse
     t           alphas alpha_1..alpha_K and couplings beta_2..beta_K
+    t_dense     densify(t), made on first use and cached; T_k is its (k p, k p) corner
     beta_next   beta_{K+1}; on natural termination its norm is at the
                 breakdown tolerance
     terminated  True when the recurrence closed on its own
@@ -106,6 +109,10 @@ class LanczosRun:
     @property
     def width(self) -> int:
         return self.panels.shape[2]
+
+    @functools.cached_property
+    def t_dense(self) -> np.ndarray:
+        return densify(self.t)
 
 
 @dataclass
@@ -266,7 +273,7 @@ def ritz_analysis(run: LanczosRun, k: int) -> RitzSet:
     big_k = run.n_steps
     if not (1 <= k <= big_k):
         raise ValueError("k must be in [1, %d], got %d" % (big_k, k))
-    thetas, s = sym_eig(BlockTridiagonal(run.t.alphas[:k], run.t.betas[: k - 1]))
+    thetas, s = sym_eig(run.t_dense[: k * run.width, : k * run.width])
     beta_kp1 = run.t.betas[k - 1] if k < big_k else run.beta_next
     deltas = np.linalg.norm(beta_kp1 @ s[(k - 1) * run.width :, :], axis=0)
     return RitzSet(k=k, thetas=thetas, s=s, deltas=deltas)

@@ -35,10 +35,10 @@ from .errors import (
 
 
 def panel_norm(x: np.ndarray) -> float:
-    """Spectral norm of a matrix or block vector (0.0 for empty input)."""
+    """Spectral norm (0.0 for empty input), read from the SVD ``norm(x, 2)`` runs: same bits."""
     if x.size == 0:
         return 0.0
-    return float(np.linalg.norm(x, 2))
+    return float(np.linalg.svd(x, compute_uv=False)[0])
 
 
 def householder_qr(m: np.ndarray, rank_tol: float = 1e-12):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from blocklanczos import spectrum_to_matrix
-from blocklanczos.cli import OPTIONS, build_parser, main, resolve_config
+from blocklanczos import lanczos
+from blocklanczos.cli import OPTIONS, _fmt, _write_csv, build_parser, main, resolve_config
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -183,6 +184,10 @@ def test_integer_option_below_its_minimum_exits(tmp_path, capsys, key, value, lo
     ("blurred-cg", "delta", "abc", "--delta takes numbers, got 'abc'"),
     ("blurred-cg", "delta", "100,abc", "--delta takes numbers, got '100,abc'"),
     ("blurred-cg", "delta", "1,2,3", "--delta takes one or two comma-separated values"),
+    ("continuation", "psi", "-1", "--psi must be >= 0, got -1.0"),
+    ("continuation", "psi", "nan", "--psi must be >= 0, got nan"),
+    ("continuation", "eta", "-0.001", "--eta must be >= 0, got -0.001"),
+    ("continuation", "eta", "nan", "--eta must be >= 0, got nan"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_number_option_that_is_not_a_number_exits(tmp_path, capsys, command, key, value,
@@ -200,12 +205,15 @@ def test_number_option_that_is_not_a_number_exits(tmp_path, capsys, command, key
 
 
 @pytest.mark.parametrize("spec", ["strakos(16.7,0.1,100)", "random(16.7)",
-                                  "strakos(inf,0.1,100)", "random(nan)"])
+                                  "strakos(inf,0.1,100)", "random(nan)", "random(-3)",
+                                  "random(0)", "strakos(0,0.1,100)"])
 def test_non_integer_size_exits(tmp_path, capsys, spec):
-    assert main(["fp-diagnostics", "--matrix", spec, "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "whole number" in err
-    assert not os.listdir(tmp_path)
+    # rejected with the config, naming the spec, before the output directory is made
+    out = tmp_path / "out"
+    assert main(["fp-diagnostics", "--matrix", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: matrix size must be a whole number >= 1 in %r\n" % spec)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, word", [("--psi", "psi"), ("--eta", "eta"),
@@ -277,6 +285,46 @@ def test_each_command_factors_its_operator_once(tmp_path, monkeypatch):
         assert main(argv + ["--out", str(tmp_path / argv[0])]) == 0
         assert calls["eigvalsh"] == 0 and calls["cholesky"] == cholesky, argv
         assert calls["eigh"] == 0, argv  # T_k and T_N stay below n x n here
+
+
+def test_prefix_scans_densify_t_once(tmp_path, monkeypatch):
+    # every prefix's T_k is a slice of the run's one cached dense T_K;
+    # a command that asks for no Ritz data never densifies it
+    calls = Counter()
+    densify = lanczos.densify
+
+    def counted(t):
+        calls["densify"] += 1
+        return densify(t)
+
+    monkeypatch.setattr(lanczos, "densify", counted)
+    generator = "strakos(60,0.1,100)"
+    for argv, count in [
+        (["continuation", "--matrix", generator, "--k", "20", "--mu", "1e-5"], 1),
+        (["interlacing", "--matrix", generator, "--p", "2", "--k", "20"], 1),
+        (["fp-diagnostics", "--matrix", generator, "--k", "20"], 0),
+        (["blurred-cg", "--matrix", generator, "--p", "2", "--m", "3"], 0),
+    ]:
+        calls.clear()
+        assert main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+        assert calls["densify"] == count, argv
+
+
+def test_csv_rows_format_each_cell_by_its_type(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    rows = [
+        (True, np.bool_(False), 3, np.int64(-7), 0.1, np.float64(2.5), "a;b"),
+        (False, np.bool_(True), 2.75, np.int64(0), nan, -inf, "x"),  # int then float
+        (1, np.True_, -0.0, np.intp(12), inf, np.float64(-0.0), "0.5"),
+        (np.int64(5), 0, 3, 1e300, np.float32(0.25), 7, ""),
+    ]
+    path = _write_csv(tmp_path / "t.csv", {"name": "t", "seed": 0}, [], tuple("abcdefg"), rows)
+    body = read(path).splitlines()[3:]
+    assert body == [",".join(_fmt(x) for x in row) for row in rows]
+    assert body[1].split(",")[2] == "2.75"  # not cut to the first row's %d
+    assert [_fmt(x) for x in rows[0]] == ["1", "0", "3", "-7", "0.10000000000000001", "2.5",
+                                          "a;b"]
+    assert [_fmt(x) for x in rows[1][4:6] + rows[2][2:3]] == ["nan", "-inf", "-0"]
 
 
 def test_generator_spectrum_scales_every_bound(tmp_path):

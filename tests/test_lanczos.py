@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from blocklanczos import (
     BlockLanczosError,
+    BlockTridiagonal,
     NonFiniteOperator,
     NotSymmetric,
     RankDeficientStart,
@@ -17,6 +18,7 @@ from blocklanczos import (
     spectrum_to_matrix,
     strakos48,
     strakos_spectrum,
+    sym_eig,
 )
 from blocklanczos.lanczos import BREAKDOWN_TOL, GRAM_CHUNK, MODES
 from conftest import rand_spd
@@ -342,6 +344,25 @@ def test_ritz_analysis_k_range():
     # at the full run length the trailing stored coupling is used
     want = np.linalg.norm(run.beta_next @ rs.s[6:8, :], axis=0)
     assert np.allclose(rs.deltas, want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_ritz_analysis_slices_one_dense_t_bit_for_bit(mode):
+    # every prefix read from the cached dense T_K equals an eigensolve of
+    # its own block tridiagonal prefix, to the last bit
+    a, _ = spectrum_to_matrix(strakos_spectrum(strakos48(0.1, 100.0)), 1)
+    v = np.random.default_rng(1).standard_normal((48, 2))
+    run = run_block_lanczos(a, v, k_max=24, mode=mode)
+    assert "t_dense" not in vars(run)  # built on first use only
+    for k in range(1, run.n_steps + 1):
+        got = ritz_analysis(run, k)
+        thetas, s = sym_eig(BlockTridiagonal(run.t.alphas[:k], run.t.betas[: k - 1]))
+        beta = run.t.betas[k - 1] if k < run.n_steps else run.beta_next
+        deltas = np.linalg.norm(beta @ s[(k - 1) * 2 :, :], axis=0)
+        assert np.array_equal(got.thetas, thetas)
+        assert np.array_equal(got.s, s)
+        assert np.array_equal(got.deltas, deltas)
+    assert np.array_equal(run.t_dense, densify(run.t))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -159,9 +159,14 @@ def test_truncated_svd_rejects_negative_tol():
 
 def test_norm_helpers_match_numpy():
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((6, 3))
-    assert np.isclose(panel_norm(x), np.linalg.norm(x, 2), rtol=1e-13)
+    # the direct SVD is the one norm(., 2) runs: equal bits on every shape
+    for shape in [(6, 3), (120, 2), (3, 6), (2, 120), (1, 1), (40, 1), (1, 40), (3, 3),
+                  (4, 4)]:
+        for _ in range(5):
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8)
+            assert panel_norm(x) == float(np.linalg.norm(x, 2)), shape
     assert panel_norm(np.zeros((4, 0))) == 0.0
+    assert panel_norm(np.zeros((0, 3))) == 0.0
     g = rng.standard_normal((5, 5))
     s = g + g.T
     assert np.isclose(Operator(s).norm, np.linalg.norm(s, 2), rtol=1e-12)

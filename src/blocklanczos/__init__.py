@@ -54,7 +54,7 @@ from .matrices import (
     strakos_spectrum,
 )
 from .lanczos import (
-    DiagnosticsRow,
+    Diagnostics,
     LanczosRun,
     RitzSet,
     ritz_analysis,

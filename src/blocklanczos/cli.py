@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +31,7 @@ from .analysis import (
 from .cg import dr_bcg, hs_bcg
 from .continuation import assemble_tn, continue_prefix, prefix_terms
 from .errors import BlockLanczosError, EmptySelection, NearDependentRitzVectors
-from .lanczos import BREAKDOWN_TOL, ritz_analysis, run_block_lanczos
+from .lanczos import BREAKDOWN_TOL, Diagnostics, ritz_analysis, run_block_lanczos
 from .linalg import Operator, densify, householder_qr, sym_eig
 from .matrices import (
     BlurSpec,
@@ -65,6 +66,7 @@ OPTIONS = {
     "out": (".", str, "output directory"),
 }
 DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
+_VALUE_FLAGS = {"--config"} | {"--" + key.replace("_", "-") for key in OPTIONS}
 
 
 def _read_config_file(path):
@@ -188,11 +190,13 @@ def build_problem(cfg, rng):
     return Problem(a=a, v=None, eigs=eigs, y=y)
 
 
-def _start_block(problem, cfg, rng):
-    if problem.v is not None:
-        return problem.v
-    q, _ = householder_qr(rng.standard_normal((problem.a.shape[0], cfg["p"])))
-    return q
+def _run(cfg, problem, rng, k_max, mode="finite_precision"):
+    """Block Lanczos on the problem's operator, seeded with its spectrum, from
+    its own start block or from one drawn out of ``rng`` after the problem."""
+    v = problem.v
+    if v is None:
+        v, _ = householder_qr(rng.standard_normal((problem.a.shape[0], cfg["p"])))
+    return run_block_lanczos(Operator(problem.a, problem.eigs), v, k_max, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +358,18 @@ def cmd_blurred_cg(cfg, problem, rng, out):
 
 def cmd_fp_diagnostics(cfg, problem, rng, out):
     """recurrence health columns of a finite-precision run"""
-    v = _start_block(problem, cfg, rng)
-    a = Operator(problem.a, problem.eigs)
-    run = run_block_lanczos(a, v, k_max=cfg["k"], mode="finite_precision")
-    n, p = problem.a.shape[0], v.shape[1]
+    run = _run(cfg, problem, rng, cfg["k"])
+    n, p = run.a.shape[0], run.width
     level = n * p * EPS
     comments = [
-        "n=%d p=%d a_norm=%s" % (n, p, _fmt(run.a_norm)),
-        "reference np_eps=%s np_eps_a_norm=%s" % (_fmt(level), _fmt(level * run.a_norm)),
+        "n=%d p=%d a_norm=%s" % (n, p, _fmt(run.a.norm)),
+        "reference np_eps=%s np_eps_a_norm=%s" % (_fmt(level), _fmt(level * run.a.norm)),
         "terminated=%d steps=%d" % (1 if run.terminated else 0, run.n_steps),
     ]
-    rows = [
-        (r.j, r.delta_v_norm, r.normality, r.local_orth, r.beta_norm, r.global_orth)
-        for r in run.diagnostics
-    ]
-    header = ("j", "delta_v_norm", "normality", "local_orth", "beta_norm", "global_orth")
+    rows = zip(range(1, run.n_steps + 1), *run.diagnostics)
     return [
-        _write_csv(out / "fp_diagnostics.csv", cfg, comments, header, rows),
-        _write_plot(out, "fp_diagnostics.csv", "j", header[1:], "step j", figsize=(7, 5),
+        _write_csv(out / "fp_diagnostics.csv", cfg, comments, ("j",) + Diagnostics._fields, rows),
+        _write_plot(out, "fp_diagnostics.csv", "j", Diagnostics._fields, "step j", figsize=(7, 5),
                     guides=[("np_eps", "--", "np_eps"), ("np_eps_a_norm", ":", "np_eps_a_norm")]),
     ]
 
@@ -394,11 +392,8 @@ def _parse_mu(text):
 
 def cmd_continuation(cfg, problem, rng, out):
     """selection, continuation, model assembly, spread and certificate"""
-    v = _start_block(problem, cfg, rng)
-    n, p = problem.a.shape[0], v.shape[1]
-    a = Operator(problem.a, problem.eigs)
-    run = run_block_lanczos(a, v, k_max=cfg["k"], mode="finite_precision")
-    k = run.n_steps
+    run = _run(cfg, problem, rng, cfg["k"])
+    n, p, k = run.a.shape[0], run.width, run.n_steps
     mu_val = _parse_mu(cfg["mu"])
     if mu_val is None:
         mu_val = float(np.sqrt(k * n * p * EPS))
@@ -410,7 +405,7 @@ def cmd_continuation(cfg, problem, rng, out):
     certificate = theorem1_certificate(tn, basis, run.a, cont.epsilon2)
     tn_eigs = certificate.thetas
     spread = interval_spread(tn_eigs, run.a.eigvals)
-    clusters = classify_clusters(tn_eigs, run.a.eigvals, run.a_norm, cfg["psi"], cfg["eta"])
+    clusters = classify_clusters(tn_eigs, run.a.eigvals, run.a.norm, cfg["psi"], cfg["eta"])
 
     shared = [
         "k=%d mu=%s threshold=%s" % (k, _fmt(mu_val), _fmt(selection.threshold)),
@@ -445,11 +440,11 @@ def cmd_continuation(cfg, problem, rng, out):
     return [
         _write_csv(out / "continuation_h_norms.csv", cfg,
                    shared + ["continuation_steps=%d rank_cut=%s"
-                             % (cont.n_steps, _fmt(BREAKDOWN_TOL * run.a_norm))],
+                             % (cont.n_steps, _fmt(BREAKDOWN_TOL * run.a.norm))],
                    ("j", "width", "h_norm"), h_rows),
         _write_csv(out / "continuation_terms.csv", cfg,
                    shared + ["guide mu_a_norm=%s ten_mu_a_norm=%s"
-                             % (_fmt(mu_val * run.a_norm), _fmt(10 * mu_val * run.a_norm))],
+                             % (_fmt(mu_val * run.a.norm), _fmt(10 * mu_val * run.a.norm))],
                    ("k", "m", "rho", "term21a", "term21b", "term22"), term_rows),
         _write_csv(out / "continuation_tn.csv", cfg,
                    shared + ["dim=%d n_blocks=%d" % (tn.dim, tn.n_blocks),
@@ -479,11 +474,8 @@ def cmd_continuation(cfg, problem, rng, out):
 
 def cmd_interlacing(cfg, problem, rng, out):
     """exact-run interlacing table and containment scan"""
-    v = _start_block(problem, cfg, rng)
-    n, p = problem.a.shape[0], v.shape[1]
-    k_max = min(cfg["k"], n // p)
-    a = Operator(problem.a, problem.eigs)
-    run = run_block_lanczos(a, v, k_max=k_max, mode="simulated_exact")
+    p = cfg["p"]  # a _kron start block has p columns too
+    run = _run(cfg, problem, rng, min(cfg["k"], problem.a.shape[0] // p), "simulated_exact")
     thetas = [ritz_analysis(run, kk).thetas for kk in range(1, run.n_steps + 1)]
 
     eq6_total = sum(2 + 2 * (prev.size - p) for prev in thetas[:-1])
@@ -516,8 +508,23 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads '--eta -1e-3' as '--eta=-1e-3': argparse alone takes a token that
+    starts with '-' for a flag unless it reads like '-1' or '-.5'."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] in _VALUE_FLAGS and re.match(r"-\.?\d", token):
+                token = joined.pop() + "=" + token
+            joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The command line parser, built once per process."""
+    parser = _Parser(
         prog="blocklanczos",
         description="Run block Lanczos and block CG experiments, writing CSV artifacts.",
     )

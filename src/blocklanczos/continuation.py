@@ -83,7 +83,7 @@ def select_ritz_vectors(run: LanczosRun, k: int, mu: float) -> Selection:
     if not mu > 0.0:  # also rejects NaN
         raise ValueError("mu must be > 0")
     ritz = ritz_analysis(run, k)
-    threshold = mu * run.a_norm
+    threshold = mu * run.a.norm
     indices = np.nonzero(ritz.deltas > threshold)[0]
     if indices.size == 0:
         raise EmptySelection("no Ritz pair has delta > %.3e (max delta %.3e)"
@@ -221,8 +221,7 @@ def continuation_run(run: LanczosRun, k: int, w_k: np.ndarray) -> ContinuationRe
     """
     alphas, q_panels, betas, h_panels = map(list, zip(*_continuation_steps(run, k, w_k)))
     h_norms = [panel_norm(h) for h in h_panels]
-    fp_norms = [row.delta_v_norm for row in run.diagnostics[:k]]
-    epsilon2 = float(max(fp_norms + h_norms) / run.a.norm)
+    epsilon2 = float(max([*run.diagnostics.delta_v_norm[:k], *h_norms]) / run.a.norm)
     # the closing step adds no panel, and step 1 no diagonal block
     return ContinuationResult(q_panels[:-1], alphas[1:], betas[:-1], h_panels, h_norms, epsilon2)
 

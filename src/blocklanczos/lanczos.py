@@ -22,7 +22,8 @@ Two modes:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,9 +44,9 @@ BREAKDOWN_TOL = 1e-12  # relative to norm(A); see run_block_lanczos
 GRAM_CHUNK = 16  # panels per Gram product of the global_orth column
 
 
-@dataclass
-class DiagnosticsRow:
-    """Health of recurrence step j (1-based).
+class Diagnostics(NamedTuple):
+    """Health of the recurrence: five read-only float64 columns, entry j - 1
+    for step j.
 
     delta_v_norm    norm of the local recurrence residual
                     A v_j - v_{j-1} beta_j^T - v_j alpha_j - v_{j+1} beta_{j+1}
@@ -59,24 +60,23 @@ class DiagnosticsRow:
     normed together after the run, with the same bits); global_orth is taken
     after the run from chunked Gram products of the basis, so its last bits
     differ from an SVD of V_j^T v_{j+1}. On a naturally terminated run the
-    last row has no trailing panel; its residual keeps the leftover block (at
+    last step has no trailing panel; its residual keeps the leftover block (at
     the breakdown tolerance) and the two orthogonality columns that need
     v_{j+1} report 0.
     """
 
-    j: int
-    delta_v_norm: float
-    normality: float
-    local_orth: float
-    beta_norm: float
-    global_orth: float
+    delta_v_norm: np.ndarray
+    normality: np.ndarray
+    local_orth: np.ndarray
+    beta_norm: np.ndarray
+    global_orth: np.ndarray
 
 
 @dataclass
 class LanczosRun:
     """Full record of one block Lanczos execution.
 
-    a           the run's checked `Operator`; a_norm is its norm
+    a           the run's checked `Operator`; norm(A) is ``a.norm``
     basis       the panels side by side, shape (n, n_panels * width): a
                 read-only column slice of the one C-order
                 (n, (k_max + 1) * width) array the run filled in place
@@ -88,8 +88,7 @@ class LanczosRun:
     beta_next   beta_{K+1}; on natural termination its norm is at the
                 breakdown tolerance
     terminated  True when the recurrence closed on its own
-    diagnostics one DiagnosticsRow per step: four norms of per-step blocks,
-                global_orth from chunked Gram products after the run
+    diagnostics the recurrence health, one `Diagnostics` entry per step
     """
 
     a: Operator
@@ -97,10 +96,8 @@ class LanczosRun:
     panels: np.ndarray
     t: BlockTridiagonal
     beta_next: np.ndarray
-    mode: str
     terminated: bool
-    a_norm: float
-    diagnostics: list = field(default_factory=list)
+    diagnostics: Diagnostics
 
     @property
     def n_steps(self) -> int:
@@ -155,8 +152,6 @@ def run_block_lanczos(
     <= BREAKDOWN_TOL * norm(a), BREAKDOWN_TOL = 1e-12, on the p x p QR
     factor of the candidate next panel (whose sigma_min is the panel's). It
     ends the run, naturally terminated; the zero operator stops after one step.
-    Four diagnostics columns are norms of per-step blocks; global_orth comes
-    after the run from chunked Gram products, its last bits apart from an SVD's.
 
     Raises
     ------
@@ -178,7 +173,6 @@ def run_block_lanczos(
     if k_max < 1 or k_max * p > n:
         raise ValueError("need 1 <= k_max and k_max * p <= n")
 
-    a_norm = a.norm
     try:
         v1, _ = householder_qr(v)
     except RankDeficient as exc:
@@ -188,8 +182,8 @@ def run_block_lanczos(
     basis[:, :p] = v1
     eye = np.eye(p)
     health = np.zeros((k_max, 3, p, p))  # v_k^T v_k - I, v_k^T v_{k+1} beta_{k+1}, beta_{k+1}
-    alphas, betas, res_norms = [], [], []
-    terminated = False
+    res_norms = np.zeros(k_max)
+    alphas, betas = [], []
 
     vk, v_prev, beta_k = v1, None, None
     for k in range(1, k_max + 1):
@@ -208,15 +202,10 @@ def run_block_lanczos(
             w = reorthogonalize(w, basis[:, : k * p])
         alphas.append(alpha)
         # the step's one rank test: sigma_min(w) is sigma_min of its p x p
-        # factor; <= so that the zero operator (a_norm 0) terminates too
+        # factor; <= so that the zero operator (norm 0) terminates too
         q, beta_next = qr_unchecked(w)
         sigma_min = float(np.linalg.svd(beta_next, compute_uv=False).min())
-        terminated = sigma_min <= BREAKDOWN_TOL * a_norm
-        if terminated:
-            v_next = None
-        else:
-            v_next = q
-            basis[:, k * p : (k + 1) * p] = v_next
+        terminated = sigma_min <= BREAKDOWN_TOL * a.norm
 
         # recurrence health of step k, from the products formed above
         res = av - v_alpha
@@ -224,21 +213,22 @@ def run_block_lanczos(
             res = res - back
         health[k - 1, 0] = vk.T @ vk - eye
         health[k - 1, 2] = beta_next
-        if v_next is not None:
-            trail = v_next @ beta_next
+        if not terminated:  # q is v_{k+1}
+            basis[:, k * p : (k + 1) * p] = q
+            trail = q @ beta_next
             res = res - trail
             health[k - 1, 1] = vk.T @ trail
-        res_norms.append(float(np.linalg.svd(res, compute_uv=False)[0]))
+        res_norms[k - 1] = np.linalg.svd(res, compute_uv=False)[0]
         if terminated or k == k_max:
             break
         betas.append(beta_next)
-        v_prev, vk, beta_k = vk, v_next, beta_next
+        v_prev, vk, beta_k = vk, q, beta_next
 
     n_steps, n_panels = len(alphas), len(alphas) + (0 if terminated else 1)
     basis = basis[:, : n_panels * p]
     basis.flags.writeable = False
     # a stacked SVD runs norm(., 2)'s LAPACK routine on each block: same bits
-    norms = np.linalg.svd(health[:n_steps], compute_uv=False)[..., 0].T.tolist()
+    norms = np.linalg.svd(health[:n_steps], compute_uv=False)[..., 0].T
     # global_orth: per GRAM_CHUNK panels one product v^T V, masked to (V_j^T v_{j+1})^T,
     # whose norm is the root of the top eigenvalue of its p x p Gram
     glob = np.zeros(n_steps)  # 0 where v_{j+1} is not stored
@@ -248,17 +238,17 @@ def run_block_lanczos(
         for i in range(j1 - j0):  # zero from v_{j+1} on (a broadcast mask let the RSS creep)
             c[i, :, (j0 + i) * p :] = 0.0
         glob[j0 - 1 : j1 - 1] = np.sqrt(np.linalg.eigvalsh(c @ c.transpose(0, 2, 1))[:, -1])
+    diagnostics = Diagnostics(res_norms[:n_steps], *norms, glob)
+    for column in diagnostics:
+        column.flags.writeable = False
     return LanczosRun(
         a=a,
         basis=basis,
         panels=basis.reshape(n, n_panels, p).transpose(1, 0, 2),
         t=BlockTridiagonal(alphas, betas),
         beta_next=beta_next,
-        mode=mode,
         terminated=terminated,
-        a_norm=a_norm,
-        diagnostics=list(map(DiagnosticsRow, range(1, n_steps + 1), res_norms, *norms,
-                             glob.tolist())),
+        diagnostics=diagnostics,
     )
 
 

@@ -33,6 +33,8 @@ from .errors import (
     ShapeMismatch,
 )
 
+RANK_TOL = 1e-12  # relative rank threshold of householder_qr
+
 
 def panel_norm(x: np.ndarray) -> float:
     """Spectral norm (0.0 for empty input), read from the SVD ``norm(x, 2)`` runs: same bits."""
@@ -41,16 +43,13 @@ def panel_norm(x: np.ndarray) -> float:
     return float(np.linalg.svd(x, compute_uv=False)[0])
 
 
-def householder_qr(m: np.ndarray, rank_tol: float = 1e-12):
+def householder_qr(m: np.ndarray):
     """Thin QR of a block vector with a sign-normalized triangular factor.
 
     Parameters
     ----------
     m : ndarray, shape (n, width)
         Block to orthonormalize, width >= 1, width <= n.
-    rank_tol : float
-        Relative threshold: the factorization is rejected when the smallest
-        diagonal entry of ``r`` falls below ``rank_tol * norm(m)``.
 
     Returns
     -------
@@ -63,8 +62,9 @@ def householder_qr(m: np.ndarray, rank_tol: float = 1e-12):
     Raises
     ------
     RankDeficient
-        If ``m`` is numerically rank deficient under ``rank_tol``. Callers
-        that expect deflation catch this and switch to `truncated_svd`.
+        If the smallest diagonal entry of ``r`` falls below
+        ``RANK_TOL * norm(m)``, RANK_TOL = 1e-12. Callers that expect
+        deflation catch this and switch to `truncated_svd`.
     NonFiniteOperator
         If ``m`` has a NaN or infinite entry.
     """
@@ -80,13 +80,13 @@ def householder_qr(m: np.ndarray, rank_tol: float = 1e-12):
     # SVD; everything else gets the exact spectral test. A NaN or infinite
     # entry makes the Frobenius norm NaN or infinite and fails here too.
     frob = float(np.linalg.norm(m))
-    if 0.0 < frob < np.inf and smallest >= rank_tol * frob * (1.0 + 1e-12):
+    if 0.0 < frob < np.inf and smallest >= RANK_TOL * frob * (1.0 + 1e-12):
         return q, r
     if not np.all(np.isfinite(m)):  # the SVD below would not converge
         raise NonFiniteOperator("block to orthonormalize has NaN or infinite entries")
     scale = panel_norm(m)
-    if scale == 0.0 or smallest < rank_tol * scale:
-        raise RankDeficient("smallest R diagonal %.3e below %.3e" % (smallest, rank_tol * scale))
+    if scale == 0.0 or smallest < RANK_TOL * scale:
+        raise RankDeficient("smallest R diagonal %.3e below %.3e" % (smallest, RANK_TOL * scale))
     return q, r
 
 

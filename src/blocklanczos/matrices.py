@@ -82,7 +82,9 @@ def spectrum_to_matrix(eigs: np.ndarray, seed):
     eigs = np.asarray(eigs, dtype=float)
     u = random_orthonormal(eigs.size, seed)
     a = (u * eigs) @ u.T
-    return 0.5 * (a + a.T), u
+    a += a.T  # numpy buffers the overlapping a.T: the bits of 0.5 * (a + a.T)
+    a *= 0.5
+    return a, u
 
 
 @dataclass(frozen=True)

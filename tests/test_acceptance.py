@@ -67,7 +67,7 @@ def test_criterion_01_exact_mode_equivalence():
             float(np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1]))),
         )
         thetas = np.linalg.eigvalsh(densify(run.t))
-        miss = max(float(np.min(np.abs(eigs - t))) for t in thetas) / run.a_norm
+        miss = max(float(np.min(np.abs(eigs - t))) for t in thetas) / run.a.norm
         worst_eig = max(worst_eig, miss)
     elapsed = time.perf_counter() - t0
     ok = worst_orth <= 1e-11 and worst_eig <= 1e-10 and elapsed < 10.0
@@ -99,7 +99,7 @@ def test_criterion_02_kron_lift_reproduces_scalar_blocks():
             densify(BlockTridiagonal(inner.t.alphas[:k], inner.t.betas[: k - 1])),
             np.eye(p),
         )
-        worst = max(worst, float(np.max(np.abs(got - want))) / outer.a_norm)
+        worst = max(worst, float(np.max(np.abs(got - want))) / outer.a.norm)
     ok = outer.n_steps == s and worst <= 1e-10
     _report(2, "kron lift matches the scalar run blockwise", ok,
             "steps %d/%d entry gap %.2e" % (outer.n_steps, s, worst))
@@ -134,7 +134,7 @@ def test_criterion_03_continuation_basis_and_couplings():
         )
         for j in range(2, len(cont.betas)):
             want = cont.q_panels[j].T @ a @ cont.q_panels[j - 1]
-            gap = float(np.linalg.norm(cont.betas[j] - want)) / run.a_norm
+            gap = float(np.linalg.norm(cont.betas[j] - want)) / run.a.norm
             worst_beta = max(worst_beta, gap)
     ok = worst_orth <= 1e-11 and worst_beta <= 1e-10
     _report(3, "continuation orthonormality and couplings", ok,
@@ -146,7 +146,7 @@ def test_criterion_03_continuation_basis_and_couplings():
 def test_criterion_04_perturbation_closed_forms():
     worst = 0.0
     for a, run, sel, cont, report in _graded_continuations():
-        worst = max(worst, max(report.delta_norms) / run.a_norm)
+        worst = max(worst, max(report.delta_norms) / run.a.norm)
     ok = worst <= 1e-10
     _report(4, "recorded perturbations match closed forms", ok,
             "remainder %.2e" % worst)
@@ -162,7 +162,7 @@ def test_criterion_05_monitored_terms_bounded():
     for l1, ln in ((0.001, 1.0), (0.1, 100.0)):
         a, v = kron_perturbed_problem(strakos48(l1, ln), 2, 1e-12, 5)
         run = run_block_lanczos(a, v, k_max=24)
-        limit = 10.0 * mu * run.a_norm
+        limit = 10.0 * mu * run.a.norm
         worst = 0.0
         for kk in range(1, run.n_steps + 1):
             report = continue_prefix(run, kk, mu).report
@@ -203,14 +203,14 @@ def test_criterion_06_model_spread():
     details = []
     for l1, ln, mu_text, tol in cases:
         run, sel, cont, tn, cert, spread, elapsed = _flagship_model(l1, ln, mu_text)
-        rel = spread.max_width / run.a_norm
+        rel = spread.max_width / run.a.norm
         ok = ok and rel <= tol and elapsed < 60.0
         details.append("(%g,%g) width %.2e<=%.0e dim %d %.1fs"
                        % (l1, ln, rel, tol, spread.dim, elapsed))
     _report(6, "model eigenvalues hug the true spectrum", ok, " ".join(details))
     for l1, ln, mu_text, tol in cases:
         run, sel, cont, tn, cert, spread, elapsed = _flagship_model(l1, ln, mu_text)
-        assert spread.max_width / run.a_norm <= tol
+        assert spread.max_width / run.a.norm <= tol
         assert elapsed < 60.0
 
 
@@ -305,10 +305,10 @@ def test_criterion_09_local_recurrence_bands():
             a, _ = spectrum_to_matrix(strakos_spectrum(strakos48(l1, ln)), rng)
             v = rng.standard_normal((48, 2))
             run = run_block_lanczos(a, v, k_max=24)
-            for row in run.diagnostics:
-                worst_dv = max(worst_dv, row.delta_v_norm / run.a_norm)
-                worst_lo = max(worst_lo, row.local_orth / run.a_norm)
-                worst_nm = max(worst_nm, row.normality)
+            diag = run.diagnostics
+            worst_dv = max(worst_dv, *(diag.delta_v_norm / run.a.norm))
+            worst_lo = max(worst_lo, *(diag.local_orth / run.a.norm))
+            worst_nm = max(worst_nm, *diag.normality)
     ok = worst_dv <= band and worst_lo <= band and worst_nm <= band
     _report(9, "local recurrence quantities stay in band", ok,
             "dv %.2e lo %.2e nm %.2e band %.2e" % (worst_dv, worst_lo, worst_nm, band))

@@ -178,7 +178,7 @@ def test_certificate_holds_at_full_depth():
     basis = np.hstack(run.panels[: run.n_steps])
     cert = theorem1_certificate(run.t, basis, a, epsilon2=1e-14)
     assert cert.epsilon1 == 0.0
-    assert cert.bound == 3.0 * np.sqrt(run.t.n_blocks) * 1e-14 * run.a_norm
+    assert cert.bound == 3.0 * np.sqrt(run.t.n_blocks) * 1e-14 * run.a.norm
     assert cert.holds
 
 
@@ -201,7 +201,7 @@ def test_certificate_small_column_pairing():
     # column collapses and must pair with the nearest surviving value
     basis_small = basis - np.outer(basis @ s[:, 0], s[:, 0])
     cert = theorem1_certificate(run.t, basis_small, a, epsilon2=1e-14)
-    want = float(np.min(np.abs(thetas[1:] - thetas[0]))) / run.a_norm
+    want = float(np.min(np.abs(thetas[1:] - thetas[0]))) / run.a.norm
     assert np.isclose(cert.epsilon1, want, rtol=1e-8)
     assert cert.epsilon1 > 0.0
 

@@ -1,5 +1,6 @@
 """Command line driver: artifacts, provenance, reproducibility, errors."""
 
+import argparse
 import os
 import py_compile
 import runpy
@@ -11,9 +12,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from blocklanczos import spectrum_to_matrix
-from blocklanczos import lanczos
-from blocklanczos.cli import OPTIONS, _fmt, _write_csv, build_parser, main, resolve_config
+from blocklanczos import (Diagnostics, Operator, householder_qr, run_block_lanczos,
+                          spectrum_to_matrix)
+from blocklanczos import cli, lanczos
+from blocklanczos.cli import (OPTIONS, _fmt, _write_csv, build_parser, build_problem, main,
+                              resolve_config)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -51,6 +54,24 @@ def test_fp_diagnostics_artifacts(tmp_path, capsys):
     assert len(rows) == 8
     assert rows[0].split(",")[0] == "1"
     py_compile.compile(str(script), doraise=True)
+
+
+def test_fp_diagnostics_rows_are_the_run_columns(tmp_path):
+    # every CSV cell is the run's Diagnostics entry bit for bit (%.17g round-trips)
+    argv = ["fp-diagnostics", "--matrix", "strakos(40,0.1,100)", "--p", "3", "--k", "9",
+            "--seed", "4", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    _, header, rows = csv_parts(read(tmp_path / "fp_diagnostics.csv"))
+    cfg = resolve_config(build_parser().parse_args(argv))
+    rng = np.random.default_rng(cfg["seed"])
+    problem = build_problem(cfg, rng)
+    v, _ = householder_qr(rng.standard_normal((40, 3)))
+    run = run_block_lanczos(Operator(problem.a, problem.eigs), v, k_max=9)
+    table = np.array([[float(cell) for cell in row.split(",")] for row in rows]).T
+    assert header == ["j"] + list(Diagnostics._fields)
+    assert np.array_equal(table[0], np.arange(1, run.n_steps + 1))
+    for got, want in zip(table[1:], run.diagnostics, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_same_config_reproduces_bytes(tmp_path):
@@ -138,6 +159,29 @@ def test_flag_and_config_line_resolve_alike(tmp_path, key):
     assert from_flag[key] == kind(text) != default
 
 
+def test_negative_exponent_value_resolves_like_the_joined_form():
+    base = ["continuation", "--matrix", "strakos48(0.1,100)_kron"]
+    spaced = resolve_config(build_parser().parse_args(base + ["--omega", "-1e-12"]))
+    joined = resolve_config(build_parser().parse_args(base + ["--omega=-1e-12"]))
+    assert spaced == joined and spaced["omega"] == -1e-12
+
+
+def test_two_runs_build_the_parser_once(tmp_path, monkeypatch):
+    built = Counter()
+    real = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        built["parsers"] += 1
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    cli.build_parser.cache_clear()
+    for seed in ("1", "2"):
+        assert main(["fp-diagnostics", "--matrix", "strakos(16,0.5,4)", "--k", "3",
+                     "--seed", seed, "--out", str(tmp_path)]) == 0
+    assert built["parsers"] == 1
+
+
 def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("matrix = random(10)\np = two\n")
@@ -188,6 +232,10 @@ def test_integer_option_below_its_minimum_exits(tmp_path, capsys, key, value, lo
     ("continuation", "psi", "nan", "--psi must be >= 0, got nan"),
     ("continuation", "eta", "-0.001", "--eta must be >= 0, got -0.001"),
     ("continuation", "eta", "nan", "--eta must be >= 0, got nan"),
+    # a negative value with an exponent is read as the value, not as a flag
+    ("continuation", "eta", "-1e-3", "--eta must be >= 0, got -0.001"),
+    ("continuation", "psi", "-1e-3", "--psi must be >= 0, got -0.001"),
+    ("continuation", "mu", "-1e-5", "--mu: mu must be > 0, got '-1e-5'"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_number_option_that_is_not_a_number_exits(tmp_path, capsys, command, key, value,

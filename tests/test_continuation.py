@@ -43,7 +43,7 @@ def pipeline():
     run = run_block_lanczos(a, v, k_max=12)
     k = run.n_steps
     pc = continue_prefix(run, k, 1e-5)
-    fp = [row.delta_v_norm for row in run.diagnostics[:k]]
+    fp = run.diagnostics.delta_v_norm[:k]
     return dict(
         a=a, run=run, k=k, ritz=ritz_analysis(run, k), sel=pc.selection,
         w_k=pc.selection.w_k, fp=fp, cont=pc.cont, report=pc.report,
@@ -52,7 +52,7 @@ def pipeline():
 
 def test_selection_threshold_is_strict(pipeline):
     ritz, sel, run = pipeline["ritz"], pipeline["sel"], pipeline["run"]
-    assert sel.threshold == 1e-5 * run.a_norm
+    assert sel.threshold == 1e-5 * run.a.norm
     assert np.all(ritz.deltas[sel.indices] > sel.threshold)
     mask = np.ones(ritz.deltas.size, bool)
     mask[sel.indices] = False
@@ -114,11 +114,11 @@ def test_continuation_blocks_satisfy_the_recurrence(pipeline):
     for j in range(2, len(cont.q_panels)):
         want = cont.q_panels[j].T @ a @ cont.q_panels[j - 1]
         got = cont.betas[j]
-        assert np.linalg.norm(got - want) < 1e-10 * run.a_norm
+        assert np.linalg.norm(got - want) < 1e-10 * run.a.norm
     for j in range(1, len(cont.alphas)):
         q = cont.q_panels[j]
         want = q.T @ a @ q
-        assert np.linalg.norm(cont.alphas[j] - want) < 1e-10 * run.a_norm
+        assert np.linalg.norm(cont.alphas[j] - want) < 1e-10 * run.a.norm
 
 
 def test_continuation_terminates_with_zero_rank(pipeline):
@@ -132,7 +132,7 @@ def test_continuation_terminates_with_zero_rank(pipeline):
 
 def test_epsilon2_formula(pipeline):
     cont, fp, run = pipeline["cont"], pipeline["fp"], pipeline["run"]
-    want = max(list(fp) + list(cont.h_norms)) / run.a_norm
+    want = max(list(fp) + list(cont.h_norms)) / run.a.norm
     assert cont.epsilon2 == want
     assert 0.0 < cont.epsilon2 < 1e-4
 
@@ -210,7 +210,7 @@ def test_decomposition_reports_small_remainders(pipeline):
     assert report.term21a >= 0 and report.term21b >= 0 and report.term22 >= 0
     assert len(report.delta_norms) == len(cont.h_panels)
     # closed forms explain the recorded panels down to roundoff
-    assert max(report.delta_norms) < 1e-10 * run.a_norm
+    assert max(report.delta_norms) < 1e-10 * run.a.norm
 
 
 def test_first_step_continuation():
@@ -314,7 +314,7 @@ def test_block_term_above_ten_mu_while_the_model_holds(n, l1, rho, seed, p, k_ma
     a, _ = spectrum_to_matrix(strakos_spectrum(SpectrumSpec(n, l1, 100.0, rho)), seed)
     run = run_block_lanczos(a, np.random.default_rng(seed + 1).standard_normal((n, p)), k_max)
     pc = continue_prefix(run, k, mu)
-    assert pc.report.term21b / (mu * run.a_norm) > 10
+    assert pc.report.term21b / (mu * run.a.norm) > 10
     basis = np.hstack([run.basis[:, : k * p]] + pc.cont.q_panels)
     cert = theorem1_certificate(assemble_tn(run, k, pc.cont), basis, run.a, pc.cont.epsilon2)
     assert cert.holds

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from blocklanczos import (
     BlockLanczosError,
     BlockTridiagonal,
+    Diagnostics,
     NonFiniteOperator,
     NotSymmetric,
     RankDeficientStart,
@@ -34,9 +35,9 @@ def test_exact_mode_reproduces_the_operator():
     basis = np.hstack(run.panels[:8])
     assert np.linalg.norm(basis.T @ basis - np.eye(24)) < 1e-13
     t = densify(run.t)
-    assert np.linalg.norm(t - basis.T @ a @ basis) < 1e-12 * run.a_norm
+    assert np.linalg.norm(t - basis.T @ a @ basis) < 1e-12 * run.a.norm
     # full depth: the block tridiagonal is orthogonally similar to a
-    assert np.allclose(np.linalg.eigvalsh(t), eigs, atol=1e-10 * run.a_norm)
+    assert np.allclose(np.linalg.eigvalsh(t), eigs, atol=1e-10 * run.a.norm)
     for r in run.t.betas:
         assert np.allclose(r, np.triu(r)) and np.all(np.diag(r) > 0)
 
@@ -57,7 +58,7 @@ def test_capped_run_keeps_trailing_panel():
         - run.panels[j - 2] @ run.t.betas[j - 2].T
         - run.panels[j] @ run.beta_next
     )
-    assert np.linalg.norm(res) < 1e-12 * run.a_norm
+    assert np.linalg.norm(res) < 1e-12 * run.a.norm
 
 
 def test_natural_termination_on_invariant_subspace():
@@ -70,11 +71,11 @@ def test_natural_termination_on_invariant_subspace():
     assert run.terminated
     assert run.n_steps == 2
     assert len(run.panels) == 2
-    assert np.linalg.norm(run.beta_next) < BREAKDOWN_TOL * run.a_norm * 10
+    assert np.linalg.norm(run.beta_next) < BREAKDOWN_TOL * run.a.norm * 10
     rs = ritz_analysis(run, 2)
     assert np.allclose(np.sort(rs.thetas), eigs[:4], atol=1e-10)
-    last = run.diagnostics[-1]
-    assert last.local_orth == 0.0 and last.global_orth == 0.0
+    diag = run.diagnostics
+    assert diag.local_orth[-1] == 0.0 and diag.global_orth[-1] == 0.0
 
 
 def test_input_validation():
@@ -139,9 +140,9 @@ def test_zero_operator_terminates_after_one_step():
     v = np.random.default_rng(28).standard_normal((10, 2))
     run = run_block_lanczos(np.zeros((10, 10)), v, k_max=4)
     assert run.terminated and run.n_steps == 1 and len(run.panels) == 1
-    assert run.a_norm == 0.0 and np.all(run.beta_next == 0.0)
+    assert run.a.norm == 0.0 and np.all(run.beta_next == 0.0)
     assert np.all(run.t.alphas[0] == 0.0)
-    assert run.diagnostics[0].beta_norm == 0.0
+    assert run.diagnostics.beta_norm[0] == 0.0
 
 
 def test_panels_are_read_only_views_of_the_basis():
@@ -158,7 +159,7 @@ def test_panels_are_read_only_views_of_the_basis():
 
 def _restacked_diagnostics(run):
     """The diagnostics recomputed from the stored panels, one product per
-    step and a re-stacked prefix for the global overlap."""
+    step and a re-stacked prefix for the global overlap, as columns."""
     a, panels, eye = run.a, run.panels, np.eye(run.width)
     alphas, betas, big_k = run.t.alphas, run.t.betas, run.n_steps
     rows = []
@@ -174,9 +175,9 @@ def _restacked_diagnostics(run):
             res = res - trail
             local = np.linalg.norm(vj.T @ trail, 2)
             glob = np.linalg.norm(np.hstack(list(panels[:j])).T @ panels[j], 2)
-        rows.append((j, np.linalg.norm(res, 2), np.linalg.norm(vj.T @ vj - eye, 2), local,
+        rows.append((np.linalg.norm(res, 2), np.linalg.norm(vj.T @ vj - eye, 2), local,
                      np.linalg.norm(beta, 2), glob))
-    return rows
+    return Diagnostics(*np.array(rows).T)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -195,14 +196,15 @@ def test_single_pass_diagnostics_match_restacked_oracle(p, n, k_frac, mode, seed
     assert np.array_equal(run.basis, np.hstack(list(run.panels)))
     assert run.basis.shape == (n, len(run.panels) * p)
     band = 10.0 * n * p * EPS
-    oracle = _restacked_diagnostics(run)
-    assert len(run.diagnostics) == len(oracle) == run.n_steps
-    for row, (j, delta, normality, local, beta, glob) in zip(run.diagnostics, oracle):
-        assert row.j == j and row.beta_norm == beta
-        assert abs(row.delta_v_norm - delta) <= band * run.a_norm
-        assert abs(row.normality - normality) <= band
-        assert abs(row.local_orth - local) <= band
-        assert abs(row.global_orth - glob) <= band
+    diag, oracle = run.diagnostics, _restacked_diagnostics(run)
+    for column in diag:  # one read-only float64 entry per step
+        assert column.shape == (run.n_steps,) and column.dtype == np.float64
+        assert not column.flags.writeable
+    assert np.array_equal(diag.beta_norm, oracle.beta_norm)
+    assert np.all(np.abs(diag.delta_v_norm - oracle.delta_v_norm) <= band * run.a.norm)
+    assert np.all(np.abs(diag.normality - oracle.normality) <= band)
+    assert np.all(np.abs(diag.local_orth - oracle.local_orth) <= band)
+    assert np.all(np.abs(diag.global_orth - oracle.global_orth) <= band)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -231,7 +233,7 @@ def _check_global_orth(run):
     """global_orth is within 10 n p eps of norm(V_k^T v_{k+1}, 2) per step,
     and nonzero exactly where v_{k+1} is stored."""
     n, p = run.basis.shape[0], run.width
-    got = np.array([r.global_orth for r in run.diagnostics])
+    got = run.diagnostics.global_orth
     want = [np.linalg.norm(run.basis[:, : k * p].T @ run.panels[k], 2)
             if k < len(run.panels) else 0.0 for k in range(1, run.n_steps + 1)]
     assert np.max(np.abs(got - want)) <= 10.0 * n * p * EPS
@@ -246,7 +248,7 @@ def test_global_orth_chunks_match_the_per_step_norm(k_max, mode):
     n, p = 80, 2
     a, _, rng = rand_spd(n, 40 + k_max, low=0.01, high=10.0)
     run = run_block_lanczos(a, rng.standard_normal((n, p)), k_max=k_max, mode=mode)
-    assert not run.terminated and len(run.diagnostics) == k_max
+    assert not run.terminated and run.diagnostics.global_orth.shape == (k_max,)
     _check_global_orth(run)
 
 
@@ -264,9 +266,9 @@ def test_terminated_run_ends_mid_chunk_or_on_a_chunk_edge(steps, p):
     run = run_block_lanczos(np.linspace(1.0, 10.0, n), v, k_max=n // p,
                             mode="simulated_exact")
     assert run.terminated and run.n_steps == len(run.panels) == steps
-    assert [r.j for r in run.diagnostics] == list(range(1, steps + 1))
-    last = run.diagnostics[-1]
-    assert last.local_orth == 0.0 and last.global_orth == 0.0
+    diag = run.diagnostics
+    assert all(column.shape == (steps,) for column in diag)
+    assert diag.local_orth[-1] == 0.0 and diag.global_orth[-1] == 0.0
     _check_global_orth(run)
 
 
@@ -274,22 +276,21 @@ def test_diagnostics_match_direct_recomputation():
     a, _, rng = rand_spd(20, 25)
     v = rng.standard_normal((20, 2))
     run = run_block_lanczos(a, v, k_max=6)
-    rows = run.diagnostics
-    assert [r.j for r in rows] == [1, 2, 3, 4, 5, 6]
-    r3 = rows[2]
+    diag = run.diagnostics
+    assert all(column.shape == (6,) for column in diag)
     res = (
         a @ run.panels[2]
         - run.panels[2] @ run.t.alphas[2]
         - run.panels[1] @ run.t.betas[1].T
         - run.panels[3] @ run.t.betas[2]
     )
-    assert np.isclose(r3.delta_v_norm, np.linalg.norm(res, 2), rtol=1e-12)
+    assert np.isclose(diag.delta_v_norm[2], np.linalg.norm(res, 2), rtol=1e-12)
     assert np.isclose(
-        r3.normality,
+        diag.normality[2],
         np.linalg.norm(run.panels[2].T @ run.panels[2] - np.eye(2), 2),
         rtol=1e-12,
     )
-    assert np.isclose(r3.beta_norm, np.linalg.norm(run.t.betas[2], 2), rtol=1e-12)
+    assert np.isclose(diag.beta_norm[2], np.linalg.norm(run.t.betas[2], 2), rtol=1e-12)
 
 
 def test_finite_precision_loses_global_orthogonality():
@@ -298,8 +299,8 @@ def test_finite_precision_loses_global_orthogonality():
     v = np.random.default_rng(1).standard_normal((48, 2))
     fp = run_block_lanczos(a, v, k_max=24, mode="finite_precision")
     ex = run_block_lanczos(a, v, k_max=24, mode="simulated_exact")
-    assert max(r.global_orth for r in fp.diagnostics) > 1e-6
-    assert max(r.global_orth for r in ex.diagnostics) < 1e-12
+    assert fp.diagnostics.global_orth.max() > 1e-6
+    assert ex.diagnostics.global_orth.max() < 1e-12
 
 
 def test_finite_precision_local_quantities_stay_at_roundoff():
@@ -310,10 +311,10 @@ def test_finite_precision_local_quantities_stay_at_roundoff():
     v = np.random.default_rng(1).standard_normal((48, 2))
     run = run_block_lanczos(a, v, k_max=24)
     band = 10.0 * 48 * 2 * EPS
-    for r in run.diagnostics:
-        assert r.delta_v_norm <= band * run.a_norm
-        assert r.normality <= band
-        assert r.local_orth <= band * run.a_norm
+    diag = run.diagnostics
+    assert np.all(diag.delta_v_norm <= band * run.a.norm)
+    assert np.all(diag.normality <= band)
+    assert np.all(diag.local_orth <= band * run.a.norm)
 
 
 def test_ritz_analysis_exact_mode():
@@ -386,5 +387,6 @@ def test_diagonal_operator_matches_its_dense_form(p, n, k_frac, mode, seed):
                          ref.t.alphas + ref.t.betas + [ref.beta_next]):
         assert np.array_equal(got, want)
     assert (run.t.n_blocks, len(run.t.betas)) == (ref.t.n_blocks, len(ref.t.betas))
-    assert run.a_norm == ref.a_norm and run.terminated == ref.terminated
-    assert run.diagnostics == ref.diagnostics
+    assert run.a.norm == ref.a.norm and run.terminated == ref.terminated
+    for got, want in zip(run.diagnostics, ref.diagnostics):
+        assert np.array_equal(got, want)

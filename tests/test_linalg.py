@@ -19,6 +19,7 @@ from blocklanczos import (
     sym_eig,
     truncated_svd,
 )
+from blocklanczos import linalg
 from blocklanczos.linalg import qr_unchecked
 
 
@@ -52,9 +53,11 @@ def test_qr_rejects_rank_deficient():
 
 
 @pytest.mark.parametrize("rank_tol", [0.0, 1e-12, 1e-6, 0.3, 1.0 - 1e-15, 1.0])
-def test_qr_decision_matches_the_spectral_test(rank_tol):
+def test_qr_decision_matches_the_spectral_test(rank_tol, monkeypatch):
     # the Frobenius shortcut may only skip the SVD where the spectral test
-    # accepts; every decision and every factor must be the spectral test's
+    # accepts; every decision and every factor must be the spectral test's,
+    # at the package's RANK_TOL and at thresholds around it
+    monkeypatch.setattr(linalg, "RANK_TOL", rank_tol)
     rng = np.random.default_rng(6)
     for width in (1, 2, 4):
         for smallest in (0.0, 1e-14, 1e-12, 1e-6, 0.3, 1.0):
@@ -66,7 +69,7 @@ def test_qr_decision_matches_the_spectral_test(rank_tol):
             scale = np.linalg.norm(m, 2)
             accept = scale > 0.0 and np.min(np.diag(r_ref)) >= rank_tol * scale
             try:
-                q, r = householder_qr(m, rank_tol)
+                q, r = householder_qr(m)
             except RankDeficient:
                 assert not accept, (width, smallest)
             else:

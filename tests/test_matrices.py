@@ -79,6 +79,15 @@ def test_spectrum_to_matrix_round_trip():
     assert np.array_equal(a, a2)
 
 
+def test_in_place_symmetrization_keeps_the_bits():
+    # a += a.T reads a buffered copy of the overlapping a.T, so the result
+    # is the out-of-place 0.5 * (a + a.T) bit for bit
+    eigs = strakos_spectrum(SpectrumSpec(600, 0.1, 100.0, 0.8))
+    a, u = spectrum_to_matrix(eigs, 1)
+    raw = (u * eigs) @ u.T
+    assert np.array_equal(a, 0.5 * (raw + raw.T))
+
+
 def test_random_orthonormal_deterministic():
     q = random_orthonormal(6, 2)
     assert np.linalg.norm(q.T @ q - np.eye(6)) < 1e-14

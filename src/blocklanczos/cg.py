@@ -19,6 +19,7 @@ solve goes numerically singular.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ def _error_ratio(err: np.ndarray, a, den: float) -> float:
     num = _energy(err, a)
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
-    return float(np.sqrt(num) / np.sqrt(den))
+    return math.sqrt(num) / math.sqrt(den)
 
 
 def trace_error(x: np.ndarray, x_star: np.ndarray, x0: np.ndarray, a) -> float:
@@ -108,20 +109,27 @@ def _direction_gram(a, s, k):
     ``(None, None, reason)`` when iteration k must halt: s diverged, the
     symmetrized s^T A s is not finite or its smallest singular value is
     below 1e-14 * norm(a) * norm(s)^2, or its Cholesky factorization fails.
+    The factor comes first: as lambda_min(s^T A s) >= 1/||f||_F^2 and norm(s)
+    <= ||s||_F, ||f||_F^2 ||s||_F^2 norm(a) <= 1e10 clears that rule by 10^4.
     """
-    if not np.all(np.isfinite(s)) or float(np.max(np.abs(s))) > 1e150:
+    if not float(np.max(np.abs(s))) <= 1e150:  # NaN too
         return None, None, "direction block diverged at iteration %d" % k
     as_ = a @ s
     gram = s.T @ as_
     gram = 0.5 * (gram + gram.T)
+    try:
+        f = inverse_cholesky(gram)
+        if float(np.vdot(f, f)) * float(np.vdot(s, s)) * a.norm <= 1e10:
+            return as_, f, None
+    except np.linalg.LinAlgError:
+        f = None
     # norm(s)^2 from the p x p s^T s, not an n x p SVD; a NaN threshold halts too
     if not (np.all(np.isfinite(gram)) and float(np.linalg.svd(gram, compute_uv=False).min())
             >= 1e-14 * a.norm * np.linalg.eigvalsh(s.T @ s)[-1]):
         return None, None, "singular direction Gram block at iteration %d" % k
-    try:
-        return as_, inverse_cholesky(gram), None
-    except np.linalg.LinAlgError:
+    if f is None:
         return None, None, "singular inner solve at iteration %d" % k
+    return as_, f, None
 
 
 def _finish(a, b, x, errors, failure, **fields):
@@ -160,7 +168,7 @@ def hs_bcg(
 
     x = x0.copy()
     r = b - a @ x
-    p_dir = r
+    p_dir, rr = r, r.T @ r
     den = _energy(x_star - x0, a)
     errors = [_error_ratio(x_star - x, a, den)]
 
@@ -169,17 +177,17 @@ def hs_bcg(
         ap, f, failure = _direction_gram(a, p_dir, k)
         if failure is not None:
             break
-        rr_prev = r.T @ r
-        gamma = f.T @ (f @ rr_prev)
+        gamma = f.T @ (f @ rr)
         x = x + p_dir @ gamma
         r = r - ap @ gamma
         errors.append(_error_ratio(x_star - x, a, den))
         try:
-            f = inverse_cholesky(0.5 * (rr_prev + rr_prev.T))
+            f = inverse_cholesky(0.5 * (rr + rr.T))
         except np.linalg.LinAlgError:
             failure = "singular residual Gram block at iteration %d" % k
             break
-        p_dir = r + p_dir @ (f.T @ (f @ (r.T @ r)))
+        rr = r.T @ r  # the next step's r^T r too
+        p_dir = r + p_dir @ (f.T @ (f @ rr))
 
     return _finish(a, b, x, errors, failure, variant="hs", exact_mode=False,
                    ref_residual=ref_residual)

@@ -74,7 +74,7 @@ def householder_qr(m: np.ndarray):
     if width < 1 or width > n:
         raise ShapeMismatch("block of shape (%d, %d) cannot be orthonormalized" % (n, width))
     q, r = qr_unchecked(m)
-    smallest = float(np.min(np.diag(r)))
+    smallest = float(r.diagonal().min())
     # norm(m) <= its Frobenius norm, so clearing the Frobenius threshold
     # (with a margin for the rounding of either norm) accepts without the
     # SVD; everything else gets the exact spectral test. A NaN or infinite
@@ -98,7 +98,7 @@ def qr_unchecked(m: np.ndarray):
     """
     q, r = np.linalg.qr(m, mode="reduced")
     # flip signs so diag(r) >= 0 (deterministic), in place: copying a square q costs n x n
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    signs = np.where(r.diagonal() < 0.0, -1.0, 1.0)
     q *= signs
     r *= signs[:, None]
     return q, r

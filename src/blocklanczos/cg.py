@@ -205,8 +205,8 @@ def dr_bcg(
     The residual block is QR-factored every iteration: the orthonormal
     factor drives the recurrence while the triangular factor accumulates
     into the step scaling. With ``exact_mode`` the new residual basis is
-    reorthogonalized (two passes) against every previous one before its QR,
-    an exact-arithmetic stand-in used to compare against plain runs.
+    reorthogonalized against every previous one (`reorthogonalize`) before
+    its QR, an exact-arithmetic stand-in used to compare against plain runs.
 
     Takes ``a`` in the same forms as `hs_bcg` (dense symmetric, a 1-D
     diagonal, or an `Operator`), with the same halting contract and typed

@@ -159,13 +159,13 @@ def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray):
 
     Step 1 replays step k of the run from v_{k-1}, v_k, alpha_k and
     beta_k (no trailing term for k = 1); every later step is a three-term
-    step on the new panels. Each raw panel is reorthogonalized twice
-    against w_k and all panels kept so far, and its kept part comes from
-    an SVD cut at BREAKDOWN_TOL * norm(A), the run's breakdown level. The
-    step yields ``(alpha, u_t, b_new, h_panel)``: its diagonal block (None
-    at step 1, whose block is alpha_k of the run), the new panel, its
-    coupling and the removed difference ``raw - u_t @ b_new``. The steps
-    end after the first one that keeps rank zero.
+    step on the new panels. Each raw panel is reorthogonalized against
+    w_k and all panels kept so far (`reorthogonalize`), and its kept part
+    comes from an SVD cut at BREAKDOWN_TOL * norm(A), the run's breakdown
+    level. The step yields ``(alpha, u_t, b_new, h_panel)``: its diagonal
+    block (None at step 1, whose block is alpha_k of the run), the new
+    panel, its coupling and the removed difference ``raw - u_t @ b_new``.
+    The steps end after the first one that keeps rank zero.
 
     Raises AssumptionUnsatisfiable for norm(A) = 0, which leaves the cut
     without a scale, and CapReached before the basis would pass n columns.

@@ -14,9 +14,9 @@ Two modes:
     Ritz pairs converge; that decay is the object of study, not a bug.
 
 ``simulated_exact``
-    Every new panel is reorthogonalized twice against all previous panels
-    before QR, which keeps global orthogonality at working precision and
-    makes the run behave like exact arithmetic for analysis purposes.
+    Every new panel is reorthogonalized against all previous panels before
+    QR (`reorthogonalize`), which keeps global orthogonality at working
+    precision: the run behaves like exact arithmetic for analysis purposes.
 """
 
 from __future__ import annotations

@@ -245,12 +245,14 @@ def truncated_svd(w: np.ndarray, tol: float):
 def reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Remove the components of ``w`` along an orthonormal ``basis``.
 
-    Two passes of classical block Gram-Schmidt; the second pass mops up the
-    first-pass rounding so the result is orthogonal to the basis to working
-    precision even when ``w`` nearly lies inside it.
+    One classical block Gram-Schmidt pass, and a second only when some
+    column kept less than 1/sqrt(2) of its norm (Kahan-Parlett, DGKS 1976:
+    twice is enough), tested per column so a nearly dependent one cannot
+    hide behind the rest. The result is orthogonal to working precision.
     """
-    w = w - basis @ (basis.T @ w)
-    return w - basis @ (basis.T @ w)
+    out = w - basis @ (basis.T @ w)
+    twice = any(np.vdot(o, o) < 0.5 * np.vdot(x, x) for o, x in zip(out.T, w.T))
+    return out - basis @ (basis.T @ out) if twice else out
 
 
 @dataclass

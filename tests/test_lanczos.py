@@ -13,6 +13,7 @@ from blocklanczos import (
     NotSymmetric,
     RankDeficientStart,
     ShapeMismatch,
+    SpectrumSpec,
     densify,
     ritz_analysis,
     run_block_lanczos,
@@ -301,6 +302,17 @@ def test_finite_precision_loses_global_orthogonality():
     ex = run_block_lanczos(a, v, k_max=24, mode="simulated_exact")
     assert fp.diagnostics.global_orth.max() > 1e-6
     assert ex.diagnostics.global_orth.max() < 1e-12
+
+
+@pytest.mark.parametrize("n,p,seed", [(48, 1, 1), (48, 3, 2), (100, 4, 3), (120, 2, 4)])
+def test_exact_mode_keeps_global_orthogonality_at_working_precision(n, p, seed):
+    # reorthogonalization mostly makes one pass; the run still stays
+    # orthogonal to working precision through full depth
+    a, _ = spectrum_to_matrix(strakos_spectrum(SpectrumSpec(n, 0.1, 100.0, 0.9)), seed)
+    v = np.random.default_rng(seed).standard_normal((n, p))
+    run = run_block_lanczos(a, v, k_max=n // p, mode="simulated_exact")
+    assert run.n_steps >= n // p - 1
+    assert run.diagnostics.global_orth.max() <= 10 * n * p * EPS
 
 
 def test_finite_precision_local_quantities_stay_at_roundoff():

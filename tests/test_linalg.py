@@ -22,6 +22,8 @@ from blocklanczos import (
 from blocklanczos import linalg
 from blocklanczos.linalg import qr_unchecked
 
+EPS = float(np.finfo(float).eps)
+
 
 def test_qr_factors():
     rng = np.random.default_rng(3)
@@ -181,6 +183,34 @@ def test_reorthogonalize_cleans_overlap():
     w = rng.standard_normal((20, 2)) + basis @ rng.standard_normal((6, 2))
     out = reorthogonalize(w, basis)
     assert np.linalg.norm(basis.T @ out) < 1e-13
+
+
+def column_overlaps(x, basis):
+    """|basis^T x_j| / |x_j| for every column j of x."""
+    return np.linalg.norm(basis.T @ x, axis=0) / np.linalg.norm(x, axis=0)
+
+
+def test_reorthogonalize_takes_a_second_pass_for_a_nearly_dependent_column():
+    rng = np.random.default_rng(11)
+    n = 50
+    basis, _ = np.linalg.qr(rng.standard_normal((n, 10)))
+    w = rng.standard_normal((n, 3))
+    # column 1 lies about 1e-8 outside span(basis); the others are generic
+    z = rng.standard_normal(n)
+    w[:, 1] = basis @ rng.standard_normal(10) + 1e-8 * (z - basis @ (basis.T @ z))
+    one_pass = w - basis @ (basis.T @ w)
+    assert column_overlaps(one_pass, basis)[1] > 10 * n * EPS  # one pass is not enough here
+    out = reorthogonalize(w, basis)
+    assert np.all(column_overlaps(out, basis) <= 10 * n * EPS)
+
+
+def test_reorthogonalize_makes_one_pass_when_one_is_enough():
+    rng = np.random.default_rng(12)
+    # a random column keeps about (n - m) / n > 1/2 of its squared norm
+    for n, m, width in [(50, 10, 3), (120, 40, 2), (336, 100, 2)]:
+        basis, _ = np.linalg.qr(rng.standard_normal((n, m)))
+        w = rng.standard_normal((n, width))
+        assert np.array_equal(reorthogonalize(w, basis), w - basis @ (basis.T @ w))
 
 
 def hand_tridiagonal():

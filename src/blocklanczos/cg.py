@@ -186,8 +186,7 @@ def hs_bcg(
         except np.linalg.LinAlgError:
             failure = "singular residual Gram block at iteration %d" % k
             break
-        rr = r.T @ r  # the next step's r^T r too
-        p_dir = r + p_dir @ (f.T @ (f @ rr))
+        p_dir = r + p_dir @ (f.T @ (f @ (rr := r.T @ r)))  # rr: the next step's r^T r
 
     return _finish(a, b, x, errors, failure, variant="hs", exact_mode=False,
                    ref_residual=ref_residual)

@@ -130,10 +130,10 @@ class Operator:
         self._diag = a[:, None] if a.ndim == 1 else None
         if a.ndim not in (1, 2) or a.shape[0] != a.shape[-1]:
             raise ShapeMismatch("operator must be square or 1-D, got %r" % (a.shape,))
-        scale = float(np.linalg.norm(a))
+        scale = _frobenius(a)
         if not np.isfinite(scale):
             raise NonFiniteOperator("operator norm is %r: NaN, inf or overflow" % scale)
-        if a.ndim == 2 and scale > 0.0 and float(np.linalg.norm(a - a.T)) > 1e-12 * scale:
+        if a.ndim == 2 and scale > 0.0 and _frobenius(a - a.T) > 1e-12 * scale:
             raise NotSymmetric("operator asymmetry above 1e-12 relative")
         self.array, self.shape = a, (a.shape[0], a.shape[0])
         if eigvals is not None:
@@ -145,8 +145,7 @@ class Operator:
             if np.any(eigvals[1:] < eigvals[:-1]):
                 raise ValueError("spectrum must be ascending")
             # an O(n) guard against a wrong or stale spectrum: sum(eigvals**2) = ||A||_F**2
-            mismatch = abs(float(np.linalg.norm(eigvals)) - scale)
-            if mismatch > 10 * a.shape[0] * np.finfo(float).eps * scale:
+            if abs(_frobenius(eigvals) - scale) > 10 * a.shape[0] * np.finfo(float).eps * scale:
                 raise ValueError("spectrum does not match the operator's Frobenius norm")
             eigvals.flags.writeable = False
             self.__dict__["eigvals"] = eigvals  # the cached property's value
@@ -178,6 +177,13 @@ class Operator:
         """A^{-1} b; NotPositiveDefinite when A has no Cholesky factor."""
         f = self._inverse_factor
         return (b * f) * f if self._diag is not None else f.T @ (f @ b)
+
+
+@np.errstate(over="ignore")  # a sum of squares past the float range is redone scaled by max|x|
+def _frobenius(x: np.ndarray) -> float:
+    norm = float(np.linalg.norm(x))
+    big = float(np.max(np.abs(x))) if norm == np.inf else 0.0  # 0 unless it overflowed
+    return big * float(np.linalg.norm(x / big)) if 0.0 < big < np.inf else norm
 
 
 def inverse_cholesky(a: np.ndarray) -> np.ndarray:

@@ -304,13 +304,15 @@ def test_finite_precision_loses_global_orthogonality():
     assert ex.diagnostics.global_orth.max() < 1e-12
 
 
-@pytest.mark.parametrize("n,p,seed", [(48, 1, 1), (48, 3, 2), (100, 4, 3), (120, 2, 4)])
-def test_exact_mode_keeps_global_orthogonality_at_working_precision(n, p, seed):
+@pytest.mark.parametrize("n,p,seed,scale", [(48, 1, 1, 1.0), (48, 3, 2, 1.0), (100, 4, 3, 1.0),
+                                            (120, 2, 4, 1.0), (48, 2, 1, 1e160)])
+def test_exact_mode_keeps_global_orthogonality_at_working_precision(n, p, seed, scale):
     # reorthogonalization mostly makes one pass; the run still stays
-    # orthogonal to working precision through full depth
+    # orthogonal to working precision through full depth, also (without
+    # an overflow warning) on an operator whose squares overflow
     a, _ = spectrum_to_matrix(strakos_spectrum(SpectrumSpec(n, 0.1, 100.0, 0.9)), seed)
     v = np.random.default_rng(seed).standard_normal((n, p))
-    run = run_block_lanczos(a, v, k_max=n // p, mode="simulated_exact")
+    run = run_block_lanczos(scale * a, v, k_max=n // p, mode="simulated_exact")
     assert run.n_steps >= n // p - 1
     assert run.diagnostics.global_orth.max() <= 10 * n * p * EPS
 

@@ -363,6 +363,23 @@ def test_operator_is_checked_when_built_and_factored_at_first_solve():
     assert np.array_equal(dense.solve(b), diag.solve(b))
 
 
+@pytest.mark.parametrize("big", [1e155, 1e200])
+def test_huge_finite_operator_builds_with_its_norm(big):
+    # the plain sum of squares overflows; the norm is redone scaled by max|a|
+    for a in (np.diag([big, 1.0]), np.array([big, 1.0]), np.diag([1.0, -big])):
+        op = Operator(a)
+        assert op.norm == big
+    assert Operator(np.diag([big, 1.0]), np.array([1.0, big])).norm == big
+    for bad in (np.diag([np.inf, big]), np.diag([big, np.nan]), np.array([big, np.inf]),
+                np.array([np.nan, big])):
+        with pytest.raises(NonFiniteOperator):
+            Operator(bad)
+    for asymmetric in (np.array([[big, big], [0.0, 1.0]]), np.array([[big, 1e-6 * big],
+                                                                   [1e-5 * big, 1.0]])):
+        with pytest.raises(NotSymmetric):
+            Operator(asymmetric)
+
+
 def test_operator_seeded_with_its_spectrum_is_not_eigensolved(monkeypatch):
     eigs = np.array([0.5, 1.0, 1.0, 4.0])  # ascending, with a tie
     a = np.diag(eigs[::-1])

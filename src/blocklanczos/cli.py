@@ -21,15 +21,9 @@ from pprint import pformat
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    classify_clusters,
-    conjecture_scan,
-    interlacing_check,
-    interval_spread,
-    theorem1_certificate,
-)
+from .analysis import classify_clusters, conjecture_scan, interlacing_check
 from .cg import dr_bcg, hs_bcg
-from .continuation import assemble_tn, continue_prefix, prefix_terms
+from .continuation import continue_prefix, prefix_terms
 from .errors import BlockLanczosError, EmptySelection, NearDependentRitzVectors
 from .lanczos import BREAKDOWN_TOL, Diagnostics, ritz_analysis, run_block_lanczos
 from .linalg import Operator, densify, householder_qr, sym_eig
@@ -398,14 +392,10 @@ def cmd_continuation(cfg, problem, rng, out):
     if mu_val is None:
         mu_val = float(np.sqrt(k * n * p * EPS))
 
-    pipeline = continue_prefix(run, k, mu_val)
-    selection, cont, report = pipeline.selection, pipeline.cont, pipeline.report
-    tn = assemble_tn(run, k, cont)
-    basis = np.hstack([run.basis[:, : k * p]] + cont.q_panels)
-    certificate = theorem1_certificate(tn, basis, run.a, cont.epsilon2)
-    tn_eigs = certificate.thetas
-    spread = interval_spread(tn_eigs, run.a.eigvals)
-    clusters = classify_clusters(tn_eigs, run.a.eigvals, run.a.norm, cfg["psi"], cfg["eta"])
+    pc = continue_prefix(run, k, mu_val)
+    selection, cont, report = pc.selection, pc.cont, pc.report
+    tn, certificate, spread = pc.tn, pc.certificate, pc.spread
+    clusters = classify_clusters(certificate.thetas, run.a.eigvals, run.a.norm, cfg["psi"], cfg["eta"])
 
     shared = [
         "k=%d mu=%s threshold=%s" % (k, _fmt(mu_val), _fmt(selection.threshold)),

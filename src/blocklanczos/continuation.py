@@ -8,13 +8,10 @@ that statement concrete and measurable:
 1. pick the Ritz vectors of T_k that have not converged yet and
    orthonormalize them (`select_ritz_vectors`, through `build_wk`); the
    resulting `Selection` is all that the later stages read of this step,
-2. continue the three-term recurrence of the run from its panels v_{k-1}
-   and v_k, but orthogonalizing every new panel against the selected
-   basis and everything generated since (`continuation_run`, which takes
-   the operator, panels, blocks and residual norms from the run); rank
-   lost along the way is removed by an SVD cutoff, and the recurrence
-   closes with a zero trailing coupling after finitely many steps, since
-   each step either adds an orthonormal column or closes,
+2. continue the three-term recurrence of the run from v_{k-1} and v_k,
+   orthogonalizing every new panel against the selected basis and all
+   panels since and cutting lost rank by an SVD, until a step keeps none
+   (`continuation_run`),
 3. append the new blocks to T_k of the run (`assemble_tn`), giving a
    model matrix T_N that an EXACT run on A would produce under column
    perturbations no larger than the recorded epsilon2 * norm(A),
@@ -22,7 +19,9 @@ that statement concrete and measurable:
    control their size (`perturbation_decomposition`), each of which can be
    monitored against the selection threshold.
 
-`continue_prefix` runs steps 1, 2 and 4 at one prefix of a run. Every
+`continue_prefix` runs steps 1, 2 and 4 at one prefix of a run. Its
+record, `PrefixContinuation`, makes step 3 and the checks of the model
+(`theorem1_certificate`, `interval_spread`) on first read. Every
 continuation step comes from one lazy loop, which `continuation_run`
 drains. The monitored terms need only its first step (`monitored_terms`),
 so `prefix_terms` takes that step alone and does not continue to closure.
@@ -33,11 +32,13 @@ backward error is measured, not estimated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import SpreadReport, Theorem1Certificate, interval_spread, theorem1_certificate
 from .errors import (AssumptionUnsatisfiable, CapReached, EmptySelection,
                      NearDependentRitzVectors, ShapeMismatch)
 from .lanczos import BREAKDOWN_TOL, LanczosRun, ritz_analysis
@@ -167,8 +168,9 @@ def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray):
     panel, its coupling and the removed difference ``raw - u_t @ b_new``.
     The steps end after the first one that keeps rank zero.
 
-    Raises AssumptionUnsatisfiable for norm(A) = 0, which leaves the cut
-    without a scale, and CapReached before the basis would pass n columns.
+    Raises ValueError for k outside [1, run.n_steps],
+    AssumptionUnsatisfiable for norm(A) = 0, which leaves the cut without
+    a scale, and CapReached before the basis would pass n columns.
     """
     if not 1 <= k <= run.n_steps:
         raise ValueError("k must be in [1, %d], got %d" % (run.n_steps, k))
@@ -206,18 +208,12 @@ def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray):
 
 def continuation_run(run: LanczosRun, k: int, w_k: np.ndarray) -> ContinuationResult:
     """Run the recurrence of ``run`` past step k against the protected
-    basis w_k until a step keeps rank zero.
+    basis w_k until a step keeps rank zero (the steps and what they raise:
+    `_continuation_steps`).
 
-    Step 1 replays step k of the run but removes every component along
-    w_k; later steps are plain three-term steps on the new panels (see
-    `_continuation_steps`), each cut at the run's breakdown level
-    BREAKDOWN_TOL * norm(A). The discarded difference of each step is
-    recorded as its h panel. The reported epsilon2 covers the whole
-    model: the run's residual norms of steps 1..k and every h norm.
-
-    Raises ValueError for k outside [1, run.n_steps],
-    AssumptionUnsatisfiable for norm(A) = 0, and CapReached if the basis
-    would outgrow the dimension n.
+    The discarded difference of each step is recorded as its h panel. The
+    reported epsilon2 covers the whole model: the run's residual norms of
+    steps 1..k and every h norm.
     """
     alphas, q_panels, betas, h_panels = map(list, zip(*_continuation_steps(run, k, w_k)))
     h_norms = [panel_norm(h) for h in h_panels]
@@ -228,11 +224,7 @@ def continuation_run(run: LanczosRun, k: int, w_k: np.ndarray) -> ContinuationRe
 
 def assemble_tn(run: LanczosRun, k: int, cont: ContinuationResult) -> BlockTridiagonal:
     """Append the continuation at prefix k to T_k of ``run``, giving the
-    model matrix T_N.
-
-    The first continuation coupling bridges block k and the first
-    continuation block. With no continuation panels the result is just a
-    copy of T_k.
+    model matrix T_N (a copy of T_k when there are no continuation panels).
     """
     if not 1 <= k <= run.n_steps:
         raise ValueError("k must be in [1, %d], got %d" % (run.n_steps, k))
@@ -291,12 +283,7 @@ def monitored_terms(run: LanczosRun, k: int, selection: Selection, beta_c: np.nd
     kept rank zero, which makes term21b and term22 zero.
     See `DecompositionReport` for what each term measures.
     """
-    return _terms(_closed_form_inputs(run, k), selection, beta_c)
-
-
-def _terms(inputs, selection, beta_c):
-    """`monitored_terms` from already gathered `_closed_form_inputs`."""
-    v_k, r_defect, fp_trail = inputs
+    v_k, r_defect, fp_trail = _closed_form_inputs(run, k)
     w_k = selection.w_k
     term21a = panel_norm(w_k.T @ fp_trail) if fp_trail is not None else 0.0
     if beta_c is None:
@@ -321,9 +308,7 @@ def perturbation_decomposition(
     scalars (`monitored_terms`).
     """
     beta_c = cont.betas[0] if cont.betas else None
-    inputs = _closed_form_inputs(run, k)
-    terms = _terms(inputs, selection, beta_c)
-    v_k, r_defect, fp_trail = inputs
+    v_k, r_defect, fp_trail = _closed_form_inputs(run, k)
     w_k = selection.w_k
 
     h = cont.h_panels
@@ -337,16 +322,40 @@ def perturbation_decomposition(
         dj = h[j] - cont.q_panels[0] @ (beta_c @ (v_k.T @ cont.q_panels[j - 1]))
         delta_norms.append(panel_norm(dj))
 
-    return DecompositionReport(*terms, delta_norms)
+    return DecompositionReport(*monitored_terms(run, k, selection, beta_c), delta_norms)
 
 
 @dataclass
 class PrefixContinuation:
-    """The whole pipeline at one prefix k of a run (`continue_prefix`)."""
+    """The whole pipeline at one prefix k of a run (`continue_prefix`).
 
+    T_N (`tn`, from `assemble_tn`), its basis [V_k, q_{k+1}, ...], its
+    `certificate` (`theorem1_certificate` at the continuation's epsilon2,
+    holding T_N's eigenvalues) and their `spread` around A's eigenvalues
+    are made on first read and cached.
+    """
+
+    run: LanczosRun
+    k: int
     selection: Selection
     cont: ContinuationResult
     report: DecompositionReport
+
+    @functools.cached_property
+    def tn(self) -> BlockTridiagonal:
+        return assemble_tn(self.run, self.k, self.cont)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        return np.hstack([self.run.basis[:, : self.k * self.run.width]] + self.cont.q_panels)
+
+    @functools.cached_property
+    def certificate(self) -> Theorem1Certificate:
+        return theorem1_certificate(self.tn, self.basis, self.run.a, self.cont.epsilon2)
+
+    @functools.cached_property
+    def spread(self) -> SpreadReport:
+        return interval_spread(self.certificate.thetas, self.run.a.eigvals)
 
 
 def continue_prefix(run: LanczosRun, k: int, mu: float) -> PrefixContinuation:
@@ -359,7 +368,7 @@ def continue_prefix(run: LanczosRun, k: int, mu: float) -> PrefixContinuation:
     selection = select_ritz_vectors(run, k, mu)
     cont = continuation_run(run, k, selection.w_k)
     report = perturbation_decomposition(run, k, selection, cont)
-    return PrefixContinuation(selection, cont, report)
+    return PrefixContinuation(run, k, selection, cont, report)
 
 
 def prefix_terms(run: LanczosRun, k: int, mu: float):

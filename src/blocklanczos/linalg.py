@@ -79,7 +79,7 @@ def householder_qr(m: np.ndarray):
     # (with a margin for the rounding of either norm) accepts without the
     # SVD; everything else gets the exact spectral test. A NaN or infinite
     # entry makes the Frobenius norm NaN or infinite and fails here too.
-    frob = float(np.linalg.norm(m))
+    frob = _frobenius(m)
     if 0.0 < frob < np.inf and smallest >= RANK_TOL * frob * (1.0 + 1e-12):
         return q, r
     if not np.all(np.isfinite(m)):  # the SVD below would not converge

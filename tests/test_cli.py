@@ -501,11 +501,11 @@ def test_continuation_artifacts(tmp_path):
 def test_kron_spread_uses_the_certificate_spectrum(tmp_path, monkeypatch):
     # a _kron problem has no generator spectrum: the certificate and the
     # written spread both use the run's eigenvalues, and the operator gets
-    # no eigh of its own
-    import blocklanczos.cli as cli
+    # no eigh of its own; T_N gets exactly one, the certificate's
+    import blocklanczos.continuation as continuation
     from blocklanczos import interval_spread
 
-    real_certificate, real_eigh = cli.theorem1_certificate, np.linalg.eigh
+    real_certificate, real_eigh = continuation.theorem1_certificate, np.linalg.eigh
     seen, eigh_shapes = [], []
 
     def certificate(tn, basis, a, epsilon2, *args):
@@ -516,12 +516,14 @@ def test_kron_spread_uses_the_certificate_spectrum(tmp_path, monkeypatch):
         eigh_shapes.append(np.shape(x))
         return real_eigh(x, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "theorem1_certificate", certificate)
+    monkeypatch.setattr(continuation, "theorem1_certificate", certificate)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     assert main(["continuation", "--matrix", "strakos48(0.1,100)_kron", "--k", "24",
                  "--mu", "auto", "--out", str(tmp_path)]) == 0
     (op, cert), = seen
     assert op.shape not in eigh_shapes
+    # T_N is larger than every T_k (k <= 24, p = 2) the prefix scan solves
+    assert cert.thetas.size > 24 * 2 and eigh_shapes.count((cert.thetas.size,) * 2) == 1
     comments, _, _ = csv_parts(read(tmp_path / "continuation_spread.csv"))
     info = next(c for c in comments if "max_width=" in c)
     written = float(info.split("max_width=")[1].split()[0])

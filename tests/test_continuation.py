@@ -19,7 +19,6 @@ from blocklanczos import (
     continuation_run,
     continue_prefix,
     densify,
-    interval_spread,
     kron_perturbed_problem,
     monitored_terms,
     panel_norm,
@@ -45,7 +44,7 @@ def pipeline():
     pc = continue_prefix(run, k, 1e-5)
     fp = run.diagnostics.delta_v_norm[:k]
     return dict(
-        a=a, run=run, k=k, ritz=ritz_analysis(run, k), sel=pc.selection,
+        a=a, run=run, k=k, ritz=ritz_analysis(run, k), pc=pc, sel=pc.selection,
         w_k=pc.selection.w_k, fp=fp, cont=pc.cont, report=pc.report,
     )
 
@@ -191,18 +190,18 @@ def test_assemble_tn_empty_continuation(pipeline):
 def test_model_at_a_shorter_prefix(pipeline):
     run, p = pipeline["run"], pipeline["run"].width
     kk = run.n_steps - 4
-    cont = continue_prefix(run, kk, 1e-5).cont
-    t_n = assemble_tn(run, kk, cont)
+    pc = continue_prefix(run, kk, 1e-5)
+    t_n, cont = pc.tn, pc.cont
     assert t_n.n_blocks == kk + len(cont.q_panels)
-    assert t_n.dim == kk * p + sum(cont.widths)
+    assert t_n.dim == kk * p + sum(cont.widths) == pc.basis.shape[1]
     assert all(np.array_equal(x, y) for x, y in zip(t_n.alphas, run.t.alphas[:kk]))
     assert np.array_equal(t_n.betas[kk - 1], cont.betas[0])
-    basis = np.hstack([run.basis[:, : kk * p]] + cont.q_panels)
-    assert theorem1_certificate(t_n, basis, run.a, cont.epsilon2).holds
+    assert np.array_equal(pc.basis[:, : kk * p], run.basis[:, : kk * p])
+    assert pc.certificate.holds
     # the continuation appended after block K instead of block k
     wrong = BlockTridiagonal(run.t.alphas + cont.alphas, run.t.betas + cont.betas)
     with pytest.raises(ShapeMismatch, match="dimension %d" % wrong.dim):
-        theorem1_certificate(wrong, basis, run.a, cont.epsilon2)
+        theorem1_certificate(wrong, pc.basis, run.a, cont.epsilon2)
 
 
 def test_decomposition_reports_small_remainders(pipeline):
@@ -219,10 +218,9 @@ def test_first_step_continuation():
     v = np.random.default_rng(2).standard_normal((48, 2))
     run = run_block_lanczos(a, v, k_max=1)
     pc = continue_prefix(run, 1, 1e-5)
-    t_n = assemble_tn(run, 1, pc.cont)
-    t_n.check_structure()
+    pc.tn.check_structure()
     assert len(pc.report.delta_norms) == len(pc.cont.h_panels)
-    assert t_n.dim == 2 + sum(pc.cont.widths)
+    assert pc.tn.dim == 2 + sum(pc.cont.widths)
 
 
 def _start(n, l1, rho, seed, p, kron):
@@ -289,6 +287,37 @@ def test_prefix_terms_equal_full_continuation(n, l1, rho, seed, p, k_max, mu, kr
         assert ("EmptySelection" in seen) == (mu == 1e-2)
 
 
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(12, 60),
+    l1=st.floats(-3.0, 0.0).map(lambda e: 10.0 ** e),
+    rho=st.floats(0.5, 0.99),
+    seed=st.integers(0, 2**16),
+    p=st.sampled_from([1, 2, 3]),
+    k_max=st.integers(2, 60),
+    mu=st.floats(-8.0, -2.0).map(lambda e: 10.0 ** e),
+)
+def test_model_record_is_consistent_at_every_closing_prefix(n, l1, rho, seed, p, k_max, mu):
+    # one column of the basis and one spread entry per row of T_N, and a
+    # certificate that holds bounds the spread it certifies
+    a, v = _start(n, l1, rho, seed, p, False)
+    run = run_block_lanczos(a, v, k_max=min(k_max, n // p))
+    for kk in range(1, run.n_steps + 1):
+        try:
+            pc = continue_prefix(run, kk, mu)
+        except (EmptySelection, NearDependentRitzVectors):
+            continue
+        assert pc.basis.shape[1] == pc.tn.dim == pc.spread.dim
+        assert pc.spread.max_width <= pc.certificate.bound or not pc.certificate.holds
+
+
+def test_record_builds_its_model_once(pipeline):
+    pc = pipeline["pc"]
+    assert pc.tn is pc.tn and pc.basis is pc.basis
+    assert pc.certificate is pc.certificate
+    assert pc.spread is pc.spread
+
+
 def test_small_problem_closes_past_step_one():
     # a draw of test_prefix_terms_equal_full_continuation that an absolute
     # cut of 1e-12 at norm(A) = 100 cannot close: roundoff-level panels
@@ -315,10 +344,8 @@ def test_block_term_above_ten_mu_while_the_model_holds(n, l1, rho, seed, p, k_ma
     run = run_block_lanczos(a, np.random.default_rng(seed + 1).standard_normal((n, p)), k_max)
     pc = continue_prefix(run, k, mu)
     assert pc.report.term21b / (mu * run.a.norm) > 10
-    basis = np.hstack([run.basis[:, : k * p]] + pc.cont.q_panels)
-    cert = theorem1_certificate(assemble_tn(run, k, pc.cont), basis, run.a, pc.cont.epsilon2)
-    assert cert.holds
-    assert interval_spread(cert.thetas, run.a.eigvals).max_width <= cert.bound
+    assert pc.certificate.holds
+    assert pc.spread.max_width <= pc.certificate.bound
 
 
 def test_first_step_is_step_one_of_the_run(pipeline):

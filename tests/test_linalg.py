@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,16 @@ def test_qr_decision_matches_the_spectral_test(rank_tol, monkeypatch):
             else:
                 assert accept, (width, smallest)
                 assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+
+
+def test_qr_of_a_block_whose_squares_overflow():
+    # the Frobenius screen is redone scaled by max|m|: no overflow warning
+    b = np.random.default_rng(12).standard_normal((40, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, r = householder_qr(b * 1e160)
+    assert np.linalg.norm(q.T @ q - np.eye(3)) < 1e-14
+    assert np.linalg.norm(q @ (r / 1e160) - b) < 1e-14
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

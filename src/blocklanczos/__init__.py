@@ -63,7 +63,6 @@ from .lanczos import (
 from .cg import CgHistory, dr_bcg, hs_bcg, trace_error
 from .continuation import (
     ContinuationResult,
-    DecompositionReport,
     PrefixContinuation,
     Selection,
     assemble_tn,
@@ -72,7 +71,6 @@ from .continuation import (
     continue_prefix,
     monitored_terms,
     perturbation_decomposition,
-    prefix_terms,
     select_ritz_vectors,
 )
 from .analysis import (

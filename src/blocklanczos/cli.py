@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import classify_clusters, conjecture_scan, interlacing_check
 from .cg import dr_bcg, hs_bcg
-from .continuation import continue_prefix, prefix_terms
+from .continuation import continue_prefix
 from .errors import BlockLanczosError, EmptySelection, NearDependentRitzVectors
 from .lanczos import BREAKDOWN_TOL, Diagnostics, ritz_analysis, run_block_lanczos
 from .linalg import Operator, densify, householder_qr, sym_eig
@@ -393,7 +393,7 @@ def cmd_continuation(cfg, problem, rng, out):
         mu_val = float(np.sqrt(k * n * p * EPS))
 
     pc = continue_prefix(run, k, mu_val)
-    selection, cont, report = pc.selection, pc.cont, pc.report
+    selection, cont = pc.selection, pc.cont
     tn, certificate, spread = pc.tn, pc.certificate, pc.spread
     clusters = classify_clusters(certificate.thetas, run.a.eigvals, run.a.norm, cfg["psi"], cfg["eta"])
 
@@ -406,17 +406,16 @@ def cmd_continuation(cfg, problem, rng, out):
     # the closing step keeps rank zero, so it has an h entry but no panel
     h_rows = zip(range(1, cont.n_steps + 1), cont.widths + [0], cont.h_norms)
 
-    # shorter prefixes need only continuation step 1 for their terms
+    # every prefix's terms need only continuation step 1
     term_rows = []
-    for kk in range(1, k):
+    for kk in range(1, k + 1):
         try:
-            sel_kk, terms = prefix_terms(run, kk, mu_val)
-            term_rows.append((kk, sel_kk.m, sel_kk.rho_k) + terms)
+            pc_kk = pc if kk == k else continue_prefix(run, kk, mu_val)
         except (EmptySelection, NearDependentRitzVectors):
             nan = float("nan")
             term_rows.append((kk, 0, nan, nan, nan, nan))
-    term_rows.append((k, selection.m, selection.rho_k,
-                      report.term21a, report.term21b, report.term22))
+        else:
+            term_rows.append((kk, pc_kk.selection.m, pc_kk.selection.rho_k) + pc_kk.terms)
 
     dense = densify(tn)
     rows_i, cols_j = np.nonzero(dense)
@@ -465,7 +464,7 @@ def cmd_continuation(cfg, problem, rng, out):
 def cmd_interlacing(cfg, problem, rng, out):
     """exact-run interlacing table and containment scan"""
     p = cfg["p"]  # a _kron start block has p columns too
-    run = _run(cfg, problem, rng, min(cfg["k"], problem.a.shape[0] // p), "simulated_exact")
+    run = _run(cfg, problem, rng, cfg["k"], "simulated_exact")
     thetas = [ritz_analysis(run, kk).thetas for kk in range(1, run.n_steps + 1)]
 
     eq6_total = sum(2 + 2 * (prev.size - p) for prev in thetas[:-1])

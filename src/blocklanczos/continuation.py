@@ -15,16 +15,15 @@ that statement concrete and measurable:
 3. append the new blocks to T_k of the run (`assemble_tn`), giving a
    model matrix T_N that an EXACT run on A would produce under column
    perturbations no larger than the recorded epsilon2 * norm(A),
-4. split the recorded perturbations into the few structural terms that
-   control their size (`perturbation_decomposition`), each of which can be
-   monitored against the selection threshold.
+4. measure the few structural terms that control the size of the
+   recorded perturbations (`monitored_terms`), each of which can be
+   monitored against the selection threshold, and what the closed forms
+   behind them leave unexplained (`perturbation_decomposition`).
 
-`continue_prefix` runs steps 1, 2 and 4 at one prefix of a run. Its
-record, `PrefixContinuation`, makes step 3 and the checks of the model
-(`theorem1_certificate`, `interval_spread`) on first read. Every
+`continue_prefix` makes step 1 at one prefix of a run; its record,
+`PrefixContinuation`, makes every later stage on first read. Every
 continuation step comes from one lazy loop, which `continuation_run`
-drains. The monitored terms need only its first step (`monitored_terms`),
-so `prefix_terms` takes that step alone and does not continue to closure.
+drains; the record's monitored `terms` take its first step alone.
 
 Every panel the process discards is kept (the h panels) so the model's
 backward error is measured, not estimated.
@@ -235,28 +234,6 @@ def assemble_tn(run: LanczosRun, k: int, cont: ContinuationResult) -> BlockTridi
     return t_n
 
 
-@dataclass
-class DecompositionReport:
-    """Structural split of the recorded continuation perturbations.
-
-    term21a     overlap of the protected basis with the next
-                finite-precision panel, norm(w_k^T v_{k+1} beta_fp)
-    term21b     the orthogonality-defect term
-                norm(beta_{k+1} r_def^T s_m inv(r_k)) built from the
-                overlap of v_k with all earlier panels
-    term22      how far v_k beta_{k+1}^T sticks out of the protected
-                basis, norm((I - w_k w_k^T) v_k beta_{k+1}^T)
-    delta_norms the per-step remainders once the closed-form structural
-                parts are subtracted from the measured h panels; these
-                sit at roundoff level when the model is healthy
-    """
-
-    term21a: float
-    term21b: float
-    term22: float
-    delta_norms: list
-
-
 def _closed_form_inputs(run: LanczosRun, k: int):
     """What the closed forms at prefix k read from the run.
 
@@ -277,11 +254,18 @@ def _closed_form_inputs(run: LanczosRun, k: int):
 def monitored_terms(run: LanczosRun, k: int, selection: Selection, beta_c: np.ndarray | None):
     """The three monitored terms ``(term21a, term21b, term22)`` at prefix k.
 
+    term21a     overlap of the protected basis with the next
+                finite-precision panel, norm(w_k^T v_{k+1} beta_fp)
+    term21b     the orthogonality-defect term
+                norm(beta_{k+1} r_def^T s_m inv(r_k)) built from the
+                overlap of v_k with all earlier panels
+    term22      how far v_k beta_{k+1}^T sticks out of the protected
+                basis, norm((I - w_k w_k^T) v_k beta_{k+1}^T)
+
     They come from the closed forms of the first two continuation steps,
     so besides the run and the selection they need only beta_c, the
     coupling beta_{k+1} kept by continuation step 1; pass None when step 1
     kept rank zero, which makes term21b and term22 zero.
-    See `DecompositionReport` for what each term measures.
     """
     v_k, r_defect, fp_trail = _closed_form_inputs(run, k)
     w_k = selection.w_k
@@ -295,17 +279,18 @@ def monitored_terms(run: LanczosRun, k: int, selection: Selection, beta_c: np.nd
 
 def perturbation_decomposition(
     run: LanczosRun, k: int, selection: Selection, cont: ContinuationResult
-) -> DecompositionReport:
-    """Measure the structural terms behind the recorded h panels.
+) -> list:
+    """The per-step remainders of the recorded h panels once their
+    closed-form structural parts are subtracted; they sit at roundoff
+    level when the model is healthy.
 
     The first two steps of the continuation admit closed forms: the step-k
     perturbation is the projection of the next finite-precision panel onto
     the protected basis, and the next one is controlled by the overlap of
     v_k with the earlier panels pushed through the selected eigenvector
-    block and the inverse basis factor. Later steps reduce to a rank-one
-    style coupling through q_{k+1}. Everything left after subtracting
-    those forms is returned in delta_norms, next to the three monitored
-    scalars (`monitored_terms`).
+    block and the inverse basis factor (the forms the monitored terms
+    measure, `monitored_terms`). Later steps reduce to a rank-one style
+    coupling through q_{k+1}.
     """
     beta_c = cont.betas[0] if cont.betas else None
     v_k, r_defect, fp_trail = _closed_form_inputs(run, k)
@@ -321,25 +306,36 @@ def perturbation_decomposition(
     for j in range(2, len(h)):
         dj = h[j] - cont.q_panels[0] @ (beta_c @ (v_k.T @ cont.q_panels[j - 1]))
         delta_norms.append(panel_norm(dj))
-
-    return DecompositionReport(*monitored_terms(run, k, selection, beta_c), delta_norms)
+    return delta_norms
 
 
 @dataclass
 class PrefixContinuation:
-    """The whole pipeline at one prefix k of a run (`continue_prefix`).
-
-    T_N (`tn`, from `assemble_tn`), its basis [V_k, q_{k+1}, ...], its
-    `certificate` (`theorem1_certificate` at the continuation's epsilon2,
-    holding T_N's eigenvalues) and their `spread` around A's eigenvalues
-    are made on first read and cached.
+    """One prefix k of a run (`continue_prefix`): its selection, and every
+    later stage made on first read and cached: `terms` (`monitored_terms`
+    on continuation step 1 alone), `cont` (`continuation_run`, which raises
+    CapReached on that read), `delta_norms` (`perturbation_decomposition`),
+    T_N (`tn`, `assemble_tn`), its `basis` [V_k, q_{k+1}, ...], its
+    `certificate` (`theorem1_certificate` at cont.epsilon2, holding T_N's
+    eigenvalues) and their `spread` around A's eigenvalues.
     """
 
     run: LanczosRun
     k: int
     selection: Selection
-    cont: ContinuationResult
-    report: DecompositionReport
+
+    @functools.cached_property
+    def terms(self) -> tuple:
+        _, _, beta_c, _ = next(_continuation_steps(self.run, self.k, self.selection.w_k))
+        return monitored_terms(self.run, self.k, self.selection, beta_c if beta_c.size else None)
+
+    @functools.cached_property
+    def cont(self) -> ContinuationResult:
+        return continuation_run(self.run, self.k, self.selection.w_k)
+
+    @functools.cached_property
+    def delta_norms(self) -> list:
+        return perturbation_decomposition(self.run, self.k, self.selection, self.cont)
 
     @functools.cached_property
     def tn(self) -> BlockTridiagonal:
@@ -359,26 +355,11 @@ class PrefixContinuation:
 
 
 def continue_prefix(run: LanczosRun, k: int, mu: float) -> PrefixContinuation:
-    """Select at threshold mu, continue to closure and decompose, at
-    prefix k of a finite-precision run, on the run's own operator.
+    """Select at threshold mu at prefix k of a finite-precision run, on
+    the run's own operator; the record makes every later stage on first
+    read.
 
-    Raises EmptySelection, NearDependentRitzVectors or CapReached when the
-    corresponding stage cannot proceed.
+    Raises EmptySelection or NearDependentRitzVectors when nothing can be
+    selected.
     """
-    selection = select_ritz_vectors(run, k, mu)
-    cont = continuation_run(run, k, selection.w_k)
-    report = perturbation_decomposition(run, k, selection, cont)
-    return PrefixContinuation(run, k, selection, cont, report)
-
-
-def prefix_terms(run: LanczosRun, k: int, mu: float):
-    """The selection and the monitored terms at prefix k, from
-    continuation step 1 alone.
-
-    Returns ``(selection, (term21a, term21b, term22))``, bit for bit the
-    terms `continue_prefix` reports, without continuing to closure.
-    Raises EmptySelection or NearDependentRitzVectors like it.
-    """
-    selection = select_ritz_vectors(run, k, mu)
-    _, _, beta_c, _ = next(_continuation_steps(run, k, selection.w_k))
-    return selection, monitored_terms(run, k, selection, beta_c if beta_c.size else None)
+    return PrefixContinuation(run, k, select_ritz_vectors(run, k, mu))

@@ -254,10 +254,12 @@ def reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     One classical block Gram-Schmidt pass, and a second only when some
     column kept less than 1/sqrt(2) of its norm (Kahan-Parlett, DGKS 1976:
     twice is enough), tested per column so a nearly dependent one cannot
-    hide behind the rest. The result is orthogonal to working precision.
+    hide behind the rest. A column whose squared norm overflows after the
+    pass counts as not enough kept, since inf against inf tells nothing.
+    The result is orthogonal to working precision.
     """
     out = w - basis @ (basis.T @ w)
-    twice = any(np.vdot(o, o) < 0.5 * np.vdot(x, x) for o, x in zip(out.T, w.T))
+    twice = any(not 0.5 * np.vdot(x, x) <= np.vdot(o, o) < np.inf for o, x in zip(out.T, w.T))
     return out - basis @ (basis.T @ out) if twice else out
 
 

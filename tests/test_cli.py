@@ -252,6 +252,16 @@ def test_number_option_that_is_not_a_number_exits(tmp_path, capsys, command, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fp-diagnostics", "continuation", "interlacing"])
+def test_steps_past_the_dimension_exit(tmp_path, capsys, command):
+    # one --k rule for every Lanczos command: 9 steps of width 2 do not fit in n = 16
+    out = tmp_path / "out"
+    assert main([command, "--matrix", "strakos(16,0.5,4)", "--p", "2", "--k", "9",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: need 1 <= k_max and k_max * p <= n\n"
+    assert not os.listdir(out)
+
+
 @pytest.mark.parametrize("spec", ["strakos(16.7,0.1,100)", "random(16.7)",
                                   "strakos(inf,0.1,100)", "random(nan)", "random(-3)",
                                   "random(0)", "strakos(0,0.1,100)"])

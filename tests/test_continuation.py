@@ -22,7 +22,6 @@ from blocklanczos import (
     kron_perturbed_problem,
     monitored_terms,
     panel_norm,
-    prefix_terms,
     ritz_analysis,
     run_block_lanczos,
     select_ritz_vectors,
@@ -45,7 +44,7 @@ def pipeline():
     fp = run.diagnostics.delta_v_norm[:k]
     return dict(
         a=a, run=run, k=k, ritz=ritz_analysis(run, k), pc=pc, sel=pc.selection,
-        w_k=pc.selection.w_k, fp=fp, cont=pc.cont, report=pc.report,
+        w_k=pc.selection.w_k, fp=fp, cont=pc.cont,
     )
 
 
@@ -148,11 +147,14 @@ def test_continuation_cap_and_tol_validation(pipeline):
 
 def test_continuation_basis_cannot_outgrow_the_dimension(pipeline, monkeypatch):
     # a cut that keeps every column never closes; the guard stops the
-    # basis before it passes n columns
+    # basis before it passes n columns, and only the read of the
+    # continuation fails: the terms need step 1 alone
     monkeypatch.setattr("blocklanczos.continuation.truncated_svd",
                         lambda w, tol: truncated_svd(w, 0.0))
+    pc = continue_prefix(pipeline["run"], pipeline["k"], 1e-5)
+    assert pc.terms == pipeline["pc"].terms
     with pytest.raises(CapReached, match="would reach 50 columns in dimension n = 48"):
-        continue_prefix(pipeline["run"], pipeline["k"], 1e-5)
+        pc.cont
 
 
 def test_continuation_refuses_the_zero_operator():
@@ -162,7 +164,7 @@ def test_continuation_refuses_the_zero_operator():
     with pytest.raises(AssumptionUnsatisfiable, match="norm"):
         continuation_run(run, 1, run.basis[:, :1].copy())
     with pytest.raises(EmptySelection):
-        prefix_terms(run, 1, 1e-5)
+        continue_prefix(run, 1, 1e-5)
 
 
 def test_assemble_tn_structure(pipeline):
@@ -205,11 +207,11 @@ def test_model_at_a_shorter_prefix(pipeline):
 
 
 def test_decomposition_reports_small_remainders(pipeline):
-    cont, report, run = pipeline["cont"], pipeline["report"], pipeline["run"]
-    assert report.term21a >= 0 and report.term21b >= 0 and report.term22 >= 0
-    assert len(report.delta_norms) == len(cont.h_panels)
+    pc, run = pipeline["pc"], pipeline["run"]
+    assert all(term >= 0 for term in pc.terms)
+    assert len(pc.delta_norms) == len(pc.cont.h_panels)
     # closed forms explain the recorded panels down to roundoff
-    assert max(report.delta_norms) < 1e-10 * run.a.norm
+    assert max(pc.delta_norms) < 1e-10 * run.a.norm
 
 
 def test_first_step_continuation():
@@ -219,7 +221,7 @@ def test_first_step_continuation():
     run = run_block_lanczos(a, v, k_max=1)
     pc = continue_prefix(run, 1, 1e-5)
     pc.tn.check_structure()
-    assert len(pc.report.delta_norms) == len(pc.cont.h_panels)
+    assert len(pc.delta_norms) == len(pc.cont.h_panels)
     assert pc.tn.dim == 2 + sum(pc.cont.widths)
 
 
@@ -234,26 +236,24 @@ def _start(n, l1, rho, seed, p, kron):
 
 
 def _compare_prefixes(run, mu):
-    """Check `prefix_terms` against `continue_prefix` at every prefix of
+    """Check each prefix record's terms, from continuation step 1 alone,
+    against the terms of its continuation to closure at every prefix of
     the run; returns how often each outcome was met, by name."""
     seen = {}
     for kk in range(1, run.n_steps + 1):
         try:
-            sel, terms = prefix_terms(run, kk, mu)
+            pc = continue_prefix(run, kk, mu)
         except (EmptySelection, NearDependentRitzVectors) as exc:
-            with pytest.raises(type(exc)):
-                continue_prefix(run, kk, mu)
             outcome = type(exc).__name__
         else:
+            terms = pc.terms
             try:
-                full = continue_prefix(run, kk, mu)
+                cont = pc.cont
             except CapReached:
                 outcome = "CapReached"
             else:
-                report = full.report
-                assert terms == (report.term21a, report.term21b, report.term22)
-                assert np.array_equal(sel.indices, full.selection.indices)
-                assert sel.rho_k == full.selection.rho_k
+                beta_c = cont.betas[0] if cont.betas else None
+                assert terms == monitored_terms(run, kk, pc.selection, beta_c)
                 outcome = "equal"
         seen[outcome] = seen.get(outcome, 0) + 1
     return seen
@@ -325,9 +325,8 @@ def test_small_problem_closes_past_step_one():
     a, v = _start(43, 0.5994155762046618, 0.8404979825391405, 1761, 3, False)
     run = run_block_lanczos(a, v, k_max=14)
     mu = 0.009999769744141627
-    _, terms = prefix_terms(run, 7, mu)
     pc = continue_prefix(run, 7, mu)
-    assert terms == (pc.report.term21a, pc.report.term21b, pc.report.term22)
+    assert pc.terms == monitored_terms(run, 7, pc.selection, pc.cont.betas[0])
     assert pc.cont.widths == [3] * 11 + [2, 1, 1, 1]
     assert pc.selection.m + sum(pc.cont.widths) <= 43
     assert 1.2e-2 < pc.cont.epsilon2 < 1.22e-2
@@ -343,7 +342,7 @@ def test_block_term_above_ten_mu_while_the_model_holds(n, l1, rho, seed, p, k_ma
     a, _ = spectrum_to_matrix(strakos_spectrum(SpectrumSpec(n, l1, 100.0, rho)), seed)
     run = run_block_lanczos(a, np.random.default_rng(seed + 1).standard_normal((n, p)), k_max)
     pc = continue_prefix(run, k, mu)
-    assert pc.report.term21b / (mu * run.a.norm) > 10
+    assert pc.terms[1] / (mu * run.a.norm) > 10
     assert pc.certificate.holds
     assert pc.spread.max_width <= pc.certificate.bound
 
@@ -358,14 +357,12 @@ def test_first_step_is_step_one_of_the_run(pipeline):
     assert np.array_equal(raw - q1 @ beta_c, h)
     # full rank is kept here, so h is just the part of raw along w_k
     assert panel_norm(h - w_k @ (w_k.T @ raw)) < 1e-3 * panel_norm(h)
-    terms = monitored_terms(run, k, sel, beta_c)
-    report = pipeline["report"]
-    assert terms == (report.term21a, report.term21b, report.term22)
-    assert prefix_terms(run, k, 1e-5)[1] == terms
+    assert monitored_terms(run, k, sel, beta_c) == pipeline["pc"].terms
 
 
-def test_prefix_terms_stop_after_step_one(pipeline, monkeypatch):
-    # one truncated SVD per continuation step
+def test_record_makes_each_stage_on_first_read(pipeline, monkeypatch):
+    # one truncated SVD per continuation step: none to select, step 1 for
+    # the terms, every step again for the continuation, and nothing twice
     calls = []
 
     def counted(w, tol):
@@ -374,14 +371,16 @@ def test_prefix_terms_stop_after_step_one(pipeline, monkeypatch):
 
     monkeypatch.setattr("blocklanczos.continuation.truncated_svd", counted)
     run, k = pipeline["run"], pipeline["k"]
-    prefix_terms(run, k, 1e-5)
-    assert len(calls) == 1
-    calls.clear()
-    cont = continue_prefix(run, k, 1e-5).cont
-    assert len(calls) == cont.n_steps > 1
+    pc = continue_prefix(run, k, 1e-5)
+    assert len(calls) == 0
+    assert pc.terms is pc.terms and len(calls) == 1
+    cont = pc.cont
+    assert cont is pc.cont and len(calls) == 1 + cont.n_steps and cont.n_steps > 1
+    pc.delta_norms, pc.tn, pc.spread
+    assert len(calls) == 1 + cont.n_steps
 
 
 def test_monitored_terms_without_step_one_coupling(pipeline):
     term21a, term21b, term22 = monitored_terms(pipeline["run"], pipeline["k"], pipeline["sel"], None)
     assert (term21b, term22) == (0.0, 0.0)
-    assert term21a == pipeline["report"].term21a
+    assert term21a == pipeline["pc"].terms[0]

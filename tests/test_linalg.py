@@ -225,6 +225,26 @@ def test_reorthogonalize_makes_one_pass_when_one_is_enough():
         assert np.array_equal(reorthogonalize(w, basis), w - basis @ (basis.T @ w))
 
 
+def test_reorthogonalize_at_a_scale_whose_squared_norms_overflow():
+    # at 1e160 every squared column norm is inf, before the pass and after;
+    # an overflowed norm must count as "not enough kept", or the columns
+    # that lie mostly inside the basis keep their first-pass overlap
+    rng = np.random.default_rng(13)
+    n, scale = 60, 1e160
+    basis, _ = np.linalg.qr(rng.standard_normal((n, 30)))
+    worst = 0.0
+    for _ in range(200):
+        inside = basis @ rng.standard_normal(30)
+        z = rng.standard_normal(n)
+        outside = z - basis @ (basis.T @ z)
+        ratio = rng.uniform(1e-3, 0.5) * np.linalg.norm(inside) / np.linalg.norm(outside)
+        w = scale * (inside + ratio * outside)[:, None]
+        assert not np.isfinite(np.vdot(w, w))
+        out = reorthogonalize(w, basis) / scale
+        worst = max(worst, float(column_overlaps(out, basis)[0]))
+    assert worst <= 1e-15
+
+
 def hand_tridiagonal():
     a1 = np.array([[2.0, 0.1], [0.1, 3.0]])
     a2 = np.array([[4.0, 0.0], [0.0, 5.0]])

@@ -2,8 +2,7 @@
 
 The package groups:
 
-* linalg     -- QR / eigen / SVD kernels, the checked operator type and
-                the block tridiagonal type
+* linalg     -- QR / eigen / SVD kernels and the checked operator type
 * matrices   -- test problem generators and Matrix Market input
 * lanczos    -- the block Lanczos driver, diagnostics, Ritz analysis
 * cg         -- two block conjugate gradient variants and the trace error
@@ -32,10 +31,8 @@ from .errors import (
     UnsupportedField,
 )
 from .linalg import (
-    BlockTridiagonal,
     Operator,
     as_operator,
-    densify,
     householder_qr,
     panel_norm,
     reorthogonalize,

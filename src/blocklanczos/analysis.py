@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AssumptionUnsatisfiable, NonFiniteOperator, ShapeMismatch
-from .linalg import BlockTridiagonal, Operator, as_operator, sym_eig
+from .linalg import Operator, as_operator, sym_eig
 
 
 def _check_growth(steps, p):
@@ -210,30 +210,37 @@ class Theorem1Certificate(NamedTuple):
 
 
 def theorem1_certificate(
-    tn: BlockTridiagonal, basis: np.ndarray, a: np.ndarray | Operator, epsilon2: float,
+    tn: np.ndarray, n_blocks: int, basis: np.ndarray, a: np.ndarray | Operator, epsilon2: float,
 ) -> Theorem1Certificate:
     """Certify that every model eigenvalue sits near a true eigenvalue.
 
-    The model Ritz vectors are ``basis @ s`` with s the eigenvectors of
-    the model matrix. A column of norm below one half cannot anchor the
-    standard residual argument, so its Ritz value pairs with the nearest
-    large-norm one; epsilon1 is the largest such distance over norm(A)
-    (zero when every column is large). The certified radius is
+    ``tn`` is the model matrix as one dense array and ``n_blocks`` its
+    block count N. The model Ritz vectors are ``basis @ s`` with s the
+    eigenvectors of the model matrix. A column of norm below one half
+    cannot anchor the standard residual argument, so its Ritz value pairs
+    with the nearest large-norm one; epsilon1 is the largest such distance
+    over norm(A) (zero when every column is large). The certified radius is
 
         bound = 3 * max(sqrt(N) * epsilon2, epsilon1) * norm(A)
 
-    with N the model block count, and ``holds`` states whether every
-    model eigenvalue is within it of an eigenvalue of ``a``, an array or
-    an `Operator`. norm(A) = max|a.eigvals| and this check read one
-    spectrum: the one the Operator was seeded with, else its ``eigvalsh``.
+    and ``holds`` states whether every model eigenvalue is within it of an
+    eigenvalue of ``a``, an array or an `Operator`. norm(A) = max|a.eigvals|
+    and this check read one spectrum: the one the Operator was seeded with,
+    else its ``eigvalsh``.
 
-    Raises ShapeMismatch when ``basis`` does not have one column per row
-    of the model, AssumptionUnsatisfiable when every column is small or
-    when some is and norm(A) = 0, which leaves epsilon1 without a scale.
+    Raises ShapeMismatch when ``tn`` is not square, when ``n_blocks`` is
+    outside [1, tn.shape[0]] or when ``basis`` does not have one column
+    per row of the model, AssumptionUnsatisfiable when every column is
+    small or when some is and norm(A) = 0, which leaves epsilon1 without a
+    scale.
     """
-    if basis.shape[1] != tn.dim:
-        raise ShapeMismatch("basis has %d columns, model has dimension %d"
-                            % (basis.shape[1], tn.dim))
+    if tn.ndim != 2 or tn.shape[0] != tn.shape[1]:
+        raise ShapeMismatch("model matrix must be square, got shape %r" % (tn.shape,))
+    if not 1 <= n_blocks <= tn.shape[0]:
+        raise ShapeMismatch("%r blocks for a model of dimension %d" % (n_blocks, tn.shape[0]))
+    if basis.ndim != 2 or basis.shape[1] != tn.shape[0]:
+        raise ShapeMismatch("basis has shape %r, model has dimension %d"
+                            % (basis.shape, tn.shape[0]))
     a = as_operator(a)
     thetas, s = sym_eig(tn)
     small = np.linalg.norm(basis @ s, axis=0) < 0.5
@@ -244,6 +251,6 @@ def theorem1_certificate(
         if a.norm == 0.0:
             raise AssumptionUnsatisfiable("small model Ritz vector and norm(A) = 0")
         eps1 = float(_nearest(thetas[~small], thetas[small])[1].max()) / a.norm
-    bound = 3.0 * max(np.sqrt(tn.n_blocks) * epsilon2, eps1) * a.norm
+    bound = 3.0 * max(np.sqrt(n_blocks) * epsilon2, eps1) * a.norm
     holds = bool(np.all(_nearest(a.eigvals, thetas)[1] <= bound))
     return Theorem1Certificate(eps1, float(bound), holds, thetas)

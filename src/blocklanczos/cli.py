@@ -26,7 +26,7 @@ from .cg import dr_bcg, hs_bcg
 from .continuation import continue_prefix
 from .errors import BlockLanczosError, EmptySelection, NearDependentRitzVectors
 from .lanczos import BREAKDOWN_TOL, Diagnostics, ritz_analysis, run_block_lanczos
-from .linalg import Operator, densify, householder_qr, sym_eig
+from .linalg import Operator, householder_qr, sym_eig
 from .matrices import (
     BlurSpec,
     SpectrumSpec,
@@ -417,10 +417,9 @@ def cmd_continuation(cfg, problem, rng, out):
         else:
             term_rows.append((kk, pc_kk.selection.m, pc_kk.selection.rho_k) + pc_kk.terms)
 
-    dense = densify(tn)
-    rows_i, cols_j = np.nonzero(dense)
-    tn_rows = zip(rows_i, cols_j, dense[rows_i, cols_j])
-    sizes = ";".join("%d" % s for s in tn.block_sizes)
+    rows_i, cols_j = np.nonzero(tn)
+    tn_rows = zip(rows_i, cols_j, tn[rows_i, cols_j])
+    sizes = ";".join("%d" % s for s in pc.block_sizes)
     spread_rows = zip(spread.base_eigs, spread.widths, spread.counts)
     cluster_rows = [
         (c.kind, c.theta_min, c.theta_max, ";".join("%d" % i for i in c.members))
@@ -436,7 +435,7 @@ def cmd_continuation(cfg, problem, rng, out):
                              % (_fmt(mu_val * run.a.norm), _fmt(10 * mu_val * run.a.norm))],
                    ("k", "m", "rho", "term21a", "term21b", "term22"), term_rows),
         _write_csv(out / "continuation_tn.csv", cfg,
-                   shared + ["dim=%d n_blocks=%d" % (tn.dim, tn.n_blocks),
+                   shared + ["dim=%d n_blocks=%d" % (tn.shape[0], len(pc.block_sizes)),
                              "block_sizes=%s" % sizes,
                              "indices are 0-based"],
                    ("i", "j", "value"), tn_rows),

@@ -41,7 +41,7 @@ from .analysis import SpreadReport, Theorem1Certificate, interval_spread, theore
 from .errors import (AssumptionUnsatisfiable, CapReached, EmptySelection,
                      NearDependentRitzVectors, ShapeMismatch)
 from .lanczos import BREAKDOWN_TOL, LanczosRun, ritz_analysis
-from .linalg import BlockTridiagonal, panel_norm, qr_unchecked, reorthogonalize, truncated_svd
+from .linalg import panel_norm, qr_unchecked, reorthogonalize, truncated_svd
 
 
 @dataclass
@@ -176,14 +176,15 @@ def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray):
     a = run.a
     if a.norm == 0.0:
         raise AssumptionUnsatisfiable("norm(A) = 0 leaves the rank cut without a scale")
-    n, cols, cut = a.shape[0], w_k.shape[1], BREAKDOWN_TOL * a.norm
+    n, cols, cut, p = a.shape[0], w_k.shape[1], BREAKDOWN_TOL * a.norm, run.width
     # room for every panel the basis can take; BLAS rounds against a
     # strided view of w_k differently from a contiguous one, so this
     # layout fixes the last bits of every output built on step 1
     basis = np.empty((n, cols + n))
     basis[:, :cols] = w_k
-    q, alpha = run.panels[k - 1], run.t.alphas[k - 1]
-    trail = run.panels[k - 2] @ run.t.betas[k - 2].T if k >= 2 else 0.0
+    rows = slice((k - 1) * p, k * p)
+    q, alpha = run.panels[k - 1], run.t[rows, rows]
+    trail = run.panels[k - 2] @ run.t[rows, (k - 2) * p : (k - 1) * p].T if k >= 2 else 0.0
     for j in itertools.count(1):
         aq = a @ q
         if j == 2:
@@ -221,17 +222,23 @@ def continuation_run(run: LanczosRun, k: int, w_k: np.ndarray) -> ContinuationRe
     return ContinuationResult(q_panels[:-1], alphas[1:], betas[:-1], h_panels, h_norms, epsilon2)
 
 
-def assemble_tn(run: LanczosRun, k: int, cont: ContinuationResult) -> BlockTridiagonal:
+def assemble_tn(run: LanczosRun, k: int, cont: ContinuationResult) -> np.ndarray:
     """Append the continuation at prefix k to T_k of ``run``, giving the
-    model matrix T_N (a copy of T_k when there are no continuation panels).
+    model matrix T_N as one dense array (a copy of T_k when there are no
+    continuation panels): the (k p, k p) corner of ``run.t``, then each
+    continuation block alpha on the diagonal with its coupling beta below
+    and beta^T above.
     """
     if not 1 <= k <= run.n_steps:
         raise ValueError("k must be in [1, %d], got %d" % (run.n_steps, k))
-    alphas = [x.copy() for x in run.t.alphas[:k] + cont.alphas]
-    betas = [x.copy() for x in run.t.betas[: k - 1] + cont.betas]
-    t_n = BlockTridiagonal(alphas, betas)
-    t_n.check_structure()
-    return t_n
+    lo = k * run.width
+    tn = np.zeros((lo + sum(cont.widths),) * 2)
+    tn[:lo, :lo] = run.t[:lo, :lo]
+    for alpha, beta in zip(cont.alphas, cont.betas):
+        hi, back = lo + beta.shape[0], lo - beta.shape[1]
+        tn[lo:hi, back:lo], tn[back:lo, lo:hi], tn[lo:hi, lo:hi] = beta, beta.T, alpha
+        lo = hi
+    return tn
 
 
 def _closed_form_inputs(run: LanczosRun, k: int):
@@ -245,7 +252,8 @@ def _closed_form_inputs(run: LanczosRun, k: int):
     p = run.width
     v_k = run.panels[k - 1]
     r_defect = np.vstack([run.basis[:, : (k - 1) * p].T @ v_k, np.zeros((p, p))])
-    beta_fp = run.t.betas[k - 1] if k < run.n_steps else run.beta_next
+    beta_fp = (run.t[k * p : (k + 1) * p, (k - 1) * p : k * p] if k < run.n_steps
+               else run.beta_next)
     has_next = k < run.n_steps or not run.terminated
     fp_trail = run.panels[k] @ beta_fp if has_next else None
     return v_k, r_defect, fp_trail
@@ -315,7 +323,8 @@ class PrefixContinuation:
     later stage made on first read and cached: `terms` (`monitored_terms`
     on continuation step 1 alone), `cont` (`continuation_run`, which raises
     CapReached on that read), `delta_norms` (`perturbation_decomposition`),
-    T_N (`tn`, `assemble_tn`), its `basis` [V_k, q_{k+1}, ...], its
+    T_N as one dense array (`tn`, `assemble_tn`) with its `block_sizes`
+    [p]*k + cont.widths, its `basis` [V_k, q_{k+1}, ...], its
     `certificate` (`theorem1_certificate` at cont.epsilon2, holding T_N's
     eigenvalues) and their `spread` around A's eigenvalues.
     """
@@ -338,8 +347,12 @@ class PrefixContinuation:
         return perturbation_decomposition(self.run, self.k, self.selection, self.cont)
 
     @functools.cached_property
-    def tn(self) -> BlockTridiagonal:
+    def tn(self) -> np.ndarray:
         return assemble_tn(self.run, self.k, self.cont)
+
+    @property
+    def block_sizes(self) -> list:
+        return [self.run.width] * self.k + self.cont.widths
 
     @functools.cached_property
     def basis(self) -> np.ndarray:
@@ -347,7 +360,8 @@ class PrefixContinuation:
 
     @functools.cached_property
     def certificate(self) -> Theorem1Certificate:
-        return theorem1_certificate(self.tn, self.basis, self.run.a, self.cont.epsilon2)
+        return theorem1_certificate(self.tn, len(self.block_sizes), self.basis, self.run.a,
+                                    self.cont.epsilon2)
 
     @functools.cached_property
     def spread(self) -> SpreadReport:

@@ -1,10 +1,10 @@
 """Block Lanczos with switchable orthogonalization, plus run diagnostics.
 
 The driver `run_block_lanczos` produces a LanczosRun: the orthonormal (or
-finite-precision) panels, stored side by side in one preallocated array,
-the symmetric block tridiagonal they generate, the trailing coupling
-block, and per-iteration health measurements of the recurrence. The
-Ritz values, T_k eigenvectors and residual bounds of any prefix of the
+finite-precision) panels and the symmetric block tridiagonal T_K they
+generate, each filled in place in one preallocated array, the trailing
+coupling block, and per-iteration health measurements of the recurrence.
+The Ritz values, T_k eigenvectors and residual bounds of any prefix of the
 run come from `ritz_analysis`.
 
 Two modes:
@@ -21,23 +21,13 @@ Two modes:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import RankDeficient, RankDeficientStart, ShapeMismatch
-from .linalg import (
-    BlockTridiagonal,
-    Operator,
-    as_operator,
-    densify,
-    householder_qr,
-    qr_unchecked,
-    reorthogonalize,
-    sym_eig,
-)
+from .linalg import Operator, as_operator, householder_qr, qr_unchecked, reorthogonalize, sym_eig
 
 MODES = ("finite_precision", "simulated_exact")
 BREAKDOWN_TOL = 1e-12  # relative to norm(A); see run_block_lanczos
@@ -56,13 +46,14 @@ class Diagnostics(NamedTuple):
     global_orth     norm of V_j^T v_{j+1}, the panel's worst overlap with
                     everything before it
 
-    The first four are norms of blocks formed in step j (the p x p ones are
-    normed together after the run, with the same bits); global_orth is taken
-    after the run from chunked Gram products of the basis, so its last bits
-    differ from an SVD of V_j^T v_{j+1}. On a naturally terminated run the
-    last step has no trailing panel; its residual keeps the leftover block (at
-    the breakdown tolerance) and the two orthogonality columns that need
-    v_{j+1} report 0.
+    The first four are norms of blocks formed in step j (beta_norm is the
+    largest singular value of the breakdown test's SVD; the other two p x p
+    blocks are normed together after the run, with the same bits);
+    global_orth is taken after the run from chunked Gram products of the
+    basis, so its last bits differ from an SVD of V_j^T v_{j+1}. On a
+    naturally terminated run the last step has no trailing panel; its
+    residual keeps the leftover block (at the breakdown tolerance) and the
+    two orthogonality columns that need v_{j+1} report 0.
     """
 
     delta_v_norm: np.ndarray
@@ -83,8 +74,9 @@ class LanczosRun:
     panels      read-only view of basis as a (n_panels, n, width) stack;
                 panels[j] is v_{j+1}. Holds v_1 .. v_K, plus v_{K+1}
                 when the run stopped at k_max rather than by rank collapse
-    t           alphas alpha_1..alpha_K and couplings beta_2..beta_K
-    t_dense     densify(t), made on first use and cached; T_k is its (k p, k p) corner
+    t           T_K as one read-only (K p, K p) array, filled in place
+                during the run: alpha_j on the diagonal, beta_{j+1} below
+                it and beta_{j+1}^T above; T_k is its (k p, k p) corner
     beta_next   beta_{K+1}; on natural termination its norm is at the
                 breakdown tolerance
     terminated  True when the recurrence closed on its own
@@ -94,22 +86,18 @@ class LanczosRun:
     a: Operator
     basis: np.ndarray
     panels: np.ndarray
-    t: BlockTridiagonal
+    t: np.ndarray
     beta_next: np.ndarray
     terminated: bool
     diagnostics: Diagnostics
 
     @property
     def n_steps(self) -> int:
-        return self.t.n_blocks
+        return self.t.shape[0] // self.width
 
     @property
     def width(self) -> int:
         return self.panels.shape[2]
-
-    @functools.cached_property
-    def t_dense(self) -> np.ndarray:
-        return densify(self.t)
 
 
 @dataclass
@@ -180,10 +168,10 @@ def run_block_lanczos(
 
     basis = np.empty((n, (k_max + 1) * p))
     basis[:, :p] = v1
+    t = np.zeros((k_max * p, k_max * p))
     eye = np.eye(p)
-    health = np.zeros((k_max, 3, p, p))  # v_k^T v_k - I, v_k^T v_{k+1} beta_{k+1}, beta_{k+1}
-    res_norms = np.zeros(k_max)
-    alphas, betas = [], []
+    health = np.zeros((k_max, 2, p, p))  # v_k^T v_k - I, v_k^T v_{k+1} beta_{k+1}
+    res_norms, beta_norms = np.zeros(k_max), np.zeros(k_max)
 
     vk, v_prev, beta_k = v1, None, None
     for k in range(1, k_max + 1):
@@ -200,19 +188,20 @@ def run_block_lanczos(
         w = w - v_alpha
         if mode == "simulated_exact":
             w = reorthogonalize(w, basis[:, : k * p])
-        alphas.append(alpha)
+        lo, hi = (k - 1) * p, k * p
+        t[lo:hi, lo:hi] = alpha
         # the step's one rank test: sigma_min(w) is sigma_min of its p x p
         # factor; <= so that the zero operator (norm 0) terminates too
         q, beta_next = qr_unchecked(w)
-        sigma_min = float(np.linalg.svd(beta_next, compute_uv=False).min())
-        terminated = sigma_min <= BREAKDOWN_TOL * a.norm
+        sigmas = np.linalg.svd(beta_next, compute_uv=False)
+        beta_norms[k - 1] = sigmas[0]
+        terminated = float(sigmas.min()) <= BREAKDOWN_TOL * a.norm
 
         # recurrence health of step k, from the products formed above
         res = av - v_alpha
         if back is not None:
             res = res - back
         health[k - 1, 0] = vk.T @ vk - eye
-        health[k - 1, 2] = beta_next
         if not terminated:  # q is v_{k+1}
             basis[:, k * p : (k + 1) * p] = q
             trail = q @ beta_next
@@ -221,12 +210,13 @@ def run_block_lanczos(
         res_norms[k - 1] = np.linalg.svd(res, compute_uv=False)[0]
         if terminated or k == k_max:
             break
-        betas.append(beta_next)
+        t[hi : hi + p, lo:hi] = beta_next
+        t[lo:hi, hi : hi + p] = beta_next.T
         v_prev, vk, beta_k = vk, q, beta_next
 
-    n_steps, n_panels = len(alphas), len(alphas) + (0 if terminated else 1)
-    basis = basis[:, : n_panels * p]
-    basis.flags.writeable = False
+    n_steps, n_panels = k, k + (0 if terminated else 1)
+    basis, t = basis[:, : n_panels * p], t[: n_steps * p, : n_steps * p]
+    basis.flags.writeable = t.flags.writeable = False
     # a stacked SVD runs norm(., 2)'s LAPACK routine on each block: same bits
     norms = np.linalg.svd(health[:n_steps], compute_uv=False)[..., 0].T
     # global_orth: per GRAM_CHUNK panels one product v^T V, masked to (V_j^T v_{j+1})^T,
@@ -238,14 +228,14 @@ def run_block_lanczos(
         for i in range(j1 - j0):  # zero from v_{j+1} on (a broadcast mask let the RSS creep)
             c[i, :, (j0 + i) * p :] = 0.0
         glob[j0 - 1 : j1 - 1] = np.sqrt(np.linalg.eigvalsh(c @ c.transpose(0, 2, 1))[:, -1])
-    diagnostics = Diagnostics(res_norms[:n_steps], *norms, glob)
+    diagnostics = Diagnostics(res_norms[:n_steps], *norms, beta_norms[:n_steps], glob)
     for column in diagnostics:
         column.flags.writeable = False
     return LanczosRun(
         a=a,
         basis=basis,
         panels=basis.reshape(n, n_panels, p).transpose(1, 0, 2),
-        t=BlockTridiagonal(alphas, betas),
+        t=t,
         beta_next=beta_next,
         terminated=terminated,
         diagnostics=diagnostics,
@@ -260,10 +250,10 @@ def ritz_analysis(run: LanczosRun, k: int) -> RitzSet:
     the residual bounds is beta_{k+1}: an interior coupling for k below the
     run length, the stored final block at k equal to it.
     """
-    big_k = run.n_steps
+    big_k, p = run.n_steps, run.width
     if not (1 <= k <= big_k):
         raise ValueError("k must be in [1, %d], got %d" % (big_k, k))
-    thetas, s = sym_eig(run.t_dense[: k * run.width, : k * run.width])
-    beta_kp1 = run.t.betas[k - 1] if k < big_k else run.beta_next
-    deltas = np.linalg.norm(beta_kp1 @ s[(k - 1) * run.width :, :], axis=0)
+    thetas, s = sym_eig(run.t[: k * p, : k * p])
+    beta_kp1 = run.t[k * p : (k + 1) * p, (k - 1) * p : k * p] if k < big_k else run.beta_next
+    deltas = np.linalg.norm(beta_kp1 @ s[(k - 1) * p :, :], axis=0)
     return RitzSet(k=k, thetas=thetas, s=s, deltas=deltas)

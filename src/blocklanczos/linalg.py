@@ -1,4 +1,4 @@
-"""Dense kernels and the block tridiagonal container.
+"""Dense kernels and the checked operator type.
 
 Conventions used throughout the package:
 
@@ -11,16 +11,15 @@ Conventions used throughout the package:
 The kernels wrap numpy's LAPACK, the package's one linear-algebra
 library, and add the conventions the rest of the package relies on: QR
 with a nonnegative triangular diagonal, an eigensolver that symmetrizes
-its input and also takes a `BlockTridiagonal`, an SVD-based truncation
-with an explicit rank rule, and the inverse Cholesky factor behind every
-positive definite solve. `Operator` is the one place that checks, norms,
-factors and applies the matrix A a process runs on, dense or diagonal.
+its input, an SVD-based truncation with an explicit rank rule, and the
+inverse Cholesky factor behind every positive definite solve. `Operator`
+is the one place that checks, norms, factors and applies the matrix A a
+process runs on, dense or diagonal.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -198,22 +197,19 @@ def as_operator(a) -> Operator:
     return a if isinstance(a, Operator) else Operator(a)
 
 
-def sym_eig(t: np.ndarray | BlockTridiagonal):
+def sym_eig(t: np.ndarray):
     """Eigendecomposition of a (nearly) symmetric matrix.
 
-    ``t`` is a square ndarray or a `BlockTridiagonal`, whose block form is
-    expanded with `densify` first. Either way the matrix is symmetrized as
-    ``(t + t.T)/2`` and solved by numpy's ``eigh``, so tiny asymmetry from
-    accumulated roundoff is harmless. Eigenvalues come back ascending with
-    orthonormal eigenvectors as columns.
+    ``t`` is a square ndarray, such as a run's T_k or a model T_N. It is
+    symmetrized as ``(t + t.T)/2`` and solved by numpy's ``eigh``, so tiny
+    asymmetry from accumulated roundoff is harmless. Eigenvalues come back
+    ascending with orthonormal eigenvectors as columns.
 
-    Raises ShapeMismatch on a non-square array or mis-chained blocks,
-    NonFiniteOperator on a NaN or infinite entry (LAPACK would return NaN
-    eigenpairs) and ConvergenceFailure when LAPACK fails.
+    Raises ShapeMismatch on a non-square array, NonFiniteOperator on a NaN
+    or infinite entry (LAPACK would return NaN eigenpairs) and
+    ConvergenceFailure when LAPACK fails.
     """
-    if isinstance(t, BlockTridiagonal):
-        t = densify(t)
-    elif t.ndim != 2 or t.shape[0] != t.shape[1]:
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ShapeMismatch("sym_eig needs a square matrix, got %r" % (t.shape,))
     if not np.all(np.isfinite(t)):
         raise NonFiniteOperator("sym_eig input has NaN or infinite entries")
@@ -261,78 +257,3 @@ def reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     out = w - basis @ (basis.T @ w)
     twice = any(not 0.5 * np.vdot(x, x) <= np.vdot(o, o) < np.inf for o, x in zip(out.T, w.T))
     return out - basis @ (basis.T @ out) if twice else out
-
-
-@dataclass
-class BlockTridiagonal:
-    """Symmetric block tridiagonal matrix in factored (block list) form.
-
-    ``alphas[j]`` is the j-th diagonal block (square, size s_j) and
-    ``betas[j]`` couples block columns j and j+1: it sits below the
-    diagonal, its transpose above. Block sizes may shrink down the diagonal
-    (deflation) but never grow, so ``betas[j]`` has shape
-    ``(s_{j+1}, s_j)``.
-
-    Diagonal blocks are stored as computed; processes in this package keep
-    them symmetric to roundoff (the continuation process's first extension
-    block can carry an asymmetry at the size of its recorded perturbation,
-    which `sym_eig` absorbs).
-    """
-
-    alphas: list = field(default_factory=list)
-    betas: list = field(default_factory=list)
-
-    @property
-    def block_sizes(self):
-        return [a.shape[0] for a in self.alphas]
-
-    @property
-    def dim(self) -> int:
-        return int(sum(self.block_sizes))
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.alphas)
-
-    def check_structure(self):
-        """Raise ShapeMismatch unless the block shapes chain correctly."""
-        sizes = []
-        for j, a in enumerate(self.alphas):
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise ShapeMismatch("diagonal block %d is not square: %r" % (j, a.shape))
-            sizes.append(a.shape[0])
-        if len(self.betas) != max(len(sizes) - 1, 0):
-            raise ShapeMismatch(
-                "%d diagonal blocks need %d couplings, got %d"
-                % (len(sizes), max(len(sizes) - 1, 0), len(self.betas))
-            )
-        for j, b in enumerate(self.betas):
-            if b.shape != (sizes[j + 1], sizes[j]):
-                raise ShapeMismatch(
-                    "coupling %d has shape %r, expected (%d, %d)"
-                    % (j, b.shape, sizes[j + 1], sizes[j])
-                )
-            if sizes[j + 1] > sizes[j]:
-                raise ShapeMismatch("block sizes must not grow: %r" % (sizes,))
-
-
-def densify(t: BlockTridiagonal) -> np.ndarray:
-    """Expand the block form into a dense matrix.
-
-    The result is symmetric up to the symmetry of the stored diagonal
-    blocks; couplings are placed as ``beta`` below and ``beta.T`` above the
-    diagonal.
-    """
-    t.check_structure()
-    sizes = t.block_sizes
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    dim = int(offsets[-1])
-    out = np.zeros((dim, dim))
-    for j, a in enumerate(t.alphas):
-        lo, hi = offsets[j], offsets[j + 1]
-        out[lo:hi, lo:hi] = a
-    for j, b in enumerate(t.betas):
-        lo, mid, hi = offsets[j], offsets[j + 1], offsets[j + 2]
-        out[mid:hi, lo:mid] = b
-        out[lo:mid, mid:hi] = b.T
-    return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InnerBreakdown, OverlappingIntervals, ParseError, UnsupportedField
-from .linalg import Operator, densify, householder_qr
+from .linalg import Operator, householder_qr
 
 
 @dataclass(frozen=True)
@@ -176,12 +176,11 @@ def kron_perturbed_problem(spec: SpectrumSpec, p: int, omega: float, seed):
     b_mat, _ = spectrum_to_matrix(eigs, rng)
     y = rng.standard_normal((spec.n, 1))
     inner = run_block_lanczos(Operator(b_mat, eigs), y, k_max=spec.n, mode="simulated_exact")
-    s = inner.t.n_blocks
+    s = inner.n_steps
     if s < 3:
         raise InnerBreakdown("inner run closed after %d steps; need at least 3" % s)
-    t_tilde = densify(inner.t)
     e = rng.standard_normal((p, p))
-    core = np.kron(t_tilde, np.eye(p) + omega * e)
+    core = np.kron(inner.t, np.eye(p) + omega * e)
     u = random_orthonormal(s * p, rng)
     a = u @ core @ u.T
     v = u[:, :p].copy()

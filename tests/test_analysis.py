@@ -18,7 +18,7 @@ from blocklanczos import (
     theorem1_certificate,
 )
 from blocklanczos.analysis import _nearest
-from blocklanczos.linalg import BlockTridiagonal, as_operator, sym_eig
+from blocklanczos.linalg import as_operator, sym_eig
 from conftest import rand_spd
 
 
@@ -176,9 +176,9 @@ def full_depth_run(n=12, p=2, seed=54):
 def test_certificate_holds_at_full_depth():
     a, run = full_depth_run()
     basis = np.hstack(run.panels[: run.n_steps])
-    cert = theorem1_certificate(run.t, basis, a, epsilon2=1e-14)
+    cert = theorem1_certificate(run.t, run.n_steps, basis, a, epsilon2=1e-14)
     assert cert.epsilon1 == 0.0
-    assert cert.bound == 3.0 * np.sqrt(run.t.n_blocks) * 1e-14 * run.a.norm
+    assert cert.bound == 3.0 * np.sqrt(run.n_steps) * 1e-14 * run.a.norm
     assert cert.holds
 
 
@@ -189,7 +189,7 @@ def test_certificate_fails_for_truncated_model():
     run = run_block_lanczos(a, rng.standard_normal((16, 2)), k_max=3,
                             mode="simulated_exact")
     basis = np.hstack(run.panels[:3])
-    cert = theorem1_certificate(run.t, basis, a, epsilon2=1e-15)
+    cert = theorem1_certificate(run.t, 3, basis, a, epsilon2=1e-15)
     assert not cert.holds
 
 
@@ -200,7 +200,7 @@ def test_certificate_small_column_pairing():
     # suppress the direction of the lowest model eigenvector: its Ritz
     # column collapses and must pair with the nearest surviving value
     basis_small = basis - np.outer(basis @ s[:, 0], s[:, 0])
-    cert = theorem1_certificate(run.t, basis_small, a, epsilon2=1e-14)
+    cert = theorem1_certificate(run.t, run.n_steps, basis_small, a, epsilon2=1e-14)
     want = float(np.min(np.abs(thetas[1:] - thetas[0]))) / run.a.norm
     assert np.isclose(cert.epsilon1, want, rtol=1e-8)
     assert cert.epsilon1 > 0.0
@@ -209,21 +209,48 @@ def test_certificate_small_column_pairing():
 def test_certificate_needs_an_anchor():
     a, run = full_depth_run(seed=57)
     with pytest.raises(AssumptionUnsatisfiable):
-        theorem1_certificate(run.t, np.zeros((12, 12)), a, epsilon2=1e-14)
+        theorem1_certificate(run.t, run.n_steps, np.zeros((12, 12)), a, epsilon2=1e-14)
 
 
 def test_certificate_with_a_small_column_needs_a_nonzero_operator():
     # epsilon1 is a distance over norm(A); at A = 0 it has no scale
-    tn = BlockTridiagonal([np.array([[1.0]]), np.array([[2.0]])], [np.array([[0.5]])])
+    tn = np.array([[1.0, 0.5], [0.5, 2.0]])
     with pytest.raises(AssumptionUnsatisfiable, match="norm"):
-        theorem1_certificate(tn, np.diag([0.2, 1.0]), np.zeros((2, 2)), epsilon2=1e-3)
+        theorem1_certificate(tn, 2, np.diag([0.2, 1.0]), np.zeros((2, 2)), epsilon2=1e-3)
 
 
 def test_certificate_rejects_a_non_finite_operator():
     a, run = full_depth_run(seed=58)
     a[3, 4] = a[4, 3] = np.nan
     with pytest.raises(NonFiniteOperator):
-        theorem1_certificate(run.t, np.hstack(run.panels[: run.n_steps]), a, epsilon2=1e-14)
+        theorem1_certificate(run.t, run.n_steps, np.hstack(run.panels[: run.n_steps]), a,
+                             epsilon2=1e-14)
+
+
+def test_certificate_rejects_a_non_square_model():
+    a, run = full_depth_run(seed=59)
+    basis = np.hstack(run.panels[: run.n_steps])
+    for tn in (run.t[:, :-1], run.t[0], np.zeros((12, 12, 1))):
+        with pytest.raises(ShapeMismatch, match="square"):
+            theorem1_certificate(tn, 6, basis, a, epsilon2=1e-14)
+
+
+@pytest.mark.parametrize("n_blocks", [0, -1, 13])
+def test_certificate_rejects_a_block_count_outside_the_dimension(n_blocks):
+    # sqrt(N) scales the bound: N must be between 1 and the model dimension
+    a, run = full_depth_run(seed=60)
+    basis = np.hstack(run.panels[: run.n_steps])
+    with pytest.raises(ShapeMismatch, match="blocks"):
+        theorem1_certificate(run.t, n_blocks, basis, a, epsilon2=1e-14)
+    assert theorem1_certificate(run.t, 12, basis, a, epsilon2=1e-14).holds
+
+
+def test_certificate_rejects_a_basis_of_the_wrong_width():
+    a, run = full_depth_run(seed=61)
+    basis = np.hstack(run.panels[: run.n_steps])
+    for wrong in (basis[:, :-1], np.hstack([basis, basis[:, :1]]), basis[:, 0]):
+        with pytest.raises(ShapeMismatch, match="dimension 12"):
+            theorem1_certificate(run.t, run.n_steps, wrong, a, epsilon2=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +347,7 @@ def ref_certificate(tn, basis, a, epsilon2):
             raise AssumptionUnsatisfiable("every model Ritz vector has norm below 0.5")
         for theta in thetas[small]:
             eps1 = max(eps1, float(np.min(np.abs(thetas[large] - theta))) / a_norm)
-    bound = 3.0 * max(np.sqrt(tn.n_blocks) * epsilon2, eps1) * a_norm
+    bound = 3.0 * max(np.sqrt(tn.shape[0]) * epsilon2, eps1) * a_norm  # 1 x 1 blocks
     dists = np.array([float(np.min(np.abs(eigs_a - t))) for t in thetas])
     return float(eps1), float(bound), bool(np.all(dists <= bound)), thetas
 
@@ -383,7 +410,9 @@ def test_certificate_equals_the_loops(data):
     dim = data.draw(st.integers(1, 6))
     alphas = data.draw(st.lists(GRID, min_size=dim, max_size=dim))
     betas = data.draw(st.lists(GRID, min_size=dim - 1, max_size=dim - 1))
-    tn = BlockTridiagonal([np.array([[x]]) for x in alphas], [np.array([[x]]) for x in betas])
+    tn, i = np.zeros((dim, dim)), np.arange(dim)
+    tn[i, i] = alphas  # placed, not summed: a -0.0 entry keeps its sign
+    tn[i[1:], i[:-1]] = tn[i[:-1], i[1:]] = betas
     # column scales around the 0.5 cut, so some model Ritz vectors are small
     basis = np.diag(data.draw(st.lists(st.sampled_from([0.2, 0.45, 0.7, 1.0]),
                                        min_size=dim, max_size=dim)))
@@ -394,8 +423,8 @@ def test_certificate_equals_the_loops(data):
     except Exception as exc:  # the same failure, typed where the loops divide by norm(A) = 0
         with pytest.raises(AssumptionUnsatisfiable if isinstance(exc, ZeroDivisionError)
                            else type(exc)):
-            theorem1_certificate(tn, basis, a, epsilon2)
+            theorem1_certificate(tn, dim, basis, a, epsilon2)
         return
-    got = theorem1_certificate(tn, basis, a, epsilon2)
+    got = theorem1_certificate(tn, dim, basis, a, epsilon2)
     assert repr(got[:3]) == repr(want[:3])
     assert same_bits(got.thetas, want[3])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from blocklanczos import (Diagnostics, Operator, householder_qr, run_block_lanczos,
-                          spectrum_to_matrix)
+                          spectrum_to_matrix, sym_eig)
 from blocklanczos import cli, lanczos
 from blocklanczos.cli import (OPTIONS, _fmt, _write_csv, build_parser, build_problem, main,
                               resolve_config)
@@ -345,27 +345,34 @@ def test_each_command_factors_its_operator_once(tmp_path, monkeypatch):
         assert calls["eigh"] == 0, argv  # T_k and T_N stay below n x n here
 
 
-def test_prefix_scans_densify_t_once(tmp_path, monkeypatch):
-    # every prefix's T_k is a slice of the run's one cached dense T_K;
-    # a command that asks for no Ritz data never densifies it
-    calls = Counter()
-    densify = lanczos.densify
+def test_prefix_scans_solve_views_of_run_t(tmp_path, monkeypatch):
+    # every prefix's T_k that ritz_analysis solves is a view of the run's
+    # one dense T_K, never a copy; a command that asks for no Ritz data
+    # solves none
+    runs, solved = [], []
 
-    def counted(t):
-        calls["densify"] += 1
-        return densify(t)
+    def recorded_run(*args, **kwargs):
+        runs.append(run_block_lanczos(*args, **kwargs))
+        return runs[-1]
 
-    monkeypatch.setattr(lanczos, "densify", counted)
+    def recorded_eig(t):
+        solved.append(t)
+        return sym_eig(t)
+
+    monkeypatch.setattr(cli, "run_block_lanczos", recorded_run)
+    monkeypatch.setattr(lanczos, "sym_eig", recorded_eig)
     generator = "strakos(60,0.1,100)"
     for argv, count in [
-        (["continuation", "--matrix", generator, "--k", "20", "--mu", "1e-5"], 1),
-        (["interlacing", "--matrix", generator, "--p", "2", "--k", "20"], 1),
+        (["continuation", "--matrix", generator, "--k", "20", "--mu", "1e-5"], 20),
+        (["interlacing", "--matrix", generator, "--p", "2", "--k", "20"], 20),
         (["fp-diagnostics", "--matrix", generator, "--k", "20"], 0),
         (["blurred-cg", "--matrix", generator, "--p", "2", "--m", "3"], 0),
     ]:
-        calls.clear()
+        runs.clear(), solved.clear()
         assert main(argv + ["--out", str(tmp_path / argv[0])]) == 0
-        assert calls["densify"] == count, argv
+        # one solve per prefix k, of the leading (2k, 2k) corner
+        assert sorted(t.shape for t in solved) == [(2 * k, 2 * k) for k in range(1, count + 1)]
+        assert all(t.base is not None and np.shares_memory(t, runs[-1].t) for t in solved)
 
 
 def test_csv_rows_format_each_cell_by_its_type(tmp_path):
@@ -518,8 +525,8 @@ def test_kron_spread_uses_the_certificate_spectrum(tmp_path, monkeypatch):
     real_certificate, real_eigh = continuation.theorem1_certificate, np.linalg.eigh
     seen, eigh_shapes = [], []
 
-    def certificate(tn, basis, a, epsilon2, *args):
-        seen.append((a, real_certificate(tn, basis, a, epsilon2, *args)))
+    def certificate(tn, n_blocks, basis, a, epsilon2, *args):
+        seen.append((a, real_certificate(tn, n_blocks, basis, a, epsilon2, *args)))
         return seen[-1][1]
 
     def eigh(x, *args, **kwargs):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from blocklanczos import (
     AssumptionUnsatisfiable,
-    BlockTridiagonal,
     CapReached,
     ContinuationResult,
     EmptySelection,
@@ -18,7 +17,6 @@ from blocklanczos import (
     build_wk,
     continuation_run,
     continue_prefix,
-    densify,
     kron_perturbed_problem,
     monitored_terms,
     panel_norm,
@@ -31,6 +29,8 @@ from blocklanczos import (
     theorem1_certificate,
     truncated_svd,
 )
+from blocklanczos.lanczos import MODES
+from conftest import assert_band_layout, band_blocks, run_blocks
 
 
 @pytest.fixture(scope="module")
@@ -170,13 +170,14 @@ def test_continuation_refuses_the_zero_operator():
 def test_assemble_tn_structure(pipeline):
     run, k, cont = pipeline["run"], pipeline["k"], pipeline["cont"]
     t_n = assemble_tn(run, k, cont)
-    t_n.check_structure()
-    assert t_n.n_blocks == k + len(cont.q_panels)
-    assert t_n.dim == k * run.width + sum(cont.widths)
-    for j in range(k):
-        assert np.array_equal(t_n.alphas[j], run.t.alphas[j])
-        assert not np.shares_memory(t_n.alphas[j], run.t.alphas[j])
-    assert np.array_equal(t_n.betas[k - 1], cont.betas[0])
+    p, sizes = run.width, [run.width] * k + cont.widths
+    assert t_n.shape == (k * p + sum(cont.widths),) * 2
+    assert np.array_equal(t_n[: k * p, : k * p], run.t[: k * p, : k * p])
+    assert not np.shares_memory(t_n, run.t)
+    alphas, betas = band_blocks(t_n, sizes)
+    assert all(np.array_equal(x, y) for x, y in zip(alphas[k:], cont.alphas))
+    assert all(np.array_equal(x, y) for x, y in zip(betas[k - 1 :], cont.betas))
+    assert_band_layout(t_n, sizes)
 
 
 def test_assemble_tn_empty_continuation(pipeline):
@@ -186,7 +187,7 @@ def test_assemble_tn_empty_continuation(pipeline):
         h_norms=[0.0], epsilon2=0.0,
     )
     t_n = assemble_tn(run, k, cont)
-    assert np.array_equal(densify(t_n), densify(run.t))
+    assert np.array_equal(t_n, run.t[: k * 2, : k * 2]) and not np.shares_memory(t_n, run.t)
 
 
 def test_model_at_a_shorter_prefix(pipeline):
@@ -194,16 +195,17 @@ def test_model_at_a_shorter_prefix(pipeline):
     kk = run.n_steps - 4
     pc = continue_prefix(run, kk, 1e-5)
     t_n, cont = pc.tn, pc.cont
-    assert t_n.n_blocks == kk + len(cont.q_panels)
-    assert t_n.dim == kk * p + sum(cont.widths) == pc.basis.shape[1]
-    assert all(np.array_equal(x, y) for x, y in zip(t_n.alphas, run.t.alphas[:kk]))
-    assert np.array_equal(t_n.betas[kk - 1], cont.betas[0])
+    assert pc.block_sizes == [p] * kk + cont.widths
+    assert t_n.shape[0] == kk * p + sum(cont.widths) == pc.basis.shape[1]
+    assert np.array_equal(t_n[: kk * p, : kk * p], run.t[: kk * p, : kk * p])
+    assert np.array_equal(band_blocks(t_n, pc.block_sizes)[1][kk - 1], cont.betas[0])
     assert np.array_equal(pc.basis[:, : kk * p], run.basis[:, : kk * p])
     assert pc.certificate.holds
     # the continuation appended after block K instead of block k
-    wrong = BlockTridiagonal(run.t.alphas + cont.alphas, run.t.betas + cont.betas)
-    with pytest.raises(ShapeMismatch, match="dimension %d" % wrong.dim):
-        theorem1_certificate(wrong, pc.basis, run.a, cont.epsilon2)
+    wrong = assemble_tn(run, run.n_steps, cont)
+    with pytest.raises(ShapeMismatch, match="dimension %d" % wrong.shape[0]):
+        theorem1_certificate(wrong, run.n_steps + len(cont.widths), pc.basis, run.a,
+                             cont.epsilon2)
 
 
 def test_decomposition_reports_small_remainders(pipeline):
@@ -220,9 +222,9 @@ def test_first_step_continuation():
     v = np.random.default_rng(2).standard_normal((48, 2))
     run = run_block_lanczos(a, v, k_max=1)
     pc = continue_prefix(run, 1, 1e-5)
-    pc.tn.check_structure()
+    assert_band_layout(pc.tn, pc.block_sizes)
     assert len(pc.delta_norms) == len(pc.cont.h_panels)
-    assert pc.tn.dim == 2 + sum(pc.cont.widths)
+    assert pc.tn.shape == (2 + sum(pc.cont.widths),) * 2
 
 
 def _start(n, l1, rho, seed, p, kron):
@@ -307,8 +309,37 @@ def test_model_record_is_consistent_at_every_closing_prefix(n, l1, rho, seed, p,
             pc = continue_prefix(run, kk, mu)
         except (EmptySelection, NearDependentRitzVectors):
             continue
-        assert pc.basis.shape[1] == pc.tn.dim == pc.spread.dim
+        assert pc.basis.shape[1] == pc.tn.shape[0] == pc.spread.dim
         assert pc.spread.max_width <= pc.certificate.bound or not pc.certificate.holds
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(4, 60),
+    p=st.sampled_from([1, 2, 3]),
+    k_frac=st.floats(0.0, 1.0),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(0, 2**16),
+)
+def test_one_array_per_block_tridiagonal(n, p, k_frac, mode, seed):
+    # run.t is the read-only band of T_K; every closing prefix's T_N starts
+    # with its corner, bit for bit, and has one row per block column
+    a, v = _start(n, 0.01, 0.9, seed, p, False)
+    run = run_block_lanczos(a, v, k_max=max(1, int(k_frac * (n // p))), mode=mode)
+    big_k = run.n_steps
+    assert run.t.shape == (big_k * p, big_k * p) and not run.t.flags.writeable
+    assert_band_layout(run.t, [p] * big_k)
+    for beta in run_blocks(run)[1]:
+        assert np.array_equal(beta, np.triu(beta)) and np.all(np.diag(beta) >= 0.0)
+    for kk in range(1, big_k + 1):
+        try:
+            pc = continue_prefix(run, kk, 1e-6)
+            tn = pc.tn
+        except (EmptySelection, NearDependentRitzVectors, CapReached):
+            continue
+        assert np.array_equal(tn[: kk * p, : kk * p], run.t[: kk * p, : kk * p])
+        assert sum(pc.block_sizes) == tn.shape[0] == tn.shape[1] == pc.basis.shape[1]
+        assert_band_layout(tn, pc.block_sizes)
 
 
 def test_record_builds_its_model_once(pipeline):
@@ -352,7 +383,8 @@ def test_first_step_is_step_one_of_the_run(pipeline):
     # its coupling alone fixes the monitored terms
     run, k, sel, cont = pipeline["run"], pipeline["k"], pipeline["sel"], pipeline["cont"]
     w_k, v_k = sel.w_k, run.panels[k - 1]
-    raw = run.a @ v_k - v_k @ run.t.alphas[k - 1] - run.panels[k - 2] @ run.t.betas[k - 2].T
+    alphas, betas = run_blocks(run)
+    raw = run.a @ v_k - v_k @ alphas[k - 1] - run.panels[k - 2] @ betas[k - 2].T
     h, q1, beta_c = cont.h_panels[0], cont.q_panels[0], cont.betas[0]
     assert np.array_equal(raw - q1 @ beta_c, h)
     # full rank is kept here, so h is just the part of raw along w_k

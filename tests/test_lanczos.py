@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from blocklanczos import (
     BlockLanczosError,
-    BlockTridiagonal,
     Diagnostics,
     NonFiniteOperator,
     NotSymmetric,
     RankDeficientStart,
     ShapeMismatch,
     SpectrumSpec,
-    densify,
     ritz_analysis,
     run_block_lanczos,
     spectrum_to_matrix,
@@ -23,7 +21,7 @@ from blocklanczos import (
     sym_eig,
 )
 from blocklanczos.lanczos import BREAKDOWN_TOL, GRAM_CHUNK, MODES
-from conftest import rand_spd
+from conftest import rand_spd, run_blocks
 
 EPS = float(np.finfo(float).eps)
 
@@ -35,11 +33,11 @@ def test_exact_mode_reproduces_the_operator():
     assert run.n_steps == 8 and run.width == 3
     basis = np.hstack(run.panels[:8])
     assert np.linalg.norm(basis.T @ basis - np.eye(24)) < 1e-13
-    t = densify(run.t)
+    t = run.t
     assert np.linalg.norm(t - basis.T @ a @ basis) < 1e-12 * run.a.norm
     # full depth: the block tridiagonal is orthogonally similar to a
     assert np.allclose(np.linalg.eigvalsh(t), eigs, atol=1e-10 * run.a.norm)
-    for r in run.t.betas:
+    for r in run_blocks(run)[1]:
         assert np.allclose(r, np.triu(r)) and np.all(np.diag(r) > 0)
 
 
@@ -53,10 +51,11 @@ def test_capped_run_keeps_trailing_panel():
     assert run.beta_next.shape == (2, 2)
     # the trailing coupling closes the recurrence for the last step
     j = 5
+    alphas, betas = run_blocks(run)
     res = (
         a @ run.panels[j - 1]
-        - run.panels[j - 1] @ run.t.alphas[j - 1]
-        - run.panels[j - 2] @ run.t.betas[j - 2].T
+        - run.panels[j - 1] @ alphas[j - 1]
+        - run.panels[j - 2] @ betas[j - 2].T
         - run.panels[j] @ run.beta_next
     )
     assert np.linalg.norm(res) < 1e-12 * run.a.norm
@@ -142,7 +141,7 @@ def test_zero_operator_terminates_after_one_step():
     run = run_block_lanczos(np.zeros((10, 10)), v, k_max=4)
     assert run.terminated and run.n_steps == 1 and len(run.panels) == 1
     assert run.a.norm == 0.0 and np.all(run.beta_next == 0.0)
-    assert np.all(run.t.alphas[0] == 0.0)
+    assert run.t.shape == (2, 2) and np.all(run.t == 0.0)
     assert run.diagnostics.beta_norm[0] == 0.0
 
 
@@ -162,7 +161,7 @@ def _restacked_diagnostics(run):
     """The diagnostics recomputed from the stored panels, one product per
     step and a re-stacked prefix for the global overlap, as columns."""
     a, panels, eye = run.a, run.panels, np.eye(run.width)
-    alphas, betas, big_k = run.t.alphas, run.t.betas, run.n_steps
+    (alphas, betas), big_k = run_blocks(run), run.n_steps
     rows = []
     for j in range(1, big_k + 1):
         vj = panels[j - 1]
@@ -279,11 +278,12 @@ def test_diagnostics_match_direct_recomputation():
     run = run_block_lanczos(a, v, k_max=6)
     diag = run.diagnostics
     assert all(column.shape == (6,) for column in diag)
+    alphas, betas = run_blocks(run)
     res = (
         a @ run.panels[2]
-        - run.panels[2] @ run.t.alphas[2]
-        - run.panels[1] @ run.t.betas[1].T
-        - run.panels[3] @ run.t.betas[2]
+        - run.panels[2] @ alphas[2]
+        - run.panels[1] @ betas[1].T
+        - run.panels[3] @ betas[2]
     )
     assert np.isclose(diag.delta_v_norm[2], np.linalg.norm(res, 2), rtol=1e-12)
     assert np.isclose(
@@ -291,7 +291,7 @@ def test_diagnostics_match_direct_recomputation():
         np.linalg.norm(run.panels[2].T @ run.panels[2] - np.eye(2), 2),
         rtol=1e-12,
     )
-    assert np.isclose(diag.beta_norm[2], np.linalg.norm(run.t.betas[2], 2), rtol=1e-12)
+    assert np.isclose(diag.beta_norm[2], np.linalg.norm(betas[2], 2), rtol=1e-12)
 
 
 def test_finite_precision_loses_global_orthogonality():
@@ -340,7 +340,7 @@ def test_ritz_analysis_exact_mode():
     assert np.all(np.diff(rs.thetas) >= 0)
     z = run.basis[:, :8] @ rs.s
     assert np.allclose(np.linalg.norm(z, axis=0), 1.0, atol=1e-12)
-    want = np.linalg.norm(run.t.betas[3] @ rs.s[6:8, :], axis=0)
+    want = np.linalg.norm(run_blocks(run)[1][3] @ rs.s[6:8, :], axis=0)
     assert np.allclose(rs.deltas, want, rtol=1e-13)
     # with orthonormal panels the classical bound is the residual norm
     for i in range(8):
@@ -363,21 +363,19 @@ def test_ritz_analysis_k_range():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_ritz_analysis_slices_one_dense_t_bit_for_bit(mode):
-    # every prefix read from the cached dense T_K equals an eigensolve of
-    # its own block tridiagonal prefix, to the last bit
+    # every prefix read as a view of the run's one dense T_K equals an
+    # eigensolve of a fresh copy of its own prefix, to the last bit
     a, _ = spectrum_to_matrix(strakos_spectrum(strakos48(0.1, 100.0)), 1)
     v = np.random.default_rng(1).standard_normal((48, 2))
     run = run_block_lanczos(a, v, k_max=24, mode=mode)
-    assert "t_dense" not in vars(run)  # built on first use only
+    betas = run_blocks(run)[1] + [run.beta_next]
     for k in range(1, run.n_steps + 1):
         got = ritz_analysis(run, k)
-        thetas, s = sym_eig(BlockTridiagonal(run.t.alphas[:k], run.t.betas[: k - 1]))
-        beta = run.t.betas[k - 1] if k < run.n_steps else run.beta_next
-        deltas = np.linalg.norm(beta @ s[(k - 1) * 2 :, :], axis=0)
+        thetas, s = sym_eig(np.array(run.t[: 2 * k, : 2 * k]))
+        deltas = np.linalg.norm(np.array(betas[k - 1]) @ s[(k - 1) * 2 :, :], axis=0)
         assert np.array_equal(got.thetas, thetas)
         assert np.array_equal(got.s, s)
         assert np.array_equal(got.deltas, deltas)
-    assert np.array_equal(run.t_dense, densify(run.t))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -397,10 +395,7 @@ def test_diagonal_operator_matches_its_dense_form(p, n, k_frac, mode, seed):
     ref = run_block_lanczos(np.diag(d), v, k_max=k_max, mode=mode)
     run = run_block_lanczos(d, v, k_max=k_max, mode=mode)
     assert np.array_equal(run.basis, ref.basis)
-    for got, want in zip(run.t.alphas + run.t.betas + [run.beta_next],
-                         ref.t.alphas + ref.t.betas + [ref.beta_next]):
-        assert np.array_equal(got, want)
-    assert (run.t.n_blocks, len(run.t.betas)) == (ref.t.n_blocks, len(ref.t.betas))
+    assert np.array_equal(run.t, ref.t) and np.array_equal(run.beta_next, ref.beta_next)
     assert run.a.norm == ref.a.norm and run.terminated == ref.terminated
     for got, want in zip(run.diagnostics, ref.diagnostics):
         assert np.array_equal(got, want)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocklanczos import (
-    BlockTridiagonal,
     NonFiniteOperator,
     NotPositiveDefinite,
     NotSymmetric,
@@ -14,7 +13,6 @@ from blocklanczos import (
     RankDeficient,
     ShapeMismatch,
     as_operator,
-    densify,
     householder_qr,
     panel_norm,
     reorthogonalize,
@@ -245,69 +243,22 @@ def test_reorthogonalize_at_a_scale_whose_squared_norms_overflow():
     assert worst <= 1e-15
 
 
-def hand_tridiagonal():
-    a1 = np.array([[2.0, 0.1], [0.1, 3.0]])
-    a2 = np.array([[4.0, 0.0], [0.0, 5.0]])
-    b2 = np.array([[1.0, 0.0], [0.5, 2.0]])
-    return BlockTridiagonal([a1, a2], [b2])
-
-
-def test_densify_hand_case():
-    t = hand_tridiagonal()
-    dense = densify(t)
-    expect = np.array([
-        [2.0, 0.1, 1.0, 0.5],
-        [0.1, 3.0, 0.0, 2.0],
-        [1.0, 0.0, 4.0, 0.0],
-        [0.5, 2.0, 0.0, 5.0],
-    ])
-    assert np.array_equal(dense, expect)
-    assert t.dim == 4 and t.n_blocks == 2 and t.block_sizes == [2, 2]
-
-
-def test_densify_matches_kron_structure():
-    # scalar tridiagonal blown up to width-p blocks is the kron product
-    alphas = [1.0, 2.0, 3.0]
-    betas = [0.5, 0.25]
-    scalar = np.diag(alphas) + np.diag(betas, -1) + np.diag(betas, 1)
-    p = 3
-    t = BlockTridiagonal(
-        [a * np.eye(p) for a in alphas],
-        [b * np.eye(p) for b in betas],
-    )
-    assert np.array_equal(densify(t), np.kron(scalar, np.eye(p)))
-
-
-def test_structure_check_rejects_bad_shapes():
-    a1 = np.eye(2)
-    bad = [
-        BlockTridiagonal([np.ones((2, 3))], []),
-        BlockTridiagonal([a1, a1], []),
-        # coupling shape must bridge the two diagonal blocks
-        BlockTridiagonal([a1, a1], [np.ones((1, 1))]),
-        # widths may only shrink
-        BlockTridiagonal([np.eye(1), a1], [np.ones((2, 1))]),
-    ]
-    for t in bad:
-        with pytest.raises(ShapeMismatch):
-            t.check_structure()
-        with pytest.raises(ShapeMismatch):
-            sym_eig(t)
-    hand_tridiagonal().check_structure()
-
-
 def random_block_tridiagonal(sizes, seed, scale=1.0, skew=0.0):
-    """Symmetric diagonal blocks (the first one plus a random, asymmetric
-    perturbation of relative size ``skew``) and full, non-triangular
-    couplings."""
+    """A dense block tridiagonal with symmetric diagonal blocks (the first
+    one plus a random, asymmetric perturbation of relative size ``skew``,
+    as a continuation's first block carries) and full, non-triangular
+    couplings below the diagonal, their transposes above."""
     rng = np.random.default_rng(seed)
-    alphas = []
-    for s in sizes:
-        g = rng.standard_normal((s, s))
-        alphas.append(scale * (g + g.T))
-    alphas[0] = alphas[0] + skew * scale * rng.standard_normal((sizes[0], sizes[0]))
-    betas = [scale * rng.standard_normal((s1, s0)) for s0, s1 in zip(sizes, sizes[1:])]
-    return BlockTridiagonal(alphas, betas)
+    edges = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    t = np.zeros((edges[-1], edges[-1]))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        g = rng.standard_normal((hi - lo, hi - lo))
+        t[lo:hi, lo:hi] = scale * (g + g.T)
+    t[: sizes[0], : sizes[0]] += skew * scale * rng.standard_normal((sizes[0], sizes[0]))
+    for lo, mid, hi in zip(edges[:-2], edges[1:-1], edges[2:]):
+        t[mid:hi, lo:mid] = scale * rng.standard_normal((hi - mid, mid - lo))
+        t[lo:mid, mid:hi] = t[mid:hi, lo:mid].T
+    return t
 
 
 @st.composite
@@ -335,11 +286,10 @@ def test_sym_eig_block_form_matches_dense(sizes, seed, scale, skew):
     c = 10.0
     eps = np.finfo(float).eps
     t = random_block_tridiagonal(sizes, seed, scale, skew)
-    dense = densify(t)
-    sym = 0.5 * (dense + dense.T)
-    dim = t.dim
+    sym = 0.5 * (t + t.T)
+    dim = t.shape[0]
     t_norm = np.linalg.norm(sym, 2)
-    w_ref, _ = sym_eig(dense)
+    w_ref = np.linalg.eigvalsh(sym)
     w, s = sym_eig(t)
     assert w.shape == (dim,) and s.shape == (dim, dim)
     assert np.all(np.diff(w) >= 0)
@@ -351,14 +301,15 @@ def test_sym_eig_block_form_matches_dense(sizes, seed, scale, skew):
 @pytest.mark.parametrize("sizes", [[1], [3, 3, 2, 2, 1], [4, 4, 4]])
 @pytest.mark.parametrize("skew", [0.0, 0.3])
 def test_sym_eig_block_form_is_the_dense_solve(sizes, skew):
+    # the symmetrized eigh, bit for bit, also on a skewed first block
     t = random_block_tridiagonal(sizes, seed=5, skew=skew)
     w, s = sym_eig(t)
-    w_ref, s_ref = sym_eig(densify(t))
+    w_ref, s_ref = np.linalg.eigh(0.5 * (t + t.T))
     assert np.array_equal(w, w_ref) and np.array_equal(s, s_ref)
 
 
 def test_sym_eig_empty_block_form():
-    w, s = sym_eig(BlockTridiagonal())
+    w, s = sym_eig(np.zeros((0, 0)))
     assert w.shape == (0,) and s.shape == (0, 0)
 
 
@@ -366,10 +317,10 @@ def test_sym_eig_empty_block_form():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_sym_eig_block_form_rejects_non_finite_blocks(where, value):
     t = random_block_tridiagonal([3, 2, 2, 1], seed=11)
-    block = {"first_alpha": t.alphas[0], "last_alpha": t.alphas[-1], "beta": t.betas[1]}[where]
-    # a lower-triangle entry of a diagonal block reaches the band only
-    # through the symmetrization
-    block[-1, 0] = value
+    # the last row, first column of the block: a lower-triangle entry of a
+    # diagonal block reaches the band only through the symmetrization
+    row, col = {"first_alpha": (2, 0), "last_alpha": (7, 7), "beta": (6, 3)}[where]
+    t[row, col] = value
     with pytest.raises(NonFiniteOperator):
         sym_eig(t)
 

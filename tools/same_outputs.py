@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Check that two source trees of the package write the same bytes.
+
+    python tools/same_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding a ``blocklanczos`` package
+(a checkout's ``src/``). Every configuration of the fixed list below runs
+once against each tree, in a subprocess with PYTHONPATH set to that tree
+and in a fresh working directory of its own, always with ``--out out``,
+so the ``out=`` echo of the provenance headers is the same on both
+sides. The script prints every output file, standard output, standard
+error or exit status whose bytes differ between the trees, and exits 1
+if any does, 0 if none does. A configuration that fails on the old tree
+is named as well, since two equal failures compare nothing.
+
+The list holds the argv of the four benchmark workloads at seeds 1-10
+(``blurred-cg`` reads an operator file the script writes, the same one
+for both trees), three ``continuation`` configurations at seeds 1-10,
+``interlacing`` on a ``_kron`` problem and ``blurred-cg`` on a generated
+spectrum at seeds 1-3, and the four commands of the README.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+MTX_N = 112  # the benchmark's blurred-cg operator size
+
+
+def configs():
+    """Yield ``(case name, argv)``; an argv holding "MTX" reads the seed's operator file."""
+    for seed in range(1, 11):
+        s = str(seed)
+        yield "bench_blurred_cg_%d" % seed, ["blurred-cg", "--mtx", "MTX", "--p", "2", "--m", "3",
+                                             "--maxit", "130", "--seed", s]
+        yield "bench_fp_diagnostics_%d" % seed, ["fp-diagnostics", "--matrix",
+                                                 "strakos(600,0.1,100)", "--p", "4", "--k",
+                                                 "150", "--seed", s]
+        yield "bench_interlacing_%d" % seed, ["interlacing", "--matrix",
+                                              "strakos(200,0.1,100,0.95)", "--p", "2", "--k",
+                                              "40", "--seed", s]
+        yield "continuation_strakos_%d" % seed, ["continuation", "--matrix",
+                                                 "strakos(120,0.1,100)", "--k", "30", "--mu",
+                                                 "1e-5", "--seed", s]
+        yield "continuation_kron_%d" % seed, ["continuation", "--matrix",
+                                              "strakos48(0.1,100)_kron", "--k", "24", "--mu",
+                                              "auto", "--seed", s]
+        yield "continuation_random_%d" % seed, ["continuation", "--matrix", "random(60)", "--p",
+                                                "3", "--k", "15", "--mu", "1e-6", "--seed", s]
+    for seed in range(1, 4):
+        s = str(seed)
+        yield "interlacing_kron_%d" % seed, ["interlacing", "--matrix",
+                                             "strakos48(0.1,100)_kron", "--seed", s]
+        yield "blurred_cg_strakos48_%d" % seed, ["blurred-cg", "--matrix",
+                                                 "strakos48(0.1,100)", "--seed", s]
+    yield "readme_blurred_cg", ["blurred-cg", "--matrix", "strakos48(0.1,100)", "--p", "2"]
+    yield "readme_fp_diagnostics", ["fp-diagnostics", "--matrix", "strakos48(0.1,100)",
+                                    "--k", "24"]
+    yield "readme_continuation", ["continuation", "--matrix", "strakos48(0.1,100)_kron",
+                                  "--k", "24", "--mu", "auto"]
+    yield "readme_interlacing", ["interlacing", "--matrix", "strakos(16,0.5,4)", "--p", "2",
+                                 "--k", "8"]
+
+
+def operator_file(seed: int) -> str:
+    """Matrix Market text of a symmetric operator: one eigenvalue 1.2e-2
+    below MTX_N - 1 log-spaced ones in [1, 100], in a basis drawn from the
+    seed."""
+    rng = np.random.default_rng([seed, MTX_N])
+    q, r = np.linalg.qr(rng.standard_normal((MTX_N, MTX_N)))
+    q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    eigs = np.concatenate(([1.2e-2], np.logspace(0.0, 2.0, MTX_N - 1)))
+    a = (q * eigs) @ q.T
+    a = 0.5 * (a + a.T)
+    lines = ["%%MatrixMarket matrix array real symmetric", "%d %d" % (MTX_N, MTX_N)]
+    lines += ["%.17g" % a[i, j] for j in range(MTX_N) for i in range(j, MTX_N)]
+    return "\n".join(lines) + "\n"
+
+
+def run_case(src: Path, workdir: Path, argv: list) -> dict:
+    """Run one configuration against one tree; map each produced name to its bytes."""
+    workdir.mkdir(parents=True)
+    if "MTX" in argv:
+        seed = int(argv[argv.index("--seed") + 1])
+        (workdir / "operator.mtx").write_text(operator_file(seed))
+        argv = [("operator.mtx" if x == "MTX" else x) for x in argv]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "blocklanczos.cli", *argv, "--out", "out"],
+                          cwd=workdir, env=env, capture_output=True)
+    found = {"<stdout>": proc.stdout, "<stderr>": proc.stderr,
+             "<exit status>": str(proc.returncode).encode()}
+    out = workdir / "out"
+    if out.is_dir():
+        found.update((str(p.relative_to(out)), p.read_bytes())
+                     for p in sorted(out.rglob("*")) if p.is_file())
+    return found
+
+
+def main(args=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    ns = parser.parse_args(args)
+    trees = {"old": ns.old_src.resolve(), "new": ns.new_src.resolve()}
+    for side, src in trees.items():
+        if not (src / "blocklanczos" / "__init__.py").is_file():
+            parser.error("%s tree %s holds no blocklanczos package" % (side, src))
+    differ = files = 0
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        for case, argv in configs():
+            old, new = (run_case(src, Path(tmp) / side / case, argv)
+                        for side, src in trees.items())
+            if old["<exit status>"] != b"0":  # the same failure on both sides still counts
+                print("FAILED %s: exit status %s" % (case, old["<exit status>"].decode()))
+            for name in sorted(old.keys() | new.keys()):
+                files += 1
+                if old.get(name) != new.get(name):
+                    differ += 1
+                    print("DIFFERS %s: %s" % (case, name), flush=True)
+    print("%d of %d outputs differ" % (differ, files))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -62,7 +62,6 @@ from .continuation import (
     ContinuationResult,
     PrefixContinuation,
     Selection,
-    assemble_tn,
     build_wk,
     continuation_run,
     continue_prefix,

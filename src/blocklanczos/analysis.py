@@ -187,13 +187,13 @@ def interval_spread(tn_eigs: np.ndarray, base_eigs: np.ndarray) -> SpreadReport:
 
     The assignment sorts the reference values internally, so the report is
     invariant under permutations of either input. An empty reference set
-    raises ShapeMismatch, a NaN or infinite model eigenvalue NonFiniteOperator.
+    raises ShapeMismatch, a NaN or infinite value in either NonFiniteOperator.
     """
     base = np.sort(np.asarray(base_eigs, dtype=float))
     if not base.size:
         raise ShapeMismatch("no reference eigenvalues to assign model eigenvalues to")
-    if not np.all(np.isfinite(tn_eigs)):
-        raise NonFiniteOperator("model eigenvalues have NaN or infinite entries")
+    if not (np.all(np.isfinite(tn_eigs)) and np.all(np.isfinite(base))):
+        raise NonFiniteOperator("model or reference eigenvalues have NaN or infinite entries")
     idx, dist = _nearest(base, np.asarray(tn_eigs, dtype=float))
     widths = np.zeros(base.size)
     np.maximum.at(widths, idx, dist)
@@ -230,10 +230,12 @@ def theorem1_certificate(
 
     Raises ShapeMismatch when ``tn`` is not square, when ``n_blocks`` is
     outside [1, tn.shape[0]] or when ``basis`` does not have one column
-    per row of the model, AssumptionUnsatisfiable when every column is
-    small or when some is and norm(A) = 0, which leaves epsilon1 without a
-    scale.
+    per row of the model, ValueError unless 0 <= epsilon2 < inf,
+    AssumptionUnsatisfiable when every column is small or when some is and
+    norm(A) = 0, which leaves epsilon1 without a scale.
     """
+    if not 0.0 <= epsilon2 < np.inf:  # also rejects NaN
+        raise ValueError("epsilon2 must be in [0, inf), got %r" % epsilon2)
     if tn.ndim != 2 or tn.shape[0] != tn.shape[1]:
         raise ShapeMismatch("model matrix must be square, got shape %r" % (tn.shape,))
     if not 1 <= n_blocks <= tn.shape[0]:

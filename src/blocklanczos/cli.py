@@ -394,7 +394,7 @@ def cmd_continuation(cfg, problem, rng, out):
 
     pc = continue_prefix(run, k, mu_val)
     selection, cont = pc.selection, pc.cont
-    tn, certificate, spread = pc.tn, pc.certificate, pc.spread
+    tn, sizes, certificate, spread = cont.tn, cont.block_sizes, pc.certificate, pc.spread
     clusters = classify_clusters(certificate.thetas, run.a.eigvals, run.a.norm, cfg["psi"], cfg["eta"])
 
     shared = [
@@ -404,7 +404,7 @@ def cmd_continuation(cfg, problem, rng, out):
     ]
 
     # the closing step keeps rank zero, so it has an h entry but no panel
-    h_rows = zip(range(1, cont.n_steps + 1), cont.widths + [0], cont.h_norms)
+    h_rows = zip(range(1, cont.n_steps + 1), sizes[k:] + [0], cont.h_norms)
 
     # every prefix's terms need only continuation step 1
     term_rows = []
@@ -419,7 +419,6 @@ def cmd_continuation(cfg, problem, rng, out):
 
     rows_i, cols_j = np.nonzero(tn)
     tn_rows = zip(rows_i, cols_j, tn[rows_i, cols_j])
-    sizes = ";".join("%d" % s for s in pc.block_sizes)
     spread_rows = zip(spread.base_eigs, spread.widths, spread.counts)
     cluster_rows = [
         (c.kind, c.theta_min, c.theta_max, ";".join("%d" % i for i in c.members))
@@ -435,8 +434,8 @@ def cmd_continuation(cfg, problem, rng, out):
                              % (_fmt(mu_val * run.a.norm), _fmt(10 * mu_val * run.a.norm))],
                    ("k", "m", "rho", "term21a", "term21b", "term22"), term_rows),
         _write_csv(out / "continuation_tn.csv", cfg,
-                   shared + ["dim=%d n_blocks=%d" % (tn.shape[0], len(pc.block_sizes)),
-                             "block_sizes=%s" % sizes,
+                   shared + ["dim=%d n_blocks=%d" % (tn.shape[0], len(sizes)),
+                             "block_sizes=%s" % ";".join("%d" % s for s in sizes),
                              "indices are 0-based"],
                    ("i", "j", "value"), tn_rows),
         _write_csv(out / "continuation_spread.csv", cfg,

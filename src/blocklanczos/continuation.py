@@ -12,9 +12,10 @@ that statement concrete and measurable:
    orthogonalizing every new panel against the selected basis and all
    panels since and cutting lost rank by an SVD, until a step keeps none
    (`continuation_run`),
-3. append the new blocks to T_k of the run (`assemble_tn`), giving a
-   model matrix T_N that an EXACT run on A would produce under column
-   perturbations no larger than the recorded epsilon2 * norm(A),
+3. write the blocks of each step into a copy of T_k as it arrives
+   (`continuation_run` too), giving a model matrix T_N, with its basis
+   [V_k, q_{k+1}, ...], that an EXACT run on A would produce under
+   column perturbations no larger than the recorded epsilon2 * norm(A),
 4. measure the few structural terms that control the size of the
    recorded perturbations (`monitored_terms`), each of which can be
    monitored against the selection threshold, and what the closed forms
@@ -39,7 +40,7 @@ import numpy as np
 
 from .analysis import SpreadReport, Theorem1Certificate, interval_spread, theorem1_certificate
 from .errors import (AssumptionUnsatisfiable, CapReached, EmptySelection,
-                     NearDependentRitzVectors, ShapeMismatch)
+                     NearDependentRitzVectors, NonFiniteOperator, ShapeMismatch)
 from .lanczos import BREAKDOWN_TOL, LanczosRun, ritz_analysis
 from .linalg import panel_norm, qr_unchecked, reorthogonalize, truncated_svd
 
@@ -119,15 +120,16 @@ def build_wk(z_selected: np.ndarray):
 
 @dataclass
 class ContinuationResult:
-    """Everything the continuation produced.
+    """The model the continuation at prefix k built, and what it removed.
 
-    q_panels    the new orthonormal panels q_{k+1}, q_{k+2}, ...
-    alphas      diagonal blocks alpha_{k+1}, ... (one per panel); stored
-                exactly as the closed-form coefficients produce them, so
-                the first one can carry an asymmetry at the size of the
-                recorded perturbations
-    betas       couplings beta_{k+1}, ... (beta_{k+1} bridges the last
-                finite-precision panel to q_{k+1})
+    tn          T_N, read-only: the (k p, k p) corner of the run's T_k, then
+                each block alpha_{k+1}, ... on the diagonal with its coupling
+                beta below and beta^T above (beta_{k+1} bridges v_k to
+                q_{k+1}); the alphas are stored as the closed forms produce
+                them, so the first can carry an asymmetry at the size of
+                the recorded perturbations
+    basis       the read-only [V_k, q_{k+1}, q_{k+2}, ...], one column per row
+    block_sizes [p]*k followed by the widths of q_{k+1}, q_{k+2}, ...
     h_panels    the removed components per step, h panel j being the
                 difference between the raw three-term panel and its kept
                 rank part; the LAST entry belongs to the closing step
@@ -138,9 +140,9 @@ class ContinuationResult:
                 assembled model
     """
 
-    q_panels: list
-    alphas: list
-    betas: list
+    tn: np.ndarray
+    basis: np.ndarray
+    block_sizes: list
     h_panels: list
     h_norms: list
     epsilon2: float
@@ -148,10 +150,6 @@ class ContinuationResult:
     @property
     def n_steps(self) -> int:
         return len(self.h_norms)
-
-    @property
-    def widths(self):
-        return [q.shape[1] for q in self.q_panels]
 
 
 def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray):
@@ -167,16 +165,21 @@ def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray):
     panel, its coupling and the removed difference ``raw - u_t @ b_new``.
     The steps end after the first one that keeps rank zero.
 
-    Raises ValueError for k outside [1, run.n_steps],
-    AssumptionUnsatisfiable for norm(A) = 0, which leaves the cut without
-    a scale, and CapReached before the basis would pass n columns.
+    Raises ValueError for k outside [1, run.n_steps], AssumptionUnsatisfiable
+    for norm(A) = 0, which leaves the cut without a scale, ShapeMismatch
+    unless w_k is (n, m) with m <= n, NonFiniteOperator for a NaN or
+    infinite w_k, and CapReached before the basis would pass n columns.
     """
     if not 1 <= k <= run.n_steps:
         raise ValueError("k must be in [1, %d], got %d" % (run.n_steps, k))
-    a = run.a
+    a, n = run.a, run.a.shape[0]
     if a.norm == 0.0:
         raise AssumptionUnsatisfiable("norm(A) = 0 leaves the rank cut without a scale")
-    n, cols, cut, p = a.shape[0], w_k.shape[1], BREAKDOWN_TOL * a.norm, run.width
+    if w_k.ndim != 2 or w_k.shape[0] != n or w_k.shape[1] > n:
+        raise ShapeMismatch("protected basis of shape %r in dimension n = %d" % (w_k.shape, n))
+    if not np.all(np.isfinite(w_k)):
+        raise NonFiniteOperator("protected basis has NaN or infinite entries")
+    cols, cut, p = w_k.shape[1], BREAKDOWN_TOL * a.norm, run.width
     # room for every panel the basis can take; BLAS rounds against a
     # strided view of w_k differently from a contiguous one, so this
     # layout fixes the last bits of every output built on step 1
@@ -211,34 +214,32 @@ def continuation_run(run: LanczosRun, k: int, w_k: np.ndarray) -> ContinuationRe
     basis w_k until a step keeps rank zero (the steps and what they raise:
     `_continuation_steps`).
 
-    The discarded difference of each step is recorded as its h panel. The
-    reported epsilon2 covers the whole model: the run's residual norms of
-    steps 1..k and every h norm.
+    T_N starts as the (k p, k p) corner of ``run.t`` with room for the n - m
+    rows the basis can still take; each later step brings the diagonal
+    block of the panel kept one step before, which goes in with the
+    coupling that kept it. Each step's discarded difference is its h panel.
+    epsilon2 covers the whole model: the run's residual norms of steps
+    1..k and every h norm.
     """
-    alphas, q_panels, betas, h_panels = map(list, zip(*_continuation_steps(run, k, w_k)))
+    lo = k * run.width
+    panels, h_panels = [], []
+    for alpha, u_t, b_new, h in _continuation_steps(run, k, w_k):
+        if alpha is None:  # step 1, past the input checks
+            tn = np.zeros((lo + run.a.shape[0] - w_k.shape[1],) * 2)
+            tn[:lo, :lo] = run.t[:lo, :lo]
+        else:
+            hi, back = lo + beta.shape[0], lo - beta.shape[1]
+            tn[lo:hi, back:lo], tn[back:lo, lo:hi], tn[lo:hi, lo:hi] = beta, beta.T, alpha
+            lo = hi
+        panels.append(u_t)
+        h_panels.append(h)
+        beta = b_new
+    tn, basis = tn[:lo, :lo], np.hstack([run.basis[:, : k * run.width]] + panels)
+    tn.flags.writeable = basis.flags.writeable = False
     h_norms = [panel_norm(h) for h in h_panels]
     epsilon2 = float(max([*run.diagnostics.delta_v_norm[:k], *h_norms]) / run.a.norm)
-    # the closing step adds no panel, and step 1 no diagonal block
-    return ContinuationResult(q_panels[:-1], alphas[1:], betas[:-1], h_panels, h_norms, epsilon2)
-
-
-def assemble_tn(run: LanczosRun, k: int, cont: ContinuationResult) -> np.ndarray:
-    """Append the continuation at prefix k to T_k of ``run``, giving the
-    model matrix T_N as one dense array (a copy of T_k when there are no
-    continuation panels): the (k p, k p) corner of ``run.t``, then each
-    continuation block alpha on the diagonal with its coupling beta below
-    and beta^T above.
-    """
-    if not 1 <= k <= run.n_steps:
-        raise ValueError("k must be in [1, %d], got %d" % (run.n_steps, k))
-    lo = k * run.width
-    tn = np.zeros((lo + sum(cont.widths),) * 2)
-    tn[:lo, :lo] = run.t[:lo, :lo]
-    for alpha, beta in zip(cont.alphas, cont.betas):
-        hi, back = lo + beta.shape[0], lo - beta.shape[1]
-        tn[lo:hi, back:lo], tn[back:lo, lo:hi], tn[lo:hi, lo:hi] = beta, beta.T, alpha
-        lo = hi
-    return tn
+    sizes = [run.width] * k + [u.shape[1] for u in panels[:-1]]  # the closing one is empty
+    return ContinuationResult(tn, basis, sizes, h_panels, h_norms, epsilon2)
 
 
 def _closed_form_inputs(run: LanczosRun, k: int):
@@ -300,7 +301,9 @@ def perturbation_decomposition(
     measure, `monitored_terms`). Later steps reduce to a rank-one style
     coupling through q_{k+1}.
     """
-    beta_c = cont.betas[0] if cont.betas else None
+    edges = list(itertools.accumulate(cont.block_sizes, initial=0))
+    q = [cont.basis[:, lo:hi] for lo, hi in zip(edges[k:-1], edges[k + 1 :])]
+    beta_c = cont.tn[edges[k] : edges[k + 1], edges[k - 1] : edges[k]] if q else None
     v_k, r_defect, fp_trail = _closed_form_inputs(run, k)
     w_k = selection.w_k
 
@@ -312,7 +315,7 @@ def perturbation_decomposition(
         d1 = h[1] + w_k @ (g @ beta_c.T)
         delta_norms.append(panel_norm(d1))
     for j in range(2, len(h)):
-        dj = h[j] - cont.q_panels[0] @ (beta_c @ (v_k.T @ cont.q_panels[j - 1]))
+        dj = h[j] - q[0] @ (beta_c @ (v_k.T @ q[j - 1]))
         delta_norms.append(panel_norm(dj))
     return delta_norms
 
@@ -321,10 +324,9 @@ def perturbation_decomposition(
 class PrefixContinuation:
     """One prefix k of a run (`continue_prefix`): its selection, and every
     later stage made on first read and cached: `terms` (`monitored_terms`
-    on continuation step 1 alone), `cont` (`continuation_run`, which raises
-    CapReached on that read), `delta_norms` (`perturbation_decomposition`),
-    T_N as one dense array (`tn`, `assemble_tn`) with its `block_sizes`
-    [p]*k + cont.widths, its `basis` [V_k, q_{k+1}, ...], its
+    on continuation step 1 alone), `cont` (`continuation_run`: the model
+    T_N, its basis and block sizes; it raises CapReached on that read),
+    `delta_norms` (`perturbation_decomposition`), the model's
     `certificate` (`theorem1_certificate` at cont.epsilon2, holding T_N's
     eigenvalues) and their `spread` around A's eigenvalues.
     """
@@ -347,21 +349,10 @@ class PrefixContinuation:
         return perturbation_decomposition(self.run, self.k, self.selection, self.cont)
 
     @functools.cached_property
-    def tn(self) -> np.ndarray:
-        return assemble_tn(self.run, self.k, self.cont)
-
-    @property
-    def block_sizes(self) -> list:
-        return [self.run.width] * self.k + self.cont.widths
-
-    @functools.cached_property
-    def basis(self) -> np.ndarray:
-        return np.hstack([self.run.basis[:, : self.k * self.run.width]] + self.cont.q_panels)
-
-    @functools.cached_property
     def certificate(self) -> Theorem1Certificate:
-        return theorem1_certificate(self.tn, len(self.block_sizes), self.basis, self.run.a,
-                                    self.cont.epsilon2)
+        cont = self.cont
+        return theorem1_certificate(cont.tn, len(cont.block_sizes), cont.basis, self.run.a,
+                                    cont.epsilon2)
 
     @functools.cached_property
     def spread(self) -> SpreadReport:

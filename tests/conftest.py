@@ -27,6 +27,12 @@ def band_blocks(t, sizes):
     return alphas, betas
 
 
+def block_columns(basis, sizes):
+    """The panels of ``basis`` with the given block widths, as column views."""
+    edges = np.cumsum([0, *sizes])
+    return [basis[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+
+
 def run_blocks(run):
     """alpha_1 .. alpha_K and beta_2 .. beta_K of a run, as views of ``run.t``."""
     return band_blocks(run.t, [run.width] * run.n_steps)

@@ -31,6 +31,7 @@ from blocklanczos import (
     strakos_spectrum,
     sym_eig,
 )
+from conftest import band_blocks, block_columns
 
 EPS = float(np.finfo(float).eps)
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -118,15 +119,17 @@ def test_criterion_03_continuation_basis_and_couplings():
     worst_orth = 0.0
     worst_beta = 0.0
     for pc in _graded_continuations():
-        cont, a = pc.cont, pc.run.a.array
-        guard = np.hstack([pc.selection.w_k] + cont.q_panels)
+        cont, a, k = pc.cont, pc.run.a.array, pc.k
+        q = block_columns(cont.basis, cont.block_sizes)[k:]
+        betas = band_blocks(cont.tn, cont.block_sizes)[1][k - 1 :]
+        guard = np.hstack([pc.selection.w_k] + q)
         worst_orth = max(
             worst_orth,
             float(np.linalg.norm(guard.T @ guard - np.eye(guard.shape[1]))),
         )
-        for j in range(2, len(cont.betas)):
-            want = cont.q_panels[j].T @ a @ cont.q_panels[j - 1]
-            gap = float(np.linalg.norm(cont.betas[j] - want)) / pc.run.a.norm
+        for j in range(2, len(betas)):
+            want = q[j].T @ a @ q[j - 1]
+            gap = float(np.linalg.norm(betas[j] - want)) / pc.run.a.norm
             worst_beta = max(worst_beta, gap)
     ok = worst_orth <= 1e-11 and worst_beta <= 1e-10
     _report(3, "continuation orthonormality and couplings", ok,

@@ -156,6 +156,13 @@ def test_spread_rejects_a_non_finite_model_eigenvalue(bad):
         interval_spread([1.0, bad, 3.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spread_rejects_a_non_finite_reference_eigenvalue(bad):
+    # unchecked, a NaN reference value gives a NaN width
+    with pytest.raises(NonFiniteOperator, match="reference"):
+        interval_spread([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+
+
 def test_spread_is_permutation_invariant():
     rng = np.random.default_rng(53)
     tn = rng.uniform(0, 10, 12)
@@ -243,6 +250,15 @@ def test_certificate_rejects_a_block_count_outside_the_dimension(n_blocks):
     with pytest.raises(ShapeMismatch, match="blocks"):
         theorem1_certificate(run.t, n_blocks, basis, a, epsilon2=1e-14)
     assert theorem1_certificate(run.t, 12, basis, a, epsilon2=1e-14).holds
+
+
+@pytest.mark.parametrize("epsilon2", [np.nan, -1.0, np.inf])
+def test_certificate_rejects_an_epsilon2_outside_zero_to_inf(epsilon2):
+    # unchecked, NaN gives a NaN bound, -1 a zero bound and inf certifies anything
+    a, run = full_depth_run(seed=62)
+    basis = np.hstack(run.panels[: run.n_steps])
+    with pytest.raises(ValueError, match="epsilon2"):
+        theorem1_certificate(run.t, run.n_steps, basis, a, epsilon2)
 
 
 def test_certificate_rejects_a_basis_of_the_wrong_width():

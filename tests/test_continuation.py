@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from blocklanczos import (
     AssumptionUnsatisfiable,
     CapReached,
-    ContinuationResult,
     EmptySelection,
     NearDependentRitzVectors,
+    NonFiniteOperator,
     ShapeMismatch,
     SpectrumSpec,
-    assemble_tn,
     build_wk,
     continuation_run,
     continue_prefix,
@@ -29,8 +28,9 @@ from blocklanczos import (
     theorem1_certificate,
     truncated_svd,
 )
+from blocklanczos.continuation import _continuation_steps
 from blocklanczos.lanczos import MODES
-from conftest import assert_band_layout, band_blocks, run_blocks
+from conftest import assert_band_layout, band_blocks, block_columns, run_blocks
 
 
 @pytest.fixture(scope="module")
@@ -100,32 +100,32 @@ def test_build_wk_needs_between_one_and_n_columns(shape):
 
 
 def test_continuation_basis_is_orthonormal(pipeline):
-    w_k, cont = pipeline["w_k"], pipeline["cont"]
-    guard = np.hstack([w_k] + cont.q_panels)
+    w_k, cont, lo = pipeline["w_k"], pipeline["cont"], pipeline["k"] * pipeline["run"].width
+    guard = np.hstack([w_k, cont.basis[:, lo:]])
     defect = np.linalg.norm(guard.T @ guard - np.eye(guard.shape[1]))
     assert defect < 1e-11
 
 
 def test_continuation_blocks_satisfy_the_recurrence(pipeline):
-    a, cont, run = pipeline["a"], pipeline["cont"], pipeline["run"]
+    a, cont, run, k = pipeline["a"], pipeline["cont"], pipeline["run"], pipeline["k"]
     # interior couplings must match the Rayleigh quotients of the panels
-    for j in range(2, len(cont.q_panels)):
-        want = cont.q_panels[j].T @ a @ cont.q_panels[j - 1]
-        got = cont.betas[j]
+    alphas, betas = band_blocks(cont.tn, cont.block_sizes)
+    q = block_columns(cont.basis, cont.block_sizes)[k:]
+    for j in range(2, len(q)):
+        want = q[j].T @ a @ q[j - 1]
+        got = betas[k + j - 1]
         assert np.linalg.norm(got - want) < 1e-10 * run.a.norm
-    for j in range(1, len(cont.alphas)):
-        q = cont.q_panels[j]
-        want = q.T @ a @ q
-        assert np.linalg.norm(cont.alphas[j] - want) < 1e-10 * run.a.norm
+    for j in range(1, len(q)):
+        want = q[j].T @ a @ q[j]
+        assert np.linalg.norm(alphas[k + j] - want) < 1e-10 * run.a.norm
 
 
 def test_continuation_terminates_with_zero_rank(pipeline):
-    cont = pipeline["cont"]
+    cont, k = pipeline["cont"], pipeline["k"]
     # one h entry per step; the closing step keeps no panel
-    assert cont.n_steps == len(cont.q_panels) + 1
-    assert all(w > 0 for w in cont.widths)
-    assert len(cont.alphas) == len(cont.q_panels)
-    assert len(cont.betas) == len(cont.q_panels)
+    assert cont.n_steps == len(cont.block_sizes) - k + 1
+    assert all(w > 0 for w in cont.block_sizes[k:])
+    assert cont.basis.shape[1] == sum(cont.block_sizes) == cont.tn.shape[0]
 
 
 def test_epsilon2_formula(pipeline):
@@ -141,8 +141,17 @@ def test_continuation_cap_and_tol_validation(pipeline):
     for bad_k in (0, run.n_steps + 1):
         with pytest.raises(ValueError, match="k must be"):
             continuation_run(run, bad_k, w_k)
-        with pytest.raises(ValueError):
-            assemble_tn(run, bad_k, pipeline["cont"])
+
+
+@pytest.mark.parametrize("w_k, error", [
+    (np.ones((10, 18)), ShapeMismatch),  # rows other than n
+    (np.ones(48), ShapeMismatch),  # not 2-d
+    (np.ones((48, 49)), ShapeMismatch),  # more columns than n
+    (np.full((48, 2), np.nan), NonFiniteOperator),
+])
+def test_continuation_rejects_a_malformed_protected_basis(pipeline, w_k, error):
+    with pytest.raises(error):
+        continuation_run(pipeline["run"], pipeline["k"], w_k)
 
 
 def test_continuation_basis_cannot_outgrow_the_dimension(pipeline, monkeypatch):
@@ -167,45 +176,63 @@ def test_continuation_refuses_the_zero_operator():
         continue_prefix(run, 1, 1e-5)
 
 
-def test_assemble_tn_structure(pipeline):
-    run, k, cont = pipeline["run"], pipeline["k"], pipeline["cont"]
-    t_n = assemble_tn(run, k, cont)
-    p, sizes = run.width, [run.width] * k + cont.widths
-    assert t_n.shape == (k * p + sum(cont.widths),) * 2
+def test_continuation_model_structure(pipeline):
+    # T_N holds the corner of run.t, then each step's blocks as they were
+    # yielded, bit for bit; the basis holds each step's panel
+    run, k, cont, w_k = pipeline["run"], pipeline["k"], pipeline["cont"], pipeline["w_k"]
+    p, t_n, sizes = run.width, cont.tn, cont.block_sizes
+    assert t_n.shape == (sum(sizes),) * 2 and sizes[:k] == [p] * k
     assert np.array_equal(t_n[: k * p, : k * p], run.t[: k * p, : k * p])
     assert not np.shares_memory(t_n, run.t)
+    steps = list(_continuation_steps(run, k, w_k))
     alphas, betas = band_blocks(t_n, sizes)
-    assert all(np.array_equal(x, y) for x, y in zip(alphas[k:], cont.alphas))
-    assert all(np.array_equal(x, y) for x, y in zip(betas[k - 1 :], cont.betas))
+    assert len(alphas) == k + len(steps) - 1
+    assert all(np.array_equal(x, s[0]) for x, s in zip(alphas[k:], steps[1:]))
+    assert all(np.array_equal(x, s[2]) for x, s in zip(betas[k - 1 :], steps))
+    panels = block_columns(cont.basis, sizes)
+    assert all(np.array_equal(x, s[1]) for x, s in zip(panels[k:], steps))
     assert_band_layout(t_n, sizes)
 
 
-def test_assemble_tn_empty_continuation(pipeline):
-    run, k = pipeline["run"], pipeline["k"]
-    cont = ContinuationResult(
-        q_panels=[], alphas=[], betas=[], h_panels=[np.zeros((48, 2))],
-        h_norms=[0.0], epsilon2=0.0,
-    )
-    t_n = assemble_tn(run, k, cont)
-    assert np.array_equal(t_n, run.t[: k * 2, : k * 2]) and not np.shares_memory(t_n, run.t)
+def test_rank_zero_first_step_keeps_the_run_model():
+    # the start block lies in an invariant subspace of dimension 6: the
+    # run terminates at K = 3, every Ritz pair is kept, and step 1 has
+    # nothing left to keep
+    eigs = np.sort(np.random.default_rng(20).uniform(0.5, 5, 20))
+    a, y = spectrum_to_matrix(eigs, 20)
+    v = y[:, :6] @ np.random.default_rng(1).standard_normal((6, 2))
+    run = run_block_lanczos(a, v, k_max=10)
+    assert run.n_steps == 3 and run.terminated
+    pc = continue_prefix(run, 3, 1e-14)
+    cont = pc.cont
+    assert pc.selection.m == 6 and cont.n_steps == 1
+    assert cont.block_sizes == [2, 2, 2]
+    assert cont.tn.tobytes() == run.t.tobytes() and cont.tn.shape == run.t.shape
+    assert np.array_equal(cont.basis, run.basis[:, :6])
+    assert pc.terms == (0.0, 0.0, 0.0)
+    assert len(pc.delta_norms) == 1
+    assert pc.certificate.holds
 
 
 def test_model_at_a_shorter_prefix(pipeline):
     run, p = pipeline["run"], pipeline["run"].width
-    kk = run.n_steps - 4
+    kk, big_k = run.n_steps - 4, run.n_steps
     pc = continue_prefix(run, kk, 1e-5)
-    t_n, cont = pc.tn, pc.cont
-    assert pc.block_sizes == [p] * kk + cont.widths
-    assert t_n.shape[0] == kk * p + sum(cont.widths) == pc.basis.shape[1]
+    cont = pc.cont
+    t_n, sizes = cont.tn, cont.block_sizes
+    assert sizes[:kk] == [p] * kk and len(sizes) > kk
+    assert t_n.shape[0] == sum(sizes) == cont.basis.shape[1]
     assert np.array_equal(t_n[: kk * p, : kk * p], run.t[: kk * p, : kk * p])
-    assert np.array_equal(band_blocks(t_n, pc.block_sizes)[1][kk - 1], cont.betas[0])
-    assert np.array_equal(pc.basis[:, : kk * p], run.basis[:, : kk * p])
+    beta_c = next(_continuation_steps(run, kk, pc.selection.w_k))[2]
+    assert np.array_equal(band_blocks(t_n, sizes)[1][kk - 1], beta_c)
+    assert np.array_equal(cont.basis[:, : kk * p], run.basis[:, : kk * p])
     assert pc.certificate.holds
     # the continuation appended after block K instead of block k
-    wrong = assemble_tn(run, run.n_steps, cont)
+    wrong = np.zeros((big_k * p + t_n.shape[0] - kk * p,) * 2)
+    wrong[: big_k * p, : big_k * p] = run.t
+    wrong[big_k * p :, big_k * p :] = t_n[kk * p :, kk * p :]
     with pytest.raises(ShapeMismatch, match="dimension %d" % wrong.shape[0]):
-        theorem1_certificate(wrong, run.n_steps + len(cont.widths), pc.basis, run.a,
-                             cont.epsilon2)
+        theorem1_certificate(wrong, big_k + len(sizes) - kk, cont.basis, run.a, cont.epsilon2)
 
 
 def test_decomposition_reports_small_remainders(pipeline):
@@ -222,9 +249,10 @@ def test_first_step_continuation():
     v = np.random.default_rng(2).standard_normal((48, 2))
     run = run_block_lanczos(a, v, k_max=1)
     pc = continue_prefix(run, 1, 1e-5)
-    assert_band_layout(pc.tn, pc.block_sizes)
-    assert len(pc.delta_norms) == len(pc.cont.h_panels)
-    assert pc.tn.shape == (2 + sum(pc.cont.widths),) * 2
+    cont = pc.cont
+    assert_band_layout(cont.tn, cont.block_sizes)
+    assert len(pc.delta_norms) == len(cont.h_panels)
+    assert cont.tn.shape == (sum(cont.block_sizes),) * 2 and cont.block_sizes[0] == 2
 
 
 def _start(n, l1, rho, seed, p, kron):
@@ -254,7 +282,8 @@ def _compare_prefixes(run, mu):
             except CapReached:
                 outcome = "CapReached"
             else:
-                beta_c = cont.betas[0] if cont.betas else None
+                betas = band_blocks(cont.tn, cont.block_sizes)[1]
+                beta_c = betas[kk - 1] if len(betas) >= kk else None
                 assert terms == monitored_terms(run, kk, pc.selection, beta_c)
                 outcome = "equal"
         seen[outcome] = seen.get(outcome, 0) + 1
@@ -300,7 +329,8 @@ def test_prefix_terms_equal_full_continuation(n, l1, rho, seed, p, k_max, mu, kr
     mu=st.floats(-8.0, -2.0).map(lambda e: 10.0 ** e),
 )
 def test_model_record_is_consistent_at_every_closing_prefix(n, l1, rho, seed, p, k_max, mu):
-    # one column of the basis and one spread entry per row of T_N, and a
+    # a read-only T_N and basis that start with the run's, bit for bit, one
+    # column of the basis and one spread entry per row of T_N, and a
     # certificate that holds bounds the spread it certifies
     a, v = _start(n, l1, rho, seed, p, False)
     run = run_block_lanczos(a, v, k_max=min(k_max, n // p))
@@ -309,7 +339,13 @@ def test_model_record_is_consistent_at_every_closing_prefix(n, l1, rho, seed, p,
             pc = continue_prefix(run, kk, mu)
         except (EmptySelection, NearDependentRitzVectors):
             continue
-        assert pc.basis.shape[1] == pc.tn.shape[0] == pc.spread.dim
+        cont, lo = pc.cont, kk * p
+        tn, basis, sizes = cont.tn, cont.basis, cont.block_sizes
+        assert not tn.flags.writeable and not basis.flags.writeable
+        assert np.array_equal(tn[:lo, :lo], run.t[:lo, :lo])
+        assert np.array_equal(basis[:, :lo], run.basis[:, :lo])
+        assert_band_layout(tn, sizes)
+        assert basis.shape[1] == sum(sizes) == tn.shape[0] == pc.spread.dim
         assert pc.spread.max_width <= pc.certificate.bound or not pc.certificate.holds
 
 
@@ -333,18 +369,18 @@ def test_one_array_per_block_tridiagonal(n, p, k_frac, mode, seed):
         assert np.array_equal(beta, np.triu(beta)) and np.all(np.diag(beta) >= 0.0)
     for kk in range(1, big_k + 1):
         try:
-            pc = continue_prefix(run, kk, 1e-6)
-            tn = pc.tn
+            cont = continue_prefix(run, kk, 1e-6).cont
         except (EmptySelection, NearDependentRitzVectors, CapReached):
             continue
+        tn = cont.tn
         assert np.array_equal(tn[: kk * p, : kk * p], run.t[: kk * p, : kk * p])
-        assert sum(pc.block_sizes) == tn.shape[0] == tn.shape[1] == pc.basis.shape[1]
-        assert_band_layout(tn, pc.block_sizes)
+        assert sum(cont.block_sizes) == tn.shape[0] == tn.shape[1] == cont.basis.shape[1]
+        assert_band_layout(tn, cont.block_sizes)
 
 
 def test_record_builds_its_model_once(pipeline):
     pc = pipeline["pc"]
-    assert pc.tn is pc.tn and pc.basis is pc.basis
+    assert pc.cont is pc.cont
     assert pc.certificate is pc.certificate
     assert pc.spread is pc.spread
 
@@ -357,9 +393,11 @@ def test_small_problem_closes_past_step_one():
     run = run_block_lanczos(a, v, k_max=14)
     mu = 0.009999769744141627
     pc = continue_prefix(run, 7, mu)
-    assert pc.terms == monitored_terms(run, 7, pc.selection, pc.cont.betas[0])
-    assert pc.cont.widths == [3] * 11 + [2, 1, 1, 1]
-    assert pc.selection.m + sum(pc.cont.widths) <= 43
+    sizes = pc.cont.block_sizes
+    beta_c = band_blocks(pc.cont.tn, sizes)[1][6]
+    assert pc.terms == monitored_terms(run, 7, pc.selection, beta_c)
+    assert sizes[7:] == [3] * 11 + [2, 1, 1, 1]
+    assert pc.selection.m + sum(sizes[7:]) <= 43
     assert 1.2e-2 < pc.cont.epsilon2 < 1.22e-2
 
 
@@ -385,7 +423,9 @@ def test_first_step_is_step_one_of_the_run(pipeline):
     w_k, v_k = sel.w_k, run.panels[k - 1]
     alphas, betas = run_blocks(run)
     raw = run.a @ v_k - v_k @ alphas[k - 1] - run.panels[k - 2] @ betas[k - 2].T
-    h, q1, beta_c = cont.h_panels[0], cont.q_panels[0], cont.betas[0]
+    lo = k * run.width
+    h, q1 = cont.h_panels[0], cont.basis[:, lo : lo + cont.block_sizes[k]]
+    beta_c = band_blocks(cont.tn, cont.block_sizes)[1][k - 1]
     assert np.array_equal(raw - q1 @ beta_c, h)
     # full rank is kept here, so h is just the part of raw along w_k
     assert panel_norm(h - w_k @ (w_k.T @ raw)) < 1e-3 * panel_norm(h)
@@ -408,7 +448,7 @@ def test_record_makes_each_stage_on_first_read(pipeline, monkeypatch):
     assert pc.terms is pc.terms and len(calls) == 1
     cont = pc.cont
     assert cont is pc.cont and len(calls) == 1 + cont.n_steps and cont.n_steps > 1
-    pc.delta_norms, pc.tn, pc.spread
+    pc.delta_norms, pc.certificate, pc.spread
     assert len(calls) == 1 + cont.n_steps
 
 

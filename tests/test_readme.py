@@ -30,7 +30,7 @@ def test_readme_stage_list_matches_the_signatures():
     for name, args in re.findall(r"`(\w+)\(([^`]*)\)`", stages):
         if args != "...":
             shown[name] = " ".join(args.split())
-    assert {"select_ritz_vectors", "assemble_tn", "monitored_terms",
+    assert {"select_ritz_vectors", "continuation_run", "monitored_terms",
             "perturbation_decomposition"} <= set(shown)
     for name, args in shown.items():
         assert args == _shown(inspect.signature(getattr(blocklanczos, name)).parameters), name

@@ -8,16 +8,20 @@ OLD_SRC and NEW_SRC are directories holding a ``blocklanczos`` package
 once against each tree, in a subprocess with PYTHONPATH set to that tree
 and in a fresh working directory of its own, always with ``--out out``,
 so the ``out=`` echo of the provenance headers is the same on both
-sides. The script prints every output file, standard output, standard
-error or exit status whose bytes differ between the trees, and exits 1
-if any does, 0 if none does. A configuration that fails on the old tree
+sides. A ``library_`` case runs LIBRARY_VALUES instead of the command
+line: it rebuilds a ``continuation`` configuration's run and prints, for
+every prefix, values the package computes there that no CSV shows. The
+script prints every output file, standard output, standard error or
+exit status whose bytes differ between the trees, and exits 1 if any
+does, 0 if none does. A configuration that fails on the old tree
 is named as well, since two equal failures compare nothing.
 
 The list holds the argv of the four benchmark workloads at seeds 1-10
 (``blurred-cg`` reads an operator file the script writes, the same one
 for both trees), three ``continuation`` configurations at seeds 1-10,
 ``interlacing`` on a ``_kron`` problem and ``blurred-cg`` on a generated
-spectrum at seeds 1-3, and the four commands of the README.
+spectrum at seeds 1-3, the four commands of the README, and a
+``library_`` case for each of the ``continuation`` configurations.
 """
 
 from __future__ import annotations
@@ -33,8 +37,35 @@ import numpy as np
 
 MTX_N = 112  # the benchmark's blurred-cg operator size
 
+# ``python -c LIBRARY_VALUES ARGV...`` with ARGV a continuation command
+# line makes that command's run and mu, then prints per prefix the
+# monitored terms, the decomposition remainders, the certificate's bound,
+# epsilon1 and holds, and digests of the bytes of its eigenvalues and of
+# the spread widths; or the name of the error that stopped the prefix.
+LIBRARY_VALUES = """
+import hashlib, sys
+import numpy as np
+from blocklanczos import BlockLanczosError, cli, continue_prefix
+cfg = cli.resolve_config(cli.build_parser().parse_args(sys.argv[1:]))
+rng = np.random.default_rng(cfg["seed"])
+run = cli._run(cfg, cli.build_problem(cfg, rng), rng, cfg["k"])
+n, p, k = run.a.shape[0], run.width, run.n_steps
+mu = cli._parse_mu(cfg["mu"]) or float(np.sqrt(k * n * p * cli.EPS))
+digest = lambda x: hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
+for kk in range(1, k + 1):
+    try:
+        pc = continue_prefix(run, kk, mu)
+        print(kk, repr(pc.terms))
+        print(kk, repr(pc.delta_norms))
+        cert = pc.certificate
+        print(kk, repr((cert.bound, cert.epsilon1, cert.holds)))
+        print(kk, digest(cert.thetas), digest(pc.spread.widths))
+    except BlockLanczosError as exc:
+        print(kk, type(exc).__name__)
+"""
 
-def configs():
+
+def cli_configs():
     """Yield ``(case name, argv)``; an argv holding "MTX" reads the seed's operator file."""
     for seed in range(1, 11):
         s = str(seed)
@@ -69,6 +100,15 @@ def configs():
                                  "--k", "8"]
 
 
+def configs():
+    """The command-line cases, each ``continuation`` one followed by a
+    ``library_`` case whose argv runs LIBRARY_VALUES on it."""
+    for case, argv in cli_configs():
+        yield case, argv
+        if case.startswith("continuation_"):
+            yield "library_" + case, ["-c", LIBRARY_VALUES, *argv]
+
+
 def operator_file(seed: int) -> str:
     """Matrix Market text of a symmetric operator: one eigenvalue 1.2e-2
     below MTX_N - 1 log-spaced ones in [1, 100], in a basis drawn from the
@@ -92,8 +132,8 @@ def run_case(src: Path, workdir: Path, argv: list) -> dict:
         (workdir / "operator.mtx").write_text(operator_file(seed))
         argv = [("operator.mtx" if x == "MTX" else x) for x in argv]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "blocklanczos.cli", *argv, "--out", "out"],
-                          cwd=workdir, env=env, capture_output=True)
+    command = argv if argv[0] == "-c" else ["-m", "blocklanczos.cli", *argv, "--out", "out"]
+    proc = subprocess.run([sys.executable, *command], cwd=workdir, env=env, capture_output=True)
     found = {"<stdout>": proc.stdout, "<stderr>": proc.stderr,
              "<exit status>": str(proc.returncode).encode()}
     out = workdir / "out"

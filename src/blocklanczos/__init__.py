@@ -61,13 +61,9 @@ from .cg import CgHistory, dr_bcg, hs_bcg, trace_error
 from .continuation import (
     ContinuationResult,
     PrefixContinuation,
-    Selection,
     build_wk,
     continuation_run,
     continue_prefix,
-    monitored_terms,
-    perturbation_decomposition,
-    select_ritz_vectors,
 )
 from .analysis import (
     ClusterLabel,

@@ -84,6 +84,8 @@ def _prologue(a, b, x0, maxit):
     """What both variants start from: the checked operator, the reference
     solution and its relative residual, and x0 and maxit with their
     defaults (zeros, and the dimension) filled in."""
+    if maxit is not None and maxit < 0:
+        raise ValueError("maxit must be >= 0, got %d" % maxit)
     op = as_operator(a)
     if b.ndim != 2 or b.shape[0] != op.shape[0]:
         raise ShapeMismatch("operator of shape %r, right-hand side %r" % (op.shape, b.shape))
@@ -161,8 +163,9 @@ def hs_bcg(
     `Operator` does (ShapeMismatch, NonFiniteOperator, NotSymmetric, and
     NotPositiveDefinite without a Cholesky factor); a ``b`` whose row
     count differs from its size or that has no columns, or an ``x0`` of
-    another shape than ``b``, raises ShapeMismatch, and a NaN or infinite
-    entry in ``b`` or ``x0`` raises NonFiniteOperator.
+    another shape than ``b``, raises ShapeMismatch, a NaN or infinite
+    entry in ``b`` or ``x0`` raises NonFiniteOperator, and a negative
+    ``maxit`` raises ValueError (0 returns the history of x0 alone).
     """
     a, x_star, ref_residual, x0, maxit = _prologue(a, b, x0, maxit)
 
@@ -209,7 +212,7 @@ def dr_bcg(
 
     Takes ``a`` in the same forms as `hs_bcg` (dense symmetric, a 1-D
     diagonal, or an `Operator`), with the same halting contract and typed
-    failures.
+    failures, a negative ``maxit`` raising ValueError too.
     """
     a, x_star, ref_residual, x0, maxit = _prologue(a, b, x0, maxit)
     n, p = b.shape

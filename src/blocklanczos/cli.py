@@ -381,6 +381,8 @@ def _parse_mu(text):
         raise ValueError("--mu takes a number or 'auto', got %r" % text) from None
     if not mu > 0.0:  # also rejects NaN
         raise ValueError("--mu: mu must be > 0, got %r" % text)
+    if np.isinf(mu):
+        raise ValueError("--mu: mu must be finite, got %r" % text)
     return mu
 
 
@@ -393,13 +395,13 @@ def cmd_continuation(cfg, problem, rng, out):
         mu_val = float(np.sqrt(k * n * p * EPS))
 
     pc = continue_prefix(run, k, mu_val)
-    selection, cont = pc.selection, pc.cont
+    cont = pc.cont
     tn, sizes, certificate, spread = cont.tn, cont.block_sizes, pc.certificate, pc.spread
     clusters = classify_clusters(certificate.thetas, run.a.eigvals, run.a.norm, cfg["psi"], cfg["eta"])
 
     shared = [
-        "k=%d mu=%s threshold=%s" % (k, _fmt(mu_val), _fmt(selection.threshold)),
-        "selected_m=%d rho_k=%s" % (selection.m, _fmt(selection.rho_k)),
+        "k=%d mu=%s threshold=%s" % (k, _fmt(mu_val), _fmt(pc.threshold)),
+        "selected_m=%d rho_k=%s" % (pc.m, _fmt(pc.rho_k)),
         "epsilon1=%s epsilon2=%s" % (_fmt(certificate.epsilon1), _fmt(cont.epsilon2)),
     ]
 
@@ -415,7 +417,7 @@ def cmd_continuation(cfg, problem, rng, out):
             nan = float("nan")
             term_rows.append((kk, 0, nan, nan, nan, nan))
         else:
-            term_rows.append((kk, pc_kk.selection.m, pc_kk.selection.rho_k) + pc_kk.terms)
+            term_rows.append((kk, pc_kk.m, pc_kk.rho_k) + pc_kk.terms)
 
     rows_i, cols_j = np.nonzero(tn)
     tn_rows = zip(rows_i, cols_j, tn[rows_i, cols_j])

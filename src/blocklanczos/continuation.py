@@ -6,8 +6,7 @@ behaves like an exact run on a nearby problem. The machinery here makes
 that statement concrete and measurable:
 
 1. pick the Ritz vectors of T_k that have not converged yet and
-   orthonormalize them (`select_ritz_vectors`, through `build_wk`); the
-   resulting `Selection` is all that the later stages read of this step,
+   orthonormalize them (`continue_prefix`, through `build_wk`),
 2. continue the three-term recurrence of the run from v_{k-1} and v_k,
    orthogonalizing every new panel against the selected basis and all
    panels since and cutting lost rank by an SVD, until a step keeps none
@@ -17,14 +16,15 @@ that statement concrete and measurable:
    [V_k, q_{k+1}, ...], that an EXACT run on A would produce under
    column perturbations no larger than the recorded epsilon2 * norm(A),
 4. measure the few structural terms that control the size of the
-   recorded perturbations (`monitored_terms`), each of which can be
+   recorded perturbations (the record's `terms`), each of which can be
    monitored against the selection threshold, and what the closed forms
-   behind them leave unexplained (`perturbation_decomposition`).
+   behind them leave unexplained (its `delta_norms`).
 
-`continue_prefix` makes step 1 at one prefix of a run; its record,
-`PrefixContinuation`, makes every later stage on first read. Every
-continuation step comes from one lazy loop, which `continuation_run`
-drains; the record's monitored `terms` take its first step alone.
+`continue_prefix` makes step 1 at one prefix of a run and returns the
+one record of that prefix, `PrefixContinuation`: it holds the selection
+and makes every later stage on first read. Every continuation step comes
+from one lazy loop, which `continuation_run` drains; the record's
+monitored `terms` take its first step alone.
 
 Every panel the process discards is kept (the h panels) so the model's
 backward error is measured, not estimated.
@@ -43,56 +43,6 @@ from .errors import (AssumptionUnsatisfiable, CapReached, EmptySelection,
                      NearDependentRitzVectors, NonFiniteOperator, ShapeMismatch)
 from .lanczos import BREAKDOWN_TOL, LanczosRun, ritz_analysis
 from .linalg import panel_norm, qr_unchecked, reorthogonalize, truncated_svd
-
-
-@dataclass
-class Selection:
-    """The protected basis at one prefix k of a run.
-
-    threshold   mu * norm(A): a Ritz pair is kept when its residual bound
-                delta exceeds it, i.e. it has not converged to an
-                eigenvalue yet
-    indices     positions of the kept pairs among the ascending Ritz
-                values of T_k
-    s_m         the kept eigenvector columns of T_k
-    w_k, r_k    orthonormal basis and triangular factor of the kept Ritz
-                vectors, V_k s_m = w_k r_k (`build_wk`)
-    rho_k       norm(inv(r_k)); large when the kept Ritz vectors were
-                close to dependent
-    """
-
-    threshold: float
-    indices: np.ndarray
-    s_m: np.ndarray
-    w_k: np.ndarray
-    r_k: np.ndarray
-    rho_k: float
-
-    @property
-    def m(self) -> int:
-        return int(self.indices.size)
-
-
-def select_ritz_vectors(run: LanczosRun, k: int, mu: float) -> Selection:
-    """Keep the Ritz pairs of T_k whose residual bound exceeds
-    mu * norm(A) and orthonormalize their Ritz vectors.
-
-    Raises EmptySelection when nothing clears the threshold (mu too
-    large, or every pair converged), NearDependentRitzVectors from
-    `build_wk`.
-    """
-    if not mu > 0.0:  # also rejects NaN
-        raise ValueError("mu must be > 0")
-    ritz = ritz_analysis(run, k)
-    threshold = mu * run.a.norm
-    indices = np.nonzero(ritz.deltas > threshold)[0]
-    if indices.size == 0:
-        raise EmptySelection("no Ritz pair has delta > %.3e (max delta %.3e)"
-                             % (threshold, ritz.deltas.max()))
-    # all Ritz vectors first, then the kept columns: the product of the
-    # kept columns alone rounds differently
-    z = (run.basis[:, : k * run.width] @ ritz.s)[:, indices]
-    return Selection(threshold, indices, ritz.s[:, indices], *build_wk(z))
 
 
 def build_wk(z_selected: np.ndarray):
@@ -242,111 +192,102 @@ def continuation_run(run: LanczosRun, k: int, w_k: np.ndarray) -> ContinuationRe
     return ContinuationResult(tn, basis, sizes, h_panels, h_norms, epsilon2)
 
 
-def _closed_form_inputs(run: LanczosRun, k: int):
-    """What the closed forms at prefix k read from the run.
-
-    Returns ``(v_k, r_defect, fp_trail)``: the last prefix panel, its
-    overlap with all earlier panels (padded to k*p rows), and the next
-    finite-precision panel times its coupling (None when a terminated run
-    has no next panel).
-    """
-    p = run.width
-    v_k = run.panels[k - 1]
-    r_defect = np.vstack([run.basis[:, : (k - 1) * p].T @ v_k, np.zeros((p, p))])
-    beta_fp = (run.t[k * p : (k + 1) * p, (k - 1) * p : k * p] if k < run.n_steps
-               else run.beta_next)
-    has_next = k < run.n_steps or not run.terminated
-    fp_trail = run.panels[k] @ beta_fp if has_next else None
-    return v_k, r_defect, fp_trail
-
-
-def monitored_terms(run: LanczosRun, k: int, selection: Selection, beta_c: np.ndarray | None):
-    """The three monitored terms ``(term21a, term21b, term22)`` at prefix k.
-
-    term21a     overlap of the protected basis with the next
-                finite-precision panel, norm(w_k^T v_{k+1} beta_fp)
-    term21b     the orthogonality-defect term
-                norm(beta_{k+1} r_def^T s_m inv(r_k)) built from the
-                overlap of v_k with all earlier panels
-    term22      how far v_k beta_{k+1}^T sticks out of the protected
-                basis, norm((I - w_k w_k^T) v_k beta_{k+1}^T)
-
-    They come from the closed forms of the first two continuation steps,
-    so besides the run and the selection they need only beta_c, the
-    coupling beta_{k+1} kept by continuation step 1; pass None when step 1
-    kept rank zero, which makes term21b and term22 zero.
-    """
-    v_k, r_defect, fp_trail = _closed_form_inputs(run, k)
-    w_k = selection.w_k
-    term21a = panel_norm(w_k.T @ fp_trail) if fp_trail is not None else 0.0
-    if beta_c is None:
-        return term21a, 0.0, 0.0
-    m_r = np.linalg.solve(selection.r_k.T, (r_defect.T @ selection.s_m).T).T
-    vb = v_k @ beta_c.T
-    return term21a, panel_norm(beta_c @ m_r), panel_norm(vb - w_k @ (w_k.T @ vb))
-
-
-def perturbation_decomposition(
-    run: LanczosRun, k: int, selection: Selection, cont: ContinuationResult
-) -> list:
-    """The per-step remainders of the recorded h panels once their
-    closed-form structural parts are subtracted; they sit at roundoff
-    level when the model is healthy.
-
-    The first two steps of the continuation admit closed forms: the step-k
-    perturbation is the projection of the next finite-precision panel onto
-    the protected basis, and the next one is controlled by the overlap of
-    v_k with the earlier panels pushed through the selected eigenvector
-    block and the inverse basis factor (the forms the monitored terms
-    measure, `monitored_terms`). Later steps reduce to a rank-one style
-    coupling through q_{k+1}.
-    """
-    edges = list(itertools.accumulate(cont.block_sizes, initial=0))
-    q = [cont.basis[:, lo:hi] for lo, hi in zip(edges[k:-1], edges[k + 1 :])]
-    beta_c = cont.tn[edges[k] : edges[k + 1], edges[k - 1] : edges[k]] if q else None
-    v_k, r_defect, fp_trail = _closed_form_inputs(run, k)
-    w_k = selection.w_k
-
-    h = cont.h_panels
-    d0 = h[0] if fp_trail is None else h[0] - w_k @ (w_k.T @ fp_trail)
-    delta_norms = [panel_norm(d0)]
-    if len(h) >= 2:
-        g = np.linalg.solve(selection.r_k.T, selection.s_m.T @ r_defect)
-        d1 = h[1] + w_k @ (g @ beta_c.T)
-        delta_norms.append(panel_norm(d1))
-    for j in range(2, len(h)):
-        dj = h[j] - q[0] @ (beta_c @ (v_k.T @ q[j - 1]))
-        delta_norms.append(panel_norm(dj))
-    return delta_norms
-
-
 @dataclass
 class PrefixContinuation:
-    """One prefix k of a run (`continue_prefix`): its selection, and every
-    later stage made on first read and cached: `terms` (`monitored_terms`
-    on continuation step 1 alone), `cont` (`continuation_run`: the model
-    T_N, its basis and block sizes; it raises CapReached on that read),
-    `delta_norms` (`perturbation_decomposition`), the model's
-    `certificate` (`theorem1_certificate` at cont.epsilon2, holding T_N's
-    eigenvalues) and their `spread` around A's eigenvalues.
+    """One prefix k of a run, made by `continue_prefix`: its selection, and
+    every later stage made on first read and cached.
+
+    threshold   mu * norm(A): a Ritz pair is kept when its residual bound
+                delta exceeds it, i.e. it has not converged to an
+                eigenvalue yet
+    indices     positions of the kept pairs among the ascending Ritz
+                values of T_k
+    s_m         the kept eigenvector columns of T_k
+    w_k, r_k    orthonormal basis and triangular factor of the kept Ritz
+                vectors, V_k s_m = w_k r_k (`build_wk`)
+    rho_k       norm(inv(r_k)); large when the kept Ritz vectors were
+                close to dependent
+    terms       the monitored terms ``(term21a, term21b, term22)``: the
+                overlap of w_k with the next finite-precision panel,
+                norm(w_k^T v_{k+1} beta_fp); the orthogonality-defect term
+                norm(beta_{k+1} r_def^T s_m inv(r_k)), r_def being the
+                overlap of v_k with all earlier panels; and how far
+                v_k beta_{k+1}^T sticks out of w_k,
+                norm((I - w_k w_k^T) v_k beta_{k+1}^T). These closed forms of
+                the first two continuation steps need only beta_{k+1}, the
+                coupling step 1 keeps; without one the last two are zero
+    cont        `continuation_run`: the model T_N, its basis and block
+                sizes; CapReached is raised on this read
+    delta_norms what the closed forms leave of each recorded h panel, at
+                roundoff level in a healthy model: the projection of the
+                next finite-precision panel onto w_k at step 1, the forms
+                `terms` measures at step 2, and a rank-one style coupling
+                through q_{k+1} at later steps
+    certificate `theorem1_certificate` at cont.epsilon2, holding T_N's
+                eigenvalues, and `spread`, theirs around A's eigenvalues
     """
 
     run: LanczosRun
     k: int
-    selection: Selection
+    threshold: float
+    indices: np.ndarray
+    s_m: np.ndarray
+    w_k: np.ndarray
+    r_k: np.ndarray
+    rho_k: float
+
+    @property
+    def m(self) -> int:
+        return int(self.indices.size)
+
+    @functools.cached_property
+    def _closed_form_parts(self):
+        """``(v_k, r_defect, fp_trail)``: the last prefix panel, its overlap
+        with all earlier panels (padded to k*p rows), and the next
+        finite-precision panel times its coupling (None after termination)."""
+        run, k, p = self.run, self.k, self.run.width
+        v_k = run.panels[k - 1]
+        r_defect = np.vstack([run.basis[:, : (k - 1) * p].T @ v_k, np.zeros((p, p))])
+        beta_fp = (run.t[k * p : (k + 1) * p, (k - 1) * p : k * p] if k < run.n_steps
+                   else run.beta_next)
+        has_next = k < run.n_steps or not run.terminated
+        fp_trail = run.panels[k] @ beta_fp if has_next else None
+        return v_k, r_defect, fp_trail
 
     @functools.cached_property
     def terms(self) -> tuple:
-        _, _, beta_c, _ = next(_continuation_steps(self.run, self.k, self.selection.w_k))
-        return monitored_terms(self.run, self.k, self.selection, beta_c if beta_c.size else None)
+        _, _, beta_c, _ = next(_continuation_steps(self.run, self.k, self.w_k))
+        v_k, r_defect, fp_trail = self._closed_form_parts
+        w_k = self.w_k
+        term21a = panel_norm(w_k.T @ fp_trail) if fp_trail is not None else 0.0
+        if not beta_c.size:
+            return term21a, 0.0, 0.0
+        m_r = np.linalg.solve(self.r_k.T, (r_defect.T @ self.s_m).T).T
+        vb = v_k @ beta_c.T
+        return term21a, panel_norm(beta_c @ m_r), panel_norm(vb - w_k @ (w_k.T @ vb))
 
     @functools.cached_property
     def cont(self) -> ContinuationResult:
-        return continuation_run(self.run, self.k, self.selection.w_k)
+        return continuation_run(self.run, self.k, self.w_k)
 
     @functools.cached_property
     def delta_norms(self) -> list:
-        return perturbation_decomposition(self.run, self.k, self.selection, self.cont)
+        k, cont = self.k, self.cont
+        edges = list(itertools.accumulate(cont.block_sizes, initial=0))
+        q = [cont.basis[:, lo:hi] for lo, hi in zip(edges[k:-1], edges[k + 1 :])]
+        beta_c = cont.tn[edges[k] : edges[k + 1], edges[k - 1] : edges[k]] if q else None
+        v_k, r_defect, fp_trail = self._closed_form_parts
+        w_k, h = self.w_k, cont.h_panels
+        d0 = h[0] if fp_trail is None else h[0] - w_k @ (w_k.T @ fp_trail)
+        delta_norms = [panel_norm(d0)]
+        if len(h) >= 2:
+            g = np.linalg.solve(self.r_k.T, self.s_m.T @ r_defect)
+            d1 = h[1] + w_k @ (g @ beta_c.T)
+            delta_norms.append(panel_norm(d1))
+        for j in range(2, len(h)):
+            dj = h[j] - q[0] @ (beta_c @ (v_k.T @ q[j - 1]))
+            delta_norms.append(panel_norm(dj))
+        return delta_norms
 
     @functools.cached_property
     def certificate(self) -> Theorem1Certificate:
@@ -360,11 +301,26 @@ class PrefixContinuation:
 
 
 def continue_prefix(run: LanczosRun, k: int, mu: float) -> PrefixContinuation:
-    """Select at threshold mu at prefix k of a finite-precision run, on
-    the run's own operator; the record makes every later stage on first
-    read.
+    """Keep the Ritz pairs of T_k whose residual bound exceeds
+    mu * norm(A), at prefix k of a finite-precision run on the run's own
+    operator, and orthonormalize their Ritz vectors; the record makes
+    every later stage on first read.
 
-    Raises EmptySelection or NearDependentRitzVectors when nothing can be
-    selected.
+    Raises ValueError unless mu is finite and > 0, EmptySelection when
+    nothing clears the threshold (mu too large, or every pair converged),
+    NearDependentRitzVectors from `build_wk`.
     """
-    return PrefixContinuation(run, k, select_ritz_vectors(run, k, mu))
+    if not mu > 0.0:  # also rejects NaN
+        raise ValueError("mu must be > 0")
+    if np.isinf(mu):
+        raise ValueError("mu must be finite")
+    ritz = ritz_analysis(run, k)
+    threshold = mu * run.a.norm
+    indices = np.nonzero(ritz.deltas > threshold)[0]
+    if indices.size == 0:
+        raise EmptySelection("no Ritz pair has delta > %.3e (max delta %.3e)"
+                             % (threshold, ritz.deltas.max()))
+    # all Ritz vectors first, then the kept columns: the product of the
+    # kept columns alone rounds differently
+    z = (run.basis[:, : k * run.width] @ ritz.s)[:, indices]
+    return PrefixContinuation(run, k, threshold, indices, ritz.s[:, indices], *build_wk(z))

@@ -122,7 +122,7 @@ def test_criterion_03_continuation_basis_and_couplings():
         cont, a, k = pc.cont, pc.run.a.array, pc.k
         q = block_columns(cont.basis, cont.block_sizes)[k:]
         betas = band_blocks(cont.tn, cont.block_sizes)[1][k - 1 :]
-        guard = np.hstack([pc.selection.w_k] + q)
+        guard = np.hstack([pc.w_k] + q)
         worst_orth = max(
             worst_orth,
             float(np.linalg.norm(guard.T @ guard - np.eye(guard.shape[1]))),

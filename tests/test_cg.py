@@ -92,6 +92,17 @@ def test_maxit_caps_the_run():
     assert h.variant == "dr"
 
 
+@pytest.mark.parametrize("solve, exact_mode", [(hs_bcg, None), (dr_bcg, False), (dr_bcg, True)])
+def test_negative_maxit_is_refused(solve, exact_mode):
+    a, b = easy_problem(seed=33)
+    kwargs = {} if exact_mode is None else {"exact_mode": exact_mode}
+    for maxit in (-1, -5):
+        with pytest.raises(ValueError, match="maxit must be >= 0"):
+            solve(a, b, maxit=maxit, **kwargs)
+    h = solve(a, b, maxit=0, **kwargs)
+    assert h.n_iter == 0 and h.errors.tolist() == [1.0]
+
+
 def test_nonzero_initial_guess():
     a, b = easy_problem(seed=34)
     rng = np.random.default_rng(99)

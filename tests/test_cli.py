@@ -225,6 +225,7 @@ def test_integer_option_below_its_minimum_exits(tmp_path, capsys, key, value, lo
     ("continuation", "mu", "-1", "--mu: mu must be > 0, got '-1'"),
     ("continuation", "mu", "0", "--mu: mu must be > 0, got '0'"),
     ("continuation", "mu", "nan", "--mu: mu must be > 0, got 'nan'"),
+    ("continuation", "mu", "inf", "--mu: mu must be finite, got 'inf'"),
     ("blurred-cg", "delta", "abc", "--delta takes numbers, got 'abc'"),
     ("blurred-cg", "delta", "100,abc", "--delta takes numbers, got '100,abc'"),
     ("blurred-cg", "delta", "1,2,3", "--delta takes one or two comma-separated values"),

@@ -17,11 +17,9 @@ from blocklanczos import (
     continuation_run,
     continue_prefix,
     kron_perturbed_problem,
-    monitored_terms,
     panel_norm,
     ritz_analysis,
     run_block_lanczos,
-    select_ritz_vectors,
     spectrum_to_matrix,
     strakos48,
     strakos_spectrum,
@@ -43,40 +41,42 @@ def pipeline():
     pc = continue_prefix(run, k, 1e-5)
     fp = run.diagnostics.delta_v_norm[:k]
     return dict(
-        a=a, run=run, k=k, ritz=ritz_analysis(run, k), pc=pc, sel=pc.selection,
-        w_k=pc.selection.w_k, fp=fp, cont=pc.cont,
+        a=a, run=run, k=k, ritz=ritz_analysis(run, k), pc=pc, w_k=pc.w_k, fp=fp,
+        cont=pc.cont,
     )
 
 
 def test_selection_threshold_is_strict(pipeline):
-    ritz, sel, run = pipeline["ritz"], pipeline["sel"], pipeline["run"]
-    assert sel.threshold == 1e-5 * run.a.norm
-    assert np.all(ritz.deltas[sel.indices] > sel.threshold)
+    ritz, pc, run = pipeline["ritz"], pipeline["pc"], pipeline["run"]
+    assert pc.threshold == 1e-5 * run.a.norm
+    assert np.all(ritz.deltas[pc.indices] > pc.threshold)
     mask = np.ones(ritz.deltas.size, bool)
-    mask[sel.indices] = False
-    assert np.all(ritz.deltas[mask] <= sel.threshold)
-    assert sel.m == sel.indices.size
-    assert np.array_equal(sel.s_m, ritz.s[:, sel.indices])
+    mask[pc.indices] = False
+    assert np.all(ritz.deltas[mask] <= pc.threshold)
+    assert pc.m == pc.indices.size
+    assert np.array_equal(pc.s_m, ritz.s[:, pc.indices])
 
 
 def test_selection_rejects_bad_mu(pipeline):
     run, k = pipeline["run"], pipeline["k"]
-    with pytest.raises(ValueError):
-        select_ritz_vectors(run, k, 0.0)
+    with pytest.raises(ValueError, match="mu must be > 0"):
+        continue_prefix(run, k, 0.0)
+    with pytest.raises(ValueError, match="mu must be finite"):
+        continue_prefix(run, k, float("inf"))
     with pytest.raises(EmptySelection):
-        select_ritz_vectors(run, k, 1e6)
+        continue_prefix(run, k, 1e6)
 
 
 def test_build_wk_factors(pipeline):
-    run, k, ritz, sel = pipeline["run"], pipeline["k"], pipeline["ritz"], pipeline["sel"]
-    z_sel = (run.basis[:, : k * run.width] @ ritz.s)[:, sel.indices]
+    run, k, ritz, pc = pipeline["run"], pipeline["k"], pipeline["ritz"], pipeline["pc"]
+    z_sel = (run.basis[:, : k * run.width] @ ritz.s)[:, pc.indices]
     w_k, r_k, rho = build_wk(z_sel)
-    assert np.linalg.norm(w_k.T @ w_k - np.eye(sel.m)) < 1e-13
+    assert np.linalg.norm(w_k.T @ w_k - np.eye(pc.m)) < 1e-13
     assert np.linalg.norm(w_k @ r_k - z_sel) < 1e-12
     assert np.isclose(rho, 1.0 / np.linalg.svd(r_k, compute_uv=False)[-1], rtol=1e-12)
     # the selection is this factorization of these columns, bit for bit
-    assert np.array_equal(w_k, sel.w_k) and np.array_equal(r_k, sel.r_k)
-    assert rho == sel.rho_k
+    assert np.array_equal(w_k, pc.w_k) and np.array_equal(r_k, pc.r_k)
+    assert rho == pc.rho_k
 
 
 def test_build_wk_refuses_near_dependence():
@@ -205,7 +205,7 @@ def test_rank_zero_first_step_keeps_the_run_model():
     assert run.n_steps == 3 and run.terminated
     pc = continue_prefix(run, 3, 1e-14)
     cont = pc.cont
-    assert pc.selection.m == 6 and cont.n_steps == 1
+    assert pc.m == 6 and cont.n_steps == 1
     assert cont.block_sizes == [2, 2, 2]
     assert cont.tn.tobytes() == run.t.tobytes() and cont.tn.shape == run.t.shape
     assert np.array_equal(cont.basis, run.basis[:, :6])
@@ -223,7 +223,7 @@ def test_model_at_a_shorter_prefix(pipeline):
     assert sizes[:kk] == [p] * kk and len(sizes) > kk
     assert t_n.shape[0] == sum(sizes) == cont.basis.shape[1]
     assert np.array_equal(t_n[: kk * p, : kk * p], run.t[: kk * p, : kk * p])
-    beta_c = next(_continuation_steps(run, kk, pc.selection.w_k))[2]
+    beta_c = next(_continuation_steps(run, kk, pc.w_k))[2]
     assert np.array_equal(band_blocks(t_n, sizes)[1][kk - 1], beta_c)
     assert np.array_equal(cont.basis[:, : kk * p], run.basis[:, : kk * p])
     assert pc.certificate.holds
@@ -265,10 +265,26 @@ def _start(n, l1, rho, seed, p, kron):
     return a, np.random.default_rng(seed).standard_normal((n, p))
 
 
+def _step_one_coupling(run, kk, pc):
+    """The coupling beta_{k+1} continuation step 1 keeps at prefix kk, the
+    only part of the continuation the monitored terms read."""
+    return next(_continuation_steps(run, kk, pc.w_k))[2]
+
+
+def _assert_step_one_coupling_is_the_models(run, kk, pc, cont):
+    # the full continuation's beta_{k+1} block of T_N, empty when step 1
+    # keeps rank zero
+    edges = np.cumsum([0] + cont.block_sizes + [0])
+    block = cont.tn[edges[kk] : edges[kk + 1], edges[kk - 1] : edges[kk]]
+    beta_c = _step_one_coupling(run, kk, pc)
+    assert beta_c.shape == block.shape and beta_c.tobytes() == block.tobytes()
+
+
 def _compare_prefixes(run, mu):
-    """Check each prefix record's terms, from continuation step 1 alone,
-    against the terms of its continuation to closure at every prefix of
-    the run; returns how often each outcome was met, by name."""
+    """Check at every prefix of the run that the coupling continuation
+    step 1 keeps, which alone fixes the record's terms, is the one of its
+    continuation to closure, bit for bit; returns how often each outcome
+    was met, by name."""
     seen = {}
     for kk in range(1, run.n_steps + 1):
         try:
@@ -276,15 +292,13 @@ def _compare_prefixes(run, mu):
         except (EmptySelection, NearDependentRitzVectors) as exc:
             outcome = type(exc).__name__
         else:
-            terms = pc.terms
+            pc.terms  # made from step 1 alone, before the continuation
             try:
                 cont = pc.cont
             except CapReached:
                 outcome = "CapReached"
             else:
-                betas = band_blocks(cont.tn, cont.block_sizes)[1]
-                beta_c = betas[kk - 1] if len(betas) >= kk else None
-                assert terms == monitored_terms(run, kk, pc.selection, beta_c)
+                _assert_step_one_coupling_is_the_models(run, kk, pc, cont)
                 outcome = "equal"
         seen[outcome] = seen.get(outcome, 0) + 1
     return seen
@@ -394,10 +408,9 @@ def test_small_problem_closes_past_step_one():
     mu = 0.009999769744141627
     pc = continue_prefix(run, 7, mu)
     sizes = pc.cont.block_sizes
-    beta_c = band_blocks(pc.cont.tn, sizes)[1][6]
-    assert pc.terms == monitored_terms(run, 7, pc.selection, beta_c)
+    _assert_step_one_coupling_is_the_models(run, 7, pc, pc.cont)
     assert sizes[7:] == [3] * 11 + [2, 1, 1, 1]
-    assert pc.selection.m + sum(sizes[7:]) <= 43
+    assert pc.m + sum(sizes[7:]) <= 43
     assert 1.2e-2 < pc.cont.epsilon2 < 1.22e-2
 
 
@@ -419,8 +432,8 @@ def test_block_term_above_ten_mu_while_the_model_holds(n, l1, rho, seed, p, k_ma
 def test_first_step_is_step_one_of_the_run(pipeline):
     # step 1 replays step k of the run and removes what lies along w_k;
     # its coupling alone fixes the monitored terms
-    run, k, sel, cont = pipeline["run"], pipeline["k"], pipeline["sel"], pipeline["cont"]
-    w_k, v_k = sel.w_k, run.panels[k - 1]
+    run, k, pc, cont = pipeline["run"], pipeline["k"], pipeline["pc"], pipeline["cont"]
+    w_k, v_k = pc.w_k, run.panels[k - 1]
     alphas, betas = run_blocks(run)
     raw = run.a @ v_k - v_k @ alphas[k - 1] - run.panels[k - 2] @ betas[k - 2].T
     lo = k * run.width
@@ -429,7 +442,7 @@ def test_first_step_is_step_one_of_the_run(pipeline):
     assert np.array_equal(raw - q1 @ beta_c, h)
     # full rank is kept here, so h is just the part of raw along w_k
     assert panel_norm(h - w_k @ (w_k.T @ raw)) < 1e-3 * panel_norm(h)
-    assert monitored_terms(run, k, sel, beta_c) == pipeline["pc"].terms
+    _assert_step_one_coupling_is_the_models(run, k, pc, cont)
 
 
 def test_record_makes_each_stage_on_first_read(pipeline, monkeypatch):
@@ -452,7 +465,13 @@ def test_record_makes_each_stage_on_first_read(pipeline, monkeypatch):
     assert len(calls) == 1 + cont.n_steps
 
 
-def test_monitored_terms_without_step_one_coupling(pipeline):
-    term21a, term21b, term22 = monitored_terms(pipeline["run"], pipeline["k"], pipeline["sel"], None)
+def test_monitored_terms_without_step_one_coupling(pipeline, monkeypatch):
+    # a cut that keeps nothing leaves step 1 without a coupling: the two
+    # terms built on it are zero, and term21a does not read it
+    monkeypatch.setattr("blocklanczos.continuation.truncated_svd",
+                        lambda w, tol: truncated_svd(w, np.inf))
+    pc = continue_prefix(pipeline["run"], pipeline["k"], 1e-5)
+    assert _step_one_coupling(pipeline["run"], pipeline["k"], pc).size == 0
+    term21a, term21b, term22 = pc.terms
     assert (term21b, term22) == (0.0, 0.0)
     assert term21a == pipeline["pc"].terms[0]

@@ -1,20 +1,31 @@
 #!/usr/bin/env python3
-"""Check that two source trees of the package write the same bytes.
+"""Check that a source tree of the package writes the same bytes as
+another tree, or as a committed list of digests.
 
     python tools/same_outputs.py OLD_SRC NEW_SRC
+    python tools/same_outputs.py --write DIGESTS SRC
+    python tools/same_outputs.py --check DIGESTS SRC
 
-OLD_SRC and NEW_SRC are directories holding a ``blocklanczos`` package
-(a checkout's ``src/``). Every configuration of the fixed list below runs
-once against each tree, in a subprocess with PYTHONPATH set to that tree
-and in a fresh working directory of its own, always with ``--out out``,
-so the ``out=`` echo of the provenance headers is the same on both
-sides. A ``library_`` case runs LIBRARY_VALUES instead of the command
+OLD_SRC, NEW_SRC and SRC are directories holding a ``blocklanczos``
+package (a checkout's ``src/``). Every configuration of the fixed list
+below runs once against each tree, in a subprocess with PYTHONPATH set to
+that tree and in a fresh working directory of its own, always with
+``--out out``, so the ``out=`` echo of the provenance headers is the same
+on both sides. A ``library_`` case runs LIBRARY_VALUES instead of the command
 line: it rebuilds a ``continuation`` configuration's run and prints, for
 every prefix, values the package computes there that no CSV shows. The
 script prints every output file, standard output, standard error or
-exit status whose bytes differ between the trees, and exits 1 if any
-does, 0 if none does. A configuration that fails on the old tree
-is named as well, since two equal failures compare nothing.
+exit status whose bytes (compared by their SHA-256) differ between the
+trees, and exits 1 if any does, 0 if none does. A configuration that
+fails on the old tree is named as well, since two equal failures compare
+nothing.
+
+``--write`` stores one SHA-256 per output of SRC in DIGESTS, under a
+header naming the Python, the numpy and the BLAS that numpy reports;
+``--check`` compares SRC with those digests as with an old tree. Last
+bits depend on that environment, so ``--check`` exits 2 with
+"environment differs", running nothing, when the header does not match
+the running one.
 
 The list holds the argv of the four benchmark workloads at seeds 1-10
 (``blurred-cg`` reads an operator file the script writes, the same one
@@ -27,7 +38,9 @@ spectrum at seeds 1-3, the four commands of the README, and a
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -143,29 +156,75 @@ def run_case(src: Path, workdir: Path, argv: list) -> dict:
     return found
 
 
+def environment() -> str:
+    """The Python, the numpy and the BLAS numpy was built with, on one line."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "python=%s numpy=%s blas=%s %s (%s)" % (
+        platform.python_version(), np.__version__, blas.get("name"), blas.get("version"),
+        blas.get("openblas configuration", "no configuration reported"))
+
+
+def digests(src: Path, tmp: Path) -> dict:
+    """Map ``case/name`` to the SHA-256 of that output of every case on one tree."""
+    return {"%s/%s" % (case, name): hashlib.sha256(data).hexdigest()
+            for case, argv in configs()
+            for name, data in run_case(src, tmp / case, argv).items()}
+
+
+def compare(old: dict, new: dict) -> int:
+    """Print what failed on the old side and every output whose digest
+    differs; 1 if any does, 0 if none does."""
+    ok = hashlib.sha256(b"0").hexdigest()
+    for key in sorted(old):
+        case, _, name = key.partition("/")
+        if name == "<exit status>" and old[key] != ok:
+            print("FAILED %s: nonzero exit status" % case)
+    keys = sorted(old.keys() | new.keys())
+    differ = [key for key in keys if old.get(key) != new.get(key)]
+    for key in differ:
+        print("DIFFERS %s: %s" % tuple(key.split("/", 1)))
+    print("%d of %d outputs differ" % (len(differ), len(keys)))
+    return 1 if differ else 0
+
+
+def read_digests(path: Path) -> tuple:
+    """``(environment, {case/name: digest})`` of a DIGESTS file."""
+    lines = path.read_text().splitlines()
+    env = lines[1].removeprefix("# environment: ")
+    table = dict(line.split("  ", 1)[::-1] for line in lines[2:])
+    return env, table
+
+
 def main(args=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old_src", type=Path)
-    parser.add_argument("new_src", type=Path)
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", type=Path, metavar="DIGESTS",
+                      help="store the digests of SRC's outputs in DIGESTS")
+    mode.add_argument("--check", type=Path, metavar="DIGESTS",
+                      help="compare SRC's outputs with the digests in DIGESTS")
+    parser.add_argument("src", type=Path, nargs="+", metavar="SRC",
+                        help="OLD_SRC NEW_SRC, or one SRC with --write or --check")
     ns = parser.parse_args(args)
-    trees = {"old": ns.old_src.resolve(), "new": ns.new_src.resolve()}
-    for side, src in trees.items():
+    if len(ns.src) != (1 if ns.write or ns.check else 2):
+        parser.error("give two trees, or one with --write or --check")
+    trees = [src.resolve() for src in ns.src]
+    for src in trees:
         if not (src / "blocklanczos" / "__init__.py").is_file():
-            parser.error("%s tree %s holds no blocklanczos package" % (side, src))
-    differ = files = 0
+            parser.error("tree %s holds no blocklanczos package" % src)
+    if ns.check:
+        env, old = read_digests(ns.check)
+        if env != environment():
+            print("environment differs:\n  recorded %s\n  here     %s" % (env, environment()))
+            return 2
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        for case, argv in configs():
-            old, new = (run_case(src, Path(tmp) / side / case, argv)
-                        for side, src in trees.items())
-            if old["<exit status>"] != b"0":  # the same failure on both sides still counts
-                print("FAILED %s: exit status %s" % (case, old["<exit status>"].decode()))
-            for name in sorted(old.keys() | new.keys()):
-                files += 1
-                if old.get(name) != new.get(name):
-                    differ += 1
-                    print("DIFFERS %s: %s" % (case, name), flush=True)
-    print("%d of %d outputs differ" % (differ, files))
-    return 1 if differ else 0
+        found = [digests(src, Path(tmp) / str(i)) for i, src in enumerate(trees)]
+    if ns.write:
+        ns.write.write_text("# blocklanczos output digests: tools/same_outputs.py --write\n"
+                            "# environment: %s\n" % environment()
+                            + "".join("%s  %s\n" % (found[0][key], key) for key in sorted(found[0])))
+        print("wrote %d digests to %s" % (len(found[0]), ns.write))
+        return 0
+    return compare(old, found[0]) if ns.check else compare(*found)
 
 
 if __name__ == "__main__":

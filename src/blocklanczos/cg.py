@@ -20,6 +20,7 @@ solve goes numerically singular.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,8 @@ def _prologue(a, b, x0, maxit):
     """What both variants start from: the checked operator, the reference
     solution and its relative residual, and x0 and maxit with their
     defaults (zeros, and the dimension) filled in."""
+    if maxit is not None and not isinstance(maxit, numbers.Integral):
+        raise ValueError("maxit must be an integer, got %r" % (maxit,))
     if maxit is not None and maxit < 0:
         raise ValueError("maxit must be >= 0, got %d" % maxit)
     op = as_operator(a)
@@ -164,8 +167,9 @@ def hs_bcg(
     NotPositiveDefinite without a Cholesky factor); a ``b`` whose row
     count differs from its size or that has no columns, or an ``x0`` of
     another shape than ``b``, raises ShapeMismatch, a NaN or infinite
-    entry in ``b`` or ``x0`` raises NonFiniteOperator, and a negative
-    ``maxit`` raises ValueError (0 returns the history of x0 alone).
+    entry in ``b`` or ``x0`` raises NonFiniteOperator, and a ``maxit``
+    that is negative or not an integer (Python or numpy) raises ValueError
+    (0 returns the history of x0 alone).
     """
     a, x_star, ref_residual, x0, maxit = _prologue(a, b, x0, maxit)
 
@@ -212,7 +216,7 @@ def dr_bcg(
 
     Takes ``a`` in the same forms as `hs_bcg` (dense symmetric, a 1-D
     diagonal, or an `Operator`), with the same halting contract and typed
-    failures, a negative ``maxit`` raising ValueError too.
+    failures, a negative or non-integer ``maxit`` raising ValueError too.
     """
     a, x_star, ref_residual, x0, maxit = _prologue(a, b, x0, maxit)
     n, p = b.shape

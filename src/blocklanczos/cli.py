@@ -122,9 +122,9 @@ class Problem:
     """
 
     a: np.ndarray
-    v: np.ndarray | None
-    eigs: np.ndarray | None
-    y: np.ndarray | None
+    v: np.ndarray | None = None
+    eigs: np.ndarray | None = None
+    y: np.ndarray | None = None
 
 
 def _whole(x, text):
@@ -141,8 +141,7 @@ def _parse_matrix_spec(text):
     """
     spec = text.strip()
     kron = spec.endswith("_kron")
-    if kron:
-        spec = spec[: -len("_kron")]
+    spec = spec.removesuffix("_kron")
     if "(" not in spec or not spec.endswith(")"):
         raise ValueError("bad matrix spec %r" % text)
     head, _, inside = spec[:-1].partition("(")
@@ -170,18 +169,13 @@ def _parse_matrix_spec(text):
 
 def build_problem(cfg, rng):
     if cfg["mtx"] is not None:
-        a = read_matrix_market(cfg["mtx"])
-        return Problem(a=a, v=None, eigs=None, y=None)
+        return Problem(read_matrix_market(cfg["mtx"]))
     kind, arg = _parse_matrix_spec(cfg["matrix"])
     if kind == "kron":
-        a, v = kron_perturbed_problem(arg, cfg["p"], cfg["omega"], rng)
-        return Problem(a=a, v=v, eigs=None, y=None)
-    if kind == "strakos":
-        eigs = strakos_spectrum(arg)
-    else:
-        eigs = np.sort(rng.uniform(0.05, 1.05, arg))
+        return Problem(*kron_perturbed_problem(arg, cfg["p"], cfg["omega"], rng))
+    eigs = strakos_spectrum(arg) if kind == "strakos" else np.sort(rng.uniform(0.05, 1.05, arg))
     a, y = spectrum_to_matrix(eigs, rng)
-    return Problem(a=a, v=None, eigs=eigs, y=y)
+    return Problem(a, eigs=eigs, y=y)
 
 
 def _run(cfg, problem, rng, k_max, mode="finite_precision"):
@@ -390,9 +384,7 @@ def cmd_continuation(cfg, problem, rng, out):
     """selection, continuation, model assembly, spread and certificate"""
     run = _run(cfg, problem, rng, cfg["k"])
     n, p, k = run.a.shape[0], run.width, run.n_steps
-    mu_val = _parse_mu(cfg["mu"])
-    if mu_val is None:
-        mu_val = float(np.sqrt(k * n * p * EPS))
+    mu_val = _parse_mu(cfg["mu"]) or float(np.sqrt(k * n * p * EPS))  # None for auto
 
     pc = continue_prefix(run, k, mu_val)
     cont = pc.cont

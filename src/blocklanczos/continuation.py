@@ -278,16 +278,12 @@ class PrefixContinuation:
         beta_c = cont.tn[edges[k] : edges[k + 1], edges[k - 1] : edges[k]] if q else None
         v_k, r_defect, fp_trail = self._closed_form_parts
         w_k, h = self.w_k, cont.h_panels
-        d0 = h[0] if fp_trail is None else h[0] - w_k @ (w_k.T @ fp_trail)
-        delta_norms = [panel_norm(d0)]
+        d = [h[0] if fp_trail is None else h[0] - w_k @ (w_k.T @ fp_trail)]
         if len(h) >= 2:
             g = np.linalg.solve(self.r_k.T, self.s_m.T @ r_defect)
-            d1 = h[1] + w_k @ (g @ beta_c.T)
-            delta_norms.append(panel_norm(d1))
-        for j in range(2, len(h)):
-            dj = h[j] - q[0] @ (beta_c @ (v_k.T @ q[j - 1]))
-            delta_norms.append(panel_norm(dj))
-        return delta_norms
+            d.append(h[1] + w_k @ (g @ beta_c.T))
+        d += [h[j] - q[0] @ (beta_c @ (v_k.T @ q[j - 1])) for j in range(2, len(h))]
+        return [panel_norm(dj) for dj in d]
 
     @functools.cached_property
     def certificate(self) -> Theorem1Certificate:

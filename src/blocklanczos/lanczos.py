@@ -21,6 +21,7 @@ Two modes:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -133,7 +134,7 @@ def run_block_lanczos(
         run bit for bit. norm(a) is ``a.norm``: max|eigvals| of the
         spectrum an Operator was seeded with, else of its ``eigvalsh``.
     v : (n, p) starting block, 1 <= p, k_max * p <= n.
-    k_max : iteration budget.
+    k_max : iteration budget, a Python or numpy integer.
     mode : "finite_precision" or "simulated_exact".
 
     Each step's only rank test is the breakdown test sigma_min(beta_{k+1})
@@ -146,7 +147,8 @@ def run_block_lanczos(
     RankDeficientStart
         If the starting block has numerically dependent columns.
     NonFiniteOperator, NotSymmetric, ShapeMismatch, ValueError
-        On contract violations of the inputs.
+        On contract violations of the inputs; ValueError also when
+        ``k_max`` is not an integer.
     """
     a = as_operator(a)
     if mode not in MODES:
@@ -158,6 +160,8 @@ def run_block_lanczos(
         raise ShapeMismatch("operator is %r but start block has %d rows" % (a.shape, n))
     if p < 1:
         raise ShapeMismatch("starting block needs at least one column")
+    if not isinstance(k_max, numbers.Integral):
+        raise ValueError("k_max must be an integer, got %r" % (k_max,))
     if k_max < 1 or k_max * p > n:
         raise ValueError("need 1 <= k_max and k_max * p <= n")
 
@@ -246,13 +250,14 @@ def ritz_analysis(run: LanczosRun, k: int) -> RitzSet:
     """Ritz values, eigenvectors of T_k and residual bounds of the
     order-k prefix.
 
-    Valid for any 1 <= k <= run.n_steps. The trailing coupling used for
-    the residual bounds is beta_{k+1}: an interior coupling for k below the
-    run length, the stored final block at k equal to it.
+    Valid for any integer (Python or numpy) 1 <= k <= run.n_steps, else
+    ValueError. The trailing coupling used for the residual bounds is
+    beta_{k+1}: an interior coupling for k below the run length, the
+    stored final block at k equal to it.
     """
     big_k, p = run.n_steps, run.width
-    if not (1 <= k <= big_k):
-        raise ValueError("k must be in [1, %d], got %d" % (big_k, k))
+    if not (isinstance(k, numbers.Integral) and 1 <= k <= big_k):
+        raise ValueError("k must be an integer in [1, %d], got %r" % (big_k, k))
     thetas, s = sym_eig(run.t[: k * p, : k * p])
     beta_kp1 = run.t[k * p : (k + 1) * p, (k - 1) * p : k * p] if k < big_k else run.beta_next
     deltas = np.linalg.norm(beta_kp1 @ s[(k - 1) * p :, :], axis=0)

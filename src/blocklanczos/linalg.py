@@ -36,10 +36,17 @@ RANK_TOL = 1e-12  # relative rank threshold of householder_qr
 
 
 def panel_norm(x: np.ndarray) -> float:
-    """Spectral norm (0.0 for empty input), read from the SVD ``norm(x, 2)`` runs: same bits."""
+    """Spectral norm (0.0 for empty input), read from the SVD ``norm(x, 2)`` runs: same bits;
+    NonFiniteOperator for a NaN or infinite entry, on which LAPACK fails or returns NaN."""
     if x.size == 0:
         return 0.0
-    return float(np.linalg.svd(x, compute_uv=False)[0])
+    try:
+        norm = float(np.linalg.svd(x, compute_uv=False)[0])
+    except np.linalg.LinAlgError:
+        norm = np.nan
+    if norm != norm:  # NaN
+        raise NonFiniteOperator("block norm is NaN: NaN or infinite entries")
+    return norm
 
 
 def householder_qr(m: np.ndarray):
@@ -233,9 +240,13 @@ def truncated_svd(w: np.ndarray, tol: float):
     b : ndarray, shape (rank, width)
         The retained part, ``diag(s) @ vt``; generally not triangular.
     rank : int
+
+    ShapeMismatch unless ``w`` is 2-d, ValueError unless ``tol >= 0``.
     """
     if not tol >= 0.0:  # also rejects NaN
         raise ValueError("tol must be >= 0")
+    if w.ndim != 2:
+        raise ShapeMismatch("truncated_svd needs a 2-d block, got ndim=%d" % w.ndim)
     n, width = w.shape
     if width == 0:
         return np.zeros((n, 0)), np.zeros((0, 0)), 0
@@ -252,8 +263,11 @@ def reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     twice is enough), tested per column so a nearly dependent one cannot
     hide behind the rest. A column whose squared norm overflows after the
     pass counts as not enough kept, since inf against inf tells nothing.
-    The result is orthogonal to working precision.
+    The result is orthogonal to working precision. ShapeMismatch when
+    ``w`` and ``basis`` have different row counts.
     """
+    if w.shape[0] != basis.shape[0]:
+        raise ShapeMismatch("block has %d rows, basis %d" % (w.shape[0], basis.shape[0]))
     out = w - basis @ (basis.T @ w)
     twice = any(not 0.5 * np.vdot(x, x) <= np.vdot(o, o) < np.inf for o, x in zip(out.T, w.T))
     return out - basis @ (basis.T @ out) if twice else out

@@ -63,8 +63,7 @@ def strakos_spectrum(spec: SpectrumSpec) -> np.ndarray:
 
 def random_orthonormal(n: int, seed) -> np.ndarray:
     """Orthonormal n x n matrix from QR of a standard normal draw."""
-    q, _ = householder_qr(np.random.default_rng(seed).standard_normal((n, n)))
-    return q
+    return householder_qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
 
 
 def spectrum_to_matrix(eigs: np.ndarray, seed):
@@ -183,8 +182,7 @@ def kron_perturbed_problem(spec: SpectrumSpec, p: int, omega: float, seed):
     core = np.kron(inner.t, np.eye(p) + omega * e)
     u = random_orthonormal(s * p, rng)
     a = u @ core @ u.T
-    v = u[:, :p].copy()
-    return 0.5 * (a + a.T), v
+    return 0.5 * (a + a.T), u[:, :p].copy()
 
 
 def read_matrix_market(path: str) -> np.ndarray:
@@ -194,7 +192,9 @@ def read_matrix_market(path: str) -> np.ndarray:
     ``integer`` fields and ``general`` or ``symmetric`` symmetry; symmetric
     storage (lower triangle) is expanded. Complex, pattern, and skew fields
     are refused with UnsupportedField. Structural errors raise ParseError
-    with the offending 1-based line number.
+    with the offending 1-based line number. Every entry and the entry count
+    are validated, in one pass over the data lines, before the dense array
+    is allocated.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.readlines()
@@ -205,8 +205,7 @@ def read_matrix_market(path: str) -> np.ndarray:
         raise ParseError("missing MatrixMarket banner", 1)
     if header[1] != "matrix":
         raise UnsupportedField("object %r not supported" % header[1])
-    layout = header[2]
-    field_kind = header[3]
+    layout, field_kind = header[2:4]
     symmetry = header[4] if len(header) > 4 else "general"
     if layout not in ("coordinate", "array"):
         raise ParseError("unknown layout %r" % layout, 1)
@@ -223,7 +222,8 @@ def read_matrix_market(path: str) -> np.ndarray:
         raise ParseError("missing size line", len(lines))
     toks = lines[idx].split()
     size_line = idx + 1  # 1-based
-    fields = "'rows cols nnz'" if layout == "coordinate" else "'rows cols'"
+    coordinate = layout == "coordinate"
+    fields = "'rows cols nnz'" if coordinate else "'rows cols'"
     if len(toks) != len(fields.split()):
         raise ParseError("%s size line needs %s" % (layout, fields), size_line)
     try:
@@ -235,52 +235,40 @@ def read_matrix_market(path: str) -> np.ndarray:
     if symmetry == "symmetric" and nrows != ncols:
         raise ParseError("symmetric matrix is not square: %d x %d" % (nrows, ncols), size_line)
 
-    # the data lines, as (1-based line number, stripped text), read once
-    entries = ((lineno, text) for lineno, raw in enumerate(lines[idx + 1 :], size_line + 1)
-               if (text := raw.strip()) and not text.startswith("%"))
-    if layout == "coordinate":
-        out = np.zeros((nrows, ncols))
-        count = 0
-        for count, (lineno, raw) in enumerate(entries, start=1):
-            toks = raw.split()
-            if len(toks) != 3:
-                raise ParseError("entry needs 'i j value'", lineno)
-            try:
-                i, j2 = int(toks[0]), int(toks[1])
-                val = float(toks[2])
-            except ValueError:
-                raise ParseError("bad number %r" % raw, lineno) from None
-            if not (1 <= i <= nrows and 1 <= j2 <= ncols):
-                raise ParseError("index (%d, %d) out of range" % (i, j2), lineno)
-            out[i - 1, j2 - 1] = val
-            if symmetry == "symmetric" and i != j2:
-                out[j2 - 1, i - 1] = val
-        if count != nnz[0]:
-            raise ParseError("declared %d entries, found %d" % (nnz[0], count), len(lines))
-        return out
-
-    # array layout: column-major dense values
+    # one pass over the data lines: every entry is checked before anything is placed
     values = []
-    for lineno, raw in entries:
+    for lineno, raw in enumerate(lines[idx + 1 :], size_line + 1):
+        toks = raw.split()
+        if not toks or toks[0].startswith("%"):
+            continue
+        if coordinate and len(toks) != 3:
+            raise ParseError("entry needs 'i j value'", lineno)
         try:
-            values.append(float(raw.split()[0]))
+            entry = (int(toks[0]), int(toks[1]), float(toks[2])) if coordinate else float(toks[0])
         except ValueError:
-            raise ParseError("bad number %r" % raw, lineno) from None
-    if symmetry == "symmetric":
-        expected = nrows * (nrows + 1) // 2
-        if len(values) != expected:
-            raise ParseError(
-                "symmetric array needs %d values, found %d" % (expected, len(values)),
-                len(lines),
-            )
-        out = np.zeros((nrows, ncols))
-        # the lower triangle, column by column
-        j2, i = np.triu_indices(nrows)
-        out[i, j2] = values
-        out[j2, i] = values
+            raise ParseError("bad number %r" % raw.strip(), lineno) from None
+        if coordinate and not (1 <= entry[0] <= nrows and 1 <= entry[1] <= ncols):
+            raise ParseError("index (%d, %d) out of range" % entry[:2], lineno)
+        values.append(entry)
+    if coordinate:
+        expected, message = nnz[0], "declared %d entries, found %d"
+    elif symmetry == "symmetric":
+        expected, message = nrows * (nrows + 1) // 2, "symmetric array needs %d values, found %d"
+    else:
+        expected, message = nrows * ncols, "array needs %d values, found %d"
+    if len(values) != expected:
+        raise ParseError(message % (expected, len(values)), len(lines))
+    if not coordinate and symmetry == "general":  # column-major dense values
+        return np.array(values).reshape((ncols, nrows)).T
+    out = np.zeros((nrows, ncols))
+    if coordinate:
+        for i, j, val in values:  # in file order, each mirror right after its entry
+            out[i - 1, j - 1] = val
+            if symmetry == "symmetric":
+                out[j - 1, i - 1] = val
         return out
-    if len(values) != nrows * ncols:
-        raise ParseError(
-            "array needs %d values, found %d" % (nrows * ncols, len(values)), len(lines)
-        )
-    return np.array(values).reshape((ncols, nrows)).T
+    # the lower triangle, column by column
+    j, i = np.triu_indices(nrows)
+    out[i, j] = values
+    out[j, i] = values
+    return out

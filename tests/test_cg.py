@@ -103,6 +103,17 @@ def test_negative_maxit_is_refused(solve, exact_mode):
     assert h.n_iter == 0 and h.errors.tolist() == [1.0]
 
 
+@pytest.mark.parametrize("solve, exact_mode", [(hs_bcg, None), (dr_bcg, False), (dr_bcg, True)])
+def test_maxit_that_is_not_an_integer_is_refused(solve, exact_mode):
+    a, b = easy_problem(seed=34)
+    kwargs = {} if exact_mode is None else {"exact_mode": exact_mode}
+    for maxit in (2.0, "2"):
+        with pytest.raises(ValueError, match="maxit must be an integer, got %r" % (maxit,)):
+            solve(a, b, maxit=maxit, **kwargs)
+    h = solve(a, b, maxit=np.int64(2), **kwargs)
+    assert h.n_iter == 2 and np.array_equal(h.errors, solve(a, b, maxit=2, **kwargs).errors)
+
+
 def test_nonzero_initial_guess():
     a, b = easy_problem(seed=34)
     rng = np.random.default_rng(99)

@@ -361,6 +361,25 @@ def test_ritz_analysis_k_range():
     assert np.allclose(rs.deltas, want, rtol=1e-13)
 
 
+def test_k_max_that_is_not_an_integer_is_refused():
+    a, _, rng = rand_spd(12, 28)
+    v = rng.standard_normal((12, 2))
+    for k_max in (2.0, "2"):
+        with pytest.raises(ValueError, match="k_max must be an integer, got %r" % (k_max,)):
+            run_block_lanczos(a, v, k_max)
+    run = run_block_lanczos(a, v, np.int64(2))
+    assert run.n_steps == 2 and np.array_equal(run.t, run_block_lanczos(a, v, 2).t)
+
+
+def test_ritz_analysis_refuses_a_k_that_is_not_an_integer():
+    a, _, rng = rand_spd(12, 29)
+    run = run_block_lanczos(a, rng.standard_normal((12, 2)), k_max=4)
+    for k in (2.0, "2"):
+        with pytest.raises(ValueError, match=r"k must be an integer in \[1, 4\], got %r" % (k,)):
+            ritz_analysis(run, k)
+    assert np.array_equal(ritz_analysis(run, np.int64(2)).thetas, ritz_analysis(run, 2).thetas)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_ritz_analysis_slices_one_dense_t_bit_for_bit(mode):
     # every prefix read as a view of the run's one dense T_K equals an

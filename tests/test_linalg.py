@@ -187,6 +187,33 @@ def test_norm_helpers_match_numpy():
     assert np.isclose(Operator(s).norm, np.linalg.norm(s, 2), rtol=1e-12)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1, 5), (8, 3), (3, 8)])
+def test_panel_norm_rejects_a_non_finite_block(value, shape):
+    # LAPACK raises "SVD did not converge" on some of these and returns NaN on others
+    x = np.random.default_rng(13).standard_normal(shape)
+    x[0, -1] = value
+    with pytest.raises(NonFiniteOperator, match="NaN or infinite"):
+        panel_norm(x)
+
+
+def test_panel_norm_of_a_finite_block_whose_norm_overflows_is_inf():
+    assert panel_norm(np.full((2, 2), 1e308)) == np.inf
+
+
+@pytest.mark.parametrize("w", [np.ones(4), np.ones((2, 3, 2))])
+def test_truncated_svd_rejects_a_block_that_is_not_2d(w):
+    with pytest.raises(ShapeMismatch, match="2-d"):
+        truncated_svd(w, 0.0)
+
+
+def test_reorthogonalize_rejects_row_counts_that_differ():
+    basis, _ = np.linalg.qr(np.random.default_rng(14).standard_normal((8, 3)))
+    for w in (np.ones((7, 2)), np.ones((9, 2))):
+        with pytest.raises(ShapeMismatch, match="rows"):
+            reorthogonalize(w, basis)
+
+
 def test_reorthogonalize_cleans_overlap():
     rng = np.random.default_rng(10)
     basis, _ = np.linalg.qr(rng.standard_normal((20, 6)))

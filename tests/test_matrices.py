@@ -5,6 +5,7 @@ formula in plain Python floats, independently of the implementation.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,9 +272,35 @@ def test_reader_checks_entry_count():
         read_matrix_market(fixture("coord_count.mtx"))
 
 
-# Drawn files: raw bytes (one in four), or a well-formed file of at most 3 x 3 (the
-# coordinate branch allocates rows x cols as soon as it has read the size
-# line) with one line inserted at random half of the time.
+def test_bad_entry_fails_before_the_declared_array_is_allocated(tmp_path):
+    # 4000 x 4000 float64 is 128 MB; the reader must stop at line 4 first
+    path = tmp_path / "big.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n4000 4000 2\n"
+                    "1 1 1.0\n2 x 3.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            read_matrix_market(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.line_number == 4 and "bad number '2 x 3.0'" in str(info.value)
+    assert peak < 8 * 2**20
+
+
+def test_symmetric_coordinate_entries_resolve_in_file_order(tmp_path):
+    # both triangles of (1, 2), and (3, 1) twice: each entry and its mirror
+    # are placed in file order, so the later entry wins in both places
+    path = tmp_path / "both.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n"
+                    "2 1 5.0\n1 2 7.0\n3 3 1.5\n3 1 -2.0\n3 1 4.0\n")
+    want = np.array([[0.0, 7.0, 4.0], [7.0, 0.0, 0.0], [4.0, 0.0, 1.5]])
+    assert np.array_equal(read_matrix_market(str(path)), want)
+
+
+# Drawn files: raw bytes (one in four), or a well-formed file of at most 3 x 3 (a
+# file whose entries all check out is read into a dense rows x cols array)
+# with one line inserted at random half of the time.
 _NUMBER = st.sampled_from(["0", "1", "2", "3", "4", "-1", "1.5", "-2e1"])
 _TOKENS = st.sampled_from(["0", "1", "-1", "1.5", "nan", "x", "%", "%c", "", "1 2", "a b c"])
 

@@ -27,9 +27,10 @@ bits depend on that environment, so ``--check`` exits 2 with
 "environment differs", running nothing, when the header does not match
 the running one.
 
-The list holds the argv of the four benchmark workloads at seeds 1-10
-(``blurred-cg`` reads an operator file the script writes, the same one
-for both trees), three ``continuation`` configurations at seeds 1-10,
+The list holds the argv of the four benchmark workloads at seeds 1-10,
+as ``bench/workloads.py`` builds them (``blurred-cg`` reads the operator
+file its workload writes, saved as ``operator.mtx`` and the same for both
+trees), three ``continuation`` configurations at seeds 1-10,
 ``interlacing`` on a ``_kron`` problem and ``blurred-cg`` on a generated
 spectrum at seeds 1-3, the four commands of the README, and a
 ``library_`` case for each of the ``continuation`` configurations.
@@ -41,6 +42,7 @@ import argparse
 import hashlib
 import os
 import platform
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -48,7 +50,13 @@ from pathlib import Path
 
 import numpy as np
 
-MTX_N = 112  # the benchmark's blurred-cg operator size
+# the benchmark's workload table, run from the source file bench/workloads.py
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+WORKLOADS = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
+# case name prefix -> benchmark workload; a case runs the workload's argv at its seed
+BENCH_CASES = {"bench_blurred_cg": "blurred_cg", "bench_fp_diagnostics": "fp_diagnostics",
+               "bench_interlacing": "interlacing_scan", "continuation_strakos": "continuation_scan"}
+MTX = "operator.mtx"  # where a blurred-cg case's operator file is saved
 
 # ``python -c LIBRARY_VALUES ARGV...`` with ARGV a continuation command
 # line makes that command's run and mu, then prints per prefix the
@@ -79,20 +87,11 @@ for kk in range(1, k + 1):
 
 
 def cli_configs():
-    """Yield ``(case name, argv)``; an argv holding "MTX" reads the seed's operator file."""
+    """Yield ``(case name, argv)``; an argv holding MTX reads the seed's operator file."""
     for seed in range(1, 11):
         s = str(seed)
-        yield "bench_blurred_cg_%d" % seed, ["blurred-cg", "--mtx", "MTX", "--p", "2", "--m", "3",
-                                             "--maxit", "130", "--seed", s]
-        yield "bench_fp_diagnostics_%d" % seed, ["fp-diagnostics", "--matrix",
-                                                 "strakos(600,0.1,100)", "--p", "4", "--k",
-                                                 "150", "--seed", s]
-        yield "bench_interlacing_%d" % seed, ["interlacing", "--matrix",
-                                              "strakos(200,0.1,100,0.95)", "--p", "2", "--k",
-                                              "40", "--seed", s]
-        yield "continuation_strakos_%d" % seed, ["continuation", "--matrix",
-                                                 "strakos(120,0.1,100)", "--k", "30", "--mu",
-                                                 "1e-5", "--seed", s]
+        for case, workload in BENCH_CASES.items():
+            yield "%s_%d" % (case, seed), WORKLOADS[workload].argv(seed, MTX)
         yield "continuation_kron_%d" % seed, ["continuation", "--matrix",
                                               "strakos48(0.1,100)_kron", "--k", "24", "--mu",
                                               "auto", "--seed", s]
@@ -122,28 +121,12 @@ def configs():
             yield "library_" + case, ["-c", LIBRARY_VALUES, *argv]
 
 
-def operator_file(seed: int) -> str:
-    """Matrix Market text of a symmetric operator: one eigenvalue 1.2e-2
-    below MTX_N - 1 log-spaced ones in [1, 100], in a basis drawn from the
-    seed."""
-    rng = np.random.default_rng([seed, MTX_N])
-    q, r = np.linalg.qr(rng.standard_normal((MTX_N, MTX_N)))
-    q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    eigs = np.concatenate(([1.2e-2], np.logspace(0.0, 2.0, MTX_N - 1)))
-    a = (q * eigs) @ q.T
-    a = 0.5 * (a + a.T)
-    lines = ["%%MatrixMarket matrix array real symmetric", "%d %d" % (MTX_N, MTX_N)]
-    lines += ["%.17g" % a[i, j] for j in range(MTX_N) for i in range(j, MTX_N)]
-    return "\n".join(lines) + "\n"
-
-
 def run_case(src: Path, workdir: Path, argv: list) -> dict:
     """Run one configuration against one tree; map each produced name to its bytes."""
     workdir.mkdir(parents=True)
-    if "MTX" in argv:
+    if MTX in argv:
         seed = int(argv[argv.index("--seed") + 1])
-        (workdir / "operator.mtx").write_text(operator_file(seed))
-        argv = [("operator.mtx" if x == "MTX" else x) for x in argv]
+        WORKLOADS["blurred_cg"].prepare(seed, workdir).rename(workdir / MTX)
     env = dict(os.environ, PYTHONPATH=str(src))
     command = argv if argv[0] == "-c" else ["-m", "blocklanczos.cli", *argv, "--out", "out"]
     proc = subprocess.run([sys.executable, *command], cwd=workdir, env=env, capture_output=True)

@@ -7,14 +7,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AssumptionUnsatisfiable, NonFiniteOperator, ShapeMismatch
-from .linalg import Operator, as_operator, sym_eig
+from .errors import AssumptionUnsatisfiable, ShapeMismatch
+from .linalg import Operator, as_operator, check_finite, check_integer, sym_eig
 
 
 def _check_growth(steps, p):
-    """ValueError for p < 1, ShapeMismatch unless each step is p values longer than the last."""
-    if not p >= 1:
-        raise ValueError("p must be >= 1, got %r" % (p,))
+    """ValueError unless p is an integer >= 1, ShapeMismatch unless each step has p more values."""
+    check_integer("p", p, 1)
     for prev, nxt in zip(steps, steps[1:]):
         if nxt.size != prev.size + p:
             raise ShapeMismatch("%d values follow %d, not p=%d more" % (nxt.size, prev.size, p))
@@ -33,7 +32,8 @@ def interlacing_check(thetas_k: np.ndarray, thetas_k1: np.ndarray, p: int):
     Returns the violations in the order written above, as tuples
     ``(kind, i, left, right)``: kind is "bottom", "lower", "upper" or
     "top" and i the 1-based index of the failing inequality. ValueError
-    for p < 1, ShapeMismatch for an empty smaller step or a wrong length.
+    unless p is an integer >= 1, ShapeMismatch for an empty smaller step or
+    a wrong length.
     """
     tk = np.asarray(thetas_k, dtype=float)
     tk1 = np.asarray(thetas_k1, dtype=float)
@@ -82,7 +82,7 @@ def conjecture_scan(theta_sequence, p: int) -> ConjectureReport:
     """Scan the ascending Ritz values of successive steps for interval containment.
 
     Each step must hold exactly p values more than the one before it
-    (ShapeMismatch otherwise; ValueError for p < 1).
+    (ShapeMismatch otherwise; ValueError unless p is an integer >= 1).
     """
     seq = [np.asarray(t, dtype=float) for t in theta_sequence]
     _check_growth(seq, p)
@@ -192,8 +192,8 @@ def interval_spread(tn_eigs: np.ndarray, base_eigs: np.ndarray) -> SpreadReport:
     base = np.sort(np.asarray(base_eigs, dtype=float))
     if not base.size:
         raise ShapeMismatch("no reference eigenvalues to assign model eigenvalues to")
-    if not (np.all(np.isfinite(tn_eigs)) and np.all(np.isfinite(base))):
-        raise NonFiniteOperator("model or reference eigenvalues have NaN or infinite entries")
+    check_finite(tn_eigs, "model spectrum")
+    check_finite(base, "reference spectrum")
     idx, dist = _nearest(base, np.asarray(tn_eigs, dtype=float))
     widths = np.zeros(base.size)
     np.maximum.at(widths, idx, dist)

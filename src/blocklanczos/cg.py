@@ -20,13 +20,13 @@ solve goes numerically singular.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteOperator, RankDeficient, ShapeMismatch, SingularInnerSolve
-from .linalg import Operator, as_operator, householder_qr, inverse_cholesky, reorthogonalize
+from .errors import RankDeficient, ShapeMismatch, SingularInnerSolve
+from .linalg import (Operator, as_operator, check_finite, check_integer, householder_qr,
+                     inverse_cholesky, reorthogonalize)
 
 
 def _energy(v: np.ndarray, a) -> float:
@@ -85,10 +85,8 @@ def _prologue(a, b, x0, maxit):
     """What both variants start from: the checked operator, the reference
     solution and its relative residual, and x0 and maxit with their
     defaults (zeros, and the dimension) filled in."""
-    if maxit is not None and not isinstance(maxit, numbers.Integral):
-        raise ValueError("maxit must be an integer, got %r" % (maxit,))
-    if maxit is not None and maxit < 0:
-        raise ValueError("maxit must be >= 0, got %d" % maxit)
+    if maxit is not None:
+        check_integer("maxit", maxit, 0)
     op = as_operator(a)
     if b.ndim != 2 or b.shape[0] != op.shape[0]:
         raise ShapeMismatch("operator of shape %r, right-hand side %r" % (op.shape, b.shape))
@@ -98,9 +96,8 @@ def _prologue(a, b, x0, maxit):
         x0 = np.zeros(b.shape)
     elif x0.shape != b.shape:
         raise ShapeMismatch("initial guess %r, right-hand side %r" % (x0.shape, b.shape))
-    for name, block in (("right-hand side", b), ("initial guess", x0)):
-        if not np.all(np.isfinite(block)):
-            raise NonFiniteOperator("%s has NaN or infinite entries" % name)
+    check_finite(b, "right-hand side")
+    check_finite(x0, "initial guess")
     x_star = op.solve(b)
     denom = float(np.linalg.norm(b))
     resid = float(np.linalg.norm(b - op @ x_star)) / denom if denom > 0.0 else 0.0

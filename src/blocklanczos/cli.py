@@ -34,6 +34,7 @@ from .matrices import (
     kron_perturbed_problem,
     read_matrix_market,
     spectrum_to_matrix,
+    strakos48,
     strakos_spectrum,
 )
 
@@ -59,7 +60,6 @@ OPTIONS = {
     "omega": (1e-12, float, "Kronecker perturbation size"),
     "out": (".", str, "output directory"),
 }
-DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
 _VALUE_FLAGS = {"--config"} | {"--" + key.replace("_", "-") for key in OPTIONS}
 
 
@@ -91,7 +91,7 @@ def resolve_config(args):
     """Merge flags over config-file entries over built-in defaults."""
     from_file = _read_config_file(args.config) if args.config else {}
     cfg = {}
-    for key, default in DEFAULTS.items():
+    for key, (default, _, _) in OPTIONS.items():
         flag = getattr(args, key)
         cfg[key] = flag if flag is not None else from_file.get(key, default)
     if (cfg["matrix"] is None) == (cfg["mtx"] is None):
@@ -152,12 +152,11 @@ def _parse_matrix_spec(text):
     if head == "strakos48":
         if len(nums) not in (2, 3):
             raise ValueError("strakos48 takes (lambda_1, lambda_n[, rho])")
-        sspec = SpectrumSpec(48, nums[0], nums[1], nums[2] if len(nums) == 3 else 0.8)
+        sspec = strakos48(*nums)
     elif head == "strakos":
         if len(nums) not in (3, 4):
             raise ValueError("strakos takes (n, lambda_1, lambda_n[, rho])")
-        rho = nums[3] if len(nums) == 4 else 0.8
-        sspec = SpectrumSpec(_whole(nums[0], text), nums[1], nums[2], rho)
+        sspec = SpectrumSpec(_whole(nums[0], text), *nums[1:])
     elif head == "random":
         if kron or len(nums) != 1:
             raise ValueError("random takes (n) and has no _kron form")
@@ -308,13 +307,13 @@ def cmd_blurred_cg(cfg, problem, rng, out):
     # every blur before any CG work, so a delta wider than a gap fails first
     blurred = [(eigs, y.T @ b) if cfg["m"] == 1 and delta == 0.0  # no blur: A diagonalized
                else blurred_problem(eigs, y, b, BlurSpec(cfg["m"], delta)) for delta in deltas]
-    maxit = cfg["maxit"] or n  # 0 for the dimension
+    maxit = cfg["maxit"] or None  # 0: the solvers' default, the dimension
     series = [
         ("hs_fp", hs_bcg(a, b, maxit=maxit)),
         ("dr_fp", dr_bcg(a, b, maxit=maxit)),
     ]
     for idx, (a_hat, b_hat) in enumerate(blurred, start=1):
-        hist = dr_bcg(a_hat, b_hat, maxit=cfg["maxit"] or a_hat.size, exact_mode=True)
+        hist = dr_bcg(a_hat, b_hat, maxit=maxit, exact_mode=True)
         series.append(("dr_exact_d%d" % idx, hist))
 
     comments = ["a_norm=%s delta_scale=%s" % (_fmt(a.norm), cfg["delta_scale"])]

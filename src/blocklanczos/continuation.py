@@ -40,9 +40,10 @@ import numpy as np
 
 from .analysis import SpreadReport, Theorem1Certificate, interval_spread, theorem1_certificate
 from .errors import (AssumptionUnsatisfiable, CapReached, EmptySelection,
-                     NearDependentRitzVectors, NonFiniteOperator, ShapeMismatch)
-from .lanczos import BREAKDOWN_TOL, LanczosRun, ritz_analysis
-from .linalg import panel_norm, qr_unchecked, reorthogonalize, truncated_svd
+                     NearDependentRitzVectors, ShapeMismatch)
+from .lanczos import BREAKDOWN_TOL, LanczosRun, beta_after, ritz_analysis
+from .linalg import (check_finite, check_integer, panel_norm, qr_unchecked, reorthogonalize,
+                     truncated_svd)
 
 
 def build_wk(z_selected: np.ndarray):
@@ -115,20 +116,18 @@ def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray):
     panel, its coupling and the removed difference ``raw - u_t @ b_new``.
     The steps end after the first one that keeps rank zero.
 
-    Raises ValueError for k outside [1, run.n_steps], AssumptionUnsatisfiable
-    for norm(A) = 0, which leaves the cut without a scale, ShapeMismatch
-    unless w_k is (n, m) with m <= n, NonFiniteOperator for a NaN or
-    infinite w_k, and CapReached before the basis would pass n columns.
+    Raises ValueError unless k is an integer in [1, run.n_steps],
+    AssumptionUnsatisfiable for norm(A) = 0 (no scale for the cut),
+    ShapeMismatch unless w_k is (n, m) with m <= n, NonFiniteOperator for a
+    NaN or infinite w_k, and CapReached before the basis would pass n columns.
     """
-    if not 1 <= k <= run.n_steps:
-        raise ValueError("k must be in [1, %d], got %d" % (run.n_steps, k))
+    check_integer("k", k, 1, run.n_steps)
     a, n = run.a, run.a.shape[0]
     if a.norm == 0.0:
         raise AssumptionUnsatisfiable("norm(A) = 0 leaves the rank cut without a scale")
     if w_k.ndim != 2 or w_k.shape[0] != n or w_k.shape[1] > n:
         raise ShapeMismatch("protected basis of shape %r in dimension n = %d" % (w_k.shape, n))
-    if not np.all(np.isfinite(w_k)):
-        raise NonFiniteOperator("protected basis has NaN or infinite entries")
+    check_finite(w_k, "protected basis")
     cols, cut, p = w_k.shape[1], BREAKDOWN_TOL * a.norm, run.width
     # room for every panel the basis can take; BLAS rounds against a
     # strided view of w_k differently from a contiguous one, so this
@@ -137,7 +136,7 @@ def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray):
     basis[:, :cols] = w_k
     rows = slice((k - 1) * p, k * p)
     q, alpha = run.panels[k - 1], run.t[rows, rows]
-    trail = run.panels[k - 2] @ run.t[rows, (k - 2) * p : (k - 1) * p].T if k >= 2 else 0.0
+    trail = run.panels[k - 2] @ beta_after(run, k - 1).T if k >= 2 else 0.0
     for j in itertools.count(1):
         aq = a @ q
         if j == 2:
@@ -248,10 +247,8 @@ class PrefixContinuation:
         run, k, p = self.run, self.k, self.run.width
         v_k = run.panels[k - 1]
         r_defect = np.vstack([run.basis[:, : (k - 1) * p].T @ v_k, np.zeros((p, p))])
-        beta_fp = (run.t[k * p : (k + 1) * p, (k - 1) * p : k * p] if k < run.n_steps
-                   else run.beta_next)
         has_next = k < run.n_steps or not run.terminated
-        fp_trail = run.panels[k] @ beta_fp if has_next else None
+        fp_trail = run.panels[k] @ beta_after(run, k) if has_next else None
         return v_k, r_defect, fp_trail
 
     @functools.cached_property

@@ -21,14 +21,14 @@ Two modes:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import RankDeficient, RankDeficientStart, ShapeMismatch
-from .linalg import Operator, as_operator, householder_qr, qr_unchecked, reorthogonalize, sym_eig
+from .linalg import (Operator, as_operator, check_integer, householder_qr, qr_unchecked,
+                     reorthogonalize, sym_eig)
 
 MODES = ("finite_precision", "simulated_exact")
 BREAKDOWN_TOL = 1e-12  # relative to norm(A); see run_block_lanczos
@@ -160,8 +160,7 @@ def run_block_lanczos(
         raise ShapeMismatch("operator is %r but start block has %d rows" % (a.shape, n))
     if p < 1:
         raise ShapeMismatch("starting block needs at least one column")
-    if not isinstance(k_max, numbers.Integral):
-        raise ValueError("k_max must be an integer, got %r" % (k_max,))
+    check_integer("k_max", k_max)
     if k_max < 1 or k_max * p > n:
         raise ValueError("need 1 <= k_max and k_max * p <= n")
 
@@ -177,11 +176,10 @@ def run_block_lanczos(
     health = np.zeros((k_max, 2, p, p))  # v_k^T v_k - I, v_k^T v_{k+1} beta_{k+1}
     res_norms, beta_norms = np.zeros(k_max), np.zeros(k_max)
 
-    vk, v_prev, beta_k = v1, None, None
+    vk, back = v1, 0.0  # back: v_{k-1} beta_k^T, 0.0 at step 1 (no trailing term)
     for k in range(1, k_max + 1):
         av = a @ vk
-        back = None if v_prev is None else v_prev @ beta_k.T
-        w = av if back is None else av - back
+        w = av - back
         # the projection coefficient is used as computed: subtracting a
         # symmetrized copy instead would leave the antisymmetric part of
         # v_k^T w in the panel, where ill-conditioned couplings amplify
@@ -202,9 +200,7 @@ def run_block_lanczos(
         terminated = float(sigmas.min()) <= BREAKDOWN_TOL * a.norm
 
         # recurrence health of step k, from the products formed above
-        res = av - v_alpha
-        if back is not None:
-            res = res - back
+        res = av - v_alpha - back
         health[k - 1, 0] = vk.T @ vk - eye
         if not terminated:  # q is v_{k+1}
             basis[:, k * p : (k + 1) * p] = q
@@ -216,7 +212,7 @@ def run_block_lanczos(
             break
         t[hi : hi + p, lo:hi] = beta_next
         t[lo:hi, hi : hi + p] = beta_next.T
-        v_prev, vk, beta_k = vk, q, beta_next
+        vk, back = q, vk @ beta_next.T
 
     n_steps, n_panels = k, k + (0 if terminated else 1)
     basis, t = basis[:, : n_panels * p], t[: n_steps * p, : n_steps * p]
@@ -251,14 +247,16 @@ def ritz_analysis(run: LanczosRun, k: int) -> RitzSet:
     order-k prefix.
 
     Valid for any integer (Python or numpy) 1 <= k <= run.n_steps, else
-    ValueError. The trailing coupling used for the residual bounds is
-    beta_{k+1}: an interior coupling for k below the run length, the
-    stored final block at k equal to it.
+    ValueError; the residual bounds use beta_{k+1} (`beta_after`).
     """
-    big_k, p = run.n_steps, run.width
-    if not (isinstance(k, numbers.Integral) and 1 <= k <= big_k):
-        raise ValueError("k must be an integer in [1, %d], got %r" % (big_k, k))
+    check_integer("k", k, 1, run.n_steps)
+    p = run.width
     thetas, s = sym_eig(run.t[: k * p, : k * p])
-    beta_kp1 = run.t[k * p : (k + 1) * p, (k - 1) * p : k * p] if k < big_k else run.beta_next
-    deltas = np.linalg.norm(beta_kp1 @ s[(k - 1) * p :, :], axis=0)
+    deltas = np.linalg.norm(beta_after(run, k) @ s[(k - 1) * p :, :], axis=0)
     return RitzSet(k=k, thetas=thetas, s=s, deltas=deltas)
+
+
+def beta_after(run: LanczosRun, k: int) -> np.ndarray:
+    """beta_{k+1}, the coupling below T_k: in run.t for k < run.n_steps, else run.beta_next."""
+    p = run.width
+    return run.t[k * p : (k + 1) * p, (k - 1) * p : k * p] if k < run.n_steps else run.beta_next

@@ -20,6 +20,7 @@ process runs on, dense or diagonal.
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -33,6 +34,22 @@ from .errors import (
 )
 
 RANK_TOL = 1e-12  # relative rank threshold of householder_qr
+
+
+def check_integer(name: str, value, low: int | None = None, high: int | None = None) -> None:
+    """ValueError naming ``name`` unless ``value`` is a Python or numpy integer,
+    at least ``low`` when given, and in [low, high] when ``high`` is given too."""
+    if not (isinstance(value, numbers.Integral) and (high is None or low <= value <= high)):
+        rule = "" if high is None else " in [%d, %d]" % (low, high)
+        raise ValueError("%s must be an integer%s, got %r" % (name, rule, value))
+    if low is not None and value < low:
+        raise ValueError("%s must be >= %d, got %d" % (name, low, value))
+
+
+def check_finite(x, what: str) -> None:
+    """NonFiniteOperator naming ``what`` when ``x`` has a NaN or infinite entry."""
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteOperator("%s has NaN or infinite entries" % what)
 
 
 def panel_norm(x: np.ndarray) -> float:
@@ -88,8 +105,7 @@ def householder_qr(m: np.ndarray):
     frob = _frobenius(m)
     if 0.0 < frob < np.inf and smallest >= RANK_TOL * frob * (1.0 + 1e-12):
         return q, r
-    if not np.all(np.isfinite(m)):  # the SVD below would not converge
-        raise NonFiniteOperator("block to orthonormalize has NaN or infinite entries")
+    check_finite(m, "block to orthonormalize")  # the SVD below would not converge
     scale = panel_norm(m)
     if scale == 0.0 or smallest < RANK_TOL * scale:
         raise RankDeficient("smallest R diagonal %.3e below %.3e" % (smallest, RANK_TOL * scale))
@@ -146,8 +162,7 @@ class Operator:
             eigvals = np.array(eigvals, dtype=float)
             if eigvals.shape != (a.shape[0],):
                 raise ShapeMismatch("spectrum %r for size %d" % (eigvals.shape, a.shape[0]))
-            if not np.all(np.isfinite(eigvals)):
-                raise NonFiniteOperator("spectrum has NaN or infinite entries")
+            check_finite(eigvals, "spectrum")
             if np.any(eigvals[1:] < eigvals[:-1]):
                 raise ValueError("spectrum must be ascending")
             # an O(n) guard against a wrong or stale spectrum: sum(eigvals**2) = ||A||_F**2
@@ -218,8 +233,7 @@ def sym_eig(t: np.ndarray):
     """
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ShapeMismatch("sym_eig needs a square matrix, got %r" % (t.shape,))
-    if not np.all(np.isfinite(t)):
-        raise NonFiniteOperator("sym_eig input has NaN or infinite entries")
+    check_finite(t, "sym_eig input")
     try:
         return np.linalg.eigh(0.5 * (t + t.T))
     except np.linalg.LinAlgError as exc:
@@ -247,9 +261,6 @@ def truncated_svd(w: np.ndarray, tol: float):
         raise ValueError("tol must be >= 0")
     if w.ndim != 2:
         raise ShapeMismatch("truncated_svd needs a 2-d block, got ndim=%d" % w.ndim)
-    n, width = w.shape
-    if width == 0:
-        return np.zeros((n, 0)), np.zeros((0, 0)), 0
     u, s, vt = np.linalg.svd(w, full_matrices=False)
     rank = int(np.count_nonzero(s >= tol))
     return u[:, :rank], s[:rank, None] * vt[:rank], rank

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InnerBreakdown, OverlappingIntervals, ParseError, UnsupportedField
-from .linalg import Operator, householder_qr
+from .linalg import Operator, check_integer, householder_qr
 
 
 @dataclass(frozen=True)
@@ -27,18 +27,17 @@ class SpectrumSpec:
     n: int
     lambda_1: float
     lambda_n: float
-    rho: float
+    rho: float = 0.8
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        check_integer("n", self.n, 2)
         if not (0.0 < self.lambda_1 < self.lambda_n):
             raise ValueError("need 0 < lambda_1 < lambda_n")
         if not (0.0 < self.rho <= 1.0):
             raise ValueError("rho must be in (0, 1]")
 
 
-def strakos48(lambda_1: float, lambda_n: float, rho: float = 0.8) -> SpectrumSpec:
+def strakos48(lambda_1: float, lambda_n: float, rho: float = SpectrumSpec.rho) -> SpectrumSpec:
     """The 48-point graded spectrum used throughout the experiments."""
     return SpectrumSpec(48, lambda_1, lambda_n, rho)
 
@@ -88,12 +87,13 @@ def spectrum_to_matrix(eigs: np.ndarray, seed):
 
 @dataclass(frozen=True)
 class BlurSpec:
-    """Blur parameters: points per eigenvalue (odd) and total width."""
+    """Blur parameters: points per eigenvalue (an odd integer) and total width."""
 
     m: int
     delta: float
 
     def __post_init__(self):
+        check_integer("m", self.m)
         if self.m < 3 or self.m % 2 == 0:
             raise ValueError("m must be odd and >= 3")
         if not self.delta > 0.0:  # also rejects NaN
@@ -168,8 +168,7 @@ def kron_perturbed_problem(spec: SpectrumSpec, p: int, omega: float, seed):
     """
     from .lanczos import run_block_lanczos
 
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_integer("p", p, 1)
     rng = np.random.default_rng(seed)
     eigs = strakos_spectrum(spec)
     b_mat, _ = spectrum_to_matrix(eigs, rng)
@@ -192,9 +191,11 @@ def read_matrix_market(path: str) -> np.ndarray:
     ``integer`` fields and ``general`` or ``symmetric`` symmetry; symmetric
     storage (lower triangle) is expanded. Complex, pattern, and skew fields
     are refused with UnsupportedField. Structural errors raise ParseError
-    with the offending 1-based line number. Every entry and the entry count
-    are validated, in one pass over the data lines, before the dense array
-    is allocated.
+    with the offending 1-based line number. A blank line, or one whose
+    first token starts with ``%``, is a comment wherever it stands; the
+    size line and the entries are read from the lines left. Every entry and
+    the entry count are validated, in one pass over the data lines, before
+    the dense array is allocated.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.readlines()
@@ -214,14 +215,12 @@ def read_matrix_market(path: str) -> np.ndarray:
     if symmetry not in ("general", "symmetric"):
         raise UnsupportedField("symmetry %r not supported" % symmetry)
 
-    # skip comments, find the size line
-    idx = 1
-    while idx < len(lines) and (lines[idx].startswith("%") or not lines[idx].strip()):
-        idx += 1
-    if idx >= len(lines):
-        raise ParseError("missing size line", len(lines))
-    toks = lines[idx].split()
-    size_line = idx + 1  # 1-based
+    # the one comment rule (the banner is a comment too); the size line is the first line left
+    data = ((lineno, raw, words) for lineno, raw in enumerate(lines, 1)
+            if (words := raw.split()) and not words[0].startswith("%"))
+    size_line, _, toks = next(data, (len(lines), "", None))
+    if toks is None:
+        raise ParseError("missing size line", size_line)
     coordinate = layout == "coordinate"
     fields = "'rows cols nnz'" if coordinate else "'rows cols'"
     if len(toks) != len(fields.split()):
@@ -237,10 +236,7 @@ def read_matrix_market(path: str) -> np.ndarray:
 
     # one pass over the data lines: every entry is checked before anything is placed
     values = []
-    for lineno, raw in enumerate(lines[idx + 1 :], size_line + 1):
-        toks = raw.split()
-        if not toks or toks[0].startswith("%"):
-            continue
+    for lineno, raw, toks in data:
         if coordinate and len(toks) != 3:
             raise ParseError("entry needs 'i j value'", lineno)
         try:

@@ -59,6 +59,14 @@ def test_p_below_one_is_a_value_error():
         conjecture_scan([[1.0, 2.0], [0.5, 2.5]], 0)
 
 
+def test_p_that_is_not_an_integer_is_a_value_error():
+    # lengths that agree with p = 2, so only its type is wrong
+    with pytest.raises(ValueError, match="p must be an integer, got 2.0"):
+        interlacing_check([1.0, 2.0], [0.5, 1.5, 2.5, 3.0], 2.0)
+    with pytest.raises(ValueError, match="p must be an integer, got 2.0"):
+        conjecture_scan([[1.0, 2.0], [0.5, 1.0, 2.0, 2.5]], 2.0)
+
+
 def test_interlacing_on_exact_ritz_values():
     a, _, rng = rand_spd(18, 51)
     run = run_block_lanczos(a, rng.standard_normal((18, 2)), k_max=6, mode="simulated_exact")

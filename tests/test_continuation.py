@@ -138,7 +138,7 @@ def test_epsilon2_formula(pipeline):
 def test_continuation_cap_and_tol_validation(pipeline):
     # the column cap: test_continuation_basis_cannot_outgrow_the_dimension
     run, k, w_k = pipeline["run"], pipeline["k"], pipeline["w_k"]
-    for bad_k in (0, run.n_steps + 1):
+    for bad_k in (0, run.n_steps + 1, 2.0):
         with pytest.raises(ValueError, match="k must be"):
             continuation_run(run, bad_k, w_k)
 

@@ -67,6 +67,8 @@ def test_spectrum_spec_validation():
         SpectrumSpec(10, 0.1, 1.0, 0.0)
     with pytest.raises(ValueError):
         SpectrumSpec(10, 0.1, 1.0, 1.5)
+    with pytest.raises(ValueError, match="n must be an integer, got 16.7"):
+        SpectrumSpec(16.7, 0.1, 100.0, 0.8)
 
 
 def test_spectrum_to_matrix_round_trip():
@@ -147,6 +149,8 @@ def test_blur_spec_validation():
         BlurSpec(3, 0.0)
     with pytest.raises(ValueError):
         BlurSpec(3, float("nan"))
+    with pytest.raises(ValueError, match="m must be an integer, got 3.5"):
+        BlurSpec(3.5, 0.1)
 
 
 # -- width-p test operator ---------------------------------------------------
@@ -185,6 +189,8 @@ def test_kron_problem_perturbation_scale():
 def test_kron_problem_rejects_bad_input():
     with pytest.raises(ValueError):
         kron_perturbed_problem(SpectrumSpec(10, 0.5, 4.0, 0.9), 0, 0.0, 1)
+    with pytest.raises(ValueError, match="p must be an integer, got 2.0"):
+        kron_perturbed_problem(SpectrumSpec(10, 0.5, 4.0, 0.9), 2.0, 0.0, 1)
     with pytest.raises(InnerBreakdown):
         kron_perturbed_problem(SpectrumSpec(2, 0.5, 4.0, 0.9), 2, 0.0, 1)
 
@@ -224,6 +230,9 @@ def test_read_array_with_comments_blanks_and_extra_tokens(tmp_path):
     path.write_text("\n".join(text) + "\n")
     want = np.array([[1.5, 30.0, 5.0], [-2.0, 4.0, 6.0]])
     assert np.array_equal(read_matrix_market(str(path)), want)
+    for at in (1, 3):  # an indented comment, before the size line and after it
+        path.write_text("\n".join(text[:at] + ["  % indented note"] + text[at:]) + "\n")
+        assert np.array_equal(read_matrix_market(str(path)), want)
     path.write_text("\n".join(text[:9] + ["1.0 x"]) + "\n")  # extra tokens, then too few values
     with pytest.raises(ParseError) as info:
         read_matrix_market(str(path))

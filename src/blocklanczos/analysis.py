@@ -116,14 +116,14 @@ class ClusterLabel:
     theta_max: float
 
 
-def classify_clusters(
-    thetas: np.ndarray, base_eigs: np.ndarray, a_norm: float, psi: float, eta: float
-):
+def classify_clusters(thetas: np.ndarray, base_eigs: np.ndarray, psi: float, eta: float):
     """Partition Ritz values into separated / proper / improper groups.
 
-    Two Ritz values belong to the same group when they are connected by a
-    chain of pairwise gaps at most psi * a_norm. Every input index appears
-    in exactly one label; members index into ``thetas`` as given, in
+    norm(A) is read from the reference eigenvalues as max|base_eigs| (0 for
+    an empty set), the norm `Operator` reads from its spectrum. Two Ritz
+    values belong to the same group when they are connected by a chain of
+    pairwise gaps at most psi * norm(A). Every input index appears in
+    exactly one label; members index into ``thetas`` as given, in
     ascending order of value. A negative or NaN psi or eta raises
     ValueError.
     """
@@ -133,6 +133,7 @@ def classify_clusters(
     if not thetas.size:
         return []
     base = np.sort(np.asarray(base_eigs, dtype=float))
+    a_norm = float(np.max(np.abs(base), initial=0.0))
     order = np.argsort(thetas, kind="stable")
     cuts = np.flatnonzero(~(np.diff(thetas[order]) <= psi * a_norm)) + 1
     lo, hi = (f.reduceat(thetas[order], np.r_[0, cuts]) for f in (np.minimum, np.maximum))
@@ -165,8 +166,8 @@ class SpreadReport:
     Every model eigenvalue is assigned to its nearest reference
     eigenvalue (ties to the lower index); widths[i] is the largest
     distance among the values assigned to reference i, counts[i] how many
-    landed there. The radius they are held against is the certificate's
-    (`theorem1_certificate`).
+    landed there. `theorem1_certificate` carries the report of its model
+    and reads ``holds`` from its max_width.
     """
 
     base_eigs: np.ndarray
@@ -201,12 +202,13 @@ def interval_spread(tn_eigs: np.ndarray, base_eigs: np.ndarray) -> SpreadReport:
 
 
 class Theorem1Certificate(NamedTuple):
-    """Eigenvalue-inclusion certificate for a model matrix and its ascending eigenvalues."""
+    """Eigenvalue-inclusion certificate of a model matrix, its eigenvalues and their spread."""
 
     epsilon1: float
     bound: float
     holds: bool
     thetas: np.ndarray
+    spread: SpreadReport
 
 
 def theorem1_certificate(
@@ -224,25 +226,25 @@ def theorem1_certificate(
         bound = 3 * max(sqrt(N) * epsilon2, epsilon1) * norm(A)
 
     and ``holds`` states whether every model eigenvalue is within it of an
-    eigenvalue of ``a``, an array or an `Operator`. norm(A) = max|a.eigvals|
-    and this check read one spectrum: the one the Operator was seeded with,
-    else its ``eigvalsh``.
+    eigenvalue of ``a``, an array or an `Operator`: whether the max_width of
+    ``spread``, `interval_spread` of the model eigenvalues around a.eigvals,
+    is. norm(A) = max|a.eigvals| and the spread read one spectrum: the one
+    the Operator was seeded with, else its ``eigvalsh``.
 
-    Raises ShapeMismatch when ``tn`` is not square, when ``n_blocks`` is
-    outside [1, tn.shape[0]] or when ``basis`` does not have one column
-    per row of the model, ValueError unless 0 <= epsilon2 < inf,
-    AssumptionUnsatisfiable when every column is small or when some is and
-    norm(A) = 0, which leaves epsilon1 without a scale.
+    Raises ShapeMismatch when ``n_blocks`` is outside [1, tn.shape[0]], when
+    ``basis`` does not have one column per row of the model or (`sym_eig`)
+    when ``tn`` is not square, ValueError unless 0 <= epsilon2 < inf and
+    ``n_blocks`` is an integer, AssumptionUnsatisfiable when every column is
+    small or when some is and norm(A) = 0, which leaves epsilon1 without a scale.
     """
     if not 0.0 <= epsilon2 < np.inf:  # also rejects NaN
         raise ValueError("epsilon2 must be in [0, inf), got %r" % epsilon2)
-    if tn.ndim != 2 or tn.shape[0] != tn.shape[1]:
-        raise ShapeMismatch("model matrix must be square, got shape %r" % (tn.shape,))
-    if not 1 <= n_blocks <= tn.shape[0]:
-        raise ShapeMismatch("%r blocks for a model of dimension %d" % (n_blocks, tn.shape[0]))
-    if basis.ndim != 2 or basis.shape[1] != tn.shape[0]:
-        raise ShapeMismatch("basis has shape %r, model has dimension %d"
-                            % (basis.shape, tn.shape[0]))
+    check_integer("n_blocks", n_blocks)
+    dim = tn.shape[0] if tn.ndim else 0  # rows; sym_eig below rejects a model that is not square
+    if not 1 <= n_blocks <= dim:
+        raise ShapeMismatch("%r blocks for a model of dimension %d" % (n_blocks, dim))
+    if basis.ndim != 2 or basis.shape[1] != dim:
+        raise ShapeMismatch("basis has shape %r, model has dimension %d" % (basis.shape, dim))
     a = as_operator(a)
     thetas, s = sym_eig(tn)
     small = np.linalg.norm(basis @ s, axis=0) < 0.5
@@ -254,5 +256,5 @@ def theorem1_certificate(
             raise AssumptionUnsatisfiable("small model Ritz vector and norm(A) = 0")
         eps1 = float(_nearest(thetas[~small], thetas[small])[1].max()) / a.norm
     bound = 3.0 * max(np.sqrt(n_blocks) * epsilon2, eps1) * a.norm
-    holds = bool(np.all(_nearest(a.eigvals, thetas)[1] <= bound))
-    return Theorem1Certificate(eps1, float(bound), holds, thetas)
+    spread = interval_spread(thetas, a.eigvals)
+    return Theorem1Certificate(eps1, float(bound), bool(spread.max_width <= bound), thetas, spread)

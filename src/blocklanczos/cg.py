@@ -82,9 +82,10 @@ class CgHistory:
 
 
 def _prologue(a, b, x0, maxit):
-    """What both variants start from: the checked operator, the reference
-    solution and its relative residual, and x0 and maxit with their
-    defaults (zeros, and the dimension) filled in."""
+    """What both variants start from: the checked operator, the relative
+    residual of the reference solution, a copy of x0 (zeros by default) to
+    iterate on, the trace error of an iterate against that solution, and
+    maxit (the dimension by default)."""
     if maxit is not None:
         check_integer("maxit", maxit, 0)
     op = as_operator(a)
@@ -101,7 +102,9 @@ def _prologue(a, b, x0, maxit):
     x_star = op.solve(b)
     denom = float(np.linalg.norm(b))
     resid = float(np.linalg.norm(b - op @ x_star)) / denom if denom > 0.0 else 0.0
-    return op, x_star, resid, x0, op.shape[0] if maxit is None else maxit
+    den = _energy(x_star - x0, op)
+    return (op, resid, x0.copy(), lambda x: _error_ratio(x_star - x, op, den),
+            op.shape[0] if maxit is None else maxit)
 
 
 def _direction_gram(a, s, k):
@@ -168,13 +171,11 @@ def hs_bcg(
     that is negative or not an integer (Python or numpy) raises ValueError
     (0 returns the history of x0 alone).
     """
-    a, x_star, ref_residual, x0, maxit = _prologue(a, b, x0, maxit)
+    a, ref_residual, x, error, maxit = _prologue(a, b, x0, maxit)
 
-    x = x0.copy()
     r = b - a @ x
     p_dir, rr = r, r.T @ r
-    den = _energy(x_star - x0, a)
-    errors = [_error_ratio(x_star - x, a, den)]
+    errors = [error(x)]
 
     failure = None
     for k in range(1, maxit + 1):
@@ -184,7 +185,7 @@ def hs_bcg(
         gamma = f.T @ (f @ rr)
         x = x + p_dir @ gamma
         r = r - ap @ gamma
-        errors.append(_error_ratio(x_star - x, a, den))
+        errors.append(error(x))
         try:
             f = inverse_cholesky(0.5 * (rr + rr.T))
         except np.linalg.LinAlgError:
@@ -215,10 +216,9 @@ def dr_bcg(
     diagonal, or an `Operator`), with the same halting contract and typed
     failures, a negative or non-integer ``maxit`` raising ValueError too.
     """
-    a, x_star, ref_residual, x0, maxit = _prologue(a, b, x0, maxit)
+    a, ref_residual, x, error, maxit = _prologue(a, b, x0, maxit)
     n, p = b.shape
 
-    x = x0.copy()
     w, sigma = householder_qr(b - a @ x)
     s = w.copy()
     cols = p
@@ -226,8 +226,7 @@ def dr_bcg(
         # the run stops before the basis outgrows R^n, whatever maxit is
         basis = np.empty((n, min(maxit + 1, n // p) * p))
         basis[:, :p] = w
-    den = _energy(x_star - x0, a)
-    errors = [_error_ratio(x_star - x, a, den)]
+    errors = [error(x)]
 
     failure = None
     for k in range(1, maxit + 1):
@@ -236,7 +235,7 @@ def dr_bcg(
             break
         xi = f.T @ f
         x = x + s @ (xi @ sigma)
-        errors.append(_error_ratio(x_star - x, a, den))
+        errors.append(error(x))
         if exact_mode and cols + p > n:
             # the reorthogonalized basis spans all of R^n; the method has
             # nothing left to search and further steps would be noise

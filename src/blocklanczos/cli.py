@@ -387,8 +387,9 @@ def cmd_continuation(cfg, problem, rng, out):
 
     pc = continue_prefix(run, k, mu_val)
     cont = pc.cont
-    tn, sizes, certificate, spread = cont.tn, cont.block_sizes, pc.certificate, pc.spread
-    clusters = classify_clusters(certificate.thetas, run.a.eigvals, run.a.norm, cfg["psi"], cfg["eta"])
+    tn, sizes, certificate = cont.tn, cont.block_sizes, pc.certificate
+    spread = certificate.spread
+    clusters = classify_clusters(certificate.thetas, run.a.eigvals, cfg["psi"], cfg["eta"])
 
     shared = [
         "k=%d mu=%s threshold=%s" % (k, _fmt(mu_val), _fmt(pc.threshold)),

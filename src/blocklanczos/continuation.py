@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SpreadReport, Theorem1Certificate, interval_spread, theorem1_certificate
+from .analysis import Theorem1Certificate, theorem1_certificate
 from .errors import (AssumptionUnsatisfiable, CapReached, EmptySelection,
                      NearDependentRitzVectors, ShapeMismatch)
 from .lanczos import BREAKDOWN_TOL, LanczosRun, beta_after, ritz_analysis
@@ -223,7 +223,7 @@ class PrefixContinuation:
                 `terms` measures at step 2, and a rank-one style coupling
                 through q_{k+1} at later steps
     certificate `theorem1_certificate` at cont.epsilon2, holding T_N's
-                eigenvalues, and `spread`, theirs around A's eigenvalues
+                eigenvalues and their spread around A's eigenvalues
     """
 
     run: LanczosRun
@@ -287,10 +287,6 @@ class PrefixContinuation:
         cont = self.cont
         return theorem1_certificate(cont.tn, len(cont.block_sizes), cont.basis, self.run.a,
                                     cont.epsilon2)
-
-    @functools.cached_property
-    def spread(self) -> SpreadReport:
-        return interval_spread(self.certificate.thetas, self.run.a.eigvals)
 
 
 def continue_prefix(run: LanczosRun, k: int, mu: float) -> PrefixContinuation:

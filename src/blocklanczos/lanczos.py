@@ -133,7 +133,8 @@ def run_block_lanczos(
         an `Operator`; both array forms of one operator give the same
         run bit for bit. norm(a) is ``a.norm``: max|eigvals| of the
         spectrum an Operator was seeded with, else of its ``eigvalsh``.
-    v : (n, p) starting block, 1 <= p, k_max * p <= n.
+    v : (n, p) starting block with k_max * p <= n; its QR (`householder_qr`)
+        rejects a block that is not 2-d with 1 <= p <= n (ShapeMismatch).
     k_max : iteration budget, a Python or numpy integer.
     mode : "finite_precision" or "simulated_exact".
 
@@ -153,21 +154,16 @@ def run_block_lanczos(
     a = as_operator(a)
     if mode not in MODES:
         raise ValueError("mode must be one of %r" % (MODES,))
-    if v.ndim != 2:
-        raise ShapeMismatch("starting block must be 2-d")
-    n, p = v.shape
-    if a.shape[0] != n:
-        raise ShapeMismatch("operator is %r but start block has %d rows" % (a.shape, n))
-    if p < 1:
-        raise ShapeMismatch("starting block needs at least one column")
-    check_integer("k_max", k_max)
-    if k_max < 1 or k_max * p > n:
-        raise ValueError("need 1 <= k_max and k_max * p <= n")
-
     try:
         v1, _ = householder_qr(v)
     except RankDeficient as exc:
         raise RankDeficientStart(str(exc)) from exc
+    n, p = v.shape
+    if a.shape[0] != n:
+        raise ShapeMismatch("operator is %r but start block has %d rows" % (a.shape, n))
+    check_integer("k_max", k_max)
+    if k_max < 1 or k_max * p > n:
+        raise ValueError("need 1 <= k_max and k_max * p <= n")
 
     basis = np.empty((n, (k_max + 1) * p))
     basis[:, :p] = v1

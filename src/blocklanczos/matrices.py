@@ -61,7 +61,9 @@ def strakos_spectrum(spec: SpectrumSpec) -> np.ndarray:
 
 
 def random_orthonormal(n: int, seed) -> np.ndarray:
-    """Orthonormal n x n matrix from QR of a standard normal draw."""
+    """Orthonormal n x n matrix from QR of a standard normal draw; ValueError unless
+    n is an integer >= 0, ShapeMismatch (from the QR) for n = 0."""
+    check_integer("n", n, 0)
     return householder_qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
 
 

@@ -180,7 +180,7 @@ def _flagship_model(l1, ln, mu_text):
     n = a.shape[0]
     mu = math.sqrt(k * n * 2 * EPS) if mu_text == "auto" else float(mu_text)
     pc = continue_prefix(run, k, mu)
-    pc.spread  # the model, its certificate and its spread, inside the timing
+    pc.certificate.spread  # the model, its certificate and its spread, inside the timing
     return pc, time.perf_counter() - t0
 
 
@@ -193,14 +193,14 @@ def test_criterion_06_model_spread():
     details = []
     for l1, ln, mu_text, tol in cases:
         pc, elapsed = _flagship_model(l1, ln, mu_text)
-        rel = pc.spread.max_width / pc.run.a.norm
+        rel = pc.certificate.spread.max_width / pc.run.a.norm
         ok = ok and rel <= tol and elapsed < 60.0
         details.append("(%g,%g) width %.2e<=%.0e dim %d %.1fs"
-                       % (l1, ln, rel, tol, pc.spread.dim, elapsed))
+                       % (l1, ln, rel, tol, pc.certificate.spread.dim, elapsed))
     _report(6, "model eigenvalues hug the true spectrum", ok, " ".join(details))
     for l1, ln, mu_text, tol in cases:
         pc, elapsed = _flagship_model(l1, ln, mu_text)
-        assert pc.spread.max_width / pc.run.a.norm <= tol
+        assert pc.certificate.spread.max_width / pc.run.a.norm <= tol
         assert elapsed < 60.0
 
 
@@ -211,7 +211,7 @@ def test_criterion_07_certificate():
         pc, _ = _flagship_model(l1, ln, mu_text)
         cert, eps2 = pc.certificate, pc.cont.epsilon2
         ok = ok and cert.epsilon1 <= eps2 and cert.holds
-        ok = ok and pc.spread.max_width <= cert.bound
+        ok = ok and pc.certificate.spread.max_width <= cert.bound
         details.append("(%g,%g) eps1 %.1e eps2 %.1e holds %s"
                        % (l1, ln, cert.epsilon1, eps2, cert.holds))
     _report(7, "certificate hypothesis and radius", ok, " ".join(details))
@@ -219,7 +219,7 @@ def test_criterion_07_certificate():
         pc, _ = _flagship_model(l1, ln, mu_text)
         assert pc.certificate.epsilon1 <= pc.cont.epsilon2
         assert pc.certificate.holds
-        assert pc.spread.max_width <= pc.certificate.bound
+        assert pc.certificate.spread.max_width <= pc.certificate.bound
 
 
 # -- criterion 8 -------------------------------------------------------------

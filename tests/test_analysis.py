@@ -118,21 +118,28 @@ def test_conjecture_scan_rejects_a_step_of_the_wrong_length():
 def test_clusters_kinds_and_member_indexing():
     thetas = np.array([3.0, 1.0, 1.0005])
     base_near = np.array([1.0002, 3.0])
-    labels = classify_clusters(thetas, base_near, 1.0, psi=1e-3, eta=1e-6)
+    labels = classify_clusters(thetas, base_near, psi=1e-3, eta=1e-6)
     assert [lab.kind for lab in labels] == ["proper", "separated"]
     assert labels[0].members == [1, 2]
     assert labels[1].members == [0]
     assert labels[0].theta_min == 1.0 and labels[0].theta_max == 1.0005
     # move the reference away: the pair has no eigenvalue to explain it
-    labels = classify_clusters(thetas, np.array([5.0]), 1.0, psi=1e-3, eta=1e-6)
+    labels = classify_clusters(thetas, np.array([5.0]), psi=1e-3, eta=1e-6)
     assert [lab.kind for lab in labels] == ["improper", "separated"]
+
+
+@pytest.mark.parametrize("psi, eta", [(-1e-3, 1e-6), (1e-3, -1e-6), (np.nan, 1e-6),
+                                      (1e-3, np.nan)])
+def test_clusters_reject_a_negative_or_nan_threshold(psi, eta):
+    with pytest.raises(ValueError, match="psi and eta must be >= 0"):
+        classify_clusters(np.array([1.0, 1.0005]), np.array([1.0]), psi, eta)
 
 
 def test_clusters_partition_property():
     rng = np.random.default_rng(52)
     for _ in range(20):
         thetas = rng.uniform(0.0, 10.0, 15)
-        labels = classify_clusters(thetas, rng.uniform(0, 10, 4), 10.0, psi=0.02, eta=0.001)
+        labels = classify_clusters(thetas, rng.uniform(0, 10, 4), psi=0.02, eta=0.001)
         seen = sorted(i for lab in labels for i in lab.members)
         assert seen == list(range(15))
         for lab in labels:
@@ -250,12 +257,14 @@ def test_certificate_rejects_a_non_square_model():
             theorem1_certificate(tn, 6, basis, a, epsilon2=1e-14)
 
 
-@pytest.mark.parametrize("n_blocks", [0, -1, 13])
+@pytest.mark.parametrize("n_blocks", [0, -1, 13, 2.5])
 def test_certificate_rejects_a_block_count_outside_the_dimension(n_blocks):
-    # sqrt(N) scales the bound: N must be between 1 and the model dimension
+    # sqrt(N) scales the bound: N must be an integer between 1 and the model dimension
     a, run = full_depth_run(seed=60)
     basis = np.hstack(run.panels[: run.n_steps])
-    with pytest.raises(ShapeMismatch, match="blocks"):
+    error, match = ((ShapeMismatch, "blocks") if n_blocks % 1 == 0
+                    else (ValueError, "n_blocks must be an integer"))
+    with pytest.raises(error, match=match):
         theorem1_certificate(run.t, n_blocks, basis, a, epsilon2=1e-14)
     assert theorem1_certificate(run.t, 12, basis, a, epsilon2=1e-14).holds
 
@@ -408,9 +417,9 @@ def test_array_forms_equal_the_loops(ritz, values, base, psi, eta):
     scan = conjecture_scan(seq, p)
     assert repr((scan.rows, scan.violations)) == repr(ref_scan(seq, p))
     assert scan.checks == len(scan.rows)
-    labels = classify_clusters(values, base, 2.0, psi, eta)
+    labels = classify_clusters(values, base, psi, eta)  # norm(A) = max|base|
     assert repr([(c.kind, c.members, c.theta_min, c.theta_max) for c in labels]) == repr(
-        ref_clusters(values, base, 2.0, psi, eta))
+        ref_clusters(values, base, max(abs(b) for b in base), psi, eta))
     if np.isnan(values).any():
         with pytest.raises(NonFiniteOperator):
             interval_spread(values, base)
@@ -452,3 +461,8 @@ def test_certificate_equals_the_loops(data):
     got = theorem1_certificate(tn, dim, basis, a, epsilon2)
     assert repr(got[:3]) == repr(want[:3])
     assert same_bits(got.thetas, want[3])
+    # holds is read from the spread the certificate carries, measured by interval_spread
+    assert got.holds is (got.spread.max_width <= got.bound)
+    spread = interval_spread(got.thetas, as_operator(a).eigvals)
+    for name in ("base_eigs", "widths", "counts"):
+        assert same_bits(getattr(got.spread, name), getattr(spread, name))

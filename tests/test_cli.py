@@ -192,6 +192,16 @@ def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_line_that_is_not_key_value_names_its_line(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("matrix = random(10)\n\np  # no value\n")
+    out = tmp_path / "out"
+    assert main(["fp-diagnostics", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config line 3 is not key=value: 'p  # no value'\n")
+    assert not out.exists()
+
+
 def test_delta_scale_is_checked_alike_as_flag_and_file_line(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("delta-scale = bogus\n")
@@ -272,6 +282,22 @@ def test_non_integer_size_exits(tmp_path, capsys, spec):
     assert main(["fp-diagnostics", "--matrix", spec, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: matrix size must be a whole number >= 1 in %r\n" % spec)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("random 12", "bad matrix spec 'random 12'"),
+    ("random(12", "bad matrix spec 'random(12'"),
+    ("random(twelve)", "bad matrix spec 'random(twelve)'"),
+    ("strakos48(0.1)", "strakos48 takes (lambda_1, lambda_n[, rho])"),
+    ("strakos48(0.1,100,0.8,1)_kron", "strakos48 takes (lambda_1, lambda_n[, rho])"),
+    ("strakos(16,0.1)", "strakos takes (n, lambda_1, lambda_n[, rho])"),
+    ("strakos()", "strakos takes (n, lambda_1, lambda_n[, rho])"),
+])
+def test_malformed_matrix_spec_exits_naming_its_rule(tmp_path, capsys, spec, message):
+    out = tmp_path / "out"
+    assert main(["fp-diagnostics", "--matrix", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
     assert not out.exists()
 
 
@@ -514,6 +540,16 @@ def test_continuation_artifacts(tmp_path):
     assert kinds <= {"separated", "proper", "improper"}
     members = [int(x) for r in rows for x in r.split(",")[3].split(";")]
     assert sorted(members) == list(range(dim))
+
+
+def test_prefix_without_a_selection_writes_a_nan_row(tmp_path):
+    # at k = 7 no Ritz pair of this run has a residual bound above mu * norm(A)
+    assert main(["continuation", "--matrix", "strakos48(0.1,100)", "--p", "2", "--k", "8",
+                 "--mu", "3e-2", "--seed", "2", "--out", str(tmp_path)]) == 0
+    _, _, rows = csv_parts(read(tmp_path / "continuation_terms.csv"))
+    assert [r.split(",")[0] for r in rows] == [str(kk) for kk in range(1, 9)]
+    assert rows[6] == "7,0,nan,nan,nan,nan"
+    assert "nan" not in rows[5] + rows[7]
 
 
 def test_kron_spread_uses_the_certificate_spectrum(tmp_path, monkeypatch):

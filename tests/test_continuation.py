@@ -359,8 +359,8 @@ def test_model_record_is_consistent_at_every_closing_prefix(n, l1, rho, seed, p,
         assert np.array_equal(tn[:lo, :lo], run.t[:lo, :lo])
         assert np.array_equal(basis[:, :lo], run.basis[:, :lo])
         assert_band_layout(tn, sizes)
-        assert basis.shape[1] == sum(sizes) == tn.shape[0] == pc.spread.dim
-        assert pc.spread.max_width <= pc.certificate.bound or not pc.certificate.holds
+        assert basis.shape[1] == sum(sizes) == tn.shape[0] == pc.certificate.spread.dim
+        assert pc.certificate.spread.max_width <= pc.certificate.bound or not pc.certificate.holds
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -396,7 +396,7 @@ def test_record_builds_its_model_once(pipeline):
     pc = pipeline["pc"]
     assert pc.cont is pc.cont
     assert pc.certificate is pc.certificate
-    assert pc.spread is pc.spread
+    assert pc.certificate.spread is pc.certificate.spread
 
 
 def test_small_problem_closes_past_step_one():
@@ -426,7 +426,7 @@ def test_block_term_above_ten_mu_while_the_model_holds(n, l1, rho, seed, p, k_ma
     pc = continue_prefix(run, k, mu)
     assert pc.terms[1] / (mu * run.a.norm) > 10
     assert pc.certificate.holds
-    assert pc.spread.max_width <= pc.certificate.bound
+    assert pc.certificate.spread.max_width <= pc.certificate.bound
 
 
 def test_first_step_is_step_one_of_the_run(pipeline):
@@ -461,7 +461,7 @@ def test_record_makes_each_stage_on_first_read(pipeline, monkeypatch):
     assert pc.terms is pc.terms and len(calls) == 1
     cont = pc.cont
     assert cont is pc.cont and len(calls) == 1 + cont.n_steps and cont.n_steps > 1
-    pc.delta_norms, pc.certificate, pc.spread
+    pc.delta_norms, pc.certificate, pc.certificate.spread
     assert len(calls) == 1 + cont.n_steps
 
 

@@ -93,6 +93,8 @@ def test_input_validation():
         run_block_lanczos(a, v[:5], k_max=2)
     with pytest.raises(ShapeMismatch):
         run_block_lanczos(a, v[:, :0], k_max=2)
+    with pytest.raises(ShapeMismatch, match="cannot be orthonormalized"):  # p > n
+        run_block_lanczos(a[:1, :1], v[:1], k_max=1)
     with pytest.raises(ValueError):
         run_block_lanczos(a, v, k_max=0)
     with pytest.raises(ValueError):

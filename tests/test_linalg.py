@@ -270,6 +270,8 @@ def test_reorthogonalize_at_a_scale_whose_squared_norms_overflow():
     assert worst <= 1e-15
 
 
+# sym_eig of one dense block tridiagonal, such as T_k or T_N: the "block form"
+# the tests below are named for is that input, solved by one symmetrized eigh
 def random_block_tridiagonal(sizes, seed, scale=1.0, skew=0.0):
     """A dense block tridiagonal with symmetric diagonal blocks (the first
     one plus a random, asymmetric perturbation of relative size ``skew``,
@@ -344,8 +346,8 @@ def test_sym_eig_empty_block_form():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_sym_eig_block_form_rejects_non_finite_blocks(where, value):
     t = random_block_tridiagonal([3, 2, 2, 1], seed=11)
-    # the last row, first column of the block: a lower-triangle entry of a
-    # diagonal block reaches the band only through the symmetrization
+    # a lower-triangle entry of the first diagonal block, the last diagonal
+    # entry and a coupling entry: refused wherever it sits, before the eigh
     row, col = {"first_alpha": (2, 0), "last_alpha": (7, 7), "beta": (6, 3)}[where]
     t[row, col] = value
     with pytest.raises(NonFiniteOperator):

@@ -95,6 +95,8 @@ def test_random_orthonormal_deterministic():
     assert np.linalg.norm(q.T @ q - np.eye(6)) < 1e-14
     assert np.array_equal(q, random_orthonormal(6, 2))
     assert not np.array_equal(q, random_orthonormal(6, 3))
+    with pytest.raises(ValueError, match="n must be an integer"):
+        random_orthonormal(2.5, 0)
 
 
 # -- blurred spectra ---------------------------------------------------------
@@ -254,12 +256,20 @@ def test_reader_refuses_unsupported_fields():
         read_matrix_market(fixture("field_pattern.mtx"))
     with pytest.raises(UnsupportedField):
         read_matrix_market(fixture("field_complex.mtx"))
+    with pytest.raises(UnsupportedField, match="object 'vector'"):
+        read_matrix_market(fixture("object_vector.mtx"))
 
 
 def test_reader_reports_line_numbers():
     with pytest.raises(ParseError) as info:
         read_matrix_market(fixture("bad_banner.mtx"))
     assert info.value.line_number == 1
+    with pytest.raises(ParseError) as info:
+        read_matrix_market(fixture("layout_sparse.mtx"))
+    assert info.value.line_number == 1 and "unknown layout 'sparse'" in str(info.value)
+    with pytest.raises(ParseError) as info:
+        read_matrix_market(fixture("no_size_line.mtx"))
+    assert info.value.line_number == 2 and "missing size line" in str(info.value)
     with pytest.raises(ParseError) as info:
         read_matrix_market(fixture("coord_short_entry.mtx"))
     assert info.value.line_number == 4

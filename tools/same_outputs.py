@@ -62,7 +62,7 @@ MTX = "operator.mtx"  # where a blurred-cg case's operator file is saved
 # line makes that command's run and mu, then prints per prefix the
 # monitored terms, the decomposition remainders, the certificate's bound,
 # epsilon1 and holds, and digests of the bytes of its eigenvalues and of
-# the spread widths; or the name of the error that stopped the prefix.
+# its spread widths; or the name of the error that stopped the prefix.
 LIBRARY_VALUES = """
 import hashlib, sys
 import numpy as np
@@ -80,7 +80,7 @@ for kk in range(1, k + 1):
         print(kk, repr(pc.delta_norms))
         cert = pc.certificate
         print(kk, repr((cert.bound, cert.epsilon1, cert.holds)))
-        print(kk, digest(cert.thetas), digest(pc.spread.widths))
+        print(kk, digest(cert.thetas), digest(cert.spread.widths))
     except BlockLanczosError as exc:
         print(kk, type(exc).__name__)
 """

@@ -88,7 +88,8 @@ def _read_config_file(path):
 
 
 def resolve_config(args):
-    """Merge flags over config-file entries over built-in defaults."""
+    """Merge flags over config-file entries over built-in defaults and check
+    each option's own rule; `build_problem` parses the matrix spec."""
     from_file = _read_config_file(args.config) if args.config else {}
     cfg = {}
     for key, (default, _, _) in OPTIONS.items():
@@ -96,8 +97,6 @@ def resolve_config(args):
         cfg[key] = flag if flag is not None else from_file.get(key, default)
     if (cfg["matrix"] is None) == (cfg["mtx"] is None):
         raise ValueError("need exactly one of --matrix or --mtx")
-    if cfg["matrix"] is not None:  # a bad spec fails before the output directory is made
-        _parse_matrix_spec(cfg["matrix"])
     for key, low in (("p", 1), ("k", 1), ("m", 1), ("maxit", 0), ("seed", 0), ("psi", 0), ("eta", 0)):
         if not cfg[key] >= low:  # also rejects a NaN psi or eta
             raise ValueError("--%s must be >= %d, got %s" % (key, low, cfg[key]))
@@ -133,12 +132,14 @@ def _whole(x, text):
     return int(x)
 
 
-def _parse_matrix_spec(text):
-    """Grammar: strakos48(l1,ln[,rho]) | strakos(n,l1,ln[,rho]) | random(n),
-    each optionally suffixed  _kron  for the Kronecker-lifted variant.
-
-    Returns ("strakos" or "kron", SpectrumSpec) or ("random", n).
-    """
+def build_problem(cfg, rng):
+    """The --mtx operator, or the problem of the --matrix spec, one of
+    strakos48(l1,ln[,rho]) | strakos(n,l1,ln[,rho]) | random(n), the first two
+    optionally suffixed  _kron  for the Kronecker-lifted variant. A bad spec
+    is rejected before anything is drawn from ``rng``."""
+    if cfg["mtx"] is not None:
+        return Problem(read_matrix_market(cfg["mtx"]))
+    text = cfg["matrix"]
     spec = text.strip()
     kron = spec.endswith("_kron")
     spec = spec.removesuffix("_kron")
@@ -160,19 +161,12 @@ def _parse_matrix_spec(text):
     elif head == "random":
         if kron or len(nums) != 1:
             raise ValueError("random takes (n) and has no _kron form")
-        return "random", _whole(nums[0], text)
+        n = _whole(nums[0], text)
     else:
         raise ValueError("unknown matrix generator %r" % head)
-    return ("kron" if kron else "strakos"), sspec
-
-
-def build_problem(cfg, rng):
-    if cfg["mtx"] is not None:
-        return Problem(read_matrix_market(cfg["mtx"]))
-    kind, arg = _parse_matrix_spec(cfg["matrix"])
-    if kind == "kron":
-        return Problem(*kron_perturbed_problem(arg, cfg["p"], cfg["omega"], rng))
-    eigs = strakos_spectrum(arg) if kind == "strakos" else np.sort(rng.uniform(0.05, 1.05, arg))
+    if kron:
+        return Problem(*kron_perturbed_problem(sspec, cfg["p"], cfg["omega"], rng))
+    eigs = np.sort(rng.uniform(0.05, 1.05, n)) if head == "random" else strakos_spectrum(sspec)
     a, y = spectrum_to_matrix(eigs, rng)
     return Problem(a, eigs=eigs, y=y)
 
@@ -200,16 +194,22 @@ def _fmt(value):
     return _form((type(value),)) % (value,)
 
 
+def _kv(**values):
+    """key=value header fields, each value written by the CSV cell rule."""
+    return " ".join("%s=%s" % (key, _fmt(val)) for key, val in values.items())
+
+
 def _write_csv(path, cfg, comments, header, rows):
-    echo = " ".join("%s=%s" % (key, _fmt(val)) for key, val in sorted(cfg.items()) if val is not None)
+    """Write one CSV under its provenance lines; the first write makes the directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
-        "# experiment=%s version=%s seed=%d" % (cfg["name"], __version__, cfg["seed"]),
-        "# config: %s" % echo,
+        "# " + _kv(experiment=cfg["name"], version=__version__, seed=cfg["seed"]),
+        "# config: " + _kv(**{key: val for key, val in sorted(cfg.items()) if val is not None}),
     ]
     lines.extend("# %s" % c for c in comments)
     lines.append(",".join(header))
     lines.extend(_form(tuple(map(type, row))) % tuple(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -316,16 +316,16 @@ def cmd_blurred_cg(cfg, problem, rng, out):
         hist = dr_bcg(a_hat, b_hat, maxit=maxit, exact_mode=True)
         series.append(("dr_exact_d%d" % idx, hist))
 
-    comments = ["a_norm=%s delta_scale=%s" % (_fmt(a.norm), cfg["delta_scale"])]
+    comments = [_kv(a_norm=a.norm, delta_scale=cfg["delta_scale"])]
     for (label, _), delta, raw in zip(series[2:], deltas, raw_deltas):
-        comments.append("%s: delta_raw=%s delta_abs=%s" % (label, _fmt(raw), _fmt(delta)))
-    reach = []
+        comments.append("%s: %s" % (label, _kv(delta_raw=raw, delta_abs=delta)))
+    reach = {}
     for label, hist in series:
         it = hist.first_below(1e-12)
-        reach.append("%s=%s" % (label, "none" if it is None else "%d" % it))
+        reach[label] = "none" if it is None else it
         if hist.failure:
             comments.append("halt %s: %s" % (label, hist.failure))
-    comments.append("first_below_1e-12: %s" % " ".join(reach))
+    comments.append("first_below_1e-12: " + _kv(**reach))
 
     # by iteration, then in series order (the sort is stable)
     rows = sorted(((it, float(err), label) for label, hist in series
@@ -349,9 +349,9 @@ def cmd_fp_diagnostics(cfg, problem, rng, out):
     n, p = run.a.shape[0], run.width
     level = n * p * EPS
     comments = [
-        "n=%d p=%d a_norm=%s" % (n, p, _fmt(run.a.norm)),
-        "reference np_eps=%s np_eps_a_norm=%s" % (_fmt(level), _fmt(level * run.a.norm)),
-        "terminated=%d steps=%d" % (1 if run.terminated else 0, run.n_steps),
+        _kv(n=n, p=p, a_norm=run.a.norm),
+        "reference " + _kv(np_eps=level, np_eps_a_norm=level * run.a.norm),
+        _kv(terminated=run.terminated, steps=run.n_steps),
     ]
     rows = zip(range(1, run.n_steps + 1), *run.diagnostics)
     return [
@@ -392,9 +392,9 @@ def cmd_continuation(cfg, problem, rng, out):
     clusters = classify_clusters(certificate.thetas, run.a.eigvals, cfg["psi"], cfg["eta"])
 
     shared = [
-        "k=%d mu=%s threshold=%s" % (k, _fmt(mu_val), _fmt(pc.threshold)),
-        "selected_m=%d rho_k=%s" % (pc.m, _fmt(pc.rho_k)),
-        "epsilon1=%s epsilon2=%s" % (_fmt(certificate.epsilon1), _fmt(cont.epsilon2)),
+        _kv(k=k, mu=mu_val, threshold=pc.threshold),
+        _kv(selected_m=pc.m, rho_k=pc.rho_k),
+        _kv(epsilon1=certificate.epsilon1, epsilon2=cont.epsilon2),
     ]
 
     # the closing step keeps rank zero, so it has an h entry but no panel
@@ -420,25 +420,24 @@ def cmd_continuation(cfg, problem, rng, out):
     ]
     return [
         _write_csv(out / "continuation_h_norms.csv", cfg,
-                   shared + ["continuation_steps=%d rank_cut=%s"
-                             % (cont.n_steps, _fmt(BREAKDOWN_TOL * run.a.norm))],
+                   shared + [_kv(continuation_steps=cont.n_steps,
+                                 rank_cut=BREAKDOWN_TOL * run.a.norm)],
                    ("j", "width", "h_norm"), h_rows),
         _write_csv(out / "continuation_terms.csv", cfg,
-                   shared + ["guide mu_a_norm=%s ten_mu_a_norm=%s"
-                             % (_fmt(mu_val * run.a.norm), _fmt(10 * mu_val * run.a.norm))],
+                   shared + ["guide " + _kv(mu_a_norm=mu_val * run.a.norm,
+                                            ten_mu_a_norm=10 * mu_val * run.a.norm)],
                    ("k", "m", "rho", "term21a", "term21b", "term22"), term_rows),
         _write_csv(out / "continuation_tn.csv", cfg,
-                   shared + ["dim=%d n_blocks=%d" % (tn.shape[0], len(sizes)),
-                             "block_sizes=%s" % ";".join("%d" % s for s in sizes),
+                   shared + [_kv(dim=tn.shape[0], n_blocks=len(sizes)),
+                             _kv(block_sizes=";".join(map(_fmt, sizes))),
                              "indices are 0-based"],
                    ("i", "j", "value"), tn_rows),
         _write_csv(out / "continuation_spread.csv", cfg,
-                   shared + ["bound=%s holds=%s max_width=%s dim=%d"
-                             % (_fmt(certificate.bound), _fmt(certificate.holds),
-                                _fmt(spread.max_width), spread.dim)],
+                   shared + [_kv(bound=certificate.bound, holds=certificate.holds,
+                                 max_width=spread.max_width, dim=spread.dim)],
                    ("lambda", "width", "count"), spread_rows),
         _write_csv(out / "continuation_clusters.csv", cfg,
-                   shared + ["psi=%s eta=%s" % (_fmt(cfg["psi"]), _fmt(cfg["eta"]))],
+                   shared + [_kv(psi=cfg["psi"], eta=cfg["eta"])],
                    ("kind", "theta_min", "theta_max", "members"), cluster_rows),
         _write_plot(out, "continuation_h_norms.csv", "j", ["h_norm"], "continuation step",
                     "discarded component norm", fmt="o-"),
@@ -464,10 +463,10 @@ def cmd_interlacing(cfg, problem, rng, out):
 
     scan = conjecture_scan(thetas, p)
     comments = [
-        "steps=%d p=%d" % (len(thetas), p),
-        "eq6_inequalities=%d eq6_violations=%d" % (eq6_total, eq6_bad),
-        "conjecture_checks=%d confirmations=%d violations=%d percentage=%s"
-        % (scan.checks, scan.confirmations, len(scan.violations), _fmt(scan.percentage)),
+        _kv(steps=len(thetas), p=p),
+        _kv(eq6_inequalities=eq6_total, eq6_violations=eq6_bad),
+        _kv(conjecture_checks=scan.checks, confirmations=scan.confirmations,
+            violations=len(scan.violations), percentage=scan.percentage),
     ]
     return [
         _write_csv(out / "interlacing.csv", cfg, comments,
@@ -523,10 +522,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        out = Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng(cfg["seed"])
-        paths = _COMMANDS[args.command](cfg, build_problem(cfg, rng), rng, out)
+        paths = _COMMANDS[args.command](cfg, build_problem(cfg, rng), rng, Path(cfg["out"]))
     except (BlockLanczosError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -129,10 +129,10 @@ def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray):
         raise ShapeMismatch("protected basis of shape %r in dimension n = %d" % (w_k.shape, n))
     check_finite(w_k, "protected basis")
     cols, cut, p = w_k.shape[1], BREAKDOWN_TOL * a.norm, run.width
-    # room for every panel the basis can take; BLAS rounds against a
-    # strided view of w_k differently from a contiguous one, so this
-    # layout fixes the last bits of every output built on step 1
-    basis = np.empty((n, cols + n))
+    # CapReached stops the basis at n columns; w_k is read through a strided
+    # view of this buffer, which BLAS rounds differently from a contiguous
+    # copy, so the layout fixes the last bits of every output built on step 1
+    basis = np.empty((n, n))
     basis[:, :cols] = w_k
     rows = slice((k - 1) * p, k * p)
     q, alpha = run.panels[k - 1], run.t[rows, rows]

@@ -270,14 +270,28 @@ def test_steps_past_the_dimension_exit(tmp_path, capsys, command):
     assert main([command, "--matrix", "strakos(16,0.5,4)", "--p", "2", "--k", "9",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: need 1 <= k_max and k_max * p <= n\n"
-    assert not os.listdir(out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fp-diagnostics", "--mtx", "missing.mtx"], "No such file"),
+    (["fp-diagnostics", "--mtx", os.path.join(DATA, "no_size_line.mtx")], "size line"),
+    (["continuation", "--matrix", "strakos48(0.1,100)", "--mu", "1e300"], "no Ritz pair"),
+    (["blurred-cg", "--matrix", "strakos(600,0.1,100)", "--m", "3"], "smallest spectral gap"),
+])
+def test_failed_command_leaves_no_directory(tmp_path, capsys, argv, message):
+    # the directory is made by the first file written, so a failure leaves none
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["strakos(16.7,0.1,100)", "random(16.7)",
                                   "strakos(inf,0.1,100)", "random(nan)", "random(-3)",
                                   "random(0)", "strakos(0,0.1,100)"])
 def test_non_integer_size_exits(tmp_path, capsys, spec):
-    # rejected with the config, naming the spec, before the output directory is made
+    # rejected when the problem is built, naming the spec, before the output directory is made
     out = tmp_path / "out"
     assert main(["fp-diagnostics", "--matrix", spec, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (

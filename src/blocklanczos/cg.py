@@ -60,19 +60,15 @@ class CgHistory:
     """Record of a block CG run.
 
     errors[k] is the trace error after k iterations (errors[0] belongs to
-    x0). ref_residual reports the relative residual of the direct
-    reference solution itself; the error curve cannot be trusted below
-    that level. failure is None for a clean run, otherwise a short reason
-    for halting early.
+    x0). failure is None for a clean run, otherwise a short reason for
+    halting early.
     """
 
     variant: str
     exact_mode: bool
     errors: np.ndarray
-    final_residual_norms: np.ndarray
     x: np.ndarray
     n_iter: int
-    ref_residual: float
     failure: str | None = None
 
     def first_below(self, level: float):
@@ -82,10 +78,9 @@ class CgHistory:
 
 
 def _prologue(a, b, x0, maxit):
-    """What both variants start from: the checked operator, the relative
-    residual of the reference solution, a copy of x0 (zeros by default) to
-    iterate on, the trace error of an iterate against that solution, and
-    maxit (the dimension by default)."""
+    """What both variants start from: the checked operator, a copy of x0
+    (zeros by default) to iterate on, the trace error of an iterate against
+    the reference solution, and maxit (the dimension by default)."""
     if maxit is not None:
         check_integer("maxit", maxit, 0)
     op = as_operator(a)
@@ -100,10 +95,8 @@ def _prologue(a, b, x0, maxit):
     check_finite(b, "right-hand side")
     check_finite(x0, "initial guess")
     x_star = op.solve(b)
-    denom = float(np.linalg.norm(b))
-    resid = float(np.linalg.norm(b - op @ x_star)) / denom if denom > 0.0 else 0.0
     den = _energy(x_star - x0, op)
-    return (op, resid, x0.copy(), lambda x: _error_ratio(x_star - x, op, den),
+    return (op, x0.copy(), lambda x: _error_ratio(x_star - x, op, den),
             op.shape[0] if maxit is None else maxit)
 
 
@@ -137,12 +130,12 @@ def _direction_gram(a, s, k):
     return as_, f, None
 
 
-def _finish(a, b, x, errors, failure, **fields):
+def _finish(x, errors, failure, **fields):
     """The history of a stopped run; SingularInnerSolve if it never stepped."""
     if failure is not None and len(errors) == 1:
         raise SingularInnerSolve(failure)
     return CgHistory(errors=np.array(errors), n_iter=len(errors) - 1, failure=failure, x=x,
-                     final_residual_norms=np.linalg.norm(b - a @ x, axis=0), **fields)
+                     **fields)
 
 
 def hs_bcg(
@@ -171,7 +164,7 @@ def hs_bcg(
     that is negative or not an integer (Python or numpy) raises ValueError
     (0 returns the history of x0 alone).
     """
-    a, ref_residual, x, error, maxit = _prologue(a, b, x0, maxit)
+    a, x, error, maxit = _prologue(a, b, x0, maxit)
 
     r = b - a @ x
     p_dir, rr = r, r.T @ r
@@ -193,8 +186,7 @@ def hs_bcg(
             break
         p_dir = r + p_dir @ (f.T @ (f @ (rr := r.T @ r)))  # rr: the next step's r^T r
 
-    return _finish(a, b, x, errors, failure, variant="hs", exact_mode=False,
-                   ref_residual=ref_residual)
+    return _finish(x, errors, failure, variant="hs", exact_mode=False)
 
 
 def dr_bcg(
@@ -216,7 +208,7 @@ def dr_bcg(
     diagonal, or an `Operator`), with the same halting contract and typed
     failures, a negative or non-integer ``maxit`` raising ValueError too.
     """
-    a, ref_residual, x, error, maxit = _prologue(a, b, x0, maxit)
+    a, x, error, maxit = _prologue(a, b, x0, maxit)
     n, p = b.shape
 
     w, sigma = householder_qr(b - a @ x)
@@ -256,5 +248,4 @@ def dr_bcg(
             basis[:, cols : cols + p] = w
             cols += p
 
-    return _finish(a, b, x, errors, failure, variant="dr", exact_mode=exact_mode,
-                   ref_residual=ref_residual)
+    return _finish(x, errors, failure, variant="dr", exact_mode=exact_mode)

@@ -3,9 +3,9 @@
 Each subcommand drives one of the standard studies end to end and writes
 its artifacts as CSV files, plus small matplotlib scripts that render the
 matching figures from those CSVs. Every output file starts with
-'#'-prefixed provenance lines (experiment name, resolved configuration,
-seed, package version) and re-running the same configuration reproduces
-the files byte for byte.
+'#'-prefixed provenance lines (experiment name, the options the command
+reads, seed, package version) and re-running the same configuration
+reproduces the files byte for byte.
 """
 
 from __future__ import annotations
@@ -60,15 +60,23 @@ OPTIONS = {
     "omega": (1e-12, float, "Kronecker perturbation size"),
     "out": (".", str, "output directory"),
 }
+# command: the keys it reads, which are also its only flags; every command
+# reads the _SHARED ones through build_problem, _run, _write_csv and main
+_SHARED = ("matrix", "mtx", "name", "p", "seed", "omega", "out")
+READS = {
+    "blurred-cg": _SHARED + ("delta", "delta_scale", "m", "maxit"),
+    "fp-diagnostics": _SHARED + ("k",),
+    "continuation": _SHARED + ("k", "mu", "psi", "eta"),
+    "interlacing": _SHARED + ("k",),
+}
 _VALUE_FLAGS = {"--config"} | {"--" + key.replace("_", "-") for key in OPTIONS}
 
 
-def _read_config_file(path):
-    """Plain key=value lines; blank lines and '#' comments are skipped.
-    Each value is converted to its key's type."""
+def _read_config_file(path, reads):
+    """Plain key=value lines; blank lines, '#' comments and the keys only other
+    commands read are skipped, and each value is converted to its key's type."""
     values = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -78,6 +86,8 @@ def _read_config_file(path):
         key = key.strip().replace("-", "_")
         if key not in OPTIONS:
             raise ValueError("config line %d: unknown key %r" % (lineno, key))
+        if key not in reads:
+            continue
         kind = OPTIONS[key][1]
         try:
             values[key] = kind(val.strip())
@@ -88,24 +98,25 @@ def _read_config_file(path):
 
 
 def resolve_config(args):
-    """Merge flags over config-file entries over built-in defaults and check
-    each option's own rule; `build_problem` parses the matrix spec."""
-    from_file = _read_config_file(args.config) if args.config else {}
-    cfg = {}
-    for key, (default, _, _) in OPTIONS.items():
-        flag = getattr(args, key)
-        cfg[key] = flag if flag is not None else from_file.get(key, default)
+    """Merge flags over config-file entries over defaults for the keys the command
+    reads and check each one's own rule; `build_problem` parses the matrix spec."""
+    reads = READS[args.command]
+    from_file = _read_config_file(args.config, reads) if args.config else {}
+    flags = {key: getattr(args, key) for key in reads if getattr(args, key) is not None}
+    cfg = {key: OPTIONS[key][0] for key in reads} | {"name": args.command} | from_file | flags
+    for key, val in cfg.items():  # CSV readers split lines as str.splitlines does
+        if isinstance(val, str) and "".join(val.splitlines()) != val:
+            raise ValueError("--%s holds a line break: %r" % (key.replace("_", "-"), val))
     if (cfg["matrix"] is None) == (cfg["mtx"] is None):
         raise ValueError("need exactly one of --matrix or --mtx")
     for key, low in (("p", 1), ("k", 1), ("m", 1), ("maxit", 0), ("seed", 0), ("psi", 0), ("eta", 0)):
-        if not cfg[key] >= low:  # also rejects a NaN psi or eta
+        if key in cfg and not cfg[key] >= low:  # also rejects a NaN psi or eta
             raise ValueError("--%s must be >= %d, got %s" % (key, low, cfg[key]))
-    if cfg["delta_scale"] not in ("eps_norm", "abs"):
+    if "delta_scale" in cfg and cfg["delta_scale"] not in ("eps_norm", "abs"):
         raise ValueError("--delta-scale must be eps_norm or abs")
-    _parse_mu(cfg["mu"])
-    _parse_delta(cfg["delta"])
-    if cfg["name"] is None:
-        cfg["name"] = args.command
+    for key, parse in (("mu", _parse_mu), ("delta", _parse_delta)):
+        if key in cfg:
+            parse(cfg[key])
     return cfg
 
 
@@ -297,9 +308,7 @@ def cmd_blurred_cg(cfg, problem, rng, out):
     eigs, y = (problem.eigs, problem.y) if problem.eigs is not None else sym_eig(problem.a)
     # both FP runs and the header share its norm and Cholesky factor
     a = Operator(problem.a, eigs)
-    n = a.shape[0]
-    p = cfg["p"]
-    b = rng.standard_normal((n, p))
+    b = rng.standard_normal((a.shape[0], cfg["p"]))
     raw_deltas = _parse_delta(cfg["delta"])
     scale = EPS * a.norm if cfg["delta_scale"] == "eps_norm" else 1.0
     deltas = [r * scale for r in raw_deltas]
@@ -312,9 +321,8 @@ def cmd_blurred_cg(cfg, problem, rng, out):
         ("hs_fp", hs_bcg(a, b, maxit=maxit)),
         ("dr_fp", dr_bcg(a, b, maxit=maxit)),
     ]
-    for idx, (a_hat, b_hat) in enumerate(blurred, start=1):
-        hist = dr_bcg(a_hat, b_hat, maxit=maxit, exact_mode=True)
-        series.append(("dr_exact_d%d" % idx, hist))
+    series += [("dr_exact_d%d" % idx, dr_bcg(a_hat, b_hat, maxit=maxit, exact_mode=True))
+               for idx, (a_hat, b_hat) in enumerate(blurred, start=1)]
 
     comments = [_kv(a_norm=a.norm, delta_scale=cfg["delta_scale"])]
     for (label, _), delta, raw in zip(series[2:], deltas, raw_deltas):
@@ -513,7 +521,8 @@ def build_parser():
     for name, command in _COMMANDS.items():
         cp = sub.add_parser(name, help=command.__doc__)
         cp.add_argument("--config", help="key=value file; flags override it")
-        for key, (_, kind, text) in OPTIONS.items():
+        for key in READS[name]:
+            _, kind, text = OPTIONS[key]
             cp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text)
     return parser
 

@@ -66,10 +66,9 @@ def test_converges_on_easy_problem(solver):
     assert h.errors[0] == 1.0
     assert h.failure is None
     assert h.errors[-1] < 1e-10
-    assert h.ref_residual < 1e-12
     x_ref = np.linalg.solve(a, b)
     assert np.linalg.norm(h.x - x_ref) < 1e-8 * np.linalg.norm(x_ref)
-    assert np.all(h.final_residual_norms < 1e-8 * np.linalg.norm(b))
+    assert np.all(np.linalg.norm(b - a @ h.x, axis=0) < 1e-8 * np.linalg.norm(b))
 
 
 def test_history_fields_and_first_below():
@@ -205,8 +204,6 @@ DIAGONAL_RUNS = {
 def assert_same_history(h, ref):
     assert np.array_equal(h.errors, ref.errors)
     assert np.array_equal(h.x, ref.x)
-    assert np.array_equal(h.final_residual_norms, ref.final_residual_norms)
-    assert h.ref_residual == ref.ref_residual
     assert h.n_iter == ref.n_iter
     assert h.failure == ref.failure
     assert (h.variant, h.exact_mode) == (ref.variant, ref.exact_mode)

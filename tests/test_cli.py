@@ -15,8 +15,8 @@ import pytest
 from blocklanczos import (Diagnostics, Operator, householder_qr, run_block_lanczos,
                           spectrum_to_matrix, sym_eig)
 from blocklanczos import cli, lanczos
-from blocklanczos.cli import (OPTIONS, _fmt, _write_csv, build_parser, build_problem, main,
-                              resolve_config)
+from blocklanczos.cli import (OPTIONS, READS, _fmt, _write_csv, build_parser, build_problem,
+                              main, resolve_config)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -31,6 +31,21 @@ def csv_parts(text):
     comments = [l for l in text.splitlines() if l.startswith("#")]
     body = [l for l in text.splitlines() if not l.startswith("#")]
     return comments, body[0].split(","), body[1:]
+
+
+def write_mtx(path, a):
+    """Write the symmetric ``a`` as a Matrix Market array file."""
+    n = a.shape[0]
+    lines = ["%%MatrixMarket matrix array real symmetric", "%d %d" % (n, n)]
+    lines.extend("%.17g" % a[i, j] for j in range(n) for i in range(j, n))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def config_keys(path):
+    """The keys of a CSV's '# config:' line."""
+    line = next(l for l in read(path).splitlines() if l.startswith("# config: "))
+    return [field.split("=", 1)[0] for field in line.removeprefix("# config: ").split(" ")]
 
 
 def test_fp_diagnostics_artifacts(tmp_path, capsys):
@@ -91,6 +106,7 @@ def test_config_file_precedence(tmp_path):
         "# comment line\n"
         "k = 5\n"
         "seed = 9\n"
+        "omega = 1e-3\n"
         "psi = 1e-3\n"
     )
     rc = main([
@@ -102,7 +118,9 @@ def test_config_file_precedence(tmp_path):
     # the flag wins over the file, the file over the default
     assert "seed=9" in comments[0]
     assert "k=7" in comments[1]
-    assert "psi=0.001" in comments[1]
+    assert "omega=0.001" in comments[1]
+    # psi is a continuation key: fp-diagnostics skips it
+    assert "psi" not in comments[1]
     assert len(rows) == 7
 
 
@@ -151,12 +169,84 @@ def test_flag_and_config_line_resolve_alike(tmp_path, key):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("%s = %s\n" % (key.replace("_", "-"), text))
     flag = "--" + key.replace("_", "-")
-    from_flag = resolve_config(build_parser().parse_args(["continuation", flag, text] + base))
-    from_file = resolve_config(build_parser().parse_args(
-        ["continuation", "--config", str(cfgfile)] + base))
-    assert from_flag == from_file
-    assert type(from_flag[key]) is kind
-    assert from_flag[key] == kind(text) != default
+    commands = [command for command, keys in READS.items() if key in keys]
+    assert commands
+    for command in commands:
+        from_flag = resolve_config(build_parser().parse_args([command, flag, text] + base))
+        from_file = resolve_config(build_parser().parse_args(
+            [command, "--config", str(cfgfile)] + base))
+        assert from_flag == from_file
+        assert sorted(from_flag) == sorted(READS[command])
+        assert type(from_flag[key]) is kind
+        assert from_flag[key] == kind(text) != default
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(READS) == list(cli._COMMANDS)
+    assert set().union(*READS.values()) == set(OPTIONS)  # every option is read somewhere
+    flags = {name: {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, parser in sub.choices.items()}
+    for name, keys in READS.items():
+        assert flags[name] == {"--config"} | {"--" + key.replace("_", "-") for key in keys}
+    # 11 + 8 + 11 + 8 option flags; each command took all 15 before
+    assert sum(len(f - {"--config"}) for f in flags.values()) == 38
+
+
+@pytest.mark.parametrize("argv", [
+    ["blurred-cg", "--k", "3"],
+    ["fp-diagnostics", "--mu", "1e-3"],
+    ["fp-diagnostics", "--mu", "1e-3", "--m", "7", "--delta", "1e9", "--psi", "5", "--maxit", "3"],
+    ["fp-diagnostics", "--delta", "abc"],
+    ["interlacing", "--eta", "-1e-3"],
+])
+def test_flag_of_another_command_exits(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--matrix", "random(10)", "--out", str(out)])
+    assert info.value.code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keys_of_another_command_are_skipped(tmp_path):
+    # neither converted, checked nor echoed; an unknown key still fails (test_error_exits)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("m = two\ndelta = abc\nmu = -1\nk = 4\n")
+    assert main(["fp-diagnostics", "--config", str(cfgfile), "--matrix", "random(10)",
+                 "--out", str(tmp_path)]) == 0
+    assert config_keys(tmp_path / "fp_diagnostics.csv") == [
+        "k", "matrix", "name", "omega", "out", "p", "seed"]
+
+
+@pytest.mark.parametrize("source", ["matrix", "mtx"])
+def test_one_config_file_drives_every_command(tmp_path, capsys, source):
+    # every key but the other of --matrix and --mtx, which exclude each other
+    mtx = write_mtx(tmp_path / "operator.mtx",
+                    spectrum_to_matrix(np.linspace(0.1, 100.0, 40), 3)[0])
+    values = dict(OPTION_VALUES, matrix="strakos(40,0.1,100)", mtx=str(mtx), k="8",
+                  delta="100,0.5", delta_scale="eps_norm", m="3", maxit="60",
+                  out=str(tmp_path / "out"))
+    del values["mtx" if source == "matrix" else "matrix"]
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("".join("%s = %s\n" % item for item in values.items()))
+    for command, keys in READS.items():
+        assert main([command, "--config", str(cfgfile)]) == 0
+        wrote = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines()]
+        csvs = [path for path in wrote if path.endswith(".csv")]
+        assert csvs, command
+        for path in csvs:  # the other of matrix and mtx stays None, which is not echoed
+            assert config_keys(path) == sorted(set(keys) - {"mtx", "matrix"} | {source}), path
+
+
+@pytest.mark.parametrize("name", ["study\nj,x", "study\x0cj,x", "study\r", "\u2028"])
+def test_text_option_with_a_line_break_exits(tmp_path, capsys, name):
+    # a break would start a header line the CSV readers take for the column header
+    out = tmp_path / "out"
+    assert main(["fp-diagnostics", "--matrix", "random(10)", "--name", name,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --name holds a line break: %r\n" % name
+    assert not out.exists()
 
 
 def test_negative_exponent_value_resolves_like_the_joined_form():
@@ -218,13 +308,15 @@ def test_delta_scale_is_checked_alike_as_flag_and_file_line(tmp_path, capsys):
                                              ("m", 0, 1), ("maxit", -3, 0), ("seed", -2, 0)])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_integer_option_below_its_minimum_exits(tmp_path, capsys, key, value, low, source):
+    # on the first command that reads the key: blurred-cg, or fp-diagnostics for k
+    command = next(command for command, keys in READS.items() if key in keys)
     extra = ["--" + key, str(value)]
     if source == "config":
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("%s = %d\n" % (key, value))
         extra = ["--config", str(cfgfile)]
     out = tmp_path / "out"
-    assert main(["blurred-cg", "--matrix", "random(10)", "--out", str(out)] + extra) == 2
+    assert main([command, "--matrix", "random(10)", "--out", str(out)] + extra) == 2
     assert capsys.readouterr().err == "error: --%s must be >= %d, got %d\n" % (key, low, value)
     assert not out.exists()
 
@@ -350,11 +442,7 @@ def test_each_command_factors_its_operator_once(tmp_path, monkeypatch):
     # counts the dense eigen and Cholesky work on the n x n operator: a
     # generator problem brings its spectrum, so no command eigensolves A
     n = 30
-    a, _ = spectrum_to_matrix(np.linspace(1.0, 10.0, n), 7)
-    mtx = tmp_path / "operator.mtx"
-    lines = ["%%MatrixMarket matrix array real symmetric", "%d %d" % (n, n)]
-    lines.extend("%.17g" % a[i, j] for j in range(n) for i in range(j, n))
-    mtx.write_text("\n".join(lines) + "\n")
+    mtx = write_mtx(tmp_path / "operator.mtx", spectrum_to_matrix(np.linspace(1.0, 10.0, n), 7)[0])
     calls = Counter()
 
     def counted(module, name):

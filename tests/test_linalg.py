@@ -16,6 +16,7 @@ from blocklanczos import (
     householder_qr,
     panel_norm,
     reorthogonalize,
+    spectrum_to_matrix,
     sym_eig,
     truncated_svd,
 )
@@ -373,6 +374,16 @@ def test_operator_is_checked_when_built_and_factored_at_first_solve():
     assert np.array_equal(dense.eigvals, diag.eigvals) and dense.norm == diag.norm == 7.0
     assert np.array_equal(dense @ b, diag @ b)
     assert np.array_equal(dense.solve(b), diag.solve(b))
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_operator_solve_leaves_a_small_residual(diagonal):
+    # block CG measures its trace error against this solution, so its
+    # relative residual is the floor of every error curve
+    eigs = np.linspace(0.1, 100.0, 48)
+    op = Operator(eigs if diagonal else spectrum_to_matrix(eigs, 5)[0])
+    b = np.random.default_rng(12).standard_normal((48, 3))
+    assert np.linalg.norm(b - op @ op.solve(b)) < 1e-12 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("big", [1e155, 1e200])

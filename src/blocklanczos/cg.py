@@ -60,12 +60,10 @@ class CgHistory:
     """Record of a block CG run.
 
     errors[k] is the trace error after k iterations (errors[0] belongs to
-    x0). failure is None for a clean run, otherwise a short reason for
-    halting early.
+    the zero start, so it is 1). failure is None for a clean run, otherwise
+    a short reason for halting early.
     """
 
-    variant: str
-    exact_mode: bool
     errors: np.ndarray
     x: np.ndarray
     n_iter: int
@@ -77,10 +75,10 @@ class CgHistory:
         return int(hits[0]) if hits.size else None
 
 
-def _prologue(a, b, x0, maxit):
-    """What both variants start from: the checked operator, a copy of x0
-    (zeros by default) to iterate on, the trace error of an iterate against
-    the reference solution, and maxit (the dimension by default)."""
+def _prologue(a, b, maxit):
+    """What both variants start from: the checked operator, the zero block
+    to iterate on, the trace error of an iterate against the reference
+    solution, and maxit (the dimension by default)."""
     if maxit is not None:
         check_integer("maxit", maxit, 0)
     op = as_operator(a)
@@ -88,15 +86,10 @@ def _prologue(a, b, x0, maxit):
         raise ShapeMismatch("operator of shape %r, right-hand side %r" % (op.shape, b.shape))
     if b.shape[1] == 0:
         raise ShapeMismatch("right-hand side %r has no columns" % (b.shape,))
-    if x0 is None:
-        x0 = np.zeros(b.shape)
-    elif x0.shape != b.shape:
-        raise ShapeMismatch("initial guess %r, right-hand side %r" % (x0.shape, b.shape))
     check_finite(b, "right-hand side")
-    check_finite(x0, "initial guess")
     x_star = op.solve(b)
-    den = _energy(x_star - x0, op)
-    return (op, x0.copy(), lambda x: _error_ratio(x_star - x, op, den),
+    den = _energy(x_star, op)
+    return (op, np.zeros(b.shape), lambda x: _error_ratio(x_star - x, op, den),
             op.shape[0] if maxit is None else maxit)
 
 
@@ -130,21 +123,20 @@ def _direction_gram(a, s, k):
     return as_, f, None
 
 
-def _finish(x, errors, failure, **fields):
+def _finish(x, errors, failure):
     """The history of a stopped run; SingularInnerSolve if it never stepped."""
     if failure is not None and len(errors) == 1:
         raise SingularInnerSolve(failure)
-    return CgHistory(errors=np.array(errors), n_iter=len(errors) - 1, failure=failure, x=x,
-                     **fields)
+    return CgHistory(errors=np.array(errors), n_iter=len(errors) - 1, failure=failure, x=x)
 
 
 def hs_bcg(
     a: np.ndarray | Operator,
     b: np.ndarray,
-    x0: np.ndarray | None = None,
     maxit: int | None = None,
 ) -> CgHistory:
-    """Classical block CG for SPD ``a`` and block right-hand side ``b``.
+    """Classical block CG for SPD ``a`` and block right-hand side ``b``,
+    started from x0 = 0.
 
     ``a`` is a dense symmetric (n, n) array, a 1-D (n,) array holding the
     diagonal of a diagonal operator, or an `Operator`; both array forms of
@@ -158,15 +150,14 @@ def hs_bcg(
     only when not even one iteration could run. ``a`` fails as an
     `Operator` does (ShapeMismatch, NonFiniteOperator, NotSymmetric, and
     NotPositiveDefinite without a Cholesky factor); a ``b`` whose row
-    count differs from its size or that has no columns, or an ``x0`` of
-    another shape than ``b``, raises ShapeMismatch, a NaN or infinite
-    entry in ``b`` or ``x0`` raises NonFiniteOperator, and a ``maxit``
-    that is negative or not an integer (Python or numpy) raises ValueError
-    (0 returns the history of x0 alone).
+    count differs from its size or that has no columns raises
+    ShapeMismatch, a NaN or infinite entry in ``b`` raises
+    NonFiniteOperator, and a ``maxit`` that is negative or not an integer
+    (Python or numpy) raises ValueError (0 returns the history of x0 alone).
     """
-    a, x, error, maxit = _prologue(a, b, x0, maxit)
+    a, x, error, maxit = _prologue(a, b, maxit)
 
-    r = b - a @ x
+    r = b
     p_dir, rr = r, r.T @ r
     errors = [error(x)]
 
@@ -186,17 +177,16 @@ def hs_bcg(
             break
         p_dir = r + p_dir @ (f.T @ (f @ (rr := r.T @ r)))  # rr: the next step's r^T r
 
-    return _finish(x, errors, failure, variant="hs", exact_mode=False)
+    return _finish(x, errors, failure)
 
 
 def dr_bcg(
     a: np.ndarray | Operator,
     b: np.ndarray,
-    x0: np.ndarray | None = None,
     maxit: int | None = None,
     exact_mode: bool = False,
 ) -> CgHistory:
-    """Block CG with an orthonormalized residual basis.
+    """Block CG with an orthonormalized residual basis, started from x0 = 0.
 
     The residual block is QR-factored every iteration: the orthonormal
     factor drives the recurrence while the triangular factor accumulates
@@ -208,10 +198,10 @@ def dr_bcg(
     diagonal, or an `Operator`), with the same halting contract and typed
     failures, a negative or non-integer ``maxit`` raising ValueError too.
     """
-    a, x, error, maxit = _prologue(a, b, x0, maxit)
+    a, x, error, maxit = _prologue(a, b, maxit)
     n, p = b.shape
 
-    w, sigma = householder_qr(b - a @ x)
+    w, sigma = householder_qr(b)
     s = w.copy()
     cols = p
     if exact_mode:
@@ -248,4 +238,4 @@ def dr_bcg(
             basis[:, cols : cols + p] = w
             cols += p
 
-    return _finish(x, errors, failure, variant="dr", exact_mode=exact_mode)
+    return _finish(x, errors, failure)

@@ -104,9 +104,9 @@ def resolve_config(args):
     from_file = _read_config_file(args.config, reads) if args.config else {}
     flags = {key: getattr(args, key) for key in reads if getattr(args, key) is not None}
     cfg = {key: OPTIONS[key][0] for key in reads} | {"name": args.command} | from_file | flags
-    for key, val in cfg.items():  # CSV readers split lines as str.splitlines does
-        if isinstance(val, str) and "".join(val.splitlines()) != val:
-            raise ValueError("--%s holds a line break: %r" % (key.replace("_", "-"), val))
+    for key, val in cfg.items():  # CSV readers split header fields on whitespace
+        if isinstance(val, str) and any(ch.isspace() for ch in val):
+            raise ValueError("--%s holds whitespace: %r" % (key.replace("_", "-"), val))
     if (cfg["matrix"] is None) == (cfg["mtx"] is None):
         raise ValueError("need exactly one of --matrix or --mtx")
     for key, low in (("p", 1), ("k", 1), ("m", 1), ("maxit", 0), ("seed", 0), ("psi", 0), ("eta", 0)):
@@ -150,15 +150,14 @@ def build_problem(cfg, rng):
     is rejected before anything is drawn from ``rng``."""
     if cfg["mtx"] is not None:
         return Problem(read_matrix_market(cfg["mtx"]))
-    text = cfg["matrix"]
-    spec = text.strip()
-    kron = spec.endswith("_kron")
-    spec = spec.removesuffix("_kron")
+    text = cfg["matrix"]  # holds no whitespace: resolve_config rejects it
+    kron = text.endswith("_kron")
+    spec = text.removesuffix("_kron")
     if "(" not in spec or not spec.endswith(")"):
         raise ValueError("bad matrix spec %r" % text)
     head, _, inside = spec[:-1].partition("(")
     try:
-        nums = [float(x) for x in inside.split(",")] if inside.strip() else []
+        nums = [float(x) for x in inside.split(",")] if inside else []
     except ValueError:
         raise ValueError("bad matrix spec %r" % text) from None
     if head == "strakos48":

@@ -53,8 +53,9 @@ class Diagnostics(NamedTuple):
     global_orth is taken after the run from chunked Gram products of the
     basis, so its last bits differ from an SVD of V_j^T v_{j+1}. On a
     naturally terminated run the last step has no trailing panel; its
-    residual keeps the leftover block (at the breakdown tolerance) and the
-    two orthogonality columns that need v_{j+1} report 0.
+    residual keeps the whole leftover block, whose norm is that of
+    beta_{K+1}: only its smallest singular value is at the breakdown
+    tolerance. The two orthogonality columns that need v_{j+1} report 0.
     """
 
     delta_v_norm: np.ndarray
@@ -78,8 +79,8 @@ class LanczosRun:
     t           T_K as one read-only (K p, K p) array, filled in place
                 during the run: alpha_j on the diagonal, beta_{j+1} below
                 it and beta_{j+1}^T above; T_k is its (k p, k p) corner
-    beta_next   beta_{K+1}; on natural termination its norm is at the
-                breakdown tolerance
+    beta_next   beta_{K+1}; on natural termination its smallest singular
+                value is at the breakdown tolerance, its norm need not be
     terminated  True when the recurrence closed on its own
     diagnostics the recurrence health, one `Diagnostics` entry per step
     """
@@ -113,7 +114,6 @@ class RitzSet:
                 to an eigenvalue
     """
 
-    k: int
     thetas: np.ndarray
     s: np.ndarray
     deltas: np.ndarray
@@ -249,7 +249,7 @@ def ritz_analysis(run: LanczosRun, k: int) -> RitzSet:
     p = run.width
     thetas, s = sym_eig(run.t[: k * p, : k * p])
     deltas = np.linalg.norm(beta_after(run, k) @ s[(k - 1) * p :, :], axis=0)
-    return RitzSet(k=k, thetas=thetas, s=s, deltas=deltas)
+    return RitzSet(thetas=thetas, s=s, deltas=deltas)
 
 
 def beta_after(run: LanczosRun, k: int) -> np.ndarray:

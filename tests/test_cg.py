@@ -74,7 +74,6 @@ def test_converges_on_easy_problem(solver):
 def test_history_fields_and_first_below():
     a, b = easy_problem(seed=32)
     h = hs_bcg(a, b)
-    assert h.variant == "hs" and not h.exact_mode
     assert h.n_iter == len(h.errors) - 1
     assert h.first_below(2.0) == 0
     j = h.first_below(1e-6)
@@ -88,7 +87,6 @@ def test_maxit_caps_the_run():
     a, b = easy_problem(seed=33)
     h = dr_bcg(a, b, maxit=3)
     assert h.n_iter == 3 and len(h.errors) == 4
-    assert h.variant == "dr"
 
 
 @pytest.mark.parametrize("solve, exact_mode", [(hs_bcg, None), (dr_bcg, False), (dr_bcg, True)])
@@ -113,13 +111,33 @@ def test_maxit_that_is_not_an_integer_is_refused(solve, exact_mode):
     assert h.n_iter == 2 and np.array_equal(h.errors, solve(a, b, maxit=2, **kwargs).errors)
 
 
-def test_nonzero_initial_guess():
+class RecordingOperator(Operator):
+    """An Operator that keeps every block it is applied to."""
+
+    def __init__(self, a):
+        super().__init__(a)
+        self.applied = []
+
+    def __matmul__(self, v):
+        self.applied.append(v.copy())
+        return super().__matmul__(v)
+
+
+@pytest.mark.parametrize("run", ["hs", "dr", "dr_exact"])
+def test_no_matvec_on_the_zero_start(run):
+    # x0 = 0, so the first residual is b itself and A never meets a zero block
     a, b = easy_problem(seed=34)
-    rng = np.random.default_rng(99)
-    x0 = rng.standard_normal(b.shape)
-    h = hs_bcg(a, b, x0=x0)
-    assert h.errors[0] == 1.0
-    assert np.linalg.norm(h.x - np.linalg.solve(a, b)) < 1e-7
+    op = RecordingOperator(a)
+    h = DIAGONAL_RUNS[run](op, b)
+    assert h.errors[-1] < 1e-10
+    assert op.applied and all(np.any(v != 0.0) for v in op.applied)
+
+
+@pytest.mark.parametrize("solver", [hs_bcg, dr_bcg])
+def test_initial_guess_is_not_taken(solver):
+    a, b = easy_problem(seed=34)
+    with pytest.raises(TypeError, match="x0"):
+        solver(a, b, x0=np.zeros(b.shape))
 
 
 def test_degenerate_right_hand_sides():
@@ -138,7 +156,6 @@ def test_exact_mode_halts_when_space_is_exhausted():
     a, _, rng = rand_spd(8, 37, low=1.0, high=4.0)
     b = rng.standard_normal((8, 2))
     h = dr_bcg(a, b, exact_mode=True)
-    assert h.exact_mode
     assert h.failure is not None and "exhausted" in h.failure
     assert h.n_iter == 4  # n/p steps span everything
     assert h.errors[-1] < 1e-10
@@ -206,7 +223,6 @@ def assert_same_history(h, ref):
     assert np.array_equal(h.x, ref.x)
     assert h.n_iter == ref.n_iter
     assert h.failure == ref.failure
-    assert (h.variant, h.exact_mode) == (ref.variant, ref.exact_mode)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -216,22 +232,20 @@ def assert_same_history(h, ref):
     n=st.integers(6, 40),
     seed=st.integers(0, 2**16),
     decades=st.floats(0.0, 4.0),
-    nonzero_x0=st.booleans(),
     maxit=st.one_of(st.none(), st.integers(1, 12)),
 )
-def test_diagonal_operator_matches_its_dense_form(run, p, n, seed, decades, nonzero_x0, maxit):
+def test_diagonal_operator_matches_its_dense_form(run, p, n, seed, decades, maxit):
     rng = np.random.default_rng(seed)
     d = np.sort(10.0 ** rng.uniform(-decades, 0.0, n))
     b = rng.standard_normal((n, p))
-    x0 = rng.standard_normal((n, p)) if nonzero_x0 else None
     solve = DIAGONAL_RUNS[run]
     try:
-        ref = solve(np.diag(d), b, x0=x0, maxit=maxit)
+        ref = solve(np.diag(d), b, maxit=maxit)
     except SingularInnerSolve:
         with pytest.raises(SingularInnerSolve):
-            solve(d, b, x0=x0, maxit=maxit)
+            solve(d, b, maxit=maxit)
         return
-    assert_same_history(solve(d, b, x0=x0, maxit=maxit), ref)
+    assert_same_history(solve(d, b, maxit=maxit), ref)
 
 
 @pytest.mark.parametrize("run", sorted(DIAGONAL_RUNS))
@@ -278,8 +292,6 @@ def test_non_positive_diagonal_operator_is_a_typed_failure(solver, value):
 def test_right_hand_side_of_the_wrong_size_is_a_typed_failure(solver, operator):
     with pytest.raises(ShapeMismatch):
         solver(operator, np.ones((6, 2)))
-    with pytest.raises(ShapeMismatch):
-        solver(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones((4, 2)), x0=np.zeros((5, 2)))
 
 
 @pytest.mark.parametrize("solver", [hs_bcg, dr_bcg])
@@ -290,11 +302,10 @@ def test_right_hand_side_without_columns_is_a_typed_failure(solver):
 
 @pytest.mark.parametrize("solver", [hs_bcg, dr_bcg])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("block", ["right-hand side", "initial guess"])
+@pytest.mark.parametrize("block", ["right-hand side"])
 def test_non_finite_input_block_is_a_typed_failure(solver, value, block):
     a, b = easy_problem(n=10, seed=43)
-    x0 = np.zeros(b.shape)
-    (b if block == "right-hand side" else x0)[4, 1] = value
+    b[4, 1] = value
     with pytest.raises(NonFiniteOperator, match=block) as info:
-        solver(a, b, x0=x0)
+        solver(a, b)
     assert isinstance(info.value, BlockLanczosError)

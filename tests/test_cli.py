@@ -245,8 +245,21 @@ def test_text_option_with_a_line_break_exits(tmp_path, capsys, name):
     out = tmp_path / "out"
     assert main(["fp-diagnostics", "--matrix", "random(10)", "--name", name,
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: --name holds a line break: %r\n" % name
+    assert capsys.readouterr().err == "error: --name holds whitespace: %r\n" % name
     assert not out.exists()
+
+
+@pytest.mark.parametrize("blank", [" ", "\t"])
+@pytest.mark.parametrize("option", ["name", "matrix", "out"])
+def test_text_option_with_whitespace_exits(tmp_path, capsys, option, blank):
+    # the plot scripts read header fields back by splitting on whitespace
+    given = {"name": "my study", "matrix": "strakos(12, 0.1, 100)",
+             "out": str(tmp_path / "my out")}[option].replace(" ", blank)
+    values = {"name": "study", "matrix": "random(10)", "out": str(tmp_path / "out"), option: given}
+    argv = ["fp-diagnostics", "--k", "3"] + ["--%s=%s" % item for item in values.items()]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --%s holds whitespace: %r\n" % (option, given)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_negative_exponent_value_resolves_like_the_joined_form():
@@ -392,7 +405,7 @@ def test_non_integer_size_exits(tmp_path, capsys, spec):
 
 
 @pytest.mark.parametrize("spec, message", [
-    ("random 12", "bad matrix spec 'random 12'"),
+    ("random", "bad matrix spec 'random'"),
     ("random(12", "bad matrix spec 'random(12'"),
     ("random(twelve)", "bad matrix spec 'random(twelve)'"),
     ("strakos48(0.1)", "strakos48 takes (lambda_1, lambda_n[, rho])"),

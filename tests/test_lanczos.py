@@ -78,6 +78,23 @@ def test_natural_termination_on_invariant_subspace():
     assert diag.local_orth[-1] == 0.0 and diag.global_orth[-1] == 0.0
 
 
+def test_natural_termination_tests_only_the_smallest_singular_value():
+    # the start block of `continuation --matrix "strakos(17,0.93,100,0.97)"
+    # --p 3 --k 5 --seed 1`: the run closes at step 5 with one direction at
+    # the breakdown tolerance and the other two far above it
+    rng = np.random.default_rng(1)
+    eigs = strakos_spectrum(SpectrumSpec(17, 0.93, 100, 0.97))
+    a, _ = spectrum_to_matrix(eigs, rng)
+    v = rng.standard_normal((17, 3))
+    run = run_block_lanczos(a, v, k_max=5)
+    assert run.terminated and run.n_steps == 5
+    sigmas = np.linalg.svd(run.beta_next, compute_uv=False)
+    assert sigmas[-1] <= BREAKDOWN_TOL * run.a.norm
+    leftover = np.linalg.norm(run.beta_next, 2)
+    assert np.isclose(leftover, run.diagnostics.delta_v_norm[-1], rtol=1e-12, atol=0.0)
+    assert leftover > 0.1 * run.a.norm
+
+
 def test_input_validation():
     a, _, rng = rand_spd(12, 24)
     v = rng.standard_normal((12, 2))
@@ -338,7 +355,7 @@ def test_ritz_analysis_exact_mode():
     v = rng.standard_normal((18, 2))
     run = run_block_lanczos(a, v, k_max=6, mode="simulated_exact")
     rs = ritz_analysis(run, 4)
-    assert rs.k == 4 and rs.thetas.shape == (8,)
+    assert rs.thetas.shape == (8,)
     assert np.all(np.diff(rs.thetas) >= 0)
     z = run.basis[:, :8] @ rs.s
     assert np.allclose(np.linalg.norm(z, axis=0), 1.0, atol=1e-12)

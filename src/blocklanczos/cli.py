@@ -26,7 +26,7 @@ from .cg import dr_bcg, hs_bcg
 from .continuation import continue_prefix
 from .errors import BlockLanczosError, EmptySelection, NearDependentRitzVectors
 from .lanczos import BREAKDOWN_TOL, Diagnostics, ritz_analysis, run_block_lanczos
-from .linalg import Operator, householder_qr, sym_eig
+from .linalg import Operator, sym_eig
 from .matrices import (
     BlurSpec,
     SpectrumSpec,
@@ -183,10 +183,9 @@ def build_problem(cfg, rng):
 
 def _run(cfg, problem, rng, k_max, mode="finite_precision"):
     """Block Lanczos on the problem's operator, seeded with its spectrum, from
-    its own start block or from one drawn out of ``rng`` after the problem."""
-    v = problem.v
-    if v is None:
-        v, _ = householder_qr(rng.standard_normal((problem.a.shape[0], cfg["p"])))
+    its own start block or from a Gaussian one drawn out of ``rng`` after the
+    problem; `run_block_lanczos` orthonormalizes either by its one QR."""
+    v = problem.v if problem.v is not None else rng.standard_normal((problem.a.shape[0], cfg["p"]))
     return run_block_lanczos(Operator(problem.a, problem.eigs), v, k_max, mode)
 
 
@@ -293,7 +292,7 @@ def _write_plot(out, csv_name, x, y, xlabel, ylabel="", group=None, scale="semil
 # blurred-cg
 
 def _parse_delta(text):
-    parts = [x.strip() for x in str(text).split(",") if x.strip()]
+    parts = [x for x in text.split(",") if x]
     if not 1 <= len(parts) <= 2:
         raise ValueError("--delta takes one or two comma-separated values")
     try:
@@ -373,7 +372,7 @@ def cmd_fp_diagnostics(cfg, problem, rng, out):
 
 def _parse_mu(text):
     """mu as a float, or None for 'auto'."""
-    if str(text).strip() == "auto":
+    if text == "auto":
         return None
     try:
         mu = float(text)

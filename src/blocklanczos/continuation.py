@@ -309,7 +309,6 @@ def continue_prefix(run: LanczosRun, k: int, mu: float) -> PrefixContinuation:
     if indices.size == 0:
         raise EmptySelection("no Ritz pair has delta > %.3e (max delta %.3e)"
                              % (threshold, ritz.deltas.max()))
-    # all Ritz vectors first, then the kept columns: the product of the
-    # kept columns alone rounds differently
-    z = (run.basis[:, : k * run.width] @ ritz.s)[:, indices]
-    return PrefixContinuation(run, k, threshold, indices, ritz.s[:, indices], *build_wk(z))
+    s_m = ritz.s[:, indices]
+    z = run.basis[:, : k * run.width] @ s_m
+    return PrefixContinuation(run, k, threshold, indices, s_m, *build_wk(z))

@@ -195,7 +195,8 @@ def run_block_lanczos(
         beta_norms[k - 1] = sigmas[0]
         terminated = float(sigmas.min()) <= BREAKDOWN_TOL * a.norm
 
-        # recurrence health of step k, from the products formed above
+        # recurrence health of step k, from the products formed above; res is
+        # summed apart from w: taken from w, it would show only w's QR error
         res = av - v_alpha - back
         health[k - 1, 0] = vk.T @ vk - eye
         if not terminated:  # q is v_{k+1}

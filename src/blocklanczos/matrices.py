@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InnerBreakdown, OverlappingIntervals, ParseError, UnsupportedField
+from .lanczos import run_block_lanczos
 from .linalg import Operator, check_integer, householder_qr
 
 
@@ -168,8 +169,6 @@ def kron_perturbed_problem(spec: SpectrumSpec, p: int, omega: float, seed):
     Returns ``(a, v)`` with ``a`` of size (s*p, s*p), symmetric, and ``v``
     of shape (s*p, p) with orthonormal columns.
     """
-    from .lanczos import run_block_lanczos
-
     check_integer("p", p, 1)
     rng = np.random.default_rng(seed)
     eigs = strakos_spectrum(spec)

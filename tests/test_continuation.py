@@ -69,7 +69,7 @@ def test_selection_rejects_bad_mu(pipeline):
 
 def test_build_wk_factors(pipeline):
     run, k, ritz, pc = pipeline["run"], pipeline["k"], pipeline["ritz"], pipeline["pc"]
-    z_sel = (run.basis[:, : k * run.width] @ ritz.s)[:, pc.indices]
+    z_sel = run.basis[:, : k * run.width] @ ritz.s[:, pc.indices]
     w_k, r_k, rho = build_wk(z_sel)
     assert np.linalg.norm(w_k.T @ w_k - np.eye(pc.m)) < 1e-13
     assert np.linalg.norm(w_k @ r_k - z_sel) < 1e-12
@@ -77,6 +77,17 @@ def test_build_wk_factors(pipeline):
     # the selection is this factorization of these columns, bit for bit
     assert np.array_equal(w_k, pc.w_k) and np.array_equal(r_k, pc.r_k)
     assert rho == pc.rho_k
+
+
+def test_selection_forms_only_the_kept_ritz_vectors():
+    # V_k s_m from the kept columns of s alone; at this prefix the product
+    # of all k p columns, cut to the kept ones afterwards, rounds differently
+    a, _ = spectrum_to_matrix(strakos_spectrum(strakos48(0.1, 100.0)), 1)
+    run = run_block_lanczos(a, np.random.default_rng(1).standard_normal((48, 3)), k_max=12)
+    pc = continue_prefix(run, 11, 1e-5)
+    w_k, r_k, rho = build_wk(run.basis[:, : 11 * 3] @ pc.s_m)
+    assert np.array_equal(pc.w_k, w_k) and np.array_equal(pc.r_k, r_k)
+    assert pc.rho_k == rho
 
 
 def test_build_wk_refuses_near_dependence():

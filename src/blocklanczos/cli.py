@@ -26,7 +26,7 @@ from .cg import dr_bcg, hs_bcg
 from .continuation import continue_prefix
 from .errors import BlockLanczosError, EmptySelection, NearDependentRitzVectors
 from .lanczos import BREAKDOWN_TOL, Diagnostics, ritz_analysis, run_block_lanczos
-from .linalg import Operator, sym_eig
+from .linalg import Operator, householder_qr, sym_eig
 from .matrices import (
     BlurSpec,
     SpectrumSpec,
@@ -183,9 +183,10 @@ def build_problem(cfg, rng):
 
 def _run(cfg, problem, rng, k_max, mode="finite_precision"):
     """Block Lanczos on the problem's operator, seeded with its spectrum, from
-    its own start block or from a Gaussian one drawn out of ``rng`` after the
-    problem; `run_block_lanczos` orthonormalizes either by its one QR."""
-    v = problem.v if problem.v is not None else rng.standard_normal((problem.a.shape[0], cfg["p"]))
+    its own start block or from one drawn out of ``rng`` after the problem."""
+    v = problem.v
+    if v is None:
+        v, _ = householder_qr(rng.standard_normal((problem.a.shape[0], cfg["p"])))
     return run_block_lanczos(Operator(problem.a, problem.eigs), v, k_max, mode)
 
 

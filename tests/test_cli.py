@@ -12,8 +12,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from blocklanczos import (Diagnostics, Operator, run_block_lanczos, spectrum_to_matrix,
-                          sym_eig)
+from blocklanczos import (Diagnostics, Operator, householder_qr, run_block_lanczos,
+                          spectrum_to_matrix, sym_eig)
 from blocklanczos import cli, lanczos
 from blocklanczos.cli import (OPTIONS, READS, _fmt, _write_csv, build_parser, build_problem,
                               main, resolve_config)
@@ -80,7 +80,7 @@ def test_fp_diagnostics_rows_are_the_run_columns(tmp_path):
     cfg = resolve_config(build_parser().parse_args(argv))
     rng = np.random.default_rng(cfg["seed"])
     problem = build_problem(cfg, rng)
-    v = rng.standard_normal((40, 3))  # the raw draw: the run makes the one QR of it
+    v, _ = householder_qr(rng.standard_normal((40, 3)))
     run = run_block_lanczos(Operator(problem.a, problem.eigs), v, k_max=9)
     table = np.array([[float(cell) for cell in row.split(",")] for row in rows]).T
     assert header == ["j"] + list(Diagnostics._fields)

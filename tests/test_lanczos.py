@@ -353,16 +353,19 @@ def test_finite_precision_local_quantities_stay_at_roundoff():
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS, reason="long double is double here")
 def test_step_residual_sees_the_rounding_of_the_panel():
     # delta_v_norm against the local residual of the stored run summed in
-    # long double: a residual taken from the panel w itself sees only the
-    # error of w's QR, and reports under a fifth of it at one step in ten
+    # long double, pooled over ten start blocks: a residual taken from the
+    # panel w itself sees only the error of w's QR, and the 10th percentile
+    # of reported over true falls from 0.34 to 0.17
     a, _ = spectrum_to_matrix(strakos_spectrum(SpectrumSpec(200, 0.1, 100.0, 0.9)), 1)
-    run = run_block_lanczos(a, np.random.default_rng(1).standard_normal((200, 3)), k_max=60)
-    alphas, betas = (np.asarray(x, dtype=np.longdouble) for x in run_blocks(run))
-    v = run.panels.astype(np.longdouble)
     ratios = []
-    for j in range(1, run.n_steps - 1):
-        f = a @ v[j] - v[j] @ alphas[j] - v[j - 1] @ betas[j - 1].T - v[j + 1] @ betas[j]
-        ratios.append(run.diagnostics.delta_v_norm[j] / np.linalg.norm(f.astype(float), 2))
+    for seed in range(1, 11):
+        v0 = np.random.default_rng(seed).standard_normal((200, 3))
+        run = run_block_lanczos(a, v0, k_max=60)
+        alphas, betas = (np.asarray(x, dtype=np.longdouble) for x in run_blocks(run))
+        v = run.panels.astype(np.longdouble)
+        for j in range(1, run.n_steps - 1):
+            f = a @ v[j] - v[j] @ alphas[j] - v[j - 1] @ betas[j - 1].T - v[j + 1] @ betas[j]
+            ratios.append(run.diagnostics.delta_v_norm[j] / np.linalg.norm(f.astype(float), 2))
     assert np.percentile(ratios, 10) > 0.25
 
 

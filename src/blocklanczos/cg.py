@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient, ShapeMismatch, SingularInnerSolve
-from .linalg import (Operator, as_operator, check_finite, check_integer, householder_qr,
-                     inverse_cholesky, reorthogonalize)
+from .linalg import (Operator, as_operator, check_finite, check_integer, check_real,
+                     householder_qr, inverse_cholesky, reorthogonalize)
 
 
 def _energy(v: np.ndarray, a) -> float:
@@ -86,6 +86,7 @@ def _prologue(a, b, maxit):
         raise ShapeMismatch("operator of shape %r, right-hand side %r" % (op.shape, b.shape))
     if b.shape[1] == 0:
         raise ShapeMismatch("right-hand side %r has no columns" % (b.shape,))
+    check_real(b, "right-hand side")
     check_finite(b, "right-hand side")
     x_star = op.solve(b)
     den = _energy(x_star, op)
@@ -145,14 +146,14 @@ def hs_bcg(
 
     A numerically singular inner Gram system (smallest singular value of
     p^T A p below 1e-14 * norm(a) * norm(p)^2, or a failed Cholesky of a
-    residual Gram matrix) halts the run at the current iterate; the
-    history is returned with ``failure`` set. SingularInnerSolve is raised
-    only when not even one iteration could run. ``a`` fails as an
-    `Operator` does (ShapeMismatch, NonFiniteOperator, NotSymmetric, and
-    NotPositiveDefinite without a Cholesky factor); a ``b`` whose row
-    count differs from its size or that has no columns raises
-    ShapeMismatch, a NaN or infinite entry in ``b`` raises
-    NonFiniteOperator, and a ``maxit`` that is negative or not an integer
+    residual Gram matrix) halts the run at the current iterate; the history
+    is returned with ``failure`` set. SingularInnerSolve is raised only when
+    not even one iteration could run. ``a`` fails as an `Operator` does
+    (ShapeMismatch, NonFiniteOperator, NotSymmetric, and NotPositiveDefinite
+    without a Cholesky factor); a ``b`` whose row count differs from its
+    size or that has no columns raises ShapeMismatch, a NaN or infinite
+    entry in ``b`` raises NonFiniteOperator, and a ``b`` of a dtype other
+    than integer or float or a ``maxit`` that is negative or not an integer
     (Python or numpy) raises ValueError (0 returns the history of x0 alone).
     """
     a, x, error, maxit = _prologue(a, b, maxit)

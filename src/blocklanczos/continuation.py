@@ -21,10 +21,11 @@ that statement concrete and measurable:
    behind them leave unexplained (its `delta_norms`).
 
 `continue_prefix` makes step 1 at one prefix of a run and returns the
-one record of that prefix, `PrefixContinuation`: it holds the selection
-and makes every later stage on first read. Every continuation step comes
-from one lazy loop, which `continuation_run` drains; the record's
-monitored `terms` take its first step alone.
+one record of that prefix, `PrefixContinuation`: it holds the run, k and
+the selection, checked there, and every later stage takes it alone and
+is made on first read. Every continuation step comes from one lazy loop,
+which `continuation_run` drains; the record's monitored `terms` take its
+first step alone.
 
 Every panel the process discards is kept (the h panels) so the model's
 backward error is measured, not estimated.
@@ -39,11 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Theorem1Certificate, theorem1_certificate
-from .errors import (AssumptionUnsatisfiable, CapReached, EmptySelection,
-                     NearDependentRitzVectors, ShapeMismatch)
+from .errors import CapReached, EmptySelection, NearDependentRitzVectors, ShapeMismatch
 from .lanczos import BREAKDOWN_TOL, LanczosRun, beta_after, ritz_analysis
-from .linalg import (check_finite, check_integer, panel_norm, qr_unchecked, reorthogonalize,
-                     truncated_svd)
+from .linalg import panel_norm, qr_unchecked, reorthogonalize, truncated_svd
 
 
 def build_wk(z_selected: np.ndarray):
@@ -103,8 +102,8 @@ class ContinuationResult:
         return len(self.h_norms)
 
 
-def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray):
-    """The steps of the continuation at prefix k, one per ``next``.
+def _continuation_steps(pc: PrefixContinuation):
+    """The steps of the continuation at the record's prefix k, one per ``next``.
 
     Step 1 replays step k of the run from v_{k-1}, v_k, alpha_k and
     beta_k (no trailing term for k = 1); every later step is a three-term
@@ -114,26 +113,17 @@ def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray):
     level. The step yields ``(alpha, u_t, b_new, h_panel)``: its diagonal
     block (None at step 1, whose block is alpha_k of the run), the new
     panel, its coupling and the removed difference ``raw - u_t @ b_new``.
-    The steps end after the first one that keeps rank zero.
-
-    Raises ValueError unless k is an integer in [1, run.n_steps],
-    AssumptionUnsatisfiable for norm(A) = 0 (no scale for the cut),
-    ShapeMismatch unless w_k is (n, m) with m <= n, NonFiniteOperator for a
-    NaN or infinite w_k, and CapReached before the basis would pass n columns.
+    The steps end after the first one that keeps rank zero; CapReached is
+    raised before the basis would pass n columns.
     """
-    check_integer("k", k, 1, run.n_steps)
+    run, k = pc.run, pc.k
     a, n = run.a, run.a.shape[0]
-    if a.norm == 0.0:
-        raise AssumptionUnsatisfiable("norm(A) = 0 leaves the rank cut without a scale")
-    if w_k.ndim != 2 or w_k.shape[0] != n or w_k.shape[1] > n:
-        raise ShapeMismatch("protected basis of shape %r in dimension n = %d" % (w_k.shape, n))
-    check_finite(w_k, "protected basis")
-    cols, cut, p = w_k.shape[1], BREAKDOWN_TOL * a.norm, run.width
+    cols, cut, p = pc.m, BREAKDOWN_TOL * a.norm, run.width
     # CapReached stops the basis at n columns; w_k is read through a strided
     # view of this buffer, which BLAS rounds differently from a contiguous
     # copy, so the layout fixes the last bits of every output built on step 1
     basis = np.empty((n, n))
-    basis[:, :cols] = w_k
+    basis[:, :cols] = pc.w_k
     rows = slice((k - 1) * p, k * p)
     q, alpha = run.panels[k - 1], run.t[rows, rows]
     trail = run.panels[k - 2] @ beta_after(run, k - 1).T if k >= 2 else 0.0
@@ -158,10 +148,10 @@ def _continuation_steps(run: LanczosRun, k: int, w_k: np.ndarray):
         q, trail = u_t, q @ b_new.T
 
 
-def continuation_run(run: LanczosRun, k: int, w_k: np.ndarray) -> ContinuationResult:
-    """Run the recurrence of ``run`` past step k against the protected
-    basis w_k until a step keeps rank zero (the steps and what they raise:
-    `_continuation_steps`).
+def continuation_run(pc: PrefixContinuation) -> ContinuationResult:
+    """Run the recurrence of the record's run past its prefix k against the
+    protected basis w_k until a step keeps rank zero (the steps and what
+    they raise: `_continuation_steps`).
 
     T_N starts as the (k p, k p) corner of ``run.t`` with room for the n - m
     rows the basis can still take; each later step brings the diagonal
@@ -170,13 +160,13 @@ def continuation_run(run: LanczosRun, k: int, w_k: np.ndarray) -> ContinuationRe
     epsilon2 covers the whole model: the run's residual norms of steps
     1..k and every h norm.
     """
+    run, k = pc.run, pc.k
     lo = k * run.width
+    tn = np.zeros((lo + run.a.shape[0] - pc.m,) * 2)
+    tn[:lo, :lo] = run.t[:lo, :lo]
     panels, h_panels = [], []
-    for alpha, u_t, b_new, h in _continuation_steps(run, k, w_k):
-        if alpha is None:  # step 1, past the input checks
-            tn = np.zeros((lo + run.a.shape[0] - w_k.shape[1],) * 2)
-            tn[:lo, :lo] = run.t[:lo, :lo]
-        else:
+    for alpha, u_t, b_new, h in _continuation_steps(pc):
+        if alpha is not None:
             hi, back = lo + beta.shape[0], lo - beta.shape[1]
             tn[lo:hi, back:lo], tn[back:lo, lo:hi], tn[lo:hi, lo:hi] = beta, beta.T, alpha
             lo = hi
@@ -215,8 +205,8 @@ class PrefixContinuation:
                 norm((I - w_k w_k^T) v_k beta_{k+1}^T). These closed forms of
                 the first two continuation steps need only beta_{k+1}, the
                 coupling step 1 keeps; without one the last two are zero
-    cont        `continuation_run`: the model T_N, its basis and block
-                sizes; CapReached is raised on this read
+    cont        `continuation_run` of this record: the model T_N, its basis
+                and block sizes; CapReached is raised on this read
     delta_norms what the closed forms leave of each recorded h panel, at
                 roundoff level in a healthy model: the projection of the
                 next finite-precision panel onto w_k at step 1, the forms
@@ -253,7 +243,7 @@ class PrefixContinuation:
 
     @functools.cached_property
     def terms(self) -> tuple:
-        _, _, beta_c, _ = next(_continuation_steps(self.run, self.k, self.w_k))
+        _, _, beta_c, _ = next(_continuation_steps(self))
         v_k, r_defect, fp_trail = self._closed_form_parts
         w_k = self.w_k
         term21a = panel_norm(w_k.T @ fp_trail) if fp_trail is not None else 0.0
@@ -265,7 +255,7 @@ class PrefixContinuation:
 
     @functools.cached_property
     def cont(self) -> ContinuationResult:
-        return continuation_run(self.run, self.k, self.w_k)
+        return continuation_run(self)
 
     @functools.cached_property
     def delta_norms(self) -> list:

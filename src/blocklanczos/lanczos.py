@@ -39,8 +39,8 @@ class Diagnostics(NamedTuple):
     """Health of the recurrence: five read-only float64 columns, entry j - 1
     for step j.
 
-    delta_v_norm    norm of the local recurrence residual
-                    A v_j - v_{j-1} beta_j^T - v_j alpha_j - v_{j+1} beta_{j+1}
+    delta_v_norm    norm of A v_j - v_{j-1} beta_j^T - v_j alpha_j - v_{j+1} beta_{j+1}, summed
+                    in step j from its own fl(A v_j); it can read below the stored run's residual
     normality       norm of v_j^T v_j - I
     local_orth      norm of v_j^T v_{j+1} beta_{j+1}
     beta_norm       norm of beta_{j+1}

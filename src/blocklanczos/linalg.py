@@ -52,6 +52,12 @@ def check_finite(x, what: str) -> None:
         raise NonFiniteOperator("%s has NaN or infinite entries" % what)
 
 
+def check_real(x: np.ndarray, what: str) -> None:
+    """ValueError naming ``what`` and its dtype unless ``x`` holds integers or floats."""
+    if x.dtype.kind not in "iuf":
+        raise ValueError("%s must hold real numbers, got dtype %s" % (what, x.dtype))
+
+
 def panel_norm(x: np.ndarray) -> float:
     """Spectral norm (0.0 for empty input), read from the SVD ``norm(x, 2)`` runs: same bits;
     NonFiniteOperator for a NaN or infinite entry, on which LAPACK fails or returns NaN."""
@@ -72,7 +78,7 @@ def householder_qr(m: np.ndarray):
     Parameters
     ----------
     m : ndarray, shape (n, width)
-        Block to orthonormalize, width >= 1, width <= n.
+        Real block (integer or float dtype, else ValueError), 1 <= width <= n.
 
     Returns
     -------
@@ -91,6 +97,7 @@ def householder_qr(m: np.ndarray):
     NonFiniteOperator
         If ``m`` has a NaN or infinite entry.
     """
+    check_real(m, "block to orthonormalize")
     if m.ndim != 2:
         raise ShapeMismatch("expected a 2-d block, got ndim=%d" % m.ndim)
     n, width = m.shape
@@ -131,14 +138,14 @@ class Operator:
 
     Wraps a dense symmetric (n, n) array or the (n,) diagonal of a diagonal
     operator, which is never densified. Building one raises ShapeMismatch,
-    NonFiniteOperator (NaN or infinite entries, or a norm that overflows)
-    or NotSymmetric (asymmetry above 1e-12 relative). ``eigvals``
-    (ascending), ``norm`` = max|eigvals| and the inverse Cholesky factor
-    behind `solve` are computed on first use and shared from then on. A
-    builder that knows the spectrum passes it as ``eigvals`` (shape (n,),
-    finite, ascending, with 2-norm equal to A's Frobenius norm to
-    10 n eps relative, else ShapeMismatch, NonFiniteOperator or
-    ValueError); it is kept read-only and A is never eigensolved.
+    ValueError (dtype not integer or float), NonFiniteOperator (NaN or
+    infinite entries, or a norm that overflows) or NotSymmetric (asymmetry
+    above 1e-12 relative). ``eigvals`` (ascending), ``norm`` = max|eigvals|
+    and the inverse Cholesky factor behind `solve` are computed on first use
+    and shared from then on. A builder that knows the spectrum passes it as
+    ``eigvals`` (shape (n,), finite, ascending, with 2-norm equal to A's
+    Frobenius norm to 10 n eps relative, else ShapeMismatch, NonFiniteOperator
+    or ValueError); it is kept read-only and A is never eigensolved.
 
     Both forms of one operator give the same bits: a dense product with a
     diagonal matrix only adds exact zeros, LAPACK returns the sorted
@@ -152,6 +159,7 @@ class Operator:
         self._diag = a[:, None] if a.ndim == 1 else None
         if a.ndim not in (1, 2) or a.shape[0] != a.shape[-1]:
             raise ShapeMismatch("operator must be square or 1-D, got %r" % (a.shape,))
+        check_real(a, "operator")
         scale = _frobenius(a)
         if not np.isfinite(scale):
             raise NonFiniteOperator("operator norm is %r: NaN, inf or overflow" % scale)

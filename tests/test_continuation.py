@@ -6,11 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocklanczos import (
-    AssumptionUnsatisfiable,
     CapReached,
     EmptySelection,
     NearDependentRitzVectors,
-    NonFiniteOperator,
     ShapeMismatch,
     SpectrumSpec,
     build_wk,
@@ -147,22 +145,23 @@ def test_epsilon2_formula(pipeline):
 
 
 def test_continuation_cap_and_tol_validation(pipeline):
-    # the column cap: test_continuation_basis_cannot_outgrow_the_dimension
-    run, k, w_k = pipeline["run"], pipeline["k"], pipeline["w_k"]
+    # k enters the continuation through the record, checked where it is
+    # made; the column cap: test_continuation_basis_cannot_outgrow_the_dimension
+    run = pipeline["run"]
     for bad_k in (0, run.n_steps + 1, 2.0):
         with pytest.raises(ValueError, match="k must be"):
-            continuation_run(run, bad_k, w_k)
+            continue_prefix(run, bad_k, 1e-5)
 
 
-@pytest.mark.parametrize("w_k, error", [
-    (np.ones((10, 18)), ShapeMismatch),  # rows other than n
-    (np.ones(48), ShapeMismatch),  # not 2-d
-    (np.ones((48, 49)), ShapeMismatch),  # more columns than n
-    (np.full((48, 2), np.nan), NonFiniteOperator),
-])
-def test_continuation_rejects_a_malformed_protected_basis(pipeline, w_k, error):
-    with pytest.raises(error):
-        continuation_run(pipeline["run"], pipeline["k"], w_k)
+def test_continuation_run_of_the_record_is_its_model(pipeline):
+    # the stage on its own gives the record's model, field by field, bit for bit
+    cont, fresh = pipeline["cont"], continuation_run(pipeline["pc"])
+    assert fresh is not cont and len(fresh.h_panels) == len(cont.h_panels)
+    arrays = [(cont.tn, fresh.tn), (cont.basis, fresh.basis), *zip(cont.h_panels, fresh.h_panels)]
+    for x, y in arrays:
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert fresh.block_sizes == cont.block_sizes and fresh.h_norms == cont.h_norms
+    assert fresh.epsilon2 == cont.epsilon2
 
 
 def test_continuation_basis_cannot_outgrow_the_dimension(pipeline, monkeypatch):
@@ -178,11 +177,10 @@ def test_continuation_basis_cannot_outgrow_the_dimension(pipeline, monkeypatch):
 
 
 def test_continuation_refuses_the_zero_operator():
-    # a cut relative to norm(A) = 0 has no scale: refused before step 1
+    # a cut relative to norm(A) = 0 would have no scale; the zero operator
+    # selects nothing, so it never reaches the continuation
     v = np.random.default_rng(0).standard_normal((10, 2))
     run = run_block_lanczos(np.zeros((10, 10)), v, k_max=4)
-    with pytest.raises(AssumptionUnsatisfiable, match="norm"):
-        continuation_run(run, 1, run.basis[:, :1].copy())
     with pytest.raises(EmptySelection):
         continue_prefix(run, 1, 1e-5)
 
@@ -190,12 +188,12 @@ def test_continuation_refuses_the_zero_operator():
 def test_continuation_model_structure(pipeline):
     # T_N holds the corner of run.t, then each step's blocks as they were
     # yielded, bit for bit; the basis holds each step's panel
-    run, k, cont, w_k = pipeline["run"], pipeline["k"], pipeline["cont"], pipeline["w_k"]
+    run, k, cont = pipeline["run"], pipeline["k"], pipeline["cont"]
     p, t_n, sizes = run.width, cont.tn, cont.block_sizes
     assert t_n.shape == (sum(sizes),) * 2 and sizes[:k] == [p] * k
     assert np.array_equal(t_n[: k * p, : k * p], run.t[: k * p, : k * p])
     assert not np.shares_memory(t_n, run.t)
-    steps = list(_continuation_steps(run, k, w_k))
+    steps = list(_continuation_steps(pipeline["pc"]))
     alphas, betas = band_blocks(t_n, sizes)
     assert len(alphas) == k + len(steps) - 1
     assert all(np.array_equal(x, s[0]) for x, s in zip(alphas[k:], steps[1:]))
@@ -234,7 +232,7 @@ def test_model_at_a_shorter_prefix(pipeline):
     assert sizes[:kk] == [p] * kk and len(sizes) > kk
     assert t_n.shape[0] == sum(sizes) == cont.basis.shape[1]
     assert np.array_equal(t_n[: kk * p, : kk * p], run.t[: kk * p, : kk * p])
-    beta_c = next(_continuation_steps(run, kk, pc.w_k))[2]
+    beta_c = next(_continuation_steps(pc))[2]
     assert np.array_equal(band_blocks(t_n, sizes)[1][kk - 1], beta_c)
     assert np.array_equal(cont.basis[:, : kk * p], run.basis[:, : kk * p])
     assert pc.certificate.holds
@@ -276,18 +274,18 @@ def _start(n, l1, rho, seed, p, kron):
     return a, np.random.default_rng(seed).standard_normal((n, p))
 
 
-def _step_one_coupling(run, kk, pc):
-    """The coupling beta_{k+1} continuation step 1 keeps at prefix kk, the
-    only part of the continuation the monitored terms read."""
-    return next(_continuation_steps(run, kk, pc.w_k))[2]
+def _step_one_coupling(pc):
+    """The coupling beta_{k+1} continuation step 1 keeps at the record's
+    prefix, the only part of the continuation the monitored terms read."""
+    return next(_continuation_steps(pc))[2]
 
 
-def _assert_step_one_coupling_is_the_models(run, kk, pc, cont):
+def _assert_step_one_coupling_is_the_models(pc, cont):
     # the full continuation's beta_{k+1} block of T_N, empty when step 1
     # keeps rank zero
-    edges = np.cumsum([0] + cont.block_sizes + [0])
+    kk, edges = pc.k, np.cumsum([0] + cont.block_sizes + [0])
     block = cont.tn[edges[kk] : edges[kk + 1], edges[kk - 1] : edges[kk]]
-    beta_c = _step_one_coupling(run, kk, pc)
+    beta_c = _step_one_coupling(pc)
     assert beta_c.shape == block.shape and beta_c.tobytes() == block.tobytes()
 
 
@@ -309,7 +307,7 @@ def _compare_prefixes(run, mu):
             except CapReached:
                 outcome = "CapReached"
             else:
-                _assert_step_one_coupling_is_the_models(run, kk, pc, cont)
+                _assert_step_one_coupling_is_the_models(pc, cont)
                 outcome = "equal"
         seen[outcome] = seen.get(outcome, 0) + 1
     return seen
@@ -419,7 +417,7 @@ def test_small_problem_closes_past_step_one():
     mu = 0.009999769744141627
     pc = continue_prefix(run, 7, mu)
     sizes = pc.cont.block_sizes
-    _assert_step_one_coupling_is_the_models(run, 7, pc, pc.cont)
+    _assert_step_one_coupling_is_the_models(pc, pc.cont)
     assert sizes[7:] == [3] * 11 + [2, 1, 1, 1]
     assert pc.m + sum(sizes[7:]) <= 43
     assert 1.2e-2 < pc.cont.epsilon2 < 1.22e-2
@@ -453,7 +451,7 @@ def test_first_step_is_step_one_of_the_run(pipeline):
     assert np.array_equal(raw - q1 @ beta_c, h)
     # full rank is kept here, so h is just the part of raw along w_k
     assert panel_norm(h - w_k @ (w_k.T @ raw)) < 1e-3 * panel_norm(h)
-    _assert_step_one_coupling_is_the_models(run, k, pc, cont)
+    _assert_step_one_coupling_is_the_models(pc, cont)
 
 
 def test_record_makes_each_stage_on_first_read(pipeline, monkeypatch):
@@ -482,7 +480,7 @@ def test_monitored_terms_without_step_one_coupling(pipeline, monkeypatch):
     monkeypatch.setattr("blocklanczos.continuation.truncated_svd",
                         lambda w, tol: truncated_svd(w, np.inf))
     pc = continue_prefix(pipeline["run"], pipeline["k"], 1e-5)
-    assert _step_one_coupling(pipeline["run"], pipeline["k"], pc).size == 0
+    assert _step_one_coupling(pc).size == 0
     term21a, term21b, term22 = pc.terms
     assert (term21b, term22) == (0.0, 0.0)
     assert term21a == pipeline["pc"].terms[0]

@@ -13,9 +13,12 @@ from blocklanczos import (
     RankDeficient,
     ShapeMismatch,
     as_operator,
+    dr_bcg,
+    hs_bcg,
     householder_qr,
     panel_norm,
     reorthogonalize,
+    run_block_lanczos,
     spectrum_to_matrix,
     sym_eig,
     truncated_svd,
@@ -401,6 +404,32 @@ def test_huge_finite_operator_builds_with_its_norm(big):
                                                                    [1e-5 * big, 1.0]])):
         with pytest.raises(NotSymmetric):
             Operator(asymmetric)
+
+
+_SPD = np.diag(np.arange(1.0, 7.0))
+
+
+@pytest.mark.parametrize("call, what, dtype", [
+    # complex Hermitian: its norm would read 2 and its eigvals [0, 2], not 1 +- 1j
+    (lambda: Operator(np.array([[1, 1j], [1j, 1]])), "operator", "complex128"),
+    (lambda: Operator(np.eye(3, dtype=bool)), "operator", "bool"),
+    (lambda: Operator(np.ones(3, dtype=object)), "operator", "object"),
+    (lambda: householder_qr(np.eye(4, 2, dtype=np.complex64)), "block to orthonormalize",
+     "complex64"),
+    # the start block would lose its imaginary parts to ComplexWarnings
+    (lambda: run_block_lanczos(_SPD, np.eye(6, 2) * (1 + 1j), 2), "block to orthonormalize",
+     "complex128"),
+    # the right-hand side would stop in a false SingularInnerSolve
+    (lambda: hs_bcg(_SPD, np.eye(6, 2) * (1 + 1j)), "right-hand side", "complex128"),
+    (lambda: dr_bcg(_SPD, np.eye(6, 2, dtype=bool)), "right-hand side", "bool"),
+], ids=["complex_operator", "bool_operator", "object_operator", "complex_qr_block",
+        "complex_start_block", "complex_hs_rhs", "bool_dr_rhs"])
+def test_input_that_is_not_real_numbers_is_refused(call, what, dtype):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any ComplexWarning
+        with pytest.raises(ValueError, match="^%s must hold real numbers, got dtype %s$"
+                           % (what, dtype)):
+            call()
 
 
 def test_operator_seeded_with_its_spectrum_is_not_eigensolved(monkeypatch):
